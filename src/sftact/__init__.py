@@ -55,7 +55,6 @@ from .reduce import (
     build_eta,
     left_reduce,
     right_reduce,
-    transpose_duality_check,
 )
 from .sse import (
     ActionFactorSquare,
@@ -77,10 +76,8 @@ from .quotient import (
     NonexpansiveWitness,
     OrbitCountReport,
     QuotientClassification,
-    brute_orbit_counts,
     burnside_counts,
     classify_quotient,
-    constant_to_one_check,
     nonexpansive_witness,
     quotient_period_counts,
     recurrence_holds,

@@ -94,13 +94,6 @@ class PermGroup:
     def exponent(self) -> int:
         return lcm(*[self.element_order(g) for g in range(self.order)])
 
-    def index_of(self, perm) -> int:
-        p = tuple(perm)
-        for k, q in enumerate(self.elements):
-            if q == p:
-                return k
-        raise InputError(f"{perm!r} is not an element of the group")
-
     def permutation_matrix(self, g: int) -> RectMatrix:
         """Matrix P with P(i, gi) = 1, so invariance reads P A P^t = A."""
         n = self.degree

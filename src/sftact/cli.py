@@ -40,6 +40,7 @@ from .reduce import left_reduce, right_reduce
 from .sse import (
     ElementarySse,
     SplitData,
+    SseChain,
     in_split,
     out_split,
     transport_certificate,
@@ -310,11 +311,19 @@ def _action_from_input(input_doc, path="input") -> PermutationAction:
 
 
 def parse_job(text: str) -> JobSpec:
-    """Validate a job document; diagnostics name the offending path."""
+    """Decode and validate a job document; diagnostics name the offending path."""
+    return job_from_document(_load_document(text))
+
+
+def _load_document(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise InputError(f"malformed JSON document: {err}") from err
+
+
+def job_from_document(doc) -> JobSpec:
+    """Validate a decoded job document; diagnostics name the offending path."""
     doc = _get_dict(doc, "$")
     fmt = doc.get("format", JOB_FORMAT)
     _expect(fmt == JOB_FORMAT, "$.format", f"unsupported format {fmt!r}")
@@ -471,10 +480,11 @@ def _run_verify_sse(job):
             parse_certificate(link, f"input.chain[{k}]")
             for k, link in enumerate(job.input["chain"])
         ]
-        for e, f in zip(links, links[1:]):
-            if e.b.entries != f.a.entries:
-                raise InputError("input.chain: consecutive endpoints do not agree")
-        results = [verify_elementary_sse(link) for link in links]
+        try:
+            chain = SseChain(tuple(links))
+        except InputError as err:
+            raise InputError(f"input.chain: {err}") from err
+        results = [verify_elementary_sse(link) for link in chain.links]
         return {"links": results, "valid": all(results)}
     cert = parse_certificate(job.input, "input")
     valid = verify_elementary_sse(cert)
@@ -704,28 +714,21 @@ def main(argv=None) -> int:
         print(f"error: cannot read input: {err}", file=sys.stderr)
         return 1
 
+    overrides = {"cap": args.cap, "limit": args.limit, "max_n": args.max_n}
     try:
-        doc = json.loads(text)
-        if isinstance(doc, dict) and "command" not in doc:
-            doc["command"] = args.command
-        text = json.dumps(doc)
-    except json.JSONDecodeError:
-        pass  # parse_job reports the malformed document
-
-    try:
-        job = parse_job(text)
+        doc = _load_document(text)
+        if isinstance(doc, dict):
+            doc.setdefault("command", args.command)
+            # overrides join the document before validation, so they obey the
+            # same parameter rules; validation rejects non-object parameters
+            params = doc.setdefault("parameters", {})
+            if isinstance(params, dict):
+                params.update((k, v) for k, v in overrides.items() if v is not None)
+        job = job_from_document(doc)
         if job.command != args.command:
             raise InputError(
                 f"$.command: document says {job.command!r} but the subcommand is {args.command!r}"
             )
-        params = dict(job.parameters)
-        if args.cap is not None:
-            params["cap"] = args.cap
-        if args.limit is not None:
-            params["limit"] = args.limit
-        if args.max_n is not None:
-            params["max_n"] = args.max_n
-        job = JobSpec(command=job.command, input=job.input, parameters=params)
         report = run_job(job)
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -121,11 +121,6 @@ class RectMatrix:
             signed=self.signed,
         )
 
-    def to_square(self, labels=None) -> IntMatrix:
-        if self.rows != self.cols:
-            raise InputError(f"cannot view {self.rows}x{self.cols} matrix as square")
-        return IntMatrix(self.entries, labels=labels)
-
 
 @dataclass(frozen=True)
 class IntPolynomial:

@@ -3,10 +3,9 @@
 The number of group orbits of period-n points averages the fixed-point
 counts trace(A_g^n) over the group (Cauchy-Frobenius), and the counts
 satisfy the linear recurrence given by the least common multiple of the
-polynomials det(I - t A_g).  Separate brute-force enumerations serve as
-oracles for both the orbit counts and the period counts of the quotient
-dynamical system, which agree with the trace powers of the reduced
-matrices.
+polynomials det(I - t A_g).  The period counts of the quotient dynamical
+system come from a separate enumeration of cycles; they agree with the
+trace powers of the reduced matrices.
 
 For irreducible presentations the quotient is either again a shift of
 finite type (when the quotient map is constant-to-one) or fails to be
@@ -23,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError
-from .matrices import IntPolynomial, char_poly_reciprocal, poly_lcm, trace_of_power, bowen_franks
+from .matrices import IntPolynomial, char_poly_reciprocal, poly_lcm, trace_of_power
 from .action import PermutationAction, fixed_submatrix
-from .reduce import left_reduce, right_reduce
 from .sft import CycleWord, SftPresentation, enumerate_cycles, is_irreducible, shortest_path, trim_essential
 
 DEFAULT_CAP = 100000
@@ -88,20 +86,6 @@ def recurrence_holds(recurrence: IntPolynomial, terms) -> bool:
         if sum(c[k] * terms[n - k] for k in range(d + 1)) != 0:
             return False
     return True
-
-
-def brute_orbit_counts(a: PermutationAction, m: int, cap: int = DEFAULT_CAP):
-    """Oracle for burnside_counts: enumerate period-n points and count
-    their orbits under the edgewise action."""
-    out = []
-    for n in range(1, m + 1):
-        words = enumerate_cycles(a.presentation, n, cap)
-        seen = set()
-        for w in words:
-            canonical = min(a.apply_word(g, w.edges) for g in range(a.group.order))
-            seen.add(canonical)
-        out.append(len(seen))
-    return out
 
 
 def quotient_period_counts(a: PermutationAction, m: int, cap: int = DEFAULT_CAP):
@@ -304,28 +288,3 @@ def _cycle_through_all_states(p: SftPresentation):
         edges = [p.out_edges[0][0]]
         assert edges[0][1] == 0
     return tuple(edges)
-
-
-def constant_to_one_check(a: PermutationAction, cap: int = DEFAULT_CAP) -> bool:
-    """Operational consequences of the constant-to-one verdict.
-
-    Both reduced matrices must share their reciprocal characteristic
-    polynomial and Bowen-Franks invariants, and the quotient period counts
-    must equal the trace powers of both reduced matrices for n <= 8.
-    Refuses to run on a nonexpansive action.
-    """
-    verdict = classify_quotient(a)
-    if verdict.verdict != "constant-to-one":
-        raise PreconditionError("check applies only to constant-to-one quotients")
-    right = right_reduce(a).matrix
-    left = left_reduce(a).matrix
-    if char_poly_reciprocal(right) != char_poly_reciprocal(left):
-        return False
-    if bowen_franks(right) != bowen_franks(left):
-        return False
-    counts = quotient_period_counts(a, 8, cap)
-    for n in range(1, 9):
-        expected = counts[n - 1]
-        if trace_of_power(right, n) != expected or trace_of_power(left, n) != expected:
-            return False
-    return True

@@ -3,10 +3,12 @@
 The right-reduced shift has one state per orbit of states and matrix
 entries A_red(Gi, Gj) = sum over k in Gj of A(i0, k), taken at the orbit
 representative i0; the left-reduced shift sums over the source orbit
-instead.  Both are conjugacy invariants of the action.  The right
-reduction also factors through selector matrices, A_red = U A V, and
-carries a canonical right-resolving one-block factor map from the edge
-alphabet of the action onto the reduced edge alphabet.
+instead.  The left form is not computed on its own: it is the transpose
+of the right reduction of the transposed matrix over the same orbits.
+Both are conjugacy invariants of the action.  The right reduction also
+factors through selector matrices, A_red = U A V, and carries a canonical
+right-resolving one-block factor map from the edge alphabet of the action
+onto the reduced edge alphabet.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .matrices import IntMatrix, RectMatrix, mat_mul
-from .action import PermutationAction
+from .action import OrbitStructure, PermutationAction
 from .sft import SftPresentation
 
 
@@ -43,9 +45,7 @@ class ReducedShift:
         return SftPresentation(self.matrix)
 
 
-def _selectors(a: PermutationAction):
-    os_ = a.orbits
-    n = a.group.degree
+def _selectors(os_: OrbitStructure, n: int):
     m = os_.num_orbits
     u = RectMatrix(
         tuple(
@@ -59,19 +59,16 @@ def _selectors(a: PermutationAction):
     return u, v
 
 
-def _orbit_labels(a: PermutationAction):
-    return tuple(f"G{rep + 1}" for rep in a.orbits.representatives)
+def _reduce_rows(matrix: IntMatrix, os_: OrbitStructure):
+    """Right reduction of ``matrix`` over the state orbits ``os_``: entry
+    (Gi, Gj) counts edges from a representative of Gi into the orbit Gj.
 
-
-def right_reduce(a: PermutationAction) -> ReducedShift:
-    """Right-reduced shift: entry (Gi, Gj) counts edges from a representative
-    of Gi into the orbit Gj.
-
-    Independence of the representative is re-verified from every orbit
-    member; a failure here would mean the action was never valid.
+    Returns (reduced matrix, U, V).  Independence of the representative is
+    re-verified from every orbit member, and the selector identity
+    U A V = A_red is checked; a failure of either would mean the action
+    was never valid.
     """
-    os_ = a.orbits
-    rows = a.matrix.entries
+    rows = matrix.entries
     entries = []
     for orbit_i in os_.orbits:
         rep = orbit_i[0]
@@ -83,47 +80,30 @@ def right_reduce(a: PermutationAction) -> ReducedShift:
                     f"reduction not representative-independent at states {rep + 1}, {other + 1}"
                 )
         entries.append(row)
-    matrix = IntMatrix(tuple(entries), labels=_orbit_labels(a))
-    u, v = _selectors(a)
-    product = mat_mul(mat_mul(u, a.matrix.to_rect()), v)
-    assert product.entries == matrix.entries, "selector identity U A V must reproduce the reduction"
-    return ReducedShift(side="right", matrix=matrix, u_selector=u, v_selector=v)
+    reduced = IntMatrix(
+        tuple(entries), labels=tuple(f"G{rep + 1}" for rep in os_.representatives)
+    )
+    u, v = _selectors(os_, matrix.dim)
+    product = mat_mul(mat_mul(u, matrix.to_rect()), v)
+    assert product.entries == reduced.entries, "selector identity U A V must reproduce the reduction"
+    return reduced, u, v
+
+
+def right_reduce(a: PermutationAction) -> ReducedShift:
+    """Right-reduced shift: entry (Gi, Gj) counts edges from a
+    representative of Gi into the orbit Gj."""
+    return ReducedShift("right", *_reduce_rows(a.matrix, a.orbits))
 
 
 def left_reduce(a: PermutationAction) -> ReducedShift:
     """Left-reduced shift: entry (Gi, Gj) counts edges from the orbit Gi
-    into a representative of Gj."""
-    os_ = a.orbits
-    rows = a.matrix.entries
-    entries = []
-    for orbit_i in os_.orbits:
-        row = []
-        for orbit_j in os_.orbits:
-            rep = orbit_j[0]
-            val = sum(rows[k][rep] for k in orbit_i)
-            for other in orbit_j[1:]:
-                if sum(rows[k][other] for k in orbit_i) != val:
-                    raise PreconditionError(
-                        f"reduction not representative-independent at states {rep + 1}, {other + 1}"
-                    )
-            row.append(val)
-        entries.append(tuple(row))
-    matrix = IntMatrix(tuple(entries), labels=_orbit_labels(a))
-    u, v = _selectors(a)
-    vt_a_ut = mat_mul(mat_mul(v.transpose(), a.matrix.to_rect()), u.transpose())
-    assert vt_a_ut.entries == matrix.entries, "selector identity V^t A U^t must reproduce the reduction"
-    return ReducedShift(side="left", matrix=matrix, u_selector=u, v_selector=v)
+    into a representative of Gj.
 
-
-def transpose_duality_check(a: PermutationAction) -> bool:
-    """Left reduction of the transposed action equals the transpose of the
-    right reduction (the two reductions are inverse to each other)."""
-    transposed = PermutationAction(
-        SftPresentation(a.matrix.transpose()), a.group
-    )
-    left_t = left_reduce(transposed).matrix
-    right = right_reduce(a).matrix
-    return left_t.entries == right.transpose().entries
+    It is the transpose of the right reduction of A^t over the same
+    orbits, so its selector identity reads V^t A U^t = A_red.
+    """
+    reduced, u, v = _reduce_rows(a.matrix.transpose(), a.orbits)
+    return ReducedShift("left", reduced.transpose(), u, v)
 
 
 @dataclass(frozen=True)
@@ -152,10 +132,6 @@ class OneBlockCode:
                     raise PreconditionError(
                         f"edge map does not induce a state map (state {src_state} goes to both {seen} and {dst_state})"
                     )
-        object.__setattr__(self, "_state_map", state_map)
-
-    def state_image(self, i: int) -> int:
-        return self._state_map[i]
 
     def apply_path(self, edges):
         return tuple(self.edge_map[tuple(e)] for e in edges)
@@ -166,10 +142,6 @@ class OneBlockCode:
             if len(set(images)) != len(images):
                 return False
         return True
-
-    @classmethod
-    def identity(cls, p: SftPresentation) -> "OneBlockCode":
-        return cls(p, p, {e: e for e in p.edges})
 
 
 def build_eta(a: PermutationAction) -> OneBlockCode:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CapExceededError, InputError, PreconditionError
-from .matrices import IntMatrix, trace_of_power
+from .matrices import IntMatrix
 
 Edge = tuple  # (initial state, terminal state, multiplicity index)
 
@@ -161,10 +161,6 @@ class CycleWord:
         """States visited, one per edge (the initial states)."""
         return tuple(e[0] for e in self.edges)
 
-    def rotate(self, k: int) -> "CycleWord":
-        k %= len(self.edges)
-        return CycleWord(self.edges[k:] + self.edges[:k])
-
     def canonical_rotation(self) -> "CycleWord":
         edges = self.edges
         best = min(edges[k:] + edges[:k] for k in range(len(edges)))
@@ -309,13 +305,6 @@ def enumerate_cycles(p: SftPresentation, length: int, cap: int):
 
         walk(s0, 0)
     return results
-
-
-def count_check(p: SftPresentation, length: int, cap: int) -> bool:
-    """Cross-check: |enumerate_cycles| == trace_of_power for one length."""
-    if p.is_empty:
-        return True
-    return len(enumerate_cycles(p, length, cap)) == trace_of_power(p.matrix, length)
 
 
 def shortest_path(p: SftPresentation, src: int, dst: int):

@@ -10,10 +10,13 @@ certificate transports to one between the right-reduced matrices
 State splittings supply the certificates this package generates itself:
 out-splittings partition the outgoing edges of each state, in-splittings
 the incoming ones, and a partition compatible with the group action
-transports the action to the split presentation.  Repeated complete
-out-splittings realize higher-block recodings.  Finally, a right-resolving
-one-block factor map of actions induces a commuting square of
-right-resolving maps between the original and reduced shifts.
+transports the action to the split presentation.  An in-splitting is not
+computed on its own: it is the out-splitting of the transposed matrix
+along the reversed edge blocks, transposed back, and its certificate is
+the transposed pair (S^t, R^t).  Repeated complete out-splittings
+realize higher-block recodings.  Finally, a right-resolving one-block
+factor map of actions induces a commuting square of right-resolving maps
+between the original and reduced shifts.
 """
 
 from __future__ import annotations
@@ -283,32 +286,49 @@ def _validate_split(a: PermutationAction, d: SplitData):
                     )
 
 
-def _canonical_blocks(d: SplitData):
-    """Blocks of each state sorted by least edge; fixes the state order of
-    the split presentation."""
-    return tuple(tuple(sorted(blocks, key=min)) for blocks in d.partitions)
+def _out_split_core(matrix: IntMatrix, group: PermGroup, partitions):
+    """Out-split ``matrix`` along per-state blocks of its out-edges that
+    ``group`` carries onto each other.
 
-
-def _split_common(a: PermutationAction, d: SplitData):
-    _validate_split(a, d)
-    blocks = _canonical_blocks(d)
+    Blocks of each state are sorted by least edge, which fixes the state
+    order (i, p) of the split matrix.  Returns the verified certificate
+    (division matrix, edge-count matrix) and the group transported to the
+    split states by g.(i, p) = (gi, position of the image block).
+    """
+    blocks = tuple(tuple(sorted(bs, key=min)) for bs in partitions)
     new_states = [(i, p) for i, bs in enumerate(blocks) for p in range(len(bs))]
     index = {sp: k for k, sp in enumerate(new_states)}
-    labels = tuple(f"{a.presentation.label(i)}.{p + 1}" for i, p in new_states)
-    # transported permutations: g.(i, p) = (gi, position of the image block)
+    n = matrix.dim
+    m = len(new_states)
+    split_entries = [[0] * m for _ in range(m)]
+    for (i, p), k in index.items():
+        member_targets = {e[1] for e in blocks[i][p]}
+        for (j, q), k2 in index.items():
+            if j in member_targets:
+                split_entries[k][k2] = 1
+    labels = tuple(f"{matrix.label(i)}.{p + 1}" for i, p in new_states)
+    split_matrix = IntMatrix(tuple(tuple(r) for r in split_entries), labels=labels)
+    r = RectMatrix(
+        tuple(tuple(1 if i == j else 0 for (j, q) in new_states) for i in range(n))
+    )
+    s = RectMatrix(
+        tuple(
+            tuple(1 if (i, j, 0) in blocks[i][p] else 0 for j in range(n))
+            for (i, p) in new_states
+        )
+    )
+    cert = ElementarySse(a=matrix, b=split_matrix, r=r, s=s)
+    assert verify_elementary_sse(cert), "split certificate must verify"
     elements = []
-    for g in range(a.group.order):
-        perm = []
+    for perm in group.elements:
+        moved = []
         for i, p in new_states:
-            gi = a.group.apply(g, i)
-            image = frozenset(a.apply_edge(g, e) for e in blocks[i][p])
-            q = next(
-                qq for qq, blk in enumerate(blocks[gi]) if frozenset(blk) == image
-            )
-            perm.append(index[(gi, q)])
-        elements.append(tuple(perm))
-    group = PermGroup.from_elements(len(new_states), elements)
-    return blocks, new_states, index, labels, group
+            gi = perm[i]
+            image = frozenset((perm[e[0]], perm[e[1]], e[2]) for e in blocks[i][p])
+            q = next(qq for qq, blk in enumerate(blocks[gi]) if frozenset(blk) == image)
+            moved.append(index[(gi, q)])
+        elements.append(tuple(moved))
+    return cert, PermGroup.from_elements(m, elements)
 
 
 def out_split(a: PermutationAction, d: SplitData):
@@ -321,57 +341,27 @@ def out_split(a: PermutationAction, d: SplitData):
     """
     if d.direction != "out":
         raise InputError("out_split needs an out-partition")
-    blocks, new_states, index, labels, group = _split_common(a, d)
-    n = a.presentation.num_states
-    m = len(new_states)
-    split_entries = [[0] * m for _ in range(m)]
-    for (i, p), k in index.items():
-        member_targets = {e[1] for e in blocks[i][p]}
-        for (j, q), k2 in index.items():
-            if j in member_targets:
-                split_entries[k][k2] = 1
-    split_matrix = IntMatrix(tuple(tuple(r) for r in split_entries), labels=labels)
-    r = RectMatrix(
-        tuple(tuple(1 if i == j else 0 for (j, q) in new_states) for i in range(n))
-    )
-    s = RectMatrix(
-        tuple(
-            tuple(1 if (i, j, 0) in blocks[i][p] else 0 for j in range(n))
-            for (i, p) in new_states
-        )
-    )
-    cert = ElementarySse(a=a.matrix, b=split_matrix, r=r, s=s)
-    assert verify_elementary_sse(cert), "split certificate must verify"
-    action = PermutationAction(SftPresentation(split_matrix), group)
-    return action, cert
+    _validate_split(a, d)
+    cert, group = _out_split_core(a.matrix, a.group, d.partitions)
+    return PermutationAction(SftPresentation(cert.b), group), cert
 
 
 def in_split(a: PermutationAction, d: SplitData):
-    """In-splitting: the mirror of out_split on incoming edges."""
+    """In-splitting: the out-splitting of A^t along the reversed blocks,
+    transposed back, with certificate (S^t, R^t)."""
     if d.direction != "in":
         raise InputError("in_split needs an in-partition")
-    blocks, new_states, index, labels, group = _split_common(a, d)
-    n = a.presentation.num_states
-    m = len(new_states)
-    split_entries = [[0] * m for _ in range(m)]
-    for (i, p), k in index.items():
-        for (j, q), k2 in index.items():
-            if (i, j, 0) in blocks[j][q]:
-                split_entries[k][k2] = 1
-    split_matrix = IntMatrix(tuple(tuple(r) for r in split_entries), labels=labels)
-    r = RectMatrix(
-        tuple(
-            tuple(1 if (l, i, 0) in blocks[i][p] else 0 for (i, p) in new_states)
-            for l in range(n)
-        )
+    _validate_split(a, d)
+    reversed_blocks = tuple(
+        tuple(tuple((j, i, c) for (i, j, c) in block) for block in blocks)
+        for blocks in d.partitions
     )
-    s = RectMatrix(
-        tuple(tuple(1 if i == l else 0 for l in range(n)) for (i, p) in new_states)
+    mirror, group = _out_split_core(a.matrix.transpose(), a.group, reversed_blocks)
+    split_matrix = mirror.b.transpose()
+    cert = ElementarySse(
+        a=a.matrix, b=split_matrix, r=mirror.s.transpose(), s=mirror.r.transpose()
     )
-    cert = ElementarySse(a=a.matrix, b=split_matrix, r=r, s=s)
-    assert verify_elementary_sse(cert), "split certificate must verify"
-    action = PermutationAction(SftPresentation(split_matrix), group)
-    return action, cert
+    return PermutationAction(SftPresentation(split_matrix), group), cert
 
 
 def higher_block_action(a: PermutationAction, n: int):

@@ -1,17 +1,27 @@
-"""Shared fixtures and randomized generators for the test suite."""
+"""Shared fixtures, randomized generators and oracles for the test suite."""
 
 from itertools import permutations
 
 from sftact import (
     IntMatrix,
     PermutationAction,
+    PreconditionError,
     SftPresentation,
     SplitData,
+    bowen_franks,
+    char_poly_reciprocal,
+    classify_quotient,
+    enumerate_cycles,
     group_from_generators,
     is_irreducible,
+    left_reduce,
+    quotient_period_counts,
+    right_reduce,
+    trace_of_power,
     trim_essential,
     validate_action,
 )
+from sftact.quotient import DEFAULT_CAP
 
 # Six-state matrix with the order-four action generated by (1 2)(3 4 5 6).
 SIX_STATE_A = IntMatrix((
@@ -258,3 +268,81 @@ def all_paths(p: SftPresentation, length: int):
     for s in range(p.num_states):
         walk(s, 0)
     return out
+
+
+def brute_orbit_counts(a: PermutationAction, m: int, cap: int):
+    """Oracle for burnside_counts: enumerate period-n points and count
+    their orbits under the edgewise action."""
+    out = []
+    for n in range(1, m + 1):
+        words = enumerate_cycles(a.presentation, n, cap)
+        seen = set()
+        for w in words:
+            canonical = min(a.apply_word(g, w.edges) for g in range(a.group.order))
+            seen.add(canonical)
+        out.append(len(seen))
+    return out
+
+
+def constant_to_one_check(a: PermutationAction, cap: int = DEFAULT_CAP) -> bool:
+    """Operational consequences of the constant-to-one verdict.
+
+    Both reduced matrices must share their reciprocal characteristic
+    polynomial and Bowen-Franks invariants, and the quotient period counts
+    must equal the trace powers of both reduced matrices for n <= 8.
+    Refuses to run on a nonexpansive action.
+    """
+    verdict = classify_quotient(a)
+    if verdict.verdict != "constant-to-one":
+        raise PreconditionError("check applies only to constant-to-one quotients")
+    right = right_reduce(a).matrix
+    left = left_reduce(a).matrix
+    if char_poly_reciprocal(right) != char_poly_reciprocal(left):
+        return False
+    if bowen_franks(right) != bowen_franks(left):
+        return False
+    counts = quotient_period_counts(a, 8, cap)
+    for n in range(1, 9):
+        expected = counts[n - 1]
+        if trace_of_power(right, n) != expected or trace_of_power(left, n) != expected:
+            return False
+    return True
+
+
+def direct_left_reduce(act: PermutationAction):
+    """Oracle for left_reduce: entry (Gi, Gj) sums the column of the
+    representative of Gj over the source orbit Gi, on plain lists."""
+    rows = act.matrix.entries
+    orbits = act.orbits.orbits
+    return [[sum(rows[k][oj[0]] for k in oi) for oj in orbits] for oi in orbits]
+
+
+def direct_in_split(act: PermutationAction, d: SplitData):
+    """Oracle for in_split, built on the in-edge blocks themselves.
+
+    Split state (i, p) is the p-th block at state i, blocks sorted by least
+    edge.  Returns (matrix, labels, R, S, elements) as plain lists: the
+    split matrix has an edge (i, p) -> (j, q) when (i, j) lies in block
+    (j, q); R (states x split states) marks each in-edge's block; S sends
+    (i, p) to i; elements are the group permutations transported blockwise.
+    """
+    n = act.presentation.num_states
+    blocks = [sorted(bs, key=min) for bs in d.partitions]
+    new_states = [(i, p) for i, bs in enumerate(blocks) for p in range(len(bs))]
+    index = {sp: k for k, sp in enumerate(new_states)}
+    labels = [f"{act.presentation.label(i)}.{p + 1}" for i, p in new_states]
+    matrix = [
+        [1 if (i, j, 0) in blocks[j][q] else 0 for (j, q) in new_states]
+        for (i, p) in new_states
+    ]
+    r = [[1 if (l, i, 0) in blocks[i][p] else 0 for (i, p) in new_states] for l in range(n)]
+    s = [[1 if i == l else 0 for l in range(n)] for (i, p) in new_states]
+    elements = []
+    for perm in act.group.elements:
+        moved = []
+        for i, p in new_states:
+            image = {(perm[e[0]], perm[e[1]], e[2]) for e in blocks[i][p]}
+            q = next(q for q, blk in enumerate(blocks[perm[i]]) if set(blk) == image)
+            moved.append(index[(perm[i], q)])
+        elements.append(tuple(moved))
+    return matrix, labels, r, s, elements

@@ -43,13 +43,14 @@ from sftact import (
     verify_elementary_sse,
     word_stabilizer,
 )
-from sftact.quotient import brute_orbit_counts, burnside_counts
+from sftact.quotient import burnside_counts
 from sftact.cli import emit_job, emit_report, parse_job, run_job
 
 from helpers import (
     REDUCIBLE_A,
     SIX_STATE_A,
     amalgamation_state_map,
+    brute_orbit_counts,
     conjugation_action,
     five_state_action,
     orbit_preserving_in_split,

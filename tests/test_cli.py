@@ -133,6 +133,12 @@ class TestRunJob:
         report = run_job(parse_job(job_text(doc)))
         assert report.result == {"links": [True, True], "valid": True}
 
+    def test_verify_sse_chain_endpoints_checked(self):
+        link = {"a": [[2]], "b": [[1, 1], [1, 1]], "r": [[1, 1]], "s": [[1], [1]]}
+        doc = {"command": "verify-sse", "input": {"chain": [link, link]}}
+        with pytest.raises(InputError, match=r"input\.chain: .*endpoints do not agree"):
+            run_job(parse_job(job_text(doc)))
+
     def test_split_command(self):
         doc = {
             "command": "split",
@@ -256,6 +262,26 @@ class TestMain:
         code, _, err = self.run_main(tmp_path, capsys, doc, ["quotient-counts"])
         assert code == 3
         assert "cap" in err.lower()
+
+    def test_max_n_override_obeys_parameter_rules(self, tmp_path, capsys):
+        doc = {"command": "repshift", "input": {"hnn": {"preset": "trefoil"}, "group": "Z2"}}
+        code, out, err = self.run_main(tmp_path, capsys, doc, ["repshift", "--max-n", "0"])
+        assert (code, out) == (1, "")
+        assert "$.parameters.max_n" in err
+
+    def test_limit_override_obeys_parameter_rules(self, tmp_path, capsys):
+        doc = {"command": "repshift", "input": {"hnn": {"preset": "trefoil"}, "group": "Z2"}}
+        code, out, err = self.run_main(tmp_path, capsys, doc, ["repshift", "--limit", "-3"])
+        assert (code, out) == (1, "")
+        assert "$.parameters.limit" in err
+
+    def test_override_is_echoed(self, tmp_path, capsys):
+        doc = dict(SIX_STATE_JOB, command="burnside", parameters={"max_n": 2})
+        code, out, _ = self.run_main(tmp_path, capsys, doc, ["burnside", "--max-n", "3"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["input"]["parameters"] == {"max_n": 3}
+        assert len(report["result"]["counts"]) == 3
 
     def test_text_format_stable(self, tmp_path, capsys):
         code1, out1, _ = self.run_main(

@@ -1,0 +1,32 @@
+"""Byte-for-byte comparison with the benchmark's expected reports.
+
+Each expected report echoes its job document under ``input``; the job is
+rebuilt from that echo and run in-process through parse_job, run_job and
+emit_report.  The set covers every command of the small CLI corpus and
+both mirror paths (left reduction, in-splitting) at S6 scale.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from sftact.cli import COMMANDS, emit_report, parse_job, run_job
+
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
+GOLDENS = sorted((EXPECTED / "cli-small").glob("*.json")) + [
+    EXPECTED / "symmetry" / "s6-reduce.json",
+    EXPECTED / "symmetry" / "s6-split-in.json",
+]
+
+
+def test_goldens_cover_every_command():
+    commands = {json.loads(path.read_text())["command"] for path in GOLDENS}
+    assert commands == set(COMMANDS)
+
+
+@pytest.mark.parametrize("path", GOLDENS, ids=lambda p: f"{p.parent.name}/{p.stem}")
+def test_report_matches_golden(path):
+    golden = path.read_bytes()
+    job = parse_job(json.dumps(json.loads(golden)["input"]))
+    assert emit_report(run_job(job)).encode() == golden

@@ -8,10 +8,8 @@ from sftact import (
     PermGroup,
     PreconditionError,
     SftPresentation,
-    brute_orbit_counts,
     burnside_counts,
     classify_quotient,
-    constant_to_one_check,
     enumerate_cycles,
     left_reduce,
     nonexpansive_witness,
@@ -25,6 +23,8 @@ from sftact import (
 
 from helpers import (
     FULL_TWO_SHIFT,
+    brute_orbit_counts,
+    constant_to_one_check,
     conjugation_action,
     random_action,
     reducible_action,

@@ -1,4 +1,4 @@
-"""Reduced shifts, selectors, transpose duality and the canonical factor map."""
+"""Reduced shifts, selectors, the left-reduction oracle and the canonical factor map."""
 
 import random
 
@@ -11,13 +11,13 @@ from sftact import (
     mat_mul,
     right_reduce,
     trace_of_power,
-    transpose_duality_check,
     validate_action,
 )
 
 from helpers import (
     FULL_TWO_SHIFT,
     conjugation_action,
+    direct_left_reduce,
     random_action,
     reducible_action,
     six_state_action,
@@ -84,15 +84,27 @@ class TestLeftReduce:
         assert left_reduce(act).matrix.entries == FULL_TWO_SHIFT.entries
 
 
-class TestTransposeDuality:
+def assert_left_matches_oracle(act):
+    reduced = left_reduce(act)
+    expected = direct_left_reduce(act)
+    assert [list(row) for row in reduced.matrix.entries] == expected
+    assert reduced.matrix.labels == tuple(f"G{rep + 1}" for rep in act.orbits.representatives)
+    product = mat_mul(
+        mat_mul(reduced.v_selector.transpose(), act.matrix.to_rect()),
+        reduced.u_selector.transpose(),
+    )
+    assert [list(row) for row in product.entries] == expected
+
+
+class TestLeftReduceOracle:
     def test_fixtures(self):
         for act in (six_state_action(), conjugation_action(), swapped_two_shift()):
-            assert transpose_duality_check(act)
+            assert_left_matches_oracle(act)
 
     def test_randomized(self):
         rng = random.Random(59)
-        for _ in range(15):
-            assert transpose_duality_check(random_action(rng))
+        for _ in range(30):
+            assert_left_matches_oracle(random_action(rng, max_states=6))
 
 
 class TestNonConjugacyGuard:

@@ -35,6 +35,7 @@ from helpers import (
     SIX_STATE_A,
     all_paths,
     amalgamation_state_map,
+    direct_in_split,
     five_state_action,
     orbit_preserving_in_split,
     random_action,
@@ -241,6 +242,28 @@ class TestInSplit:
         split_act, cert = in_split(act, SplitData.complete(act.presentation, "in"))
         assert verify_elementary_sse(cert)
         assert split_act.presentation.num_states == 4
+
+    def test_matches_direct_construction(self):
+        rng = random.Random(83)
+        for _ in range(20):
+            act = random_action(rng, max_states=5)
+            data = random_compatible_split(rng, act, "in")
+            split_act, cert = in_split(act, data)
+            matrix, labels, r, s, elements = direct_in_split(act, data)
+            assert [list(row) for row in split_act.matrix.entries] == matrix
+            assert list(split_act.matrix.labels) == labels
+            assert [list(row) for row in cert.r.entries] == r
+            assert [list(row) for row in cert.s.entries] == s
+            assert list(split_act.group.elements) == elements
+            assert cert.a == act.matrix and cert.b == split_act.matrix
+            assert verify_elementary_sse(cert)
+
+    def test_non_partition_rejected(self):
+        act = golden_mean_action()
+        # state 1 keeps its self-loop but drops the in-edge from state 2
+        d = SplitData("in", ((((0, 0, 0),),), (((0, 1, 0),),)))
+        with pytest.raises(InputError, match="state 1 do not partition its in-edges"):
+            in_split(act, d)
 
 
 class TestHigherBlockAction:
