@@ -5,6 +5,10 @@ An action is valid when every group element g satisfies the invariance law
 A(gi, gj) = A(i, j), so that g induces a one-block automorphism of the
 shift.  Orbits, stabilizers and fixed-state submatrices of a valid action
 drive the reduced-shift and orbit-counting machinery.
+
+Groups are element lists without a multiplication table: a list is a
+group when the closure of its greedy generating set stays inside it, and
+laws kept under products, like invariance, are checked on the generators.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from functools import cached_property
 from math import lcm
 
 from .errors import InputError, LimitExceededError, PreconditionError
-from .matrices import IntMatrix, RectMatrix
+from .matrices import IntMatrix
 from .sft import CycleWord, SftPresentation
 
 
@@ -30,11 +34,26 @@ def compose(p, q):
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def invert(p):
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
+def _close(seen: set, frontier, gens, product, admit) -> None:
+    """Close ``seen`` under right products by ``gens``, breadth first from
+    ``frontier``, passing each sorted layer of new elements to ``admit``."""
+    while frontier:
+        frontier = sorted({product(p, g) for p in frontier for g in gens} - seen)
+        seen.update(frontier)
+        for q in frontier:
+            admit(q)
+
+
+def greedy_generators(items, start, product, admit) -> tuple:
+    """Indices of the items that right products of the earlier items,
+    starting at ``start``, do not reach; ``admit`` sees each new product."""
+    seen, gens, indices = {start}, [], []
+    for k, x in enumerate(items):
+        if x not in seen:
+            gens.append(x)
+            indices.append(k)
+            _close(seen, list(seen), gens, product, admit)
+    return tuple(indices)
 
 
 @dataclass(frozen=True)
@@ -44,6 +63,10 @@ class PermGroup:
     Element 0 is the identity; the element order is part of the value (it
     pins down selector matrices and transported actions), so construction
     preserves the order it is given.
+
+    ``generators`` is the greedy generating set of that order: a law kept
+    under products holds for the group once it holds for the generators,
+    and the first element that breaks it is a generator.
     """
 
     degree: int
@@ -55,27 +78,16 @@ class PermGroup:
             raise InputError("a permutation group needs at least the identity")
         if elements[0] != tuple(range(self.degree)):
             raise InputError("element 0 must be the identity permutation")
-        if len(set(elements)) != len(elements):
-            raise InputError("group elements must be pairwise distinct")
-        object.__setattr__(self, "elements", elements)
         index = {p: k for k, p in enumerate(elements)}
-        mult = []
-        for p in elements:
-            row = []
-            for q in elements:
-                prod = compose(p, q)
-                if prod not in index:
-                    raise InputError("element list is not closed under composition")
-                row.append(index[prod])
-            mult.append(tuple(row))
-        inv = []
-        for p in elements:
-            ip = invert(p)
-            if ip not in index:
-                raise InputError("element list is not closed under inversion")
-            inv.append(index[ip])
-        object.__setattr__(self, "mult", tuple(mult))
-        object.__setattr__(self, "inv", tuple(inv))
+        if len(index) != len(elements):
+            raise InputError("group elements must be pairwise distinct")
+
+        def admit(q):
+            if q not in index:
+                raise InputError("element list is not closed under composition")
+
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "generators", greedy_generators(elements, elements[0], compose, admit))
 
     @property
     def order(self) -> int:
@@ -85,30 +97,22 @@ class PermGroup:
         return self.elements[g][state]
 
     def element_order(self, g: int) -> int:
-        k, acc = 1, g
-        while acc != 0:
-            acc = self.mult[acc][g]
-            k += 1
-        return k
+        """The lcm of the cycle lengths of element g."""
+        perm, seen, order = self.elements[g], set(), 1
+        for i in range(self.degree):
+            k = 0
+            while i not in seen:
+                seen.add(i)
+                i, k = perm[i], k + 1
+            order = lcm(order, max(k, 1))
+        return order
 
     def exponent(self) -> int:
         return lcm(*[self.element_order(g) for g in range(self.order)])
 
-    def permutation_matrix(self, g: int) -> RectMatrix:
-        """Matrix P with P(i, gi) = 1, so invariance reads P A P^t = A."""
-        n = self.degree
-        p = self.elements[g]
-        return RectMatrix(
-            tuple(tuple(1 if j == p[i] else 0 for j in range(n)) for i in range(n))
-        )
-
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
         return cls(degree, (tuple(range(degree)),))
-
-    @classmethod
-    def from_elements(cls, degree: int, elements) -> "PermGroup":
-        return cls(degree, tuple(elements))
 
 
 def group_from_generators(degree: int, gens, limit: int = 100000) -> PermGroup:
@@ -120,22 +124,14 @@ def group_from_generators(degree: int, gens, limit: int = 100000) -> PermGroup:
     """
     gens = [_check_perm(g, degree) for g in gens]
     identity = tuple(range(degree))
-    seen = {identity}
     ordered = [identity]
-    frontier = [identity]
-    while frontier:
-        layer = set()
-        for p in frontier:
-            for g in gens:
-                q = compose(p, g)
-                if q not in seen:
-                    layer.add(q)
-        frontier = sorted(layer)
-        for q in frontier:
-            seen.add(q)
-            ordered.append(q)
-            if len(ordered) > limit:
-                raise LimitExceededError(f"group closure exceeds limit {limit}")
+
+    def admit(q):
+        ordered.append(q)
+        if len(ordered) > limit:
+            raise LimitExceededError(f"group closure exceeds limit {limit}")
+
+    _close({identity}, [identity], gens, compose, admit)
     return PermGroup(degree, tuple(ordered))
 
 
@@ -143,8 +139,8 @@ def group_from_generators(degree: int, gens, limit: int = 100000) -> PermGroup:
 class PermutationAction:
     """A PermGroup acting on a zero-one presentation by symbol permutations.
 
-    Construction validates the invariance law for every element and state
-    pair, so a value of this type is always a valid action.
+    Construction checks the invariance law on the group generators, which
+    implies it for every element: a value is always a valid action.
     """
 
     presentation: SftPresentation
@@ -164,7 +160,8 @@ class PermutationAction:
             )
         rows = p.matrix.entries
         n = p.num_states
-        for k, perm in enumerate(g.elements):
+        for k in g.generators:
+            perm = g.elements[k]
             for i in range(n):
                 for j in range(n):
                     if rows[perm[i]][perm[j]] != rows[i][j]:

@@ -246,6 +246,10 @@ def parse_abstract_group(doc, path) -> FiniteGroupTable:
     _expect("table" in doc, path, "expected a group name or an explicit table")
     table = doc["table"]
     _expect(isinstance(table, list) and table, f"{path}.table", "expected a nonempty array")
+    for i, row in enumerate(table):
+        _expect(isinstance(row, list), f"{path}.table[{i}]", "expected an array")
+        for j, x in enumerate(row):
+            _get_int(x, f"{path}.table[{i}][{j}]")
     names = doc.get("names", [str(k) for k in range(len(table))])
     try:
         return FiniteGroupTable(names=tuple(names), table=tuple(tuple(row) for row in table))

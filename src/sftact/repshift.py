@@ -19,20 +19,20 @@ from itertools import permutations
 
 from .errors import InputError, LimitExceededError, PreconditionError
 from .matrices import IntMatrix, IntPolynomial
-from .action import PermGroup, PermutationAction
+from .action import PermGroup, PermutationAction, compose, greedy_generators
 from .quotient import OrbitCountReport, burnside_counts
 from .reduce import ReducedShift, right_reduce
 from .sft import SftPresentation, trim_essential
-
-ASSOCIATIVITY_CHECK_BOUND = 24
 
 # A group word is a tuple of (generator index, sign) pairs with sign +-1.
 GroupWord = tuple
 
 
 def check_word(w, gens: int, what: str = "word") -> GroupWord:
-    word = tuple((int(i), int(s)) for i, s in w)
+    word = tuple((i, s) for i, s in w)
     for i, s in word:
+        if type(i) is not int or type(s) is not int:
+            raise InputError(f"{what} has a non-integer letter ({i!r}, {s!r})")
         if not 0 <= i < gens:
             raise InputError(f"{what} uses generator {i}, but only {gens} exist")
         if s not in (1, -1):
@@ -45,9 +45,10 @@ class FiniteGroupTable:
     """Finite group as an explicit multiplication table.
 
     ``table[i][j]`` is the index of the product of elements i and j.
-    Identity and inverses are located during validation; associativity is
-    checked exhaustively up to ASSOCIATIVITY_CHECK_BOUND elements and on
-    a deterministic sample beyond that.
+    Identity and inverses are located during validation.  Associativity
+    is checked exactly by Light's test: the elements a with (x a) y =
+    x (a y) for all x, y are closed under products, so it suffices to
+    test the elements whose right products reach every element.
     """
 
     names: tuple
@@ -60,10 +61,10 @@ class FiniteGroupTable:
             raise InputError("a group needs at least the identity")
         if len(set(names)) != n:
             raise InputError("element names must be pairwise distinct")
-        table = tuple(tuple(int(x) for x in row) for row in self.table)
+        table = tuple(tuple(row) for row in self.table)
         if len(table) != n or any(len(row) != n for row in table):
             raise InputError("multiplication table must be square of the group order")
-        if any(not 0 <= x < n for row in table for x in row):
+        if any(type(x) is not int or not 0 <= x < n for row in table for x in row):
             raise InputError("multiplication table entries must be element indices")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "table", table)
@@ -81,14 +82,15 @@ class FiniteGroupTable:
             if len(inv) != 1:
                 raise InputError(f"element {names[x]} has no unique inverse")
             inverse.append(inv[0])
-        sample = range(n) if n <= ASSOCIATIVITY_CHECK_BOUND else range(0, n, max(1, n // ASSOCIATIVITY_CHECK_BOUND))
-        for x in sample:
-            for y in sample:
-                for z in sample:
-                    if table[table[x][y]][z] != table[x][table[y][z]]:
-                        raise InputError(
-                            f"multiplication table is not associative at ({names[x]},{names[y]},{names[z]})"
-                        )
+        for a in greedy_generators(range(n), identity, lambda x, y: table[x][y], lambda q: None):
+            ta = table[a]
+            for x in range(n):
+                tx, txa = table[x], table[table[x][a]]
+                if txa != tuple(map(tx.__getitem__, ta)):
+                    y = next(y for y in range(n) if txa[y] != tx[ta[y]])
+                    raise InputError(
+                        f"multiplication table is not associative at ({names[x]},{names[a]},{names[y]})"
+                    )
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", tuple(inverse))
 
@@ -119,9 +121,7 @@ def cyclic_group(n: int) -> FiniteGroupTable:
 
 def _table_from_permutations(perms, names) -> FiniteGroupTable:
     index = {p: k for k, p in enumerate(perms)}
-    table = tuple(
-        tuple(index[tuple(p[q[i]] for i in range(len(p)))] for q in perms) for p in perms
-    )
+    table = tuple(tuple(index[compose(p, q)] for q in perms) for p in perms)
     return FiniteGroupTable(names=names, table=table)
 
 
@@ -372,7 +372,7 @@ def build_repshift(h: HnnData, g: FiniteGroupTable, limit: int = 1000000) -> Rep
         perms.append(perm)
     identity = tuple(range(len(kept_states)))
     distinct = [identity] + sorted({p for p in perms if p != identity})
-    action = PermutationAction(presentation, PermGroup.from_elements(len(kept_states), distinct))
+    action = PermutationAction(presentation, PermGroup(len(kept_states), tuple(distinct)))
 
     kept_pos = {orig: local for local, orig in enumerate(kept)}
     edge_homs = {}

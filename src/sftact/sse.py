@@ -189,14 +189,15 @@ def induced_conjugacy(e: ElementarySse) -> TwoBlockConjugacy:
 
 
 def _check_intertwining(e: ElementarySse, phi: PermutationAction, psi: PermutationAction):
+    # R P(g) = P(g) R and S P(g) = P(g) S with P(i, gi) = 1, entry by entry, for
+    # every element: the index pairing of the groups need not be a homomorphism
     if phi.group.order != psi.group.order:
         raise PreconditionError("the two actions must be actions of the same group")
-    for g in range(phi.group.order):
-        p_phi = phi.group.permutation_matrix(g)
-        p_psi = psi.group.permutation_matrix(g)
-        if mat_mul(e.r, p_psi).entries != mat_mul(p_phi, e.r).entries:
+    r, s = e.r.entries, e.s.entries
+    for g, (pa, pb) in enumerate(zip(phi.group.elements, psi.group.elements)):
+        if any(r[pa[i]][pb[j]] != x for i, row in enumerate(r) for j, x in enumerate(row)):
             raise PreconditionError(f"R does not intertwine the actions at element {g}")
-        if mat_mul(e.s, p_phi).entries != mat_mul(p_psi, e.s).entries:
+        if any(s[pb[k]][pa[l]] != x for k, row in enumerate(s) for l, x in enumerate(row)):
             raise PreconditionError(f"S does not intertwine the actions at element {g}")
 
 
@@ -272,8 +273,9 @@ def _validate_split(a: PermutationAction, d: SplitData):
                 f"blocks at state {i + 1} do not partition its {d.direction}-edges"
             )
     # G-compatibility: each element carries the partition at i blockwise
-    # onto the partition at gi.
-    for g in range(a.group.order):
+    # onto the partition at gi.  Compatible elements are closed under
+    # composition, so the generators decide it.
+    for g in a.group.generators:
         for i, blocks in enumerate(d.partitions):
             gi = a.group.apply(g, i)
             target_blocks = {frozenset(b) for b in d.partitions[gi]}
@@ -319,16 +321,12 @@ def _out_split_core(matrix: IntMatrix, group: PermGroup, partitions):
     )
     cert = ElementarySse(a=matrix, b=split_matrix, r=r, s=s)
     assert verify_elementary_sse(cert), "split certificate must verify"
-    elements = []
-    for perm in group.elements:
-        moved = []
-        for i, p in new_states:
-            gi = perm[i]
-            image = frozenset((perm[e[0]], perm[e[1]], e[2]) for e in blocks[i][p])
-            q = next(qq for qq, blk in enumerate(blocks[gi]) if frozenset(blk) == image)
-            moved.append(index[(gi, q)])
-        elements.append(tuple(moved))
-    return cert, PermGroup.from_elements(m, elements)
+    state_of = {frozenset(blocks[i][p]): k for (i, p), k in index.items()}
+    elements = tuple(
+        tuple(state_of[frozenset((perm[a], perm[b], c) for a, b, c in blocks[i][p])] for i, p in new_states)
+        for perm in group.elements
+    )
+    return cert, PermGroup(m, elements)
 
 
 def out_split(a: PermutationAction, d: SplitData):

@@ -4,6 +4,7 @@ from itertools import permutations
 
 from sftact import (
     IntMatrix,
+    PermGroup,
     PermutationAction,
     PreconditionError,
     SftPresentation,
@@ -346,3 +347,154 @@ def direct_in_split(act: PermutationAction, d: SplitData):
             moved.append(index[(perm[i], q)])
         elements.append(tuple(moved))
     return matrix, labels, r, s, elements
+
+
+def brute_power(perm, m: int):
+    """perm composed with itself m times, by repeated composition."""
+    out = tuple(range(len(perm)))
+    for _ in range(m):
+        out = tuple(perm[i] for i in out)
+    return out
+
+
+def brute_element_order(perm) -> int:
+    """Least m >= 1 with perm^m the identity, trying every m in turn."""
+    identity = tuple(range(len(perm)))
+    m = 1
+    while brute_power(perm, m) != identity:
+        m += 1
+    return m
+
+
+def brute_exponent(elements) -> int:
+    """Least m >= 1 that sends every element to the identity."""
+    identity = tuple(range(len(elements[0])))
+    m = 1
+    while any(brute_power(p, m) != identity for p in elements):
+        m += 1
+    return m
+
+
+def all_element_invariance_error(p: SftPresentation, elements):
+    """Reference for the invariance check of PermutationAction: the first
+    violation over every element in list order, worded as the library
+    words it, or None."""
+    rows = p.matrix.entries
+    n = p.num_states
+    for k, perm in enumerate(elements):
+        for i in range(n):
+            for j in range(n):
+                if rows[perm[i]][perm[j]] != rows[i][j]:
+                    return (
+                        f"invariance violated: element {k} sends entry ({i + 1},{j + 1})="
+                        f"{rows[i][j]} to ({perm[i] + 1},{perm[j] + 1})={rows[perm[i]][perm[j]]}"
+                    )
+    return None
+
+
+def all_element_split_error(act: PermutationAction, d: SplitData):
+    """Reference for the action-compatibility check of a split: the first
+    element, in list order, that does not carry a block at some state onto
+    a block at its image state, worded as the library words it, or None."""
+    for g, perm in enumerate(act.group.elements):
+        for i, blocks in enumerate(d.partitions):
+            gi = perm[i]
+            targets = {frozenset(b) for b in d.partitions[gi]}
+            for block in blocks:
+                image = frozenset((perm[a], perm[b], c) for a, b, c in block)
+                if image not in targets:
+                    return (
+                        f"partition is not action-compatible: element {g} does not carry "
+                        f"a block at state {i + 1} onto a block at state {gi + 1}"
+                    )
+    return None
+
+
+def _dense_product(x, y):
+    cols = list(zip(*y))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in x]
+
+
+def _dense_permutation_matrix(perm):
+    """P with P(i, perm(i)) = 1."""
+    return [[1 if j == perm[i] else 0 for j in range(len(perm))] for i in range(len(perm))]
+
+
+def dense_intertwining_error(e, phi: PermutationAction, psi: PermutationAction):
+    """Reference for the intertwining check of transport_certificate: the
+    matrix laws R P(g) = P(g) R and S P(g) = P(g) S on dense permutation
+    matrices, element by element, worded as the library words them, or
+    None when every element intertwines."""
+    r, s = e.r.entries, e.s.entries
+    for g, (pa, pb) in enumerate(zip(phi.group.elements, psi.group.elements)):
+        p_phi, p_psi = _dense_permutation_matrix(pa), _dense_permutation_matrix(pb)
+        if _dense_product(r, p_psi) != _dense_product(p_phi, r):
+            return f"R does not intertwine the actions at element {g}"
+        if _dense_product(s, p_phi) != _dense_product(p_psi, s):
+            return f"S does not intertwine the actions at element {g}"
+    return None
+
+
+def random_group_action(rng, max_states=5, max_gens=2):
+    """A valid action of a random permutation group on a zero-one matrix
+    whose entries are constant on the orbits of state pairs and which has
+    no zero row or column, with the group
+    elements in a random order (identity first).  Returns the action and
+    the generating permutations drawn."""
+    while True:
+        n = rng.randint(2, max_states)
+        gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, max_gens))]
+        elements = list(group_from_generators(n, gens).elements)
+        d = rng.uniform(0.3, 0.7)
+        entries = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if entries[i][j] is None:
+                    bit = 1 if rng.random() < d else 0
+                    for perm in elements:
+                        entries[perm[i]][perm[j]] = bit
+        if all(any(row) for row in entries) and all(any(col) for col in zip(*entries)):
+            break
+    rest = elements[1:]
+    rng.shuffle(rest)
+    matrix = IntMatrix(tuple(tuple(row) for row in entries))
+    group = PermGroup(n, tuple(elements[:1] + rest))
+    return PermutationAction(SftPresentation.from_matrix(matrix), group), gens
+
+
+def random_split(rng, p: SftPresentation, direction: str) -> SplitData:
+    """Split data with the edges of each state shuffled into random blocks,
+    compatible with an action or not."""
+    table = p.out_edges if direction == "out" else p.in_edges
+    partitions = []
+    for edges in table:
+        edges = list(edges)
+        rng.shuffle(edges)
+        cuts = sorted(rng.sample(range(1, len(edges)), rng.randint(0, len(edges) - 1)))
+        bounds = [0] + cuts + [len(edges)]
+        partitions.append(tuple(tuple(edges[a:b]) for a, b in zip(bounds, bounds[1:])))
+    return SplitData(direction, tuple(partitions))
+
+
+def brute_is_group(table) -> bool:
+    """Group axioms of a multiplication table checked on every element,
+    pair and triple."""
+    n = len(table)
+    idents = [e for e in range(n) if all(table[e][x] == x and table[x][e] == x for x in range(n))]
+    if not idents:
+        return False
+    e = idents[0]
+    if any(sum(1 for y in range(n) if table[x][y] == e and table[y][x] == e) != 1 for x in range(n)):
+        return False
+    return all(
+        table[table[x][y]][z] == table[x][table[y][z]]
+        for x in range(n) for y in range(n) for z in range(n)
+    )
+
+
+def z48_with_swapped_products():
+    """The addition table of Z/48 with 1+3 and 1+5 exchanged: identity and
+    inverses survive, associativity fails on 370 triples."""
+    table = [[(i + j) % 48 for j in range(48)] for i in range(48)]
+    table[1][3], table[1][5] = 6, 4
+    return table

@@ -1,8 +1,11 @@
 """Permutation groups on presentations: validation, orbits, stabilizers."""
 
 import random
+import re
 
 import pytest
+
+import sftact.action as action_module
 
 from sftact import (
     CycleWord,
@@ -22,7 +25,11 @@ from sftact import (
 
 from helpers import (
     SIX_STATE_A,
+    all_element_invariance_error,
+    brute_element_order,
+    brute_exponent,
     random_action,
+    random_group_action,
     six_state_action,
     three_state_action,
 )
@@ -56,11 +63,46 @@ class TestGroupFromGenerators:
         g2 = group_from_generators(3, [(1, 0, 2), (1, 2, 0)])
         assert g1.elements == g2.elements
 
-    def test_multiplication_and_inverse_tables(self):
-        g = group_from_generators(6, [(1, 0, 3, 4, 5, 2)])
-        for a in range(g.order):
-            assert g.mult[a][g.inv[a]] == 0
-            assert g.mult[0][a] == a
+
+class TestPermGroup:
+    def test_rejects_non_closed_list(self):
+        with pytest.raises(InputError, match="not closed"):
+            PermGroup(3, ((0, 1, 2), (1, 2, 0)))
+
+    def test_list_generating_s12_rejected_at_once(self, monkeypatch):
+        calls = []
+
+        compose = action_module.compose
+
+        def counting_compose(p, q):
+            calls.append(1)
+            return compose(p, q)
+
+        monkeypatch.setattr(action_module, "compose", counting_compose)
+        swap = (1, 0) + tuple(range(2, 12))
+        cycle = tuple(range(1, 12)) + (0,)
+        with pytest.raises(InputError, match="not closed"):
+            PermGroup(12, (tuple(range(12)), swap, cycle))
+        assert len(calls) <= 10
+
+    def test_greedy_generators_regenerate_group(self):
+        rng = random.Random(43)
+        for _ in range(40):
+            act, _ = random_group_action(rng, max_states=6, max_gens=3)
+            g = act.group
+            again = group_from_generators(g.degree, [g.elements[k] for k in g.generators])
+            assert set(again.elements) == set(g.elements)
+            assert g.generators == tuple(sorted(g.generators))
+            assert 0 not in g.generators
+
+    def test_element_order_and_exponent_match_powers_oracle(self):
+        rng = random.Random(47)
+        for _ in range(30):
+            act, _ = random_group_action(rng, max_states=6, max_gens=2)
+            g = act.group
+            for k, perm in enumerate(g.elements):
+                assert g.element_order(k) == brute_element_order(perm)
+            assert g.exponent() == brute_exponent(g.elements)
 
 
 class TestValidateAction:
@@ -81,6 +123,31 @@ class TestValidateAction:
         p, _ = trim_essential(IntMatrix(((2,),)))
         with pytest.raises(PreconditionError, match="zero-one"):
             validate_action(p, PermGroup.trivial(1))
+
+    def test_generator_check_matches_all_element_oracle(self):
+        rng = random.Random(41)
+        outcomes = set()
+        late_failures = 0
+        for _ in range(150):
+            act, gens = random_group_action(rng)
+            n = act.group.degree
+            extra = tuple(rng.sample(range(n), n))
+            elements = list(group_from_generators(n, gens + [extra]).elements)
+            rest = elements[1:]
+            rng.shuffle(rest)
+            group = PermGroup(n, tuple(elements[:1] + rest))
+            expected = all_element_invariance_error(act.presentation, group.elements)
+            try:
+                validate_action(act.presentation, group)
+                got = None
+            except PreconditionError as err:
+                got = str(err)
+            assert got == expected
+            outcomes.add(expected is None)
+            if expected is not None and int(re.search(r"element (\d+)", expected).group(1)) > 1:
+                late_failures += 1
+        assert outcomes == {True, False}
+        assert late_failures > 0
 
     def test_edge_action_is_graph_automorphism(self):
         rng = random.Random(31)

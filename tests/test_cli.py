@@ -1,10 +1,15 @@
 """Job documents, dispatch, rendering, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from sftact import InputError
+import sftact
+from sftact import InputError, group_from_generators
 from sftact.cli import (
     cycles_of,
     emit_job,
@@ -15,7 +20,7 @@ from sftact.cli import (
     run_job,
 )
 
-from helpers import SIX_STATE_A
+from helpers import SIX_STATE_A, z48_with_swapped_products
 
 SIX_STATE_JOB = {
     "command": "reduce",
@@ -56,6 +61,18 @@ class TestParseJob:
         with pytest.raises(InputError, match=r"matrix\[0\]\[1\]"):
             parse_job(job_text(doc))
 
+    def test_fractional_table_entry_names_the_path(self):
+        doc = {
+            "command": "repshift",
+            "input": {"hnn": {"preset": "trefoil"}, "group": {"table": [[0, 1.7], [1, 0]]}},
+        }
+        with pytest.raises(InputError, match=r"^\$\.input\.group\.table\[0\]\[1\]: "):
+            parse_job(job_text(doc))
+
+    def test_non_associative_table_names_the_table(self):
+        with pytest.raises(InputError, match=r"^\$\.input\.group\.table: .*not associative"):
+            parse_job(job_text(Z48_REPSHIFT_JOB))
+
     def test_bad_cycle_entry(self):
         doc = {
             "command": "reduce",
@@ -92,7 +109,33 @@ class TestCycles:
         assert parse_cycles("(1,2)", 2, "test") == (1, 0)
 
 
+Z48_REPSHIFT_JOB = {
+    "command": "repshift",
+    "input": {"hnn": {"preset": "trefoil"}, "group": {"table": z48_with_swapped_products()}},
+}
+
+NON_INVARIANT_JOB = {
+    "command": "reduce",
+    "input": {"matrix": [[1, 1], [0, 1]], "group": {"generators": ["(1 2)"]}},
+}
+
+
 class TestRunJob:
+    def test_reduce_full_seven_shift_under_s7(self):
+        doc = {
+            "command": "reduce",
+            "input": {
+                "matrix": [[1] * 7 for _ in range(7)],
+                "group": {"generators": ["(1 2)", "(1 2 3 4 5 6 7)"]},
+            },
+        }
+        report = run_job(parse_job(job_text(doc)))
+        assert report.result["right"]["entries"] == [[7]]
+        assert report.result["left"]["entries"] == [[7]]
+        assert report.result["orbits"] == [[1, 2, 3, 4, 5, 6, 7]]
+        s7 = group_from_generators(7, [(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)])
+        assert s7.order == 5040
+
     def test_reduce_six_state(self):
         report = run_job(parse_job(job_text(SIX_STATE_JOB)))
         assert report.result["right"]["entries"] == [[1, 2], [2, 1]]
@@ -292,3 +335,27 @@ class TestMain:
         )
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestOptimizedInterpreter:
+    """Checks must be raised errors, not asserts that ``python -O`` drops."""
+
+    @pytest.mark.parametrize(
+        "doc, code",
+        [(NON_INVARIANT_JOB, 2), (Z48_REPSHIFT_JOB, 1)],
+        ids=["non-invariant-action", "non-associative-table"],
+    )
+    def test_one_line_error_without_traceback(self, tmp_path, doc, code):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(doc))
+        src = str(Path(sftact.__file__).resolve().parent.parent)
+        path_entries = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "sftact.cli", doc["command"], "--input", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == code
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr

@@ -1,5 +1,6 @@
 """Representation shifts, hom enumeration, presets, transfer matrices."""
 
+import random
 from itertools import product
 
 import pytest
@@ -30,6 +31,9 @@ from sftact import (
     trace_of_power,
     trivial_group,
 )
+from sftact.repshift import check_word
+
+from helpers import brute_is_group, z48_with_swapped_products
 
 
 def substitute(word, images):
@@ -90,6 +94,50 @@ class TestGroupTables:
             FiniteGroupTable(names=("e", "g"), table=((0, 1), (1, 1)))
 
 
+    def test_associativity_checked_exactly_past_order_24(self):
+        table = z48_with_swapped_products()
+        with pytest.raises(InputError, match="not associative"):
+            FiniteGroupTable(names=tuple(str(k) for k in range(48)), table=table)
+
+    def test_associativity_checked_at_every_generator(self):
+        # Z/2 x (Z/7 with 1+3 and 1+5 exchanged), element (h, l) at index
+        # 2l + h: the first greedy generator (1, 0) associates with every
+        # pair, the second one, (0, 1), does not
+        loop = [[(i + j) % 7 for j in range(7)] for i in range(7)]
+        loop[1][3], loop[1][5] = loop[1][5], loop[1][3]
+        table = [[2 * loop[a // 2][b // 2] + (a + b) % 2 for b in range(14)] for a in range(14)]
+        assert not brute_is_group(table)
+        with pytest.raises(InputError, match="not associative"):
+            FiniteGroupTable(names=tuple(str(k) for k in range(14)), table=table)
+
+    def test_associativity_matches_all_triples_oracle(self):
+        rng = random.Random(53)
+        bases = [cyclic_group(30), dihedral_group(4), symmetric_group(4), quaternion_group()]
+        outcomes = set()
+        for _ in range(40):
+            base = rng.choice(bases)
+            table = [list(row) for row in base.table]
+            n = len(table)
+            if rng.random() < 0.8:
+                x = rng.randrange(1, n)
+                y1, y2 = rng.sample(range(1, n), 2)
+                table[x][y1], table[x][y2] = table[x][y2], table[x][y1]
+            expected = brute_is_group(table)
+            try:
+                FiniteGroupTable(names=base.names, table=table)
+                got = True
+            except InputError:
+                got = False
+            assert got == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("entry", [1.0, 1.7, True, "1"])
+    def test_non_integer_entries_rejected(self, entry):
+        with pytest.raises(InputError, match="element indices"):
+            FiniteGroupTable(names=("e", "g"), table=((0, entry), (1, 0)))
+
+
 class TestWordEvaluation:
     def test_empty_word(self):
         z2 = cyclic_group(2)
@@ -109,6 +157,11 @@ class TestWordEvaluation:
     def test_index_out_of_range(self):
         with pytest.raises(InputError):
             evaluate_word(((1, 1),), (0,), cyclic_group(2))
+
+    @pytest.mark.parametrize("letter", [(0.0, 1), (0, 1.0), (False, 1), (0, True)])
+    def test_non_integer_letters_rejected(self, letter):
+        with pytest.raises(InputError, match="non-integer"):
+            check_word((letter,), 2)
 
 
 class TestEnumerateHoms:

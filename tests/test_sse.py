@@ -1,6 +1,7 @@
 """Equivalence certificates, induced conjugacies, splittings, transport."""
 
 import random
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from sftact import (
     char_poly_reciprocal,
     ElementarySse,
     factor_square,
+    group_from_generators,
     higher_block,
     higher_block_action,
     identity_sse,
@@ -33,13 +35,17 @@ from sftact import (
 from helpers import (
     GOLDEN_MEAN,
     SIX_STATE_A,
+    all_element_split_error,
     all_paths,
     amalgamation_state_map,
+    dense_intertwining_error,
     direct_in_split,
     five_state_action,
     orbit_preserving_in_split,
     random_action,
     random_compatible_split,
+    random_group_action,
+    random_split,
     six_state_action,
     swapped_two_shift,
     triangle_action,
@@ -173,12 +179,45 @@ class TestTransportCertificate:
         act = six_state_action()
         elements = act.group.elements
         # same group with elements paired against their inverses
-        reordered = PermGroup.from_elements(
+        reordered = PermGroup(
             6, (elements[0], elements[3], elements[2], elements[1])
         )
         mismatched = validate_action(act.presentation, reordered)
         with pytest.raises(PreconditionError, match="intertwine"):
             transport_certificate(identity_sse(SIX_STATE_A), act, mismatched)
+
+
+    def test_index_check_matches_dense_oracle(self):
+        rng = random.Random(89)
+        outcomes = set()
+        for _ in range(40):
+            act, _ = random_group_action(rng, max_states=4)
+            split_act, cert = out_split(act, random_compatible_split(rng, act, "out"))
+            elements = split_act.group.elements
+            rest = list(elements[1:])
+            rng.shuffle(rest)
+            reordered = PermGroup(split_act.group.degree, elements[:1] + tuple(rest))
+            psi = validate_action(split_act.presentation, reordered)
+            expected = dense_intertwining_error(cert, act, psi)
+            try:
+                transport_certificate(cert, act, psi)
+                got = None
+            except PreconditionError as err:
+                got = str(err)
+            assert got == expected
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}
+
+    def test_s_intertwining_failure_reported(self):
+        # R = A is all ones and intertwines any pair; S = I only equal actions
+        full = SftPresentation.from_matrix(IntMatrix(((1, 1, 1),) * 3))
+        phi = validate_action(full, group_from_generators(3, [(1, 0, 2)]))
+        psi = validate_action(full, group_from_generators(3, [(0, 2, 1)]))
+        cert = identity_sse(full.matrix)
+        message = "S does not intertwine the actions at element 1"
+        assert dense_intertwining_error(cert, phi, psi) == message
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            transport_certificate(cert, phi, psi)
 
 
 class TestOutSplit:
@@ -212,6 +251,39 @@ class TestOutSplit:
         )
         with pytest.raises(PreconditionError, match="compatible"):
             out_split(act, d)
+
+    def test_compatibility_matches_all_element_oracle(self):
+        rng = random.Random(83)
+        outcomes = set()
+        late_failures = 0
+        for _ in range(120):
+            act, _ = random_group_action(rng, max_states=4)
+            direction = rng.choice(("out", "in"))
+            kind = rng.randrange(3)
+            if kind == 0:
+                d = random_split(rng, act.presentation, direction)
+            else:
+                # compatible with the whole group, or only with the cyclic
+                # subgroup of its first generator
+                source = act
+                if kind == 2 and act.group.generators:
+                    first = act.group.elements[act.group.generators[0]]
+                    sub = group_from_generators(act.group.degree, [first])
+                    source = validate_action(act.presentation, sub)
+                d = random_compatible_split(rng, source, direction)
+            expected = all_element_split_error(act, d)
+            try:
+                (out_split if direction == "out" else in_split)(act, d)
+                got = None
+            except PreconditionError as err:
+                got = str(err)
+            assert got == expected
+            outcomes.add(expected is None)
+            if expected is not None:
+                failing = int(re.search(r"element (\d+)", expected).group(1))
+                late_failures += failing > act.group.generators[0]
+        assert outcomes == {True, False}
+        assert late_failures > 0
 
     def test_intertwining_laws_hold(self):
         rng = random.Random(71)
