@@ -9,7 +9,7 @@ Reports serialize deterministically: stable key order, exact decimal
 integers.
 
 Exit codes: 0 success, 1 input errors, 2 mathematical precondition
-failures, 3 cap or limit exhaustion.
+failures, 3 closure or homomorphism limit exhaustion.
 """
 
 from __future__ import annotations
@@ -21,12 +21,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .errors import (
-    CapExceededError,
-    InputError,
-    LimitExceededError,
-    PreconditionError,
-)
+from .errors import InputError, LimitExceededError, PreconditionError
 from .matrices import (
     IntMatrix,
     RectMatrix,
@@ -47,7 +42,6 @@ from .sse import (
     verify_elementary_sse,
 )
 from .quotient import (
-    DEFAULT_CAP,
     burnside_counts,
     classify_quotient,
     nonexpansive_witness,
@@ -83,6 +77,7 @@ COMMANDS = (
     "tqft",
     "bundle-counts",
 )
+PARAMETERS = ("max_n", "limit", "m")
 
 
 @dataclass(frozen=True)
@@ -338,9 +333,9 @@ def job_from_document(doc) -> JobSpec:
     _expect(isinstance(input_doc, dict), "$.input", "expected an object")
     params = doc.get("parameters", {})
     _expect(isinstance(params, dict), "$.parameters", "expected an object")
-    for key in ("max_n", "cap", "limit", "m"):
-        if key in params:
-            _get_int(params[key], f"$.parameters.{key}", minimum=1)
+    for key, value in params.items():
+        _expect(key in PARAMETERS, f"$.parameters.{key}", "unknown parameter")
+        _get_int(value, f"$.parameters.{key}", minimum=1)
     _validate_command_input(command, input_doc)
     return JobSpec(command=command, input=input_doc, parameters=params)
 
@@ -474,8 +469,7 @@ def _run_burnside(job):
 def _run_quotient_counts(job):
     action = _action_from_input(job.input)
     m = job.parameters.get("max_n", 6)
-    cap = job.parameters.get("cap", DEFAULT_CAP)
-    return {"counts": quotient_period_counts(action, m, cap)}
+    return {"counts": quotient_period_counts(action, m)}
 
 
 def _run_verify_sse(job):
@@ -695,18 +689,28 @@ def emit_job(job: JobSpec) -> str:
 # ---------------------------------------------------------------------------
 # entry point
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are input errors: one stderr line and exit 1."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="sftact",
         description="exact computations with finite group actions on shifts of finite type",
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--input", default="-", help="job document path, or - for stdin")
     parser.add_argument("--format", default="json", choices=("json", "text"))
-    parser.add_argument("--cap", type=int, default=None, help="enumeration cap override")
-    parser.add_argument("--limit", type=int, default=None, help="closure limit override")
+    parser.add_argument("--limit", type=int, default=None, help="homomorphism enumeration limit override")
     parser.add_argument("--max-n", type=int, default=None, help="number of counts to compute")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except InputError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
     try:
         if args.input == "-":
@@ -718,7 +722,7 @@ def main(argv=None) -> int:
         print(f"error: cannot read input: {err}", file=sys.stderr)
         return 1
 
-    overrides = {"cap": args.cap, "limit": args.limit, "max_n": args.max_n}
+    overrides = {"limit": args.limit, "max_n": args.max_n}
     try:
         doc = _load_document(text)
         if isinstance(doc, dict):
@@ -740,7 +744,7 @@ def main(argv=None) -> int:
     except PreconditionError as err:
         print(f"precondition failed: {err}", file=sys.stderr)
         return 2
-    except (CapExceededError, LimitExceededError) as err:
+    except LimitExceededError as err:
         print(f"budget exhausted: {err}", file=sys.stderr)
         return 3
     sys.stdout.write(emit_report(report, args.format))

@@ -245,10 +245,11 @@ def char_poly_reciprocal(a: IntMatrix) -> IntPolynomial:
     # char poly of a: lam^n + c[n-1] lam^(n-1) + ... + c[0], with c[n] = 1
     c = [0] * (n + 1)
     c[n] = 1
-    m = tuple(tuple(0 for _ in range(n)) for _ in range(n))
+    # am holds a @ M_(k-1), with M_0 = 0 and M_k = a @ M_(k-1) + c[n-k+1] I
+    am = tuple(tuple(0 for _ in range(n)) for _ in range(n))
     for k in range(1, n + 1):
-        m = _add_rows(_mul_rows(rows, m), _scale_rows(_identity_rows(n), c[n - k + 1]))
-        t = _trace(_mul_rows(rows, m))
+        am = _mul_rows(rows, _add_rows(am, _scale_rows(_identity_rows(n), c[n - k + 1])))
+        t = _trace(am)
         assert t % k == 0, "Faddeev-LeVerrier division must be exact"
         c[n - k] = -(t // k)
     # det(I - t a) has t^j coefficient c[n - j]

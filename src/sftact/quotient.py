@@ -3,9 +3,9 @@
 The number of group orbits of period-n points averages the fixed-point
 counts trace(A_g^n) over the group (Cauchy-Frobenius), and the counts
 satisfy the linear recurrence given by the least common multiple of the
-polynomials det(I - t A_g).  The period counts of the quotient dynamical
-system come from a separate enumeration of cycles; they agree with the
-trace powers of the reduced matrices.
+polynomials det(I - t A_g).  The quotient dynamical system has the zeta
+function of the left-reduced shift (Fiebig), so its period-n counts are
+trace(A_left^n); the tests check them against an enumeration of cycles.
 
 For irreducible presentations the quotient is either again a shift of
 finite type (when the quotient map is constant-to-one) or fails to be
@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from .errors import InputError, PreconditionError
 from .matrices import IntPolynomial, char_poly_reciprocal, poly_lcm, trace_of_power
 from .action import PermutationAction, fixed_submatrix
-from .sft import CycleWord, SftPresentation, enumerate_cycles, is_irreducible, shortest_path, trim_essential
-
-DEFAULT_CAP = 100000
+from .reduce import left_reduce
+from .sft import CycleWord, SftPresentation, is_irreducible, shortest_path, trim_essential
 
 
 @dataclass(frozen=True)
@@ -88,28 +87,15 @@ def recurrence_holds(recurrence: IntPolynomial, terms) -> bool:
     return True
 
 
-def quotient_period_counts(a: PermutationAction, m: int, cap: int = DEFAULT_CAP):
+def quotient_period_counts(a: PermutationAction, m: int):
     """Period-n point counts of the quotient dynamical system, n = 1..m.
 
     A quotient point [x] has period n when the shift of x returns to the
-    orbit of x.  Any such x satisfies sigma^n x = g x, so its shift period
-    divides n * exponent(G); enumerating cycles of that length with their
-    phases captures every witness, and the survivors are grouped into
-    orbits.
+    orbit of x.  The quotient has the zeta function of the left-reduced
+    shift, so these counts are the traces of the powers of its matrix.
     """
-    exponent = a.group.exponent()
-    order = a.group.order
-    out = []
-    for n in range(1, m + 1):
-        length = n * exponent
-        words = enumerate_cycles(a.presentation, length, cap)
-        orbit_reps = set()
-        for w in words:
-            shifted = w.edges[n % length:] + w.edges[: n % length]
-            if any(a.apply_word(g, w.edges) == shifted for g in range(order)):
-                orbit_reps.add(min(a.apply_word(g, w.edges) for g in range(order)))
-        out.append(len(orbit_reps))
-    return out
+    matrix = left_reduce(a).matrix
+    return [trace_of_power(matrix, n) for n in range(1, m + 1)]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .matrices import IntMatrix, RectMatrix, mat_mul
+from .matrices import IntMatrix, RectMatrix
 from .action import OrbitStructure, PermutationAction
 from .sft import SftPresentation
 
@@ -63,10 +63,9 @@ def _reduce_rows(matrix: IntMatrix, os_: OrbitStructure):
     """Right reduction of ``matrix`` over the state orbits ``os_``: entry
     (Gi, Gj) counts edges from a representative of Gi into the orbit Gj.
 
-    Returns (reduced matrix, U, V).  Independence of the representative is
-    re-verified from every orbit member, and the selector identity
-    U A V = A_red is checked; a failure of either would mean the action
-    was never valid.
+    Returns (reduced matrix, U, V), with U A V = A_red.  Independence of
+    the representative is re-verified from every orbit member; a failure
+    would mean the action was never valid.
     """
     rows = matrix.entries
     entries = []
@@ -83,10 +82,7 @@ def _reduce_rows(matrix: IntMatrix, os_: OrbitStructure):
     reduced = IntMatrix(
         tuple(entries), labels=tuple(f"G{rep + 1}" for rep in os_.representatives)
     )
-    u, v = _selectors(os_, matrix.dim)
-    product = mat_mul(mat_mul(u, matrix.to_rect()), v)
-    assert product.entries == reduced.entries, "selector identity U A V must reproduce the reduction"
-    return reduced, u, v
+    return (reduced, *_selectors(os_, matrix.dim))
 
 
 def right_reduce(a: PermutationAction) -> ReducedShift:

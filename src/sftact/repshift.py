@@ -204,9 +204,9 @@ def evaluate_word(w, images, g: FiniteGroupTable) -> int:
 def enumerate_homs(gens: int, relators, g: FiniteGroupTable, limit: int = 1000000):
     """All homomorphisms from a finite presentation into g, as image tuples.
 
-    Backtracking in lexicographic order over (generator, element) with
-    per-prefix pruning: a relator is tested as soon as all generators it
-    mentions are assigned.
+    Prefixes are extended one generator at a time, in lexicographic order
+    over (generator, element), with per-prefix pruning: a relator is tested
+    as soon as all generators it mentions are assigned.
     """
     if gens < 0:
         raise InputError("generator count must be nonnegative")
@@ -219,23 +219,16 @@ def enumerate_homs(gens: int, relators, g: FiniteGroupTable, limit: int = 100000
     for w in relators:
         depth = max((i for i, _ in w), default=-1) + 1
         by_depth[depth].append(w)
-    out = []
-    images = []
-
-    def assign(depth):
-        if depth == gens:
-            out.append(tuple(images))
-            return
-        for x in range(g.order):
-            images.append(x)
-            if all(
-                evaluate_word(w, images, g) == g.identity for w in by_depth[depth + 1]
-            ):
-                assign(depth + 1)
-            images.pop()
-
-    if all(evaluate_word(w, images, g) == g.identity for w in by_depth[0]):
-        assign(0)
+    if not all(evaluate_word(w, (), g) == g.identity for w in by_depth[0]):
+        return []
+    out = [()]
+    for depth in range(gens):
+        out = [
+            images
+            for prefix in out
+            for images in (prefix + (x,) for x in range(g.order))
+            if all(evaluate_word(w, images, g) == g.identity for w in by_depth[depth + 1])
+        ]
     return out
 
 

@@ -233,20 +233,10 @@ def higher_block(p: SftPresentation, n: int):
         raise PreconditionError("higher-block recoding needs a zero-one matrix")
     rows = p.matrix.entries
     dim = p.num_states
-    blocks = []
-
-    def extend(prefix):
-        if len(prefix) == n:
-            blocks.append(tuple(prefix))
-            return
-        for j in range(dim):
-            if rows[prefix[-1]][j]:
-                prefix.append(j)
-                extend(prefix)
-                prefix.pop()
-
-    for s in range(dim):
-        extend([s])
+    # extending every word by one state keeps the list in lexicographic order
+    blocks = [(s,) for s in range(dim)]
+    for _ in range(n - 1):
+        blocks = [b + (j,) for b in blocks for j in range(dim) if rows[b[-1]][j]]
     index = {b: k for k, b in enumerate(blocks)}
     entries = [[0] * len(blocks) for _ in blocks]
     for b, k in index.items():
@@ -286,24 +276,28 @@ def enumerate_cycles(p: SftPresentation, length: int, cap: int):
                 cur[j] = any(prev[e[1]] for e in out_edges[j])
         if not back[length][s0]:
             continue
+        # depth-first walk with an explicit stack: pending[k] iterates the
+        # out-edges of the state reached by the first k edges of the path
         path = []
-
-        def walk(cur, depth):
-            if depth == length:
-                results.append(CycleWord(tuple(path)))
-                if len(results) > cap:
-                    raise CapExceededError(
-                        f"more than {cap} cycles of length {length}; raise the cap or shrink the instance"
-                    )
-                return
-            remaining = length - depth - 1
-            for e in out_edges[cur]:
-                if back[remaining][e[1]]:
-                    path.append(e)
-                    walk(e[1], depth + 1)
+        pending = [iter(out_edges[s0])]
+        while pending:
+            remaining = length - len(path) - 1
+            e = next((e for e in pending[-1] if back[remaining][e[1]]), None)
+            if e is None:
+                pending.pop()
+                if path:
                     path.pop()
-
-        walk(s0, 0)
+                continue
+            path.append(e)
+            if len(path) < length:
+                pending.append(iter(out_edges[e[1]]))
+                continue
+            results.append(CycleWord(tuple(path)))
+            if len(results) > cap:
+                raise CapExceededError(
+                    f"more than {cap} cycles of length {length}; raise the cap or shrink the instance"
+                )
+            path.pop()
     return results
 
 

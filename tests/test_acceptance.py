@@ -51,6 +51,7 @@ from helpers import (
     SIX_STATE_A,
     amalgamation_state_map,
     brute_orbit_counts,
+    brute_quotient_counts,
     conjugation_action,
     five_state_action,
     orbit_preserving_in_split,
@@ -99,16 +100,19 @@ def test_criterion_03_six_state_family_values():
 
 
 def _quotient_counts_agree(act, cap=CAP, max_n=6):
+    """Enumerated quotient counts equal the library counts and the trace
+    powers of both reduced matrices, for every n whose enumeration fits
+    the cap.  Returns the n tested."""
     exponent = act.group.exponent()
+    tested = 0
+    while tested < max_n and trace_of_power(act.matrix, (tested + 1) * exponent) <= cap:
+        tested += 1
+    counts = brute_quotient_counts(act, tested, cap)
+    assert quotient_period_counts(act, tested) == counts
     left = left_reduce(act).matrix
     right = right_reduce(act).matrix
-    tested = 0
-    for n in range(1, max_n + 1):
-        if trace_of_power(act.matrix, n * exponent) > cap:
-            break
-        count = quotient_period_counts(act, n, cap)[n - 1]
+    for n, count in enumerate(counts, 1):
         assert count == trace_of_power(left, n) == trace_of_power(right, n)
-        tested = n
     return tested
 
 

@@ -296,15 +296,52 @@ class TestMain:
         assert code == 2
         assert "irreducible" in err
 
-    def test_cap_exit_three(self, tmp_path, capsys):
+    def test_closure_limit_exit_three(self, tmp_path, capsys):
+        doc = {
+            "command": "reduce",
+            "input": {
+                "matrix": [[1, 1, 1], [1, 1, 1], [1, 1, 1]],
+                "group": {"generators": ["(1 2)", "(1 2 3)"], "limit": 2},
+            },
+        }
+        code, out, err = self.run_main(tmp_path, capsys, doc, ["reduce"])
+        assert (code, out) == (3, "")
+        assert err == "budget exhausted: group closure exceeds limit 2\n"
+
+    def test_quotient_counts_at_large_max_n(self, tmp_path, capsys):
         doc = {
             "command": "quotient-counts",
-            "input": {"matrix": [[1, 1], [1, 1]], "group": {"generators": ["(1 2)"]}},
-            "parameters": {"max_n": 6, "cap": 3},
+            "input": {"matrix": [[0, 1], [1, 0]], "group": {"generators": ["(1 2)"]}},
+            "parameters": {"max_n": 600},
         }
-        code, _, err = self.run_main(tmp_path, capsys, doc, ["quotient-counts"])
-        assert code == 3
-        assert "cap" in err.lower()
+        code, out, _ = self.run_main(tmp_path, capsys, doc, ["quotient-counts"])
+        assert code == 0
+        assert json.loads(out)["result"]["counts"] == [1] * 600
+
+    def test_many_base_generators(self, tmp_path, capsys):
+        hnn = {"b_gens": 3000, "u_gens": [], "v_gens": [], "phi_images": []}
+        doc = {"command": "repshift", "input": {"hnn": hnn, "group": "Z1"}}
+        code, out, err = self.run_main(tmp_path, capsys, doc, ["repshift"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["period_counts"] == [1] * 6
+
+    @pytest.mark.parametrize("key", ["maxn", "cap"])
+    def test_unknown_parameter_exit_one(self, tmp_path, capsys, key):
+        doc = dict(SIX_STATE_JOB, command="burnside", parameters={key: 3})
+        code, out, err = self.run_main(tmp_path, capsys, doc, ["burnside"])
+        assert (code, out) == (1, "")
+        assert err == f"error: $.parameters.{key}: unknown parameter\n"
+
+    @pytest.mark.parametrize("flag", ["--cap", "--bogus"])
+    def test_unknown_flag_exit_one(self, tmp_path, capsys, flag):
+        code, out, err = self.run_main(tmp_path, capsys, SIX_STATE_JOB, ["reduce", flag, "5"])
+        assert (code, out) == (1, "")
+        assert err == f"error: unrecognized arguments: {flag} 5\n"
+
+    def test_usage_error_exit_one(self, tmp_path, capsys):
+        code, out, err = self.run_main(tmp_path, capsys, SIX_STATE_JOB, ["reduce", "--max-n", "x"])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and "--max-n" in err
 
     def test_max_n_override_obeys_parameter_rules(self, tmp_path, capsys):
         doc = {"command": "repshift", "input": {"hnn": {"preset": "trefoil"}, "group": "Z2"}}

@@ -2,8 +2,9 @@
 
 Each expected report echoes its job document under ``input``; the job is
 rebuilt from that echo and run in-process through parse_job, run_job and
-emit_report.  The set covers every command of the small CLI corpus and
-both mirror paths (left reduction, in-splitting) at S6 scale.
+emit_report.  The set covers every command of the small CLI corpus,
+both mirror paths (left reduction, in-splitting) at S6 scale and the
+README quotient-counts example.
 """
 
 import json
@@ -17,6 +18,7 @@ EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
 GOLDENS = sorted((EXPECTED / "cli-small").glob("*.json")) + [
     EXPECTED / "symmetry" / "s6-reduce.json",
     EXPECTED / "symmetry" / "s6-split-in.json",
+    EXPECTED / "counting" / "readme-quotient-counts.json",
 ]
 
 

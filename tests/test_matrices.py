@@ -164,6 +164,16 @@ class TestCharPolyReciprocal:
                 )
                 assert p(t0) == brute_det(rows)
 
+    def test_against_sympy_charpoly(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(29)
+        for _ in range(30):
+            n = rng.randint(1, 12)
+            rows = tuple(tuple(rng.choice((0, 0, 1, 2, 5)) for _ in range(n)) for _ in range(n))
+            # det(I - t A) has t^j coefficient equal to the x^(n-j) one of det(x I - A)
+            coeffs = sympy.Matrix(rows).charpoly().all_coeffs()
+            assert char_poly_reciprocal(IntMatrix(rows)) == IntPolynomial(tuple(int(c) for c in coeffs))
+
     def test_zeta_exponential_identity(self):
         # exp(sum trace(a^n) t^n / n) * det(I - t a) = 1 through degree 8
         rng = random.Random(13)

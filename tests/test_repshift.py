@@ -184,6 +184,24 @@ class TestEnumerateHoms:
         homs = enumerate_homs(2, [], cyclic_group(2))
         assert homs == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
+    def test_matches_product_oracle(self):
+        rng = random.Random(23)
+        for group in (cyclic_group(4), symmetric_group(3), dihedral_group(4)):
+            for _ in range(8):
+                gens = rng.randint(0, 3)
+                relators = [
+                    tuple((rng.randrange(gens), rng.choice((1, -1))) for _ in range(rng.randint(1, 4)))
+                    for _ in range(rng.randint(0, 2) if gens else 0)
+                ]
+                expected = [
+                    images for images in product(range(group.order), repeat=gens)
+                    if all(evaluate_word(w, images, group) == group.identity for w in relators)
+                ]
+                assert enumerate_homs(gens, relators, group) == expected
+
+    def test_many_generators_without_recursion(self):
+        assert enumerate_homs(3000, [], trivial_group()) == [(0,) * 3000]
+
 
 class TestPresets:
     def test_trefoil_alexander(self):

@@ -1,6 +1,7 @@
 """Presentations: trimming, irreducibility, higher blocks, cycle enumeration."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -140,6 +141,23 @@ class TestHigherBlock:
                 for path in all_paths(hb, 8 - n + 1)
             }
 
+    def test_blocks_in_lexicographic_order(self):
+        rng = random.Random(17)
+        done = 0
+        while done < 12:
+            p, _ = trim_essential(random_matrix(rng, max_states=4))
+            if p.is_empty:
+                continue
+            n = rng.choice((2, 3, 4))
+            rows = p.matrix.entries
+            words = [
+                w for w in product(range(p.num_states), repeat=n)
+                if all(rows[a][b] for a, b in zip(w, w[1:]))
+            ]
+            _, blocks = higher_block(p, n)
+            assert list(blocks.values()) == words
+            done += 1
+
     def test_rejects_multiplicities(self):
         p, _ = trim_essential(IntMatrix(((2,),)))
         with pytest.raises(PreconditionError):
@@ -175,6 +193,12 @@ class TestEnumerateCycles:
                 assert len(set(w.edges for w in words)) == len(words)
                 assert words == sorted(words, key=lambda w: w.edges)
             done += 1
+
+    def test_long_cycles_without_recursion(self):
+        p = SftPresentation.from_matrix(IntMatrix(((0, 1), (1, 0))))
+        words = enumerate_cycles(p, 2000, 10)
+        assert [w.states[:3] for w in words] == [(0, 1, 0), (1, 0, 1)]
+        assert all(len(w) == 2000 for w in words)
 
     def test_phases_are_distinct_points(self):
         p, _ = trim_essential(IntMatrix(((2,),)))
