@@ -28,6 +28,7 @@ from .matrices import (
     poly_lcm,
     smith_normal_form,
     trace_of_power,
+    trace_sequence,
 )
 from .sft import (
     CycleWord,

@@ -27,7 +27,7 @@ from .matrices import (
     RectMatrix,
     bowen_franks,
     char_poly_reciprocal,
-    trace_of_power,
+    trace_sequence,
 )
 from .sft import SftPresentation
 from .action import PermGroup, PermutationAction, group_from_generators
@@ -556,7 +556,7 @@ def _run_repshift(job):
     return {
         "states": list(shift.presentation.matrix.labels),
         "matrix": _matrix_doc(shift.presentation.matrix),
-        "period_counts": [trace_of_power(shift.presentation.matrix, n) for n in range(1, m + 1)],
+        "period_counts": trace_sequence(shift.presentation.matrix, m),
         "conjugation_order": shift.action.group.order,
     }
 

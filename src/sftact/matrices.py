@@ -11,6 +11,14 @@ certificates), integer polynomials with the constant term first
 (``IntPolynomial``, used for reciprocal characteristic polynomials and
 linear recurrences), and the invariant factors of an integer matrix
 cokernel (``AbelianGroupInvariants``, used for Bowen-Franks groups).
+
+Every periodic-point count goes through one engine: ``trace_sequence``
+and ``char_poly_reciprocal`` split the matrix into its strongly connected
+components, since det(I - t A) is the product of the factors of the
+components and trace(A^n) the sum of their traces.  A component that is
+a single cycle of length L contributes 1 - t^L and L points of every
+period divisible by L; any other component is handled with sparse
+products on its own submatrix.
 """
 
 from __future__ import annotations
@@ -179,38 +187,103 @@ class AbelianGroupInvariants:
 
 
 # ---------------------------------------------------------------------------
-# raw helpers on nested tuples of ints
+# raw helpers on rows of ints: dense nested sequences or sparse (j, entry) lists
 
 def _mul_rows(a, b):
     bt = list(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def _add_rows(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+def _sparse_rows(rows):
+    """Row i as the list of (j, entry) pairs with a nonzero entry."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in rows]
 
 
-def _scale_rows(a, c):
-    return tuple(tuple(c * x for x in row) for row in a)
+def _times_sparse(p, sparse):
+    """The dense product p @ a, with a given by its sparse rows."""
+    n = len(sparse)
+    out = []
+    for row in p:
+        acc = [0] * n
+        for k, x in enumerate(row):
+            if x:
+                for j, w in sparse[k]:
+                    acc[j] += x * w
+        out.append(acc)
+    return out
 
 
-def _identity_rows(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def _components(sparse):
+    """Strongly connected components of the digraph with sparse rows
+    ``sparse``, by Tarjan's algorithm with an explicit stack.
+
+    Returns a list of (states, is_cycle) pairs covering every state once,
+    with states ascending.  ``is_cycle`` marks a component that is a
+    single simple cycle: each of its states has exactly one out-edge
+    inside the component, of weight 1.
+    """
+    n = len(sparse)
+    index = [-1] * n
+    low = [0] * n
+    component_of = [-1] * n
+    stack = []
+    components = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        # the depth-first path, each state with its unexplored out-edges
+        path = [(root, iter(sparse[root]))]
+        while path:
+            v, edges = path[-1]
+            for j, _ in edges:
+                if index[j] < 0:
+                    index[j] = low[j] = counter
+                    counter += 1
+                    stack.append(j)
+                    path.append((j, iter(sparse[j])))
+                    break
+                if component_of[j] < 0 and index[j] < low[v]:
+                    low[v] = index[j]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] < index[v]:
+                    continue
+                label = len(components)
+                states = []
+                while not states or states[-1] != v:
+                    states.append(stack.pop())
+                    component_of[states[-1]] = label
+                states.sort()
+                is_cycle = all(
+                    [x for j, x in sparse[s] if component_of[j] == label] == [1]
+                    for s in states
+                )
+                components.append((states, is_cycle))
+    return components
 
 
-def _trace(a) -> int:
-    return sum(a[i][i] for i in range(len(a)))
+def _cyclic_parts(a: IntMatrix):
+    """The components of ``a`` that carry a cycle, as (states, sub) pairs.
 
-
-def _pow_rows(a, n):
-    result = _identity_rows(len(a))
-    base = a
-    while n:
-        if n & 1:
-            result = _mul_rows(result, base)
-        base = _mul_rows(base, base) if n > 1 else base
-        n >>= 1
-    return result
+    ``sub`` is None for a single simple cycle and otherwise the sparse rows
+    of the principal submatrix on ``states``.  det(I - t a) is the product
+    of the factors of these parts, and trace(a^n) the sum of their traces.
+    """
+    sparse = _sparse_rows(a.entries)
+    for states, is_cycle in _components(sparse):
+        if is_cycle:
+            yield states, None
+            continue
+        position = {s: k for k, s in enumerate(states)}
+        sub = [[(position[j], x) for j, x in sparse[s] if j in position] for s in states]
+        if len(states) > 1 or sub[0]:
+            yield states, sub
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +296,60 @@ def mat_mul(a: RectMatrix, b: RectMatrix) -> RectMatrix:
     return RectMatrix(_mul_rows(a.entries, b.entries), signed=a.signed or b.signed)
 
 
+def trace_sequence(a: IntMatrix, m: int) -> list:
+    """[trace(a^n) for n = 1..m], the period-n point counts of the shift
+    presented by a.
+
+    Summed over the components of ``a`` that carry a cycle: a single cycle
+    of length L has L points of every period divisible by L, and any other
+    component carries its power P_n = P_(n-1) @ a forward, one sparse
+    product per n.
+    """
+    _check_int(m, "sequence length")
+    if m < 0:
+        raise InputError("sequence length must be nonnegative")
+    out = [0] * m
+    for states, sub in _cyclic_parts(a):
+        size = len(states)
+        if sub is None:
+            for n in range(size, m + 1, size):
+                out[n - 1] += size
+            continue
+        power = [[int(i == j) for j in range(size)] for i in range(size)]
+        for n in range(m):
+            power = _times_sparse(power, sub)
+            out[n] += sum(power[i][i] for i in range(size))
+    return out
+
+
 def trace_of_power(a: IntMatrix, n: int) -> int:
     """trace(a^n), the number of period-n points of the shift presented by a."""
     _check_int(n, "power")
     if n < 1:
         raise InputError("power must be at least 1")
-    return _trace(_pow_rows(a.entries, n))
+    return trace_sequence(a, n)[-1]
+
+
+def _faddeev_leverrier(sparse):
+    """Coefficients of det(I - t a), constant first, for a given by its
+    sparse rows; the Faddeev-LeVerrier divisions are exact over the
+    integers."""
+    n = len(sparse)
+    # char poly of a: lam^n + c[n-1] lam^(n-1) + ... + c[0], with c[n] = 1
+    c = [0] * (n + 1)
+    c[n] = 1
+    # am holds a @ M_(k-1), with M_0 = 0 and M_k = a @ M_(k-1) + c[n-k+1] I;
+    # M_k is a polynomial in a, so it commutes with a
+    am = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        for i in range(n):
+            am[i][i] += c[n - k + 1]
+        am = _times_sparse(am, sparse)
+        t = sum(am[i][i] for i in range(n))
+        assert t % k == 0, "Faddeev-LeVerrier division must be exact"
+        c[n - k] = -(t // k)
+    # det(I - t a) has t^j coefficient c[n - j]
+    return tuple(c[n - j] for j in range(n + 1))
 
 
 def char_poly_reciprocal(a: IntMatrix) -> IntPolynomial:
@@ -237,23 +358,18 @@ def char_poly_reciprocal(a: IntMatrix) -> IntPolynomial:
     The reciprocal zeta function of the shift presented by ``a``: the
     coefficients c of det(I - t a) give the linear recurrence
     sum_k c_k trace(a^(n-k)) = 0 satisfied by the trace sequence.
-    Computed with the Faddeev-LeVerrier recursion, whose divisions are
-    exact over the integers.
+    The determinant is the product of its factors over the components of
+    ``a`` that carry a cycle: 1 - t^L for a single cycle of length L, and
+    the Faddeev-LeVerrier recursion on the submatrix of any other.
     """
-    n = a.dim
-    rows = a.entries
-    # char poly of a: lam^n + c[n-1] lam^(n-1) + ... + c[0], with c[n] = 1
-    c = [0] * (n + 1)
-    c[n] = 1
-    # am holds a @ M_(k-1), with M_0 = 0 and M_k = a @ M_(k-1) + c[n-k+1] I
-    am = tuple(tuple(0 for _ in range(n)) for _ in range(n))
-    for k in range(1, n + 1):
-        am = _mul_rows(rows, _add_rows(am, _scale_rows(_identity_rows(n), c[n - k + 1])))
-        t = _trace(am)
-        assert t % k == 0, "Faddeev-LeVerrier division must be exact"
-        c[n - k] = -(t // k)
-    # det(I - t a) has t^j coefficient c[n - j]
-    return IntPolynomial(tuple(c[n - j] for j in range(n + 1)))
+    coeffs = (1,)
+    for states, sub in _cyclic_parts(a):
+        if sub is None:
+            factor = (1,) + (0,) * (len(states) - 1) + (-1,)
+        else:
+            factor = _faddeev_leverrier(sub)
+        coeffs = _poly_mul_coeffs(coeffs, factor)
+    return IntPolynomial(coeffs)
 
 
 def _primitive(coeffs):

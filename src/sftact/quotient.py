@@ -3,7 +3,9 @@
 The number of group orbits of period-n points averages the fixed-point
 counts trace(A_g^n) over the group (Cauchy-Frobenius), and the counts
 satisfy the linear recurrence given by the least common multiple of the
-polynomials det(I - t A_g).  The quotient dynamical system has the zeta
+polynomials det(I - t A_g).  Elements with the same fixed states have the
+same A_g, so both are computed once per fixed-state set, by the counting
+engine of ``matrices``.  The quotient dynamical system has the zeta
 function of the left-reduced shift (Fiebig), so its period-n counts are
 trace(A_left^n); the tests check them against an enumeration of cycles.
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError
-from .matrices import IntPolynomial, char_poly_reciprocal, poly_lcm, trace_of_power
+from .matrices import IntPolynomial, char_poly_reciprocal, poly_lcm, trace_sequence
 from .action import PermutationAction, fixed_submatrix
 from .reduce import left_reduce
 from .sft import CycleWord, SftPresentation, is_irreducible, shortest_path, trim_essential
@@ -52,25 +54,33 @@ class OrbitCountReport:
 def burnside_counts(a: PermutationAction, m: int) -> OrbitCountReport:
     """Orbit counts of period-n points for n = 1..m by fixed-point averaging.
 
-    The recurrence polynomial is the least common multiple of the
-    reciprocal characteristic polynomials of the fixed submatrices; it
-    annihilates the sequence of Burnside sums.
+    Elements with the same fixed states have the same fixed submatrix, so
+    its traces and reciprocal characteristic polynomial are computed once
+    per fixed-state set.  The recurrence polynomial is the least common
+    multiple of those polynomials; it annihilates the sequence of
+    Burnside sums.
     """
     if m < 1:
         raise InputError("need at least one count")
-    order = a.group.order
-    submatrices = [fixed_submatrix(a, g) for g in range(order)]
-    traces = tuple(
-        tuple(trace_of_power(sub, n) for n in range(1, m + 1)) for sub in submatrices
-    )
+    group = a.group
+    order = group.order
+    # fixed-state set -> (traces of its submatrix, det(I - t A_g))
+    by_fixed = {}
+    traces = []
+    for g, perm in enumerate(group.elements):
+        fixed = tuple(i for i in range(group.degree) if perm[i] == i)
+        if fixed not in by_fixed:
+            sub = fixed_submatrix(a, g)
+            by_fixed[fixed] = (tuple(trace_sequence(sub, m)), char_poly_reciprocal(sub))
+        traces.append(by_fixed[fixed][0])
     counts = []
     for n in range(m):
         total = sum(row[n] for row in traces)
         assert total % order == 0, "Burnside sums are divisible by the group order"
         counts.append(total // order)
-    recurrence = poly_lcm([char_poly_reciprocal(sub) for sub in submatrices])
+    recurrence = poly_lcm(dict.fromkeys(poly for _, poly in by_fixed.values()))
     return OrbitCountReport(
-        counts=tuple(counts), recurrence=recurrence, element_traces=traces
+        counts=tuple(counts), recurrence=recurrence, element_traces=tuple(traces)
     )
 
 
@@ -94,8 +104,7 @@ def quotient_period_counts(a: PermutationAction, m: int):
     orbit of x.  The quotient has the zeta function of the left-reduced
     shift, so these counts are the traces of the powers of its matrix.
     """
-    matrix = left_reduce(a).matrix
-    return [trace_of_power(matrix, n) for n in range(1, m + 1)]
+    return trace_sequence(left_reduce(a).matrix, m)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CapExceededError, InputError, PreconditionError
-from .matrices import IntMatrix
+from .matrices import IntMatrix, _components, _sparse_rows
 
 Edge = tuple  # (initial state, terminal state, multiplicity index)
 
@@ -170,51 +170,54 @@ class CycleWord:
 def trim_essential(matrix: IntMatrix):
     """Largest essential sub-presentation of ``matrix``.
 
-    Iteratively deletes states with no outgoing or no incoming edge until
-    stable.  Returns (presentation, kept) where ``kept`` maps the surviving
-    state indices back to the original ones; the empty presentation is a
-    legal result.
+    Deletes states with no outgoing or no incoming edge until none is
+    left, keeping out- and in-degree counts and a queue of the states
+    whose count reached zero.  Returns (presentation, kept) where ``kept``
+    maps the surviving state indices back to the original ones, in
+    ascending order; the empty presentation is a legal result.
     """
-    alive = list(range(matrix.dim))
     rows = matrix.entries
-    while alive:
-        keep = [
-            i
-            for i in alive
-            if any(rows[i][j] for j in alive) and any(rows[j][i] for j in alive)
-        ]
-        if keep == alive:
-            break
-        alive = keep
-    if not alive:
+    n = matrix.dim
+    succ = [[j for j in range(n) if rows[i][j]] for i in range(n)]
+    pred = [[] for _ in range(n)]
+    for i, targets in enumerate(succ):
+        for j in targets:
+            pred[j].append(i)
+    out_degree = [len(targets) for targets in succ]
+    in_degree = [len(sources) for sources in pred]
+    alive = [True] * n
+    queue = [i for i in range(n) if not out_degree[i] or not in_degree[i]]
+    for i in queue:
+        alive[i] = False
+    for i in queue:
+        for j in pred[i]:
+            out_degree[j] -= 1
+            if alive[j] and not out_degree[j]:
+                alive[j] = False
+                queue.append(j)
+        for j in succ[i]:
+            in_degree[j] -= 1
+            if alive[j] and not in_degree[j]:
+                alive[j] = False
+                queue.append(j)
+    kept = [i for i in range(n) if alive[i]]
+    if not kept:
         return SftPresentation.empty(), ()
+    if len(kept) == n:
+        return SftPresentation(matrix), tuple(kept)
     labels = None
     if matrix.labels is not None:
-        labels = tuple(matrix.labels[i] for i in alive)
-    sub = IntMatrix(tuple(tuple(rows[i][j] for j in alive) for i in alive), labels=labels)
-    return SftPresentation(sub), tuple(alive)
+        labels = tuple(matrix.labels[i] for i in kept)
+    sub = IntMatrix(tuple(tuple(rows[i][j] for j in kept) for i in kept), labels=labels)
+    return SftPresentation(sub), tuple(kept)
 
 
 def is_irreducible(p: SftPresentation) -> bool:
-    """True iff the underlying digraph is strongly connected."""
+    """True iff the underlying digraph is strongly connected: one
+    strongly connected component covers every state."""
     if p.is_empty:
         raise PreconditionError("irreducibility is undefined for the empty presentation")
-    n = p.num_states
-    rows = p.matrix.entries
-
-    def reaches(start, transposed):
-        seen = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                hit = rows[j][i] if transposed else rows[i][j]
-                if hit and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return seen
-
-    return len(reaches(0, False)) == n and len(reaches(0, True)) == n
+    return len(_components(_sparse_rows(p.matrix.entries))) == 1
 
 
 def higher_block(p: SftPresentation, n: int):
@@ -237,12 +240,14 @@ def higher_block(p: SftPresentation, n: int):
     blocks = [(s,) for s in range(dim)]
     for _ in range(n - 1):
         blocks = [b + (j,) for b in blocks for j in range(dim) if rows[b[-1]][j]]
-    index = {b: k for k, b in enumerate(blocks)}
+    # b is followed by the blocks whose first n - 1 states are its last ones
+    by_prefix = {}
+    for k, b in enumerate(blocks):
+        by_prefix.setdefault(b[:-1], []).append(k)
     entries = [[0] * len(blocks) for _ in blocks]
-    for b, k in index.items():
-        for b2, k2 in index.items():
-            if b[1:] == b2[:-1]:
-                entries[k][k2] = 1
+    for k, b in enumerate(blocks):
+        for k2 in by_prefix.get(b[1:], ()):
+            entries[k][k2] = 1
     labels = tuple(".".join(p.label(s) for s in b) for b in blocks)
     out = SftPresentation(IntMatrix(tuple(tuple(r) for r in entries), labels=labels))
     return out, dict(enumerate(blocks))

@@ -3,8 +3,9 @@
 Each expected report echoes its job document under ``input``; the job is
 rebuilt from that echo and run in-process through parse_job, run_job and
 emit_report.  The set covers every command of the small CLI corpus,
-both mirror paths (left reduction, in-splitting) at S6 scale and the
-README quotient-counts example.
+both mirror paths (left reduction, in-splitting) at S6 scale, the
+README quotient-counts example and the bundle and representation-shift
+counts over the trefoil and figure-eight presets.
 """
 
 import json
@@ -19,6 +20,9 @@ GOLDENS = sorted((EXPECTED / "cli-small").glob("*.json")) + [
     EXPECTED / "symmetry" / "s6-reduce.json",
     EXPECTED / "symmetry" / "s6-split-in.json",
     EXPECTED / "counting" / "readme-quotient-counts.json",
+    EXPECTED / "counting" / "trefoil-d4-bundle.json",
+    EXPECTED / "counting" / "figure8-s3-bundle.json",
+    EXPECTED / "counting" / "figure8-q8-repshift.json",
 ]
 
 

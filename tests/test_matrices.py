@@ -19,9 +19,11 @@ from sftact import (
     poly_lcm,
     smith_normal_form,
     trace_of_power,
+    trace_sequence,
 )
 
-from helpers import SIX_STATE_A, six_state_action
+from helpers import SIX_STATE_A, dense_trace_of_power, networkx_digraph, six_state_action
+from sftact.matrices import _components, _sparse_rows
 from sftact.reduce import right_reduce
 
 
@@ -50,15 +52,46 @@ def brute_det(rows):
     return total
 
 
-def naive_power_trace(m, n):
-    rows = m.entries
-    acc = rows
-    for _ in range(n - 1):
-        acc = tuple(
-            tuple(sum(acc[i][k] * rows[k][j] for k in range(m.dim)) for j in range(m.dim))
-            for i in range(m.dim)
-        )
-    return sum(acc[i][i] for i in range(m.dim))
+def mixed_matrix(rng, max_states=10):
+    """Random block-triangular matrix under a random relabelling of states.
+
+    The diagonal blocks are simple cycles, cycles with one edge of weight
+    2, weighted self-loops, acyclic states, nilpotent blocks and dense
+    blocks; random edges run only from earlier blocks to later ones, so
+    the blocks that carry a cycle are the strongly connected components.
+    """
+    n = rng.randint(1, max_states)
+    order = rng.sample(range(n), n)
+    rows = [[0] * n for _ in range(n)]
+    blocks = []
+    while sum(map(len, blocks)) < n:
+        start = sum(map(len, blocks))
+        block = order[start:start + rng.randint(1, min(4, n - start))]
+        kind = rng.choice(("cycle", "heavy cycle", "loops", "acyclic", "nilpotent", "dense"))
+        if kind in ("cycle", "heavy cycle"):
+            for k, s in enumerate(block):
+                rows[s][block[(k + 1) % len(block)]] = 1
+            if kind == "heavy cycle":
+                rows[block[-1]][block[0]] = 2
+        elif kind == "loops":
+            for s in block:
+                rows[s][s] = rng.randint(1, 3)
+        elif kind == "nilpotent":
+            for a, s in enumerate(block):
+                for t in block[a + 1:]:
+                    rows[s][t] = rng.randint(0, 2)
+        elif kind == "dense":
+            for s in block:
+                for t in block:
+                    rows[s][t] = rng.choice((0, 1, 1, 2))
+        blocks.append(block)
+    for a, earlier in enumerate(blocks):
+        for later in blocks[a + 1:]:
+            for s in earlier:
+                for t in later:
+                    if rng.random() < 0.2:
+                        rows[s][t] = rng.randint(1, 2)
+    return IntMatrix(tuple(tuple(r) for r in rows))
 
 
 class TestTypes:
@@ -134,11 +167,59 @@ class TestTracePower:
             n = rng.randint(1, 4)
             m = IntMatrix(tuple(tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(n)))
             for power in (1, 2, 3, 5, 8):
-                assert trace_of_power(m, power) == naive_power_trace(m, power)
+                assert trace_of_power(m, power) == dense_trace_of_power(m, power)
 
     def test_rejects_zero_power(self):
         with pytest.raises(InputError):
             trace_of_power(IntMatrix(((1,),)), 0)
+
+
+class TestTraceSequence:
+    def test_against_dense_powers(self):
+        rng = random.Random(31)
+        for _ in range(120):
+            m = mixed_matrix(rng)
+            # lengths below and above the dimension
+            for length in (rng.randint(1, m.dim), m.dim + rng.randint(1, 6)):
+                expected = [dense_trace_of_power(m, n) for n in range(1, length + 1)]
+                assert trace_sequence(m, length) == expected
+
+    def test_permutation_cycles(self):
+        # cycles of lengths 1, 2 and 3 on six states
+        m = IntMatrix(tuple(
+            tuple(int(j == image) for j in range(6)) for image in (0, 2, 1, 4, 5, 3)
+        ))
+        assert trace_sequence(m, 7) == [1, 3, 4, 3, 1, 6, 1]
+
+    def test_zero_length(self):
+        assert trace_sequence(IntMatrix(((1, 1), (1, 0))), 0) == []
+
+    def test_rejects_bad_length(self):
+        for bad in (-1, True, 2.0):
+            with pytest.raises(InputError):
+                trace_sequence(IntMatrix(((1,),)), bad)
+
+
+class TestComponents:
+    def test_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(37)
+        for _ in range(150):
+            if rng.random() < 0.6:
+                m = mixed_matrix(rng, max_states=12)
+            else:
+                k = rng.randint(1, 9)
+                m = IntMatrix(tuple(tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(k)) for _ in range(k)))
+            rows = m.entries
+            graph = networkx_digraph(nx, m)
+            expected = sorted(sorted(c) for c in nx.strongly_connected_components(graph))
+            found = _components(_sparse_rows(rows))
+            assert sorted(states for states, _ in found) == expected
+            for states, is_cycle in found:
+                # a strongly connected set is one simple cycle exactly when
+                # its edges, counted with weight, are as many as its states
+                weight = sum(rows[i][j] for i in states for j in states)
+                assert is_cycle == (weight == len(states))
 
 
 class TestCharPolyReciprocal:
@@ -167,12 +248,15 @@ class TestCharPolyReciprocal:
     def test_against_sympy_charpoly(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(29)
+        cases = []
         for _ in range(30):
             n = rng.randint(1, 12)
-            rows = tuple(tuple(rng.choice((0, 0, 1, 2, 5)) for _ in range(n)) for _ in range(n))
+            cases.append(IntMatrix(tuple(tuple(rng.choice((0, 0, 1, 2, 5)) for _ in range(n)) for _ in range(n))))
+        cases += [mixed_matrix(rng, max_states=12) for _ in range(60)]
+        for m in cases:
             # det(I - t A) has t^j coefficient equal to the x^(n-j) one of det(x I - A)
-            coeffs = sympy.Matrix(rows).charpoly().all_coeffs()
-            assert char_poly_reciprocal(IntMatrix(rows)) == IntPolynomial(tuple(int(c) for c in coeffs))
+            coeffs = sympy.Matrix(m.entries).charpoly().all_coeffs()
+            assert char_poly_reciprocal(m) == IntPolynomial(tuple(int(c) for c in coeffs))
 
     def test_zeta_exponential_identity(self):
         # exp(sum trace(a^n) t^n / n) * det(I - t a) = 1 through degree 8

@@ -9,14 +9,16 @@ from sftact import (
     PreconditionError,
     SftPresentation,
     burnside_counts,
+    char_poly_reciprocal,
     classify_quotient,
     enumerate_cycles,
+    fixed_submatrix,
     left_reduce,
     nonexpansive_witness,
+    poly_lcm,
     quotient_period_counts,
     recurrence_holds,
     right_reduce,
-    trace_of_power,
     validate_action,
     word_stabilizer,
 )
@@ -27,6 +29,7 @@ from helpers import (
     brute_quotient_counts,
     constant_to_one_check,
     conjugation_action,
+    dense_trace_of_power,
     random_action,
     reducible_action,
     six_state_action,
@@ -43,15 +46,15 @@ def quotient_count_agreement(act, max_n=6, cap=CAP):
     fits the cap.  Returns the n tested."""
     exponent = act.group.exponent()
     tested = 0
-    while tested < max_n and trace_of_power(act.matrix, (tested + 1) * exponent) <= cap:
+    while tested < max_n and dense_trace_of_power(act.matrix, (tested + 1) * exponent) <= cap:
         tested += 1
     counts = brute_quotient_counts(act, tested, cap)
     assert quotient_period_counts(act, tested) == counts
     left = left_reduce(act).matrix
     right = right_reduce(act).matrix
     for n, count in enumerate(counts, 1):
-        assert count == trace_of_power(left, n)
-        assert count == trace_of_power(right, n)
+        assert count == dense_trace_of_power(left, n)
+        assert count == dense_trace_of_power(right, n)
     return tested
 
 
@@ -70,7 +73,19 @@ class TestBurnsideCounts:
         p = SftPresentation.from_matrix(FULL_TWO_SHIFT)
         act = validate_action(p, PermGroup.trivial(2))
         report = burnside_counts(act, 6)
-        assert report.counts == tuple(trace_of_power(FULL_TWO_SHIFT, n) for n in range(1, 7))
+        assert report.counts == tuple(dense_trace_of_power(FULL_TWO_SHIFT, n) for n in range(1, 7))
+
+    def test_matches_per_element_oracle(self):
+        rng = random.Random(53)
+        actions = standard_actions() + [random_action(rng, max_states=6, max_order=6) for _ in range(25)]
+        for act in actions:
+            order = act.group.order
+            subs = [fixed_submatrix(act, g) for g in range(order)]
+            traces = tuple(tuple(dense_trace_of_power(sub, n) for n in range(1, 8)) for sub in subs)
+            report = burnside_counts(act, 7)
+            assert report.element_traces == traces
+            assert report.counts == tuple(sum(column) // order for column in zip(*traces))
+            assert report.recurrence == poly_lcm([char_poly_reciprocal(sub) for sub in subs])
 
     def test_six_state_first_count(self):
         report = burnside_counts(six_state_action(), 1)

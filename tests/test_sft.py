@@ -1,7 +1,6 @@
 """Presentations: trimming, irreducibility, higher blocks, cycle enumeration."""
 
 import random
-from itertools import product
 
 import pytest
 
@@ -21,7 +20,7 @@ from sftact import (
     trim_essential,
 )
 
-from helpers import GOLDEN_MEAN, SIX_STATE_A, all_paths
+from helpers import GOLDEN_MEAN, SIX_STATE_A, all_pairs_higher_block, all_paths, networkx_digraph
 
 
 def random_matrix(rng, max_states=5):
@@ -57,6 +56,26 @@ class TestTrimEssential:
             assert again.matrix.entries == p.matrix.entries
             assert kept == tuple(range(p.num_states))
 
+    def test_against_networkx(self):
+        # a state survives when it is reached from a cycle and reaches one
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(43)
+        for _ in range(60):
+            m = random_matrix(rng, max_states=9)
+            graph = networkx_digraph(nx, m)
+            cyclic = {s for c in nx.strongly_connected_components(graph) for s in c
+                      if len(c) > 1 or graph.has_edge(s, s)}
+            expected = tuple(
+                s for s in range(m.dim)
+                if cyclic & (nx.ancestors(graph, s) | {s}) and cyclic & (nx.descendants(graph, s) | {s})
+            )
+            p, kept = trim_essential(m)
+            assert kept == expected
+            if kept:
+                assert p.matrix.entries == tuple(tuple(m.entries[i][j] for j in kept) for i in kept)
+            else:
+                assert p.is_empty
+
     def test_presentation_requires_essential(self):
         with pytest.raises(PreconditionError):
             SftPresentation.from_matrix(IntMatrix(((0, 1), (0, 1))))
@@ -76,6 +95,15 @@ class TestIrreducible:
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
             is_irreducible(SftPresentation.empty())
+
+    def test_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(47)
+        for _ in range(60):
+            p, _ = trim_essential(random_matrix(rng, max_states=9))
+            if p.is_empty:
+                continue
+            assert is_irreducible(p) == nx.is_strongly_connected(networkx_digraph(nx, p.matrix))
 
 
 class TestPathTypes:
@@ -144,18 +172,16 @@ class TestHigherBlock:
     def test_blocks_in_lexicographic_order(self):
         rng = random.Random(17)
         done = 0
-        while done < 12:
-            p, _ = trim_essential(random_matrix(rng, max_states=4))
+        while done < 30:
+            p, _ = trim_essential(random_matrix(rng, max_states=5))
             if p.is_empty:
                 continue
             n = rng.choice((2, 3, 4))
-            rows = p.matrix.entries
-            words = [
-                w for w in product(range(p.num_states), repeat=n)
-                if all(rows[a][b] for a, b in zip(w, w[1:]))
-            ]
-            _, blocks = higher_block(p, n)
+            entries, words = all_pairs_higher_block(p, n)
+            hb, blocks = higher_block(p, n)
             assert list(blocks.values()) == words
+            assert hb.matrix.entries == entries
+            assert hb.matrix.labels == tuple(".".join(p.label(s) for s in w) for w in words)
             done += 1
 
     def test_rejects_multiplicities(self):
