@@ -227,15 +227,14 @@ def _orbit_structure(a: PermutationAction) -> OrbitStructure:
     stabilizers = tuple(
         tuple(k for k in range(g.order) if g.apply(k, i) == i) for i in range(n)
     )
-    kernel = tuple(
-        k for k in range(g.order) if all(g.apply(k, i) == i for i in range(n))
-    )
     structure = OrbitStructure(
         orbits=tuple(orbits),
         representatives=tuple(members[0] for members in orbits),
         orbit_of=tuple(orbit_of),
         stabilizers=stabilizers,
-        kernel=kernel,
+        # elements are pairwise distinct permutations of the states, so
+        # only the identity, element 0, fixes every state
+        kernel=(0,),
     )
     for i in range(n):
         orb = structure.orbits[structure.orbit_of[i]]

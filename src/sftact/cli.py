@@ -8,6 +8,11 @@ named (Zn, Sn, Dn, Q8) or given as an explicit multiplication table.
 Reports serialize deterministically: stable key order, exact decimal
 integers.
 
+Each command has one input parser and one runner.  ``parse_job`` parses
+the input once into library values (actions, matrices, certificates,
+HNN data, groups), rejecting unknown fields and naming the offending
+``$``-rooted path; ``run_job`` computes from those values alone.
+
 Exit codes: 0 success, 1 input errors, 2 mathematical precondition
 failures, 3 closure or homomorphism limit exhaustion.
 """
@@ -18,7 +23,8 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 from . import __version__
 from .errors import InputError, LimitExceededError, PreconditionError
@@ -62,29 +68,19 @@ from .repshift import (
 
 JOB_FORMAT = "sftact-job/1"
 REPORT_FORMAT = "sftact-report/1"
-
-COMMANDS = (
-    "reduce",
-    "invariants",
-    "classify",
-    "witness",
-    "burnside",
-    "quotient-counts",
-    "verify-sse",
-    "transport",
-    "split",
-    "repshift",
-    "tqft",
-    "bundle-counts",
-)
 PARAMETERS = ("max_n", "limit", "m")
+_HOM_LIMIT = 1000000  # default "limit" of the representation-shift commands
 
 
 @dataclass(frozen=True)
 class JobSpec:
+    """A validated job: the document fields that reports echo, and the
+    input as its command's parser returned it."""
+
     command: str
     input: dict
     parameters: dict
+    parsed: object = field(repr=False)
 
     def document(self) -> dict:
         """Canonical job document (used for provenance echoes and round trips)."""
@@ -120,9 +116,30 @@ def _expect(cond, path, message):
         raise InputError(f"{path}: {message}")
 
 
+@contextmanager
+def _at(path):
+    """Prefix input errors raised by library constructors with ``path``."""
+    try:
+        yield
+    except InputError as err:
+        raise InputError(f"{path}: {err}") from err
+
+
 def _get_dict(doc, path):
     _expect(isinstance(doc, dict), path, "expected an object")
     return doc
+
+
+def _fields(doc, path, known):
+    """``doc`` as an object whose keys all lie in ``known``."""
+    for key in _get_dict(doc, path):
+        _expect(key in known, f"{path}.{key}", "unknown field")
+    return doc
+
+
+def _field(doc, path, key):
+    _expect(key in doc, path, f"missing field {key!r}")
+    return doc[key]
 
 
 def _get_int(value, path, minimum=None):
@@ -132,35 +149,17 @@ def _get_int(value, path, minimum=None):
     return value
 
 
-def parse_matrix(doc, path) -> IntMatrix:
+def parse_matrix(doc, path, kind=IntMatrix):
+    """A nonempty array of rows of nonnegative integers, as ``kind``
+    (IntMatrix, or RectMatrix for certificate factors)."""
     _expect(isinstance(doc, list) and doc, path, "expected a nonempty array of rows")
     for i, row in enumerate(doc):
         _expect(isinstance(row, list), f"{path}[{i}]", "expected an array")
         for j, x in enumerate(row):
             _get_int(x, f"{path}[{i}][{j}]")
             _expect(x >= 0, f"{path}[{i}][{j}]", f"matrix entries must be nonnegative, got {x}")
-    try:
-        return IntMatrix(tuple(tuple(row) for row in doc))
-    except InputError as err:
-        raise InputError(f"{path}: {err}") from err
-
-
-def parse_signed_matrix(doc, path) -> RectMatrix:
-    _expect(isinstance(doc, list) and doc, path, "expected a nonempty array of rows")
-    for i, row in enumerate(doc):
-        _expect(isinstance(row, list), f"{path}[{i}]", "expected an array")
-        for j, x in enumerate(row):
-            _get_int(x, f"{path}[{i}][{j}]")
-    try:
-        return RectMatrix(tuple(tuple(row) for row in doc), signed=True)
-    except InputError as err:
-        raise InputError(f"{path}: {err}") from err
-
-
-def parse_rect(doc, path) -> RectMatrix:
-    m = parse_signed_matrix(doc, path)
-    _expect(all(x >= 0 for row in m.entries for x in row), path, "entries must be nonnegative")
-    return RectMatrix(m.entries)
+    with _at(path):
+        return kind(tuple(tuple(row) for row in doc))
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -211,7 +210,7 @@ def cycles_of(perm) -> str:
 
 
 def parse_perm_group(doc, degree, path) -> PermGroup:
-    doc = _get_dict(doc, path)
+    doc = _fields(doc, path, ("generators", "limit"))
     gens_doc = doc.get("generators")
     _expect(isinstance(gens_doc, list), f"{path}.generators", "expected an array of cycle strings")
     limit = _get_int(doc.get("limit", 100000), f"{path}.limit", minimum=1)
@@ -235,9 +234,9 @@ def parse_abstract_group(doc, path) -> FiniteGroupTable:
         if kind == "S":
             return symmetric_group(n)
         return dihedral_group(n)
-    doc = _get_dict(doc, path)
-    if "name" in doc:
-        return parse_abstract_group(doc["name"], f"{path}.name")
+    if "name" in _get_dict(doc, path):
+        return parse_abstract_group(_fields(doc, path, ("name",))["name"], f"{path}.name")
+    _fields(doc, path, ("table", "names"))
     _expect("table" in doc, path, "expected a group name or an explicit table")
     table = doc["table"]
     _expect(isinstance(table, list) and table, f"{path}.table", "expected a nonempty array")
@@ -246,10 +245,11 @@ def parse_abstract_group(doc, path) -> FiniteGroupTable:
         for j, x in enumerate(row):
             _get_int(x, f"{path}.table[{i}][{j}]")
     names = doc.get("names", [str(k) for k in range(len(table))])
-    try:
+    _expect(isinstance(names, list), f"{path}.names", "expected an array of element names")
+    for k, name in enumerate(names):
+        _expect(isinstance(name, str), f"{path}.names[{k}]", "expected a string")
+    with _at(f"{path}.table"):
         return FiniteGroupTable(names=tuple(names), table=tuple(tuple(row) for row in table))
-    except InputError as err:
-        raise InputError(f"{path}.table: {err}") from err
 
 
 def parse_word(doc, path):
@@ -268,45 +268,110 @@ def parse_word(doc, path):
     return tuple(word)
 
 
+_HNN_WORDS = ("b_relators", "u_gens", "u_relators", "v_gens", "v_relators", "phi_images")
+
+
 def parse_hnn(doc, path) -> HnnData:
-    doc = _get_dict(doc, path)
-    if "preset" in doc:
-        name = doc["preset"]
+    if "preset" in _get_dict(doc, path):
+        name = _fields(doc, path, ("preset",))["preset"]
         _expect(isinstance(name, str), f"{path}.preset", "expected a preset name")
         return fibered_preset(name)
+    _fields(doc, path, ("b_gens",) + _HNN_WORDS)
     for key in ("b_gens", "u_gens", "v_gens", "phi_images"):
-        _expect(key in doc, path, f"missing field {key!r}")
+        _field(doc, path, key)
     words = {}
-    for key in ("b_relators", "u_gens", "u_relators", "v_gens", "v_relators", "phi_images"):
+    for key in _HNN_WORDS:
         value = doc.get(key, [])
         _expect(isinstance(value, list), f"{path}.{key}", "expected an array of words")
         words[key] = tuple(parse_word(w, f"{path}.{key}[{k}]") for k, w in enumerate(value))
-    try:
-        return HnnData(b_gens=_get_int(doc["b_gens"], f"{path}.b_gens", minimum=0), **words)
-    except InputError as err:
-        raise InputError(f"{path}: {err}") from err
+    b_gens = _get_int(doc["b_gens"], f"{path}.b_gens", minimum=0)
+    with _at(path):
+        return HnnData(b_gens=b_gens, **words)
 
 
 def parse_certificate(doc, path) -> ElementarySse:
-    doc = _get_dict(doc, path)
+    doc = _fields(doc, path, ("a", "b", "r", "s"))
     for key in ("a", "b", "r", "s"):
-        _expect(key in doc, path, f"missing field {key!r}")
-    return ElementarySse(
-        a=parse_matrix(doc["a"], f"{path}.a"),
-        b=parse_matrix(doc["b"], f"{path}.b"),
-        r=parse_rect(doc["r"], f"{path}.r"),
-        s=parse_rect(doc["s"], f"{path}.s"),
-    )
+        _field(doc, path, key)
+    a, b = (parse_matrix(doc[key], f"{path}.{key}") for key in ("a", "b"))
+    r, s = (parse_matrix(doc[key], f"{path}.{key}", RectMatrix) for key in ("r", "s"))
+    with _at(path):
+        return ElementarySse(a=a, b=b, r=r, s=s)
 
 
-def _action_from_input(input_doc, path="input") -> PermutationAction:
-    doc = _get_dict(input_doc, path)
-    _expect("matrix" in doc, path, "missing field 'matrix'")
-    matrix = parse_matrix(doc["matrix"], f"{path}.matrix")
+# ---------------------------------------------------------------------------
+# command inputs: each parser takes the input object and its path "$.input"
+
+def _act(matrix, group_doc, path) -> PermutationAction:
+    """The action on ``matrix`` of the permutation group at ``path``; the
+    presentation is checked before the group is closed."""
     presentation = SftPresentation.from_matrix(matrix)
-    _expect("group" in doc, path, "missing field 'group'")
-    group = parse_perm_group(doc["group"], matrix.dim, f"{path}.group")
-    return PermutationAction(presentation, group)
+    return PermutationAction(presentation, parse_perm_group(group_doc, matrix.dim, path))
+
+
+def _parse_action(doc, path, known=("matrix", "group")) -> PermutationAction:
+    doc = _fields(doc, path, known)
+    matrix = parse_matrix(_field(doc, path, "matrix"), f"{path}.matrix")
+    return _act(matrix, _field(doc, path, "group"), f"{path}.group")
+
+
+def _parse_invariants(doc, path):
+    """(matrix, action or None): the group is optional."""
+    doc = _fields(doc, path, ("matrix", "group"))
+    matrix = parse_matrix(_field(doc, path, "matrix"), f"{path}.matrix")
+    return matrix, _act(matrix, doc["group"], f"{path}.group") if "group" in doc else None
+
+
+def _parse_links(doc, path):
+    """The links of a certificate chain, or of one certificate given inline."""
+    if "chain" not in doc:
+        return (parse_certificate(doc, path),)
+    chain = _fields(doc, path, ("chain",))["chain"]
+    _expect(isinstance(chain, list) and chain, f"{path}.chain", "expected a nonempty array")
+    links = tuple(parse_certificate(link, f"{path}.chain[{k}]") for k, link in enumerate(chain))
+    with _at(f"{path}.chain"):
+        return SseChain(links).links
+
+
+def _parse_transport(doc, path):
+    """(certificate, action on its a, action on its b)."""
+    doc = _fields(doc, path, ("certificate", "phi", "psi"))
+    for key in ("certificate", "phi", "psi"):
+        _field(doc, path, key)
+    cert = parse_certificate(doc["certificate"], f"{path}.certificate")
+    return cert, _act(cert.a, doc["phi"], f"{path}.phi"), _act(cert.b, doc["psi"], f"{path}.psi")
+
+
+def _parse_split(doc, path):
+    """(action, SplitData); partitions list 1-based target (out) or source
+    (in) states per block."""
+    action = _parse_action(doc, path, ("matrix", "group", "direction", "partition"))
+    direction = doc.get("direction", "out")
+    _expect(direction in ("out", "in"), f"{path}.direction", "expected 'out' or 'in'")
+    partition_doc = doc.get("partition")
+    _expect(isinstance(partition_doc, list), f"{path}.partition", "expected an array (one entry per state)")
+    blocks = []
+    for i, state_blocks in enumerate(partition_doc):
+        state_path = f"{path}.partition[{i}]"
+        _expect(isinstance(state_blocks, list) and state_blocks, state_path, "expected a nonempty array of blocks")
+        state_out = []
+        for k, block in enumerate(state_blocks):
+            block_path = f"{state_path}[{k}]"
+            _expect(isinstance(block, list) and block, block_path, "expected a nonempty array of states")
+            edges = []
+            for t, other in enumerate(block):
+                o = _get_int(other, f"{block_path}[{t}]", minimum=1) - 1
+                edges.append((i, o, 0) if direction == "out" else (o, i, 0))
+            state_out.append(tuple(edges))
+        blocks.append(tuple(state_out))
+    return action, SplitData(direction, tuple(blocks))
+
+
+def _parse_repshift(doc, path):
+    """(HnnData, FiniteGroupTable)."""
+    doc = _fields(doc, path, ("hnn", "group"))
+    hnn = parse_hnn(_field(doc, path, "hnn"), f"{path}.hnn")
+    return hnn, parse_abstract_group(_field(doc, path, "group"), f"{path}.group")
 
 
 def parse_job(text: str) -> JobSpec:
@@ -322,53 +387,26 @@ def _load_document(text: str):
 
 
 def job_from_document(doc) -> JobSpec:
-    """Validate a decoded job document; diagnostics name the offending path."""
+    """Validate a decoded job document and parse its input once;
+    diagnostics name the offending path."""
     doc = _get_dict(doc, "$")
     fmt = doc.get("format", JOB_FORMAT)
     _expect(fmt == JOB_FORMAT, "$.format", f"unsupported format {fmt!r}")
     _expect("command" in doc, "$", "missing command")
     command = doc["command"]
     _expect(command in COMMANDS, "$.command", f"unknown command {command!r}")
-    input_doc = doc.get("input", {})
-    _expect(isinstance(input_doc, dict), "$.input", "expected an object")
-    params = doc.get("parameters", {})
-    _expect(isinstance(params, dict), "$.parameters", "expected an object")
+    input_doc = _get_dict(doc.get("input", {}), "$.input")
+    params = _get_dict(doc.get("parameters", {}), "$.parameters")
     for key, value in params.items():
         _expect(key in PARAMETERS, f"$.parameters.{key}", "unknown parameter")
         _get_int(value, f"$.parameters.{key}", minimum=1)
-    _validate_command_input(command, input_doc)
-    return JobSpec(command=command, input=input_doc, parameters=params)
-
-
-def _validate_command_input(command, input_doc):
-    """Eager schema validation, so parse_job alone reports schema errors."""
-    needs_action = command in ("reduce", "classify", "witness", "burnside", "quotient-counts", "split")
-    if needs_action or command == "invariants":
-        _expect("matrix" in input_doc, "$.input", "missing field 'matrix'")
-        parse_matrix(input_doc["matrix"], "$.input.matrix")
-    if needs_action:
-        _expect("group" in input_doc, "$.input", "missing field 'group'")
-    if command in ("repshift", "tqft", "bundle-counts"):
-        _expect("hnn" in input_doc, "$.input", "missing field 'hnn'")
-        parse_hnn(input_doc["hnn"], "$.input.hnn")
-        _expect("group" in input_doc, "$.input", "missing field 'group'")
-        parse_abstract_group(input_doc["group"], "$.input.group")
-    if command == "transport":
-        for key in ("certificate", "phi", "psi"):
-            _expect(key in input_doc, "$.input", f"missing field {key!r}")
-        parse_certificate(input_doc["certificate"], "$.input.certificate")
-    if command == "verify-sse":
-        if "chain" in input_doc:
-            chain = input_doc["chain"]
-            _expect(isinstance(chain, list) and chain, "$.input.chain", "expected a nonempty array")
-            for k, link in enumerate(chain):
-                parse_certificate(link, f"$.input.chain[{k}]")
-        else:
-            parse_certificate(input_doc, "$.input")
+    parse_input, _ = _COMMAND_TABLE[command]
+    parsed = parse_input(input_doc, "$.input")
+    return JobSpec(command=command, input=input_doc, parameters=params, parsed=parsed)
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: each runner takes (parsed input, parameters)
 
 def _matrix_doc(m: IntMatrix):
     out = {"entries": [list(row) for row in m.entries]}
@@ -385,8 +423,7 @@ def _bf_doc(inv):
     return {"torsion": list(inv.torsion), "free_rank": inv.free_rank}
 
 
-def _run_reduce(job):
-    action = _action_from_input(job.input)
+def _run_reduce(action, parameters):
     right = right_reduce(action)
     left = left_reduce(action)
     orbits = [[s + 1 for s in orbit] for orbit in action.orbits.orbits]
@@ -399,15 +436,13 @@ def _run_reduce(job):
     }
 
 
-def _run_invariants(job):
-    doc = job.input
-    matrix = parse_matrix(doc["matrix"], "input.matrix")
+def _run_invariants(parsed, parameters):
+    matrix, action = parsed
     result = {
         "char_poly_reciprocal": _poly_doc(char_poly_reciprocal(matrix)),
         "bowen_franks": _bf_doc(bowen_franks(matrix)),
     }
-    if "group" in doc:
-        action = _action_from_input(doc)
+    if action is not None:
         for side, reduced in (("right", right_reduce(action)), ("left", left_reduce(action))):
             result[side] = {
                 "matrix": _matrix_doc(reduced.matrix),
@@ -417,8 +452,7 @@ def _run_invariants(job):
     return result
 
 
-def _run_classify(job):
-    action = _action_from_input(job.input)
+def _run_classify(action, parameters):
     verdict = classify_quotient(action)
     result = {
         "verdict": verdict.verdict,
@@ -437,9 +471,8 @@ def _edge_doc(edges):
     return [[e[0] + 1, e[1] + 1, e[2]] for e in edges]
 
 
-def _run_witness(job):
-    action = _action_from_input(job.input)
-    m = job.parameters.get("m", 1)
+def _run_witness(action, parameters):
+    m = parameters.get("m", 1)
     verdict = classify_quotient(action)
     witness, x_window, y_window, zero = nonexpansive_witness(action, verdict, m)
     return {
@@ -455,10 +488,8 @@ def _run_witness(job):
     }
 
 
-def _run_burnside(job):
-    action = _action_from_input(job.input)
-    m = job.parameters.get("max_n", 6)
-    report = burnside_counts(action, m)
+def _run_burnside(action, parameters):
+    report = burnside_counts(action, parameters.get("max_n", 6))
     return {
         "counts": list(report.counts),
         "recurrence": _poly_doc(report.recurrence),
@@ -466,41 +497,17 @@ def _run_burnside(job):
     }
 
 
-def _run_quotient_counts(job):
-    action = _action_from_input(job.input)
-    m = job.parameters.get("max_n", 6)
-    return {"counts": quotient_period_counts(action, m)}
+def _run_quotient_counts(action, parameters):
+    return {"counts": quotient_period_counts(action, parameters.get("max_n", 6))}
 
 
-def _run_verify_sse(job):
-    if "chain" in job.input:
-        links = [
-            parse_certificate(link, f"input.chain[{k}]")
-            for k, link in enumerate(job.input["chain"])
-        ]
-        try:
-            chain = SseChain(tuple(links))
-        except InputError as err:
-            raise InputError(f"input.chain: {err}") from err
-        results = [verify_elementary_sse(link) for link in chain.links]
-        return {"links": results, "valid": all(results)}
-    cert = parse_certificate(job.input, "input")
-    valid = verify_elementary_sse(cert)
-    return {"links": [valid], "valid": valid}
+def _run_verify_sse(links, parameters):
+    results = [verify_elementary_sse(link) for link in links]
+    return {"links": results, "valid": all(results)}
 
 
-def _run_transport(job):
-    doc = job.input
-    cert = parse_certificate(doc["certificate"], "input.certificate")
-    phi = PermutationAction(
-        SftPresentation.from_matrix(cert.a),
-        parse_perm_group(doc.get("phi", {}), cert.a.dim, "input.phi"),
-    )
-    psi = PermutationAction(
-        SftPresentation.from_matrix(cert.b),
-        parse_perm_group(doc.get("psi", {}), cert.b.dim, "input.psi"),
-    )
-    out = transport_certificate(cert, phi, psi)
+def _run_transport(parsed, parameters):
+    out = transport_certificate(*parsed)
     return {
         "a_reduced": _matrix_doc(out.a),
         "b_reduced": _matrix_doc(out.b),
@@ -510,31 +517,12 @@ def _run_transport(job):
     }
 
 
-def _run_split(job):
-    action = _action_from_input(job.input)
-    doc = job.input
-    direction = doc.get("direction", "out")
-    _expect(direction in ("out", "in"), "input.direction", "expected 'out' or 'in'")
-    partition_doc = doc.get("partition")
-    _expect(isinstance(partition_doc, list), "input.partition", "expected an array (one entry per state)")
-    blocks = []
-    for i, state_blocks in enumerate(partition_doc):
-        path = f"input.partition[{i}]"
-        _expect(isinstance(state_blocks, list) and state_blocks, path, "expected a nonempty array of blocks")
-        state_out = []
-        for k, block in enumerate(state_blocks):
-            _expect(isinstance(block, list) and block, f"{path}[{k}]", "expected a nonempty array of states")
-            edges = []
-            for other in block:
-                o = _get_int(other, f"{path}[{k}]", minimum=1) - 1
-                edges.append((i, o, 0) if direction == "out" else (o, i, 0))
-            state_out.append(tuple(edges))
-        blocks.append(tuple(state_out))
-    data = SplitData(direction, tuple(blocks))
-    split_fn = out_split if direction == "out" else in_split
+def _run_split(parsed, parameters):
+    action, data = parsed
+    split_fn = out_split if data.direction == "out" else in_split
     new_action, cert = split_fn(action, data)
     return {
-        "direction": direction,
+        "direction": data.direction,
         "matrix": _matrix_doc(new_action.matrix),
         "r": [list(row) for row in cert.r.entries],
         "s": [list(row) for row in cert.s.entries],
@@ -543,16 +531,9 @@ def _run_split(job):
     }
 
 
-def _repshift_from_input(job):
-    hnn = parse_hnn(job.input["hnn"], "input.hnn")
-    group = parse_abstract_group(job.input["group"], "input.group")
-    limit = job.parameters.get("limit", 1000000)
-    return build_repshift(hnn, group, limit)
-
-
-def _run_repshift(job):
-    shift = _repshift_from_input(job)
-    m = job.parameters.get("max_n", 6)
+def _run_repshift(parsed, parameters):
+    shift = build_repshift(*parsed, parameters.get("limit", _HOM_LIMIT))
+    m = parameters.get("max_n", 6)
     return {
         "states": list(shift.presentation.matrix.labels),
         "matrix": _matrix_doc(shift.presentation.matrix),
@@ -561,43 +542,44 @@ def _run_repshift(job):
     }
 
 
-def _run_tqft(job):
-    shift = _repshift_from_input(job)
-    out = tqft_matrix(shift)
+def _run_tqft(parsed, parameters):
+    out = tqft_matrix(build_repshift(*parsed, parameters.get("limit", _HOM_LIMIT)))
     return {
         "basis": list(out.basis),
         "matrix": _matrix_doc(out.reduced.matrix),
     }
 
 
-def _run_bundle_counts(job):
-    shift = _repshift_from_input(job)
-    m = job.parameters.get("max_n", 6)
-    report = flat_bundle_counts(shift, m)
+def _run_bundle_counts(parsed, parameters):
+    shift = build_repshift(*parsed, parameters.get("limit", _HOM_LIMIT))
+    report = flat_bundle_counts(shift, parameters.get("max_n", 6))
     return {
         "counts": list(report.counts),
         "recurrence": _poly_doc(report.recurrence),
     }
 
 
-_RUNNERS = {
-    "reduce": _run_reduce,
-    "invariants": _run_invariants,
-    "classify": _run_classify,
-    "witness": _run_witness,
-    "burnside": _run_burnside,
-    "quotient-counts": _run_quotient_counts,
-    "verify-sse": _run_verify_sse,
-    "transport": _run_transport,
-    "split": _run_split,
-    "repshift": _run_repshift,
-    "tqft": _run_tqft,
-    "bundle-counts": _run_bundle_counts,
+# command -> (input parser, runner); the order is the order of the usage text
+_COMMAND_TABLE = {
+    "reduce": (_parse_action, _run_reduce),
+    "invariants": (_parse_invariants, _run_invariants),
+    "classify": (_parse_action, _run_classify),
+    "witness": (_parse_action, _run_witness),
+    "burnside": (_parse_action, _run_burnside),
+    "quotient-counts": (_parse_action, _run_quotient_counts),
+    "verify-sse": (_parse_links, _run_verify_sse),
+    "transport": (_parse_transport, _run_transport),
+    "split": (_parse_split, _run_split),
+    "repshift": (_parse_repshift, _run_repshift),
+    "tqft": (_parse_repshift, _run_tqft),
+    "bundle-counts": (_parse_repshift, _run_bundle_counts),
 }
+COMMANDS = tuple(_COMMAND_TABLE)
 
 
 def run_job(job: JobSpec) -> Report:
-    result = _RUNNERS[job.command](job)
+    _, run = _COMMAND_TABLE[job.command]
+    result = run(job.parsed, job.parameters)
     return Report(command=job.command, input=job.document(), result=result)
 
 

@@ -164,11 +164,8 @@ def classify_quotient(a: PermutationAction) -> QuotientClassification:
     """
     if not is_irreducible(a.presentation):
         raise PreconditionError("classification needs an irreducible presentation")
-    kernel = a.orbits.kernel
-    kernel_set = set(kernel)
-    for g in range(a.group.order):
-        if g in kernel_set:
-            continue
+    kernel = a.orbits.kernel  # the identity alone, element 0
+    for g in range(1, a.group.order):
         cycle = _cycle_in_fixed_subgraph(a, g)
         if cycle is not None:
             return QuotientClassification(

@@ -272,20 +272,6 @@ def _validate_split(a: PermutationAction, d: SplitData):
             raise InputError(
                 f"blocks at state {i + 1} do not partition its {d.direction}-edges"
             )
-    # G-compatibility: each element carries the partition at i blockwise
-    # onto the partition at gi.  Compatible elements are closed under
-    # composition, so the generators decide it.
-    for g in a.group.generators:
-        for i, blocks in enumerate(d.partitions):
-            gi = a.group.apply(g, i)
-            target_blocks = {frozenset(b) for b in d.partitions[gi]}
-            for block in blocks:
-                image = frozenset(a.apply_edge(g, e) for e in block)
-                if image not in target_blocks:
-                    raise PreconditionError(
-                        f"partition is not action-compatible: element {g} does not carry "
-                        f"a block at state {i + 1} onto a block at state {gi + 1}"
-                    )
 
 
 def _out_split_core(matrix: IntMatrix, group: PermGroup, partitions):
@@ -296,6 +282,10 @@ def _out_split_core(matrix: IntMatrix, group: PermGroup, partitions):
     order (i, p) of the split matrix.  Returns the verified certificate
     (division matrix, edge-count matrix) and the group transported to the
     split states by g.(i, p) = (gi, position of the image block).
+
+    The transport is the compatibility check: an image that is no block
+    raises PreconditionError.  Compatible elements are closed under
+    composition, so the first element that fails is a generator.
     """
     blocks = tuple(tuple(sorted(bs, key=min)) for bs in partitions)
     new_states = [(i, p) for i, bs in enumerate(blocks) for p in range(len(bs))]
@@ -322,11 +312,19 @@ def _out_split_core(matrix: IntMatrix, group: PermGroup, partitions):
     cert = ElementarySse(a=matrix, b=split_matrix, r=r, s=s)
     assert verify_elementary_sse(cert), "split certificate must verify"
     state_of = {frozenset(blocks[i][p]): k for (i, p), k in index.items()}
-    elements = tuple(
-        tuple(state_of[frozenset((perm[a], perm[b], c) for a, b, c in blocks[i][p])] for i, p in new_states)
-        for perm in group.elements
-    )
-    return cert, PermGroup(m, elements)
+    elements = []
+    for g, perm in enumerate(group.elements):
+        image = []
+        for i, p in new_states:
+            k = state_of.get(frozenset((perm[a], perm[b], c) for a, b, c in blocks[i][p]))
+            if k is None:
+                raise PreconditionError(
+                    f"partition is not action-compatible: element {g} does not carry "
+                    f"a block at state {i + 1} onto a block at state {perm[i] + 1}"
+                )
+            image.append(k)
+        elements.append(tuple(image))
+    return cert, PermGroup(m, tuple(elements))
 
 
 def out_split(a: PermutationAction, d: SplitData):

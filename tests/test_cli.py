@@ -35,6 +35,22 @@ def job_text(doc):
     return json.dumps(doc)
 
 
+TWO_SHIFT_LINK = {"a": [[2]], "b": [[1, 1], [1, 1]], "r": [[1, 1]], "s": [[1], [1]]}
+
+SPLIT_INPUT = {
+    "matrix": [[1, 1], [1, 0]],
+    "group": {"generators": []},
+    "direction": "out",
+    "partition": [[[1], [2]], [[1]]],
+}
+
+TRANSPORT_INPUT = {
+    "certificate": {"a": [[1, 1], [1, 1]], "b": [[1, 1], [1, 1]], "r": [[1, 0], [0, 1]], "s": [[1, 1], [1, 1]]},
+    "phi": {"generators": ["(1 2)"]},
+    "psi": {"generators": ["(1 2)"]},
+}
+
+
 class TestParseJob:
     def test_minimal_reduce_job(self):
         job = parse_job(job_text(SIX_STATE_JOB))
@@ -78,8 +94,130 @@ class TestParseJob:
             "command": "reduce",
             "input": {"matrix": [[1, 1], [1, 1]], "group": {"generators": ["(1 3)"]}},
         }
-        with pytest.raises(InputError, match="out of range"):
-            run_job(parse_job(job_text(doc)))
+        with pytest.raises(InputError, match=r"^\$\.input\.group\.generators\[0\]: .*out of range"):
+            parse_job(job_text(doc))
+
+    @pytest.mark.parametrize(
+        "doc, pattern",
+        [
+            (
+                {"command": "split", "input": dict(SPLIT_INPUT, direction="sideways")},
+                r"^\$\.input\.direction: expected 'out' or 'in'$",
+            ),
+            (
+                {"command": "split", "input": dict(SPLIT_INPUT, partition={"1": [[1]]})},
+                r"^\$\.input\.partition: expected an array",
+            ),
+            (
+                {"command": "split", "input": dict(SPLIT_INPUT, partition=[[[1], []], [[1]]])},
+                r"^\$\.input\.partition\[0\]\[1\]: expected a nonempty array of states$",
+            ),
+            (
+                {"command": "split", "input": dict(SPLIT_INPUT, partition=[[[1], [0]], [[1]]])},
+                r"^\$\.input\.partition\[0\]\[1\]\[0\]: expected an integer >= 1$",
+            ),
+            (
+                {"command": "transport", "input": dict(TRANSPORT_INPUT, phi=["(1 2)"])},
+                r"^\$\.input\.phi: expected an object$",
+            ),
+            (
+                {"command": "transport", "input": dict(TRANSPORT_INPUT, psi={"generators": ["(1 9)"]})},
+                r"^\$\.input\.psi\.generators\[0\]: cycle entry 9 out of range",
+            ),
+            (
+                {"command": "verify-sse", "input": {"chain": [TWO_SHIFT_LINK, TWO_SHIFT_LINK]}},
+                r"^\$\.input\.chain: consecutive chain endpoints do not agree$",
+            ),
+        ],
+        ids=[
+            "bad-direction", "partition-not-array", "empty-block", "state-below-one",
+            "non-object-phi", "bad-psi-cycle", "chain-endpoints",
+        ],
+    )
+    def test_runner_era_errors_raise_from_parse_job(self, doc, pattern):
+        with pytest.raises(InputError, match=pattern):
+            parse_job(job_text(doc))
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"command": "reduce", "input": dict(SIX_STATE_JOB["input"], maxtrix=[[1]])}, "$.input.maxtrix"),
+            (
+                {"command": "burnside", "input": {"matrix": [[1]], "group": {"generators": [], "limt": 5}}},
+                "$.input.group.limt",
+            ),
+            ({"command": "split", "input": dict(SPLIT_INPUT, blocks=[])}, "$.input.blocks"),
+            (
+                {"command": "repshift", "input": {"hnn": {"preset": "trefoil", "b_gens": 2}, "group": "Z2"}},
+                "$.input.hnn.b_gens",
+            ),
+            (
+                {
+                    "command": "tqft",
+                    "input": {
+                        "hnn": {"b_gens": 1, "u_gens": [], "v_gens": [], "phi_images": [], "relators": []},
+                        "group": "Z2",
+                    },
+                },
+                "$.input.hnn.relators",
+            ),
+            (
+                {"command": "repshift", "input": {"hnn": {"preset": "trefoil"}, "group": {"name": "Z2", "table": [[0]]}}},
+                "$.input.group.table",
+            ),
+            (
+                {"command": "repshift", "input": {"hnn": {"preset": "trefoil"}, "group": {"table": [[0]], "order": 1}}},
+                "$.input.group.order",
+            ),
+            ({"command": "transport", "input": dict(TRANSPORT_INPUT, cert={})}, "$.input.cert"),
+            (
+                {
+                    "command": "transport",
+                    "input": dict(TRANSPORT_INPUT, certificate=dict(TRANSPORT_INPUT["certificate"], t=[[1]])),
+                },
+                "$.input.certificate.t",
+            ),
+            ({"command": "verify-sse", "input": dict(TWO_SHIFT_LINK, chain=[TWO_SHIFT_LINK])}, "$.input.a"),
+            ({"command": "verify-sse", "input": dict(TWO_SHIFT_LINK, note="x")}, "$.input.note"),
+            (
+                {"command": "verify-sse", "input": {"chain": [dict(TWO_SHIFT_LINK, R=[[1, 1]])]}},
+                "$.input.chain[0].R",
+            ),
+        ],
+        ids=[
+            "input", "perm-group", "split-input", "hnn-preset", "hnn-words", "group-name",
+            "group-table", "transport-input", "certificate", "chain-beside-link", "inline-link",
+            "chain-link",
+        ],
+    )
+    def test_unknown_field_names_its_path(self, doc, path):
+        with pytest.raises(InputError) as info:
+            parse_job(job_text(doc))
+        assert str(info.value) == f"{path}: unknown field"
+
+    @pytest.mark.parametrize(
+        "names, pattern",
+        [
+            (5, r"^\$\.input\.group\.names: expected an array of element names$"),
+            ("ab", r"^\$\.input\.group\.names: expected an array of element names$"),
+            (["a", 2], r"^\$\.input\.group\.names\[1\]: expected a string$"),
+        ],
+        ids=["number", "string", "non-string-entry"],
+    )
+    def test_group_names_must_be_an_array_of_strings(self, names, pattern):
+        doc = {
+            "command": "repshift",
+            "input": {"hnn": {"preset": "trefoil"}, "group": {"table": [[0, 1], [1, 0]], "names": names}},
+        }
+        with pytest.raises(InputError, match=pattern):
+            parse_job(job_text(doc))
+
+    def test_named_table_elements_accepted(self):
+        doc = {
+            "command": "repshift",
+            "input": {"hnn": {"preset": "trefoil"}, "group": {"table": [[0, 1], [1, 0]], "names": ["e", "g"]}},
+        }
+        assert parse_job(job_text(doc)).parsed[1].names == ("e", "g")
 
     def test_format_field_checked(self):
         doc = dict(SIX_STATE_JOB, format="sftact-job/999")
@@ -112,6 +250,11 @@ class TestCycles:
 Z48_REPSHIFT_JOB = {
     "command": "repshift",
     "input": {"hnn": {"preset": "trefoil"}, "group": {"table": z48_with_swapped_products()}},
+}
+
+NUMBER_NAMES_JOB = {
+    "command": "repshift",
+    "input": {"hnn": {"preset": "trefoil"}, "group": {"table": [[0]], "names": 5}},
 }
 
 NON_INVARIANT_JOB = {
@@ -379,8 +522,8 @@ class TestOptimizedInterpreter:
 
     @pytest.mark.parametrize(
         "doc, code",
-        [(NON_INVARIANT_JOB, 2), (Z48_REPSHIFT_JOB, 1)],
-        ids=["non-invariant-action", "non-associative-table"],
+        [(NON_INVARIANT_JOB, 2), (Z48_REPSHIFT_JOB, 1), (NUMBER_NAMES_JOB, 1)],
+        ids=["non-invariant-action", "non-associative-table", "non-array-names"],
     )
     def test_one_line_error_without_traceback(self, tmp_path, doc, code):
         path = tmp_path / "job.json"

@@ -1,11 +1,12 @@
 """Byte-for-byte comparison with the benchmark's expected reports.
 
 Each expected report echoes its job document under ``input``; the job is
-rebuilt from that echo and run in-process through parse_job, run_job and
-emit_report.  The set covers every command of the small CLI corpus,
-both mirror paths (left reduction, in-splitting) at S6 scale, the
-README quotient-counts example and the bundle and representation-shift
-counts over the trefoil and figure-eight presets.
+rebuilt from that echo, survives a round trip through emit_job, and is
+run in-process through parse_job, run_job and emit_report.  The set
+covers every command of the small CLI corpus, both mirror paths (left
+reduction, in-splitting) at S6 scale, the README quotient-counts example
+and the bundle and representation-shift counts over the trefoil and
+figure-eight presets.
 """
 
 import json
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from sftact.cli import COMMANDS, emit_report, parse_job, run_job
+from sftact import cli
+from sftact.cli import COMMANDS, emit_job, emit_report, parse_job, run_job
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
 GOLDENS = sorted((EXPECTED / "cli-small").glob("*.json")) + [
@@ -35,4 +37,20 @@ def test_goldens_cover_every_command():
 def test_report_matches_golden(path):
     golden = path.read_bytes()
     job = parse_job(json.dumps(json.loads(golden)["input"]))
+    assert parse_job(emit_job(job)) == job
+    assert emit_report(run_job(job)).encode() == golden
+
+
+@pytest.mark.parametrize("path", sorted((EXPECTED / "cli-small").glob("*.json")), ids=lambda p: p.stem)
+def test_runners_parse_nothing(path, monkeypatch):
+    """run_job works from the parsed input alone: no parser runs again."""
+    golden = path.read_bytes()
+    job = parse_job(json.dumps(json.loads(golden)["input"]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a runner parsed its input again")
+
+    for name in dir(cli):
+        if name.startswith(("parse", "_parse", "_act", "_field", "_get_", "job_from", "_load")):
+            monkeypatch.setattr(cli, name, refuse)
     assert emit_report(run_job(job)).encode() == golden
