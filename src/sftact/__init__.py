@@ -20,7 +20,6 @@ from .matrices import (
     AbelianGroupInvariants,
     IntMatrix,
     IntPolynomial,
-    RectMatrix,
     bowen_franks,
     char_poly_reciprocal,
     mat_mul,

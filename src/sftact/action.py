@@ -158,17 +158,18 @@ class PermutationAction:
             raise InputError(
                 f"group degree {g.degree} does not match state count {p.num_states}"
             )
-        rows = p.matrix.entries
-        n = p.num_states
+        rows, sparse = p.matrix.entries, p.matrix.sparse
         for k in g.generators:
             perm = g.elements[k]
-            for i in range(n):
-                for j in range(n):
-                    if rows[perm[i]][perm[j]] != rows[i][j]:
-                        raise PreconditionError(
-                            f"invariance violated: element {k} sends entry ({i + 1},{j + 1})="
-                            f"{rows[i][j]} to ({perm[i] + 1},{perm[j] + 1})={rows[perm[i]][perm[j]]}"
-                        )
+            for i, row in enumerate(sparse):
+                # row i is kept when its nonzero entries move onto those of row perm[i]
+                if sorted((perm[j], x) for j, x in row) == list(sparse[perm[i]]):
+                    continue
+                j = next(j for j, x in enumerate(rows[i]) if rows[perm[i]][perm[j]] != x)
+                raise PreconditionError(
+                    f"invariance violated: element {k} sends entry ({i + 1},{j + 1})="
+                    f"{rows[i][j]} to ({perm[i] + 1},{perm[j] + 1})={rows[perm[i]][perm[j]]}"
+                )
 
     @property
     def matrix(self) -> IntMatrix:
@@ -249,13 +250,16 @@ def orbit_structure(a: PermutationAction) -> OrbitStructure:
 def fixed_submatrix(a: PermutationAction, g: int) -> IntMatrix:
     """Principal submatrix on the states fixed by element g.
 
-    When g fixes no state the 1x1 zero matrix stands in for the empty
-    subshift.
+    When g fixes every state (the identity) this is the action's matrix
+    itself; when g fixes no state the 1x1 zero matrix stands in for the
+    empty subshift.
     """
     if not 0 <= g < a.group.order:
         raise InputError(f"element index {g} out of range")
     perm = a.group.elements[g]
     fixed = [i for i in range(a.group.degree) if perm[i] == i]
+    if len(fixed) == a.group.degree:
+        return a.matrix
     if not fixed:
         return IntMatrix(((0,),))
     rows = a.matrix.entries

@@ -30,7 +30,6 @@ from . import __version__
 from .errors import InputError, LimitExceededError, PreconditionError
 from .matrices import (
     IntMatrix,
-    RectMatrix,
     bowen_franks,
     char_poly_reciprocal,
     trace_sequence,
@@ -149,9 +148,9 @@ def _get_int(value, path, minimum=None):
     return value
 
 
-def parse_matrix(doc, path, kind=IntMatrix):
-    """A nonempty array of rows of nonnegative integers, as ``kind``
-    (IntMatrix, or RectMatrix for certificate factors)."""
+def parse_matrix(doc, path) -> IntMatrix:
+    """A nonempty array of equally long rows of nonnegative integers, of
+    any shape (certificate factors)."""
     _expect(isinstance(doc, list) and doc, path, "expected a nonempty array of rows")
     for i, row in enumerate(doc):
         _expect(isinstance(row, list), f"{path}[{i}]", "expected an array")
@@ -159,7 +158,15 @@ def parse_matrix(doc, path, kind=IntMatrix):
             _get_int(x, f"{path}[{i}][{j}]")
             _expect(x >= 0, f"{path}[{i}][{j}]", f"matrix entries must be nonnegative, got {x}")
     with _at(path):
-        return kind(tuple(tuple(row) for row in doc))
+        return IntMatrix(tuple(tuple(row) for row in doc))
+
+
+def parse_states(doc, path) -> IntMatrix:
+    """A square matrix: the presentation datum of a shift of finite type."""
+    matrix = parse_matrix(doc, path)
+    with _at(path):
+        matrix.dim  # raises the square error on a rectangular matrix
+    return matrix
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -229,11 +236,9 @@ def parse_abstract_group(doc, path) -> FiniteGroupTable:
         _expect(match is not None, path, f"unknown group name {doc!r}")
         kind, n = match.group(1), int(match.group(2))
         _expect(n >= 1, path, "group parameter must be positive")
-        if kind == "Z":
-            return cyclic_group(n)
-        if kind == "S":
-            return symmetric_group(n)
-        return dihedral_group(n)
+        build = {"Z": cyclic_group, "S": symmetric_group, "D": dihedral_group}[kind]
+        with _at(path):
+            return build(n)
     if "name" in _get_dict(doc, path):
         return parse_abstract_group(_fields(doc, path, ("name",))["name"], f"{path}.name")
     _fields(doc, path, ("table", "names"))
@@ -293,8 +298,8 @@ def parse_certificate(doc, path) -> ElementarySse:
     doc = _fields(doc, path, ("a", "b", "r", "s"))
     for key in ("a", "b", "r", "s"):
         _field(doc, path, key)
-    a, b = (parse_matrix(doc[key], f"{path}.{key}") for key in ("a", "b"))
-    r, s = (parse_matrix(doc[key], f"{path}.{key}", RectMatrix) for key in ("r", "s"))
+    a, b = (parse_states(doc[key], f"{path}.{key}") for key in ("a", "b"))
+    r, s = (parse_matrix(doc[key], f"{path}.{key}") for key in ("r", "s"))
     with _at(path):
         return ElementarySse(a=a, b=b, r=r, s=s)
 
@@ -311,14 +316,14 @@ def _act(matrix, group_doc, path) -> PermutationAction:
 
 def _parse_action(doc, path, known=("matrix", "group")) -> PermutationAction:
     doc = _fields(doc, path, known)
-    matrix = parse_matrix(_field(doc, path, "matrix"), f"{path}.matrix")
+    matrix = parse_states(_field(doc, path, "matrix"), f"{path}.matrix")
     return _act(matrix, _field(doc, path, "group"), f"{path}.group")
 
 
 def _parse_invariants(doc, path):
     """(matrix, action or None): the group is optional."""
     doc = _fields(doc, path, ("matrix", "group"))
-    matrix = parse_matrix(_field(doc, path, "matrix"), f"{path}.matrix")
+    matrix = parse_states(_field(doc, path, "matrix"), f"{path}.matrix")
     return matrix, _act(matrix, doc["group"], f"{path}.group") if "group" in doc else None
 
 
@@ -520,7 +525,8 @@ def _run_transport(parsed, parameters):
 def _run_split(parsed, parameters):
     action, data = parsed
     split_fn = out_split if data.direction == "out" else in_split
-    new_action, cert = split_fn(action, data)
+    with _at("$.input.partition"):
+        new_action, cert = split_fn(action, data)
     return {
         "direction": data.direction,
         "matrix": _matrix_doc(new_action.matrix),
@@ -531,8 +537,14 @@ def _run_split(parsed, parameters):
     }
 
 
+def _build_repshift(parsed, parameters):
+    """The representation shift of (HnnData, group); its input errors name the HNN data."""
+    with _at("$.input.hnn"):
+        return build_repshift(*parsed, parameters.get("limit", _HOM_LIMIT))
+
+
 def _run_repshift(parsed, parameters):
-    shift = build_repshift(*parsed, parameters.get("limit", _HOM_LIMIT))
+    shift = _build_repshift(parsed, parameters)
     m = parameters.get("max_n", 6)
     return {
         "states": list(shift.presentation.matrix.labels),
@@ -543,7 +555,7 @@ def _run_repshift(parsed, parameters):
 
 
 def _run_tqft(parsed, parameters):
-    out = tqft_matrix(build_repshift(*parsed, parameters.get("limit", _HOM_LIMIT)))
+    out = tqft_matrix(_build_repshift(parsed, parameters))
     return {
         "basis": list(out.basis),
         "matrix": _matrix_doc(out.reduced.matrix),
@@ -551,8 +563,7 @@ def _run_tqft(parsed, parameters):
 
 
 def _run_bundle_counts(parsed, parameters):
-    shift = build_repshift(*parsed, parameters.get("limit", _HOM_LIMIT))
-    report = flat_bundle_counts(shift, parameters.get("max_n", 6))
+    report = flat_bundle_counts(_build_repshift(parsed, parameters), parameters.get("max_n", 6))
     return {
         "counts": list(report.counts),
         "recurrence": _poly_doc(report.recurrence),

@@ -4,13 +4,14 @@ Everything here runs on Python's unbounded integers, with exact rationals
 used internally for polynomial gcd computations.  No floating point is
 used anywhere in the package.
 
-The central objects are square nonnegative integer matrices (``IntMatrix``,
-the presentation datum of a shift of finite type), general rectangular
-matrices (``RectMatrix``, used for products, selectors and equivalence
-certificates), integer polynomials with the constant term first
-(``IntPolynomial``, used for reciprocal characteristic polynomials and
-linear recurrences), and the invariant factors of an integer matrix
-cokernel (``AbelianGroupInvariants``, used for Bowen-Franks groups).
+The central objects are nonnegative integer matrices of any shape
+(``IntMatrix``: square ones present shifts of finite type, rectangular
+ones are selectors and equivalence certificates), integer polynomials
+with the constant term first (``IntPolynomial``, used for reciprocal
+characteristic polynomials and linear recurrences), and the invariant
+factors of an integer matrix cokernel (``AbelianGroupInvariants``, used
+for Bowen-Franks groups).  A matrix is validated once, when it is built,
+and derives its sparse rows once, when they are first read.
 
 Every periodic-point count goes through one engine: ``trace_sequence``
 and ``char_poly_reciprocal`` split the matrix into its strongly connected
@@ -25,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain, compress
 from math import gcd, lcm
 
 from .errors import InputError
@@ -36,31 +39,36 @@ def _check_int(x, what: str) -> int:
     return x
 
 
-def _freeze_rows(entries, what: str):
-    rows = tuple(tuple(_check_int(x, what) for x in row) for row in entries)
+def _check_rows(entries) -> tuple:
+    """``entries`` as a tuple of equally long, nonempty tuples of exact
+    integers, checked in whole-matrix passes rather than entry by entry."""
+    rows = tuple(map(tuple, entries))
+    if set(map(type, chain.from_iterable(rows))) - {int}:
+        # some entry is not a plain int: find it, accepting int subclasses but bool
+        for x in chain.from_iterable(rows):
+            _check_int(x, "matrix entry")
     if not rows or not rows[0]:
-        raise InputError(f"{what} needs at least one row and one column")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise InputError(f"{what} has ragged rows")
+        raise InputError("matrix entry needs at least one row and one column")
+    if len(set(map(len, rows))) > 1:
+        raise InputError("matrix entry has ragged rows")
     return rows
 
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Square matrix of nonnegative integers.
+    """Matrix of nonnegative integers, of any shape.
 
-    Optional ``labels`` name the states; they must be pairwise distinct.
+    A square matrix presents a shift of finite type and ``dim`` counts its
+    states; selectors and certificate factors are rectangular.  Optional
+    ``labels`` name the rows; they must be pairwise distinct.
     """
 
     entries: tuple
     labels: tuple | None = None
 
     def __post_init__(self):
-        rows = _freeze_rows(self.entries, "matrix entry")
-        if len(rows) != len(rows[0]):
-            raise InputError(f"matrix must be square, got {len(rows)}x{len(rows[0])}")
-        if any(x < 0 for row in rows for x in row):
+        rows = _check_rows(self.entries)
+        if min(chain.from_iterable(rows)) < 0:
             raise InputError("matrix entries must be nonnegative")
         object.__setattr__(self, "entries", rows)
         if self.labels is not None:
@@ -72,50 +80,6 @@ class IntMatrix:
             object.__setattr__(self, "labels", labels)
 
     @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def label(self, i: int) -> str:
-        if self.labels is not None:
-            return self.labels[i]
-        return str(i + 1)
-
-    def transpose(self) -> "IntMatrix":
-        n = self.dim
-        return IntMatrix(
-            tuple(tuple(self.entries[j][i] for j in range(n)) for i in range(n)),
-            labels=self.labels,
-        )
-
-    def is_zero_one(self) -> bool:
-        return all(x <= 1 for row in self.entries for x in row)
-
-    def to_rect(self, signed: bool = False) -> "RectMatrix":
-        return RectMatrix(self.entries, signed=signed)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-
-@dataclass(frozen=True)
-class RectMatrix:
-    """Rectangular integer matrix.
-
-    Entries are nonnegative unless ``signed`` is set; the signed form only
-    appears in the Smith normal form context (matrices like I - A).
-    """
-
-    entries: tuple
-    signed: bool = False
-
-    def __post_init__(self):
-        rows = _freeze_rows(self.entries, "matrix entry")
-        if not self.signed and any(x < 0 for row in rows for x in row):
-            raise InputError("unsigned matrix entries must be nonnegative")
-        object.__setattr__(self, "entries", rows)
-
-    @property
     def rows(self) -> int:
         return len(self.entries)
 
@@ -123,11 +87,35 @@ class RectMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def transpose(self) -> "RectMatrix":
-        return RectMatrix(
-            tuple(tuple(self.entries[j][i] for j in range(self.rows)) for i in range(self.cols)),
-            signed=self.signed,
+    @property
+    def dim(self) -> int:
+        """The number of states; the matrix must be square."""
+        if self.rows != self.cols:
+            raise InputError(f"matrix must be square, got {self.rows}x{self.cols}")
+        return self.rows
+
+    @cached_property
+    def sparse(self) -> tuple:
+        """Row i as the tuple of its (column, entry) pairs with a nonzero entry."""
+        columns = range(self.cols)
+        return tuple(
+            tuple((j, row[j]) for j in compress(columns, row)) for row in self.entries
         )
+
+    def label(self, i: int) -> str:
+        if self.labels is not None:
+            return self.labels[i]
+        return str(i + 1)
+
+    def transpose(self) -> "IntMatrix":
+        return IntMatrix(tuple(zip(*self.entries)), labels=self.labels)
+
+    def is_zero_one(self) -> bool:
+        return all(x == 1 for row in self.sparse for _, x in row)
+
+    @classmethod
+    def identity(cls, n: int) -> "IntMatrix":
+        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -192,11 +180,6 @@ class AbelianGroupInvariants:
 def _mul_rows(a, b):
     bt = list(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
-def _sparse_rows(rows):
-    """Row i as the list of (j, entry) pairs with a nonzero entry."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in rows]
 
 
 def _times_sparse(p, sparse):
@@ -275,7 +258,8 @@ def _cyclic_parts(a: IntMatrix):
     of the principal submatrix on ``states``.  det(I - t a) is the product
     of the factors of these parts, and trace(a^n) the sum of their traces.
     """
-    sparse = _sparse_rows(a.entries)
+    a.dim  # raises the square error on a rectangular matrix
+    sparse = a.sparse
     for states, is_cycle in _components(sparse):
         if is_cycle:
             yield states, None
@@ -289,11 +273,11 @@ def _cyclic_parts(a: IntMatrix):
 # ---------------------------------------------------------------------------
 # operations
 
-def mat_mul(a: RectMatrix, b: RectMatrix) -> RectMatrix:
-    """Exact product of two rectangular integer matrices."""
+def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Exact product of two integer matrices of compatible shapes."""
     if a.cols != b.rows:
         raise InputError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    return RectMatrix(_mul_rows(a.entries, b.entries), signed=a.signed or b.signed)
+    return IntMatrix(_mul_rows(a.entries, b.entries))
 
 
 def trace_sequence(a: IntMatrix, m: int) -> list:
@@ -465,16 +449,17 @@ def poly_divides(p: IntPolynomial, q: IntPolynomial) -> bool:
     return not rem
 
 
-def smith_normal_form(m: RectMatrix) -> AbelianGroupInvariants:
-    """Invariant factors and free rank of the cokernel of a square matrix.
+def smith_normal_form(rows) -> AbelianGroupInvariants:
+    """Invariant factors and free rank of the cokernel of a square matrix
+    given by its rows of integers, of any sign.
 
     Standard integer row/column reduction with exact arithmetic, pivoting
     on the entry of minimal absolute value to bound coefficient growth.
     """
-    if m.rows != m.cols:
-        raise InputError(f"Smith form corner reduction needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    a = [list(row) for row in m.entries]
+    a = [list(row) for row in _check_rows(rows)]
+    n = len(a)
+    if len(a[0]) != n:
+        raise InputError(f"Smith form corner reduction needs a square matrix, got {n}x{len(a[0])}")
 
     def find_pivot(t):
         best = None
@@ -546,7 +531,6 @@ def smith_normal_form(m: RectMatrix) -> AbelianGroupInvariants:
 def bowen_franks(a: IntMatrix) -> AbelianGroupInvariants:
     """Bowen-Franks group of a shift of finite type: cokernel of I - A."""
     n = a.dim
-    diff = tuple(
-        tuple((1 if i == j else 0) - a.entries[i][j] for j in range(n)) for i in range(n)
+    return smith_normal_form(
+        [[int(i == j) - a.entries[i][j] for j in range(n)] for i in range(n)]
     )
-    return smith_normal_form(RectMatrix(diff, signed=True))

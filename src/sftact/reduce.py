@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .matrices import IntMatrix, RectMatrix
+from .matrices import IntMatrix
 from .action import OrbitStructure, PermutationAction
 from .sft import SftPresentation
 
@@ -33,8 +33,8 @@ class ReducedShift:
 
     side: str
     matrix: IntMatrix
-    u_selector: RectMatrix
-    v_selector: RectMatrix
+    u_selector: IntMatrix
+    v_selector: IntMatrix
 
     def __post_init__(self):
         if self.side not in ("left", "right"):
@@ -46,16 +46,9 @@ class ReducedShift:
 
 
 def _selectors(os_: OrbitStructure, n: int):
-    m = os_.num_orbits
-    u = RectMatrix(
-        tuple(
-            tuple(1 if j == os_.representatives[o] else 0 for j in range(n))
-            for o in range(m)
-        )
-    )
-    v = RectMatrix(
-        tuple(tuple(1 if os_.orbit_of[i] == o else 0 for o in range(m)) for i in range(n))
-    )
+    """U picks the representative of each orbit, V marks the orbit of each state."""
+    u = IntMatrix(tuple(tuple(int(j == rep) for j in range(n)) for rep in os_.representatives))
+    v = IntMatrix(tuple(tuple(int(o == k) for k in range(os_.num_orbits)) for o in os_.orbit_of))
     return u, v
 
 
@@ -67,21 +60,21 @@ def _reduce_rows(matrix: IntMatrix, os_: OrbitStructure):
     the representative is re-verified from every orbit member; a failure
     would mean the action was never valid.
     """
-    rows = matrix.entries
-    entries = []
-    for orbit_i in os_.orbits:
-        rep = orbit_i[0]
-        row = tuple(sum(rows[rep][k] for k in orbit_j) for orbit_j in os_.orbits)
-        for other in orbit_i[1:]:
-            check = tuple(sum(rows[other][k] for k in orbit_j) for orbit_j in os_.orbits)
-            if check != row:
+    # sums[i][o]: the edges from state i into orbit o
+    sums = []
+    for row in matrix.sparse:
+        acc = [0] * os_.num_orbits
+        for j, x in row:
+            acc[os_.orbit_of[j]] += x
+        sums.append(tuple(acc))
+    for rep, *others in os_.orbits:
+        for other in others:
+            if sums[other] != sums[rep]:
                 raise PreconditionError(
                     f"reduction not representative-independent at states {rep + 1}, {other + 1}"
                 )
-        entries.append(row)
-    reduced = IntMatrix(
-        tuple(entries), labels=tuple(f"G{rep + 1}" for rep in os_.representatives)
-    )
+    reps = os_.representatives
+    reduced = IntMatrix(tuple(sums[i] for i in reps), labels=tuple(f"G{i + 1}" for i in reps))
     return (reduced, *_selectors(os_, matrix.dim))
 
 

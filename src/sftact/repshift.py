@@ -110,56 +110,49 @@ def trivial_group() -> FiniteGroupTable:
     return FiniteGroupTable(names=("e",), table=((0,),))
 
 
+# named groups are bounded by the order of S6, the largest symmetric group
+_MAX_NAMED_ORDER = 720
+
+
 def cyclic_group(n: int) -> FiniteGroupTable:
-    if n < 1:
-        raise InputError("cyclic group order must be positive")
+    if not 1 <= n <= _MAX_NAMED_ORDER:
+        raise InputError(f"cyclic groups are supported for 1 <= n <= {_MAX_NAMED_ORDER}")
     return FiniteGroupTable(
         names=tuple(str(k) for k in range(n)),
         table=tuple(tuple((i + j) % n for j in range(n)) for i in range(n)),
     )
 
 
-def _table_from_permutations(perms, names) -> FiniteGroupTable:
-    index = {p: k for k, p in enumerate(perms)}
-    table = tuple(tuple(index[compose(p, q)] for q in perms) for p in perms)
-    return FiniteGroupTable(names=names, table=table)
-
-
 def symmetric_group(n: int) -> FiniteGroupTable:
     if not 1 <= n <= 6:
         raise InputError("symmetric groups are supported for 1 <= n <= 6")
     perms = list(permutations(range(n)))
-    names = tuple("".join(str(i + 1) for i in p) for p in perms)
-    return _table_from_permutations(perms, names)
+    index = {p: k for k, p in enumerate(perms)}
+    return FiniteGroupTable(
+        names=tuple("".join(str(i + 1) for i in p) for p in perms),
+        table=tuple(tuple(index[compose(p, q)] for q in perms) for p in perms),
+    )
 
 
 def dihedral_group(n: int) -> FiniteGroupTable:
-    """Symmetries of a regular n-gon, order 2n."""
-    if n < 1:
-        raise InputError("dihedral group parameter must be positive")
-    if n == 1:
-        return FiniteGroupTable(names=("r0", "s0"), table=((0, 1), (1, 0)))
-    if n == 2:
-        # Klein four group: multiplication is xor on (rotation, reflection) bits
-        names = ("r0", "r1", "s0", "s1")
-        return FiniteGroupTable(
-            names=names, table=tuple(tuple(i ^ j for j in range(4)) for i in range(4))
-        )
-    rotation = tuple((i + 1) % n for i in range(n))
-    reflection = tuple((n - i) % n for i in range(n))
-    perms = []
-    names = []
-    r = tuple(range(n))
-    for k in range(n):
-        perms.append(r)
-        names.append(f"r{k}")
-        r = tuple(rotation[i] for i in r)
-    for k in range(n):
-        s = perms[k]
-        perms.append(tuple(reflection[s[i]] for i in range(n)))
-        names.append(f"s{k}")
-    assert len(set(perms)) == len(perms)
-    return _table_from_permutations(perms, tuple(names))
+    """Symmetries of a regular n-gon, order 2n.
+
+    Element a is the rotation r^a and element n + a the reflection
+    s_a = s_0 r^a, multiplied in closed form with exponents mod n:
+    r^a r^b = r^(a+b), r^a s_b = s_(b-a), s_a r^b = s_(a+b), s_a s_b = r^(b-a).
+    """
+    if not 1 <= n <= _MAX_NAMED_ORDER // 2:
+        raise InputError(f"dihedral groups are supported for 1 <= n <= {_MAX_NAMED_ORDER // 2}")
+    rotations = [
+        tuple((a + b) % n for b in range(n)) + tuple(n + (b - a) % n for b in range(n))
+        for a in range(n)
+    ]
+    reflections = [
+        tuple(n + (a + b) % n for b in range(n)) + tuple((b - a) % n for b in range(n))
+        for a in range(n)
+    ]
+    names = tuple(f"r{a}" for a in range(n)) + tuple(f"s{a}" for a in range(n))
+    return FiniteGroupTable(names=names, table=tuple(rotations + reflections))
 
 
 def quaternion_group() -> FiniteGroupTable:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CapExceededError, InputError, PreconditionError
-from .matrices import IntMatrix, _components, _sparse_rows
+from .matrices import IntMatrix, _components
 
 Edge = tuple  # (initial state, terminal state, multiplicity index)
 
@@ -34,13 +34,14 @@ class SftPresentation:
         if self.matrix is None:
             return
         n = self.matrix.dim
-        rows = self.matrix.entries
+        sparse = self.matrix.sparse
+        entered = {j for row in sparse for j, _ in row}
         for i in range(n):
-            if not any(rows[i][j] for j in range(n)):
+            if not sparse[i]:
                 raise PreconditionError(
                     f"state {self.matrix.label(i)} has no outgoing edge; trim_essential first"
                 )
-            if not any(rows[j][i] for j in range(n)):
+            if i not in entered:
                 raise PreconditionError(
                     f"state {self.matrix.label(i)} has no incoming edge; trim_essential first"
                 )
@@ -70,10 +71,11 @@ class SftPresentation:
         """All edge triples in lexicographic order."""
         if self.matrix is None:
             return ()
-        rows = self.matrix.entries
-        n = self.matrix.dim
         return tuple(
-            (i, j, c) for i in range(n) for j in range(n) for c in range(rows[i][j])
+            (i, j, c)
+            for i, row in enumerate(self.matrix.sparse)
+            for j, x in row
+            for c in range(x)
         )
 
     @cached_property
@@ -176,9 +178,8 @@ def trim_essential(matrix: IntMatrix):
     maps the surviving state indices back to the original ones, in
     ascending order; the empty presentation is a legal result.
     """
-    rows = matrix.entries
     n = matrix.dim
-    succ = [[j for j in range(n) if rows[i][j]] for i in range(n)]
+    succ = [[j for j, _ in row] for row in matrix.sparse]
     pred = [[] for _ in range(n)]
     for i, targets in enumerate(succ):
         for j in targets:
@@ -208,6 +209,7 @@ def trim_essential(matrix: IntMatrix):
     labels = None
     if matrix.labels is not None:
         labels = tuple(matrix.labels[i] for i in kept)
+    rows = matrix.entries
     sub = IntMatrix(tuple(tuple(rows[i][j] for j in kept) for i in kept), labels=labels)
     return SftPresentation(sub), tuple(kept)
 
@@ -217,7 +219,7 @@ def is_irreducible(p: SftPresentation) -> bool:
     strongly connected component covers every state."""
     if p.is_empty:
         raise PreconditionError("irreducibility is undefined for the empty presentation")
-    return len(_components(_sparse_rows(p.matrix.entries))) == 1
+    return len(_components(p.matrix.sparse)) == 1
 
 
 def higher_block(p: SftPresentation, n: int):
@@ -234,12 +236,11 @@ def higher_block(p: SftPresentation, n: int):
         return p, {}
     if not p.is_zero_one():
         raise PreconditionError("higher-block recoding needs a zero-one matrix")
-    rows = p.matrix.entries
-    dim = p.num_states
+    sparse = p.matrix.sparse
     # extending every word by one state keeps the list in lexicographic order
-    blocks = [(s,) for s in range(dim)]
+    blocks = [(s,) for s in range(p.num_states)]
     for _ in range(n - 1):
-        blocks = [b + (j,) for b in blocks for j in range(dim) if rows[b[-1]][j]]
+        blocks = [b + (j,) for b in blocks for j, _ in sparse[b[-1]]]
     # b is followed by the blocks whose first n - 1 states are its last ones
     by_prefix = {}
     for k, b in enumerate(blocks):
@@ -249,7 +250,7 @@ def higher_block(p: SftPresentation, n: int):
         for k2 in by_prefix.get(b[1:], ()):
             entries[k][k2] = 1
     labels = tuple(".".join(p.label(s) for s in b) for b in blocks)
-    out = SftPresentation(IntMatrix(tuple(tuple(r) for r in entries), labels=labels))
+    out = SftPresentation(IntMatrix(entries, labels=labels))
     return out, dict(enumerate(blocks))
 
 

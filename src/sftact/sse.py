@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError
-from .matrices import IntMatrix, RectMatrix, mat_mul
+from .matrices import IntMatrix, mat_mul
 from .action import PermGroup, PermutationAction
 from .reduce import OneBlockCode, build_eta, right_reduce
 from .sft import SftPresentation
@@ -41,8 +41,8 @@ class ElementarySse:
 
     a: IntMatrix
     b: IntMatrix
-    r: RectMatrix
-    s: RectMatrix
+    r: IntMatrix
+    s: IntMatrix
 
     def __post_init__(self):
         if self.r.rows != self.a.dim or self.r.cols != self.b.dim:
@@ -91,8 +91,7 @@ def verify_chain(chain: SseChain) -> bool:
 
 
 def identity_sse(a: IntMatrix) -> ElementarySse:
-    ident = RectMatrix(IntMatrix.identity(a.dim).entries)
-    return ElementarySse(a=a, b=a, r=a.to_rect(), s=ident)
+    return ElementarySse(a=a, b=a, r=IntMatrix(a.entries), s=IntMatrix.identity(a.dim))
 
 
 @dataclass(frozen=True)
@@ -131,11 +130,8 @@ def induced_conjugacy(e: ElementarySse) -> TwoBlockConjugacy:
     R(i, k) = S(k, j) = 1; the failure of that uniqueness means the
     certificate is not of the canonical zero-one form.
     """
-    for name, m in (("a", e.a), ("b", e.b)):
+    for name, m in (("a", e.a), ("b", e.b), ("r", e.r), ("s", e.s)):
         if not m.is_zero_one():
-            raise PreconditionError(f"matrix {name} is not zero-one")
-    for name, m in (("r", e.r), ("s", e.s)):
-        if any(x > 1 for row in m.entries for x in row):
             raise PreconditionError(f"matrix {name} is not zero-one")
 
     na, nb = e.a.dim, e.b.dim
@@ -149,11 +145,7 @@ def induced_conjugacy(e: ElementarySse) -> TwoBlockConjugacy:
             )
         return ks[0]
 
-    k_of = {}
-    for i in range(na):
-        for j in range(na):
-            if e.a.entries[i][j]:
-                k_of[(i, j)] = resolve(i, j)
+    k_of = {(i, j): resolve(i, j) for i, row in enumerate(e.a.sparse) for j, _ in row}
 
     if not verify_elementary_sse(e):
         raise PreconditionError("certificate products do not hold; nothing to induce")
@@ -163,11 +155,7 @@ def induced_conjugacy(e: ElementarySse) -> TwoBlockConjugacy:
         assert len(js) == 1, "S R = B with zero-one B forces uniqueness"
         return js[0]
 
-    j_of = {}
-    for k in range(nb):
-        for l in range(nb):
-            if e.b.entries[k][l]:
-                j_of[(k, l)] = resolve_back(k, l)
+    j_of = {(k, l): resolve_back(k, l) for k, row in enumerate(e.b.sparse) for l, _ in row}
 
     src = SftPresentation(e.a)
     dst = SftPresentation(e.b)
@@ -299,11 +287,11 @@ def _out_split_core(matrix: IntMatrix, group: PermGroup, partitions):
             if j in member_targets:
                 split_entries[k][k2] = 1
     labels = tuple(f"{matrix.label(i)}.{p + 1}" for i, p in new_states)
-    split_matrix = IntMatrix(tuple(tuple(r) for r in split_entries), labels=labels)
-    r = RectMatrix(
+    split_matrix = IntMatrix(split_entries, labels=labels)
+    r = IntMatrix(
         tuple(tuple(1 if i == j else 0 for (j, q) in new_states) for i in range(n))
     )
-    s = RectMatrix(
+    s = IntMatrix(
         tuple(
             tuple(1 if (i, j, 0) in blocks[i][p] else 0 for j in range(n))
             for (i, p) in new_states
@@ -415,25 +403,24 @@ def factor_square(
     ns, nd = src.presentation.num_states, dst.presentation.num_states
     if len(eta_states) != ns or any(not 0 <= v < nd for v in eta_states):
         raise InputError("state map must send every source state to a target state")
-    src_rows = src.matrix.entries
+    src_rows, src_sparse = src.matrix.entries, src.matrix.sparse
     dst_rows = dst.matrix.entries
 
-    for i in range(ns):
-        for j in range(ns):
-            if src_rows[i][j] and not dst_rows[eta_states[i]][eta_states[j]]:
+    for i, row in enumerate(src_sparse):
+        for j, _ in row:
+            if not dst_rows[eta_states[i]][eta_states[j]]:
                 raise PreconditionError(
                     f"state map is not a graph homomorphism: edge ({i + 1},{j + 1}) has no image"
                 )
-    for i in range(ns):
+    for i, row in enumerate(src_sparse):
         images = {}
-        for j in range(ns):
-            if src_rows[i][j]:
-                prior = images.setdefault(eta_states[j], j)
-                if prior != j:
-                    raise PreconditionError(
-                        f"not right-resolving: 2-blocks ({i + 1},{prior + 1}) and "
-                        f"({i + 1},{j + 1}) collide"
-                    )
+        for j, _ in row:
+            prior = images.setdefault(eta_states[j], j)
+            if prior != j:
+                raise PreconditionError(
+                    f"not right-resolving: 2-blocks ({i + 1},{prior + 1}) and "
+                    f"({i + 1},{j + 1}) collide"
+                )
     if src.group.order != dst.group.order:
         raise PreconditionError("the two actions must be actions of the same group")
     for g in range(src.group.order):

@@ -562,3 +562,30 @@ def networkx_digraph(nx, m: IntMatrix):
     graph.add_nodes_from(range(m.dim))
     graph.add_edges_from((i, j) for i in range(m.dim) for j in range(m.dim) if m.entries[i][j])
     return graph
+
+
+def permutation_dihedral_table(n: int):
+    """(names, table) of the dihedral group of order 2n, built by composing
+    the rotation and reflection of the n-gon as permutations of its
+    vertices; n = 1 and n = 2 are written out, since those permutations
+    do not act faithfully."""
+    if n == 1:
+        return ("r0", "s0"), ((0, 1), (1, 0))
+    if n == 2:
+        # Klein four group: multiplication is xor on (rotation, reflection) bits
+        return ("r0", "r1", "s0", "s1"), tuple(tuple(i ^ j for j in range(4)) for i in range(4))
+    rotation = tuple((i + 1) % n for i in range(n))
+    reflection = tuple((n - i) % n for i in range(n))
+    perms, names = [], []
+    r = tuple(range(n))
+    for k in range(n):
+        perms.append(r)
+        names.append(f"r{k}")
+        r = tuple(rotation[i] for i in r)
+    for k in range(n):
+        perms.append(tuple(reflection[perms[k][i]] for i in range(n)))
+        names.append(f"s{k}")
+    index = {p: k for k, p in enumerate(perms)}
+    # the product applies q first, then p
+    table = tuple(tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms)
+    return tuple(names), table

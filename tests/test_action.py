@@ -200,6 +200,7 @@ class TestFixedSubmatrix:
     def test_identity_returns_matrix(self):
         act = six_state_action()
         assert fixed_submatrix(act, 0).entries == SIX_STATE_A.entries
+        assert fixed_submatrix(act, 0) is act.matrix
 
     def test_generator_fixes_nothing(self):
         act = six_state_action()

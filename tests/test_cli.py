@@ -486,6 +486,55 @@ class TestMain:
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and "--max-n" in err
 
+    @pytest.mark.parametrize(
+        "command, input_doc, field",
+        [
+            ("invariants", {"matrix": [[1, 0, 1], [0, 1, 1]]}, "matrix"),
+            ("reduce", {"matrix": [[1, 0, 1], [0, 1, 1]], "group": {"generators": []}}, "matrix"),
+            ("verify-sse", {"a": [[1, 0, 1], [0, 1, 1]], "b": [[2]], "r": [[1], [1]], "s": [[1, 1]]}, "a"),
+        ],
+    )
+    def test_rectangular_state_matrix_exit_one(self, tmp_path, capsys, command, input_doc, field):
+        doc = {"command": command, "input": input_doc}
+        code, out, err = self.run_main(tmp_path, capsys, doc, [command])
+        assert (code, out) == (1, "")
+        assert err == f"error: $.input.{field}: matrix must be square, got 2x3\n"
+
+    @pytest.mark.parametrize(
+        "group, message",
+        [
+            ("Z99999999999999", "cyclic groups are supported for 1 <= n <= 720"),
+            ("D361", "dihedral groups are supported for 1 <= n <= 360"),
+            ("S7", "symmetric groups are supported for 1 <= n <= 6"),
+        ],
+    )
+    def test_named_group_too_large_exit_one(self, tmp_path, capsys, group, message):
+        doc = {"command": "tqft", "input": {"hnn": {"preset": "trefoil"}, "group": group}}
+        code, out, err = self.run_main(tmp_path, capsys, doc, ["tqft"])
+        assert (code, out) == (1, "")
+        assert err == f"error: $.input.group: {message}\n"
+
+    def test_uncovered_split_partition_exit_one(self, tmp_path, capsys):
+        doc = {"command": "split", "input": dict(SPLIT_INPUT, partition=[[[1]], [[1]]])}
+        code, out, err = self.run_main(tmp_path, capsys, doc, ["split"])
+        assert (code, out) == (1, "")
+        assert err == "error: $.input.partition: blocks at state 1 do not partition its out-edges\n"
+
+    @pytest.mark.parametrize("command", ["repshift", "tqft", "bundle-counts"])
+    def test_inconsistent_hnn_data_exit_one(self, tmp_path, capsys, command):
+        # U = <u | u^2> sits in B = <b> as u = b, but over Z3 b may have order 3
+        hnn = {
+            "b_gens": 1,
+            "u_gens": [[[1, 1]]],
+            "u_relators": [[[1, 1], [1, 1]]],
+            "v_gens": [[[1, 1]]],
+            "phi_images": [[[1, 1]]],
+        }
+        doc = {"command": command, "input": {"hnn": hnn, "group": "Z3"}}
+        code, out, err = self.run_main(tmp_path, capsys, doc, [command])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: $.input.hnn: inconsistent HNN data: the initial state")
+
     def test_max_n_override_obeys_parameter_rules(self, tmp_path, capsys):
         doc = {"command": "repshift", "input": {"hnn": {"preset": "trefoil"}, "group": "Z2"}}
         code, out, err = self.run_main(tmp_path, capsys, doc, ["repshift", "--max-n", "0"])

@@ -7,8 +7,13 @@ covers every command of the small CLI corpus, both mirror paths (left
 reduction, in-splitting) at S6 scale, the README quotient-counts example
 and the bundle and representation-shift counts over the trefoil and
 figure-eight presets.
+
+The benchmark's traced run wraps library functions by name; a guard here
+checks that every name it lists still resolves.
 """
 
+import importlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -54,3 +59,28 @@ def test_runners_parse_nothing(path, monkeypatch):
         if name.startswith(("parse", "_parse", "_act", "_field", "_get_", "job_from", "_load")):
             monkeypatch.setattr(cli, name, refuse)
     assert emit_report(run_job(job)).encode() == golden
+
+
+def _load_spans():
+    """The benchmark's span recorder, loaded from its file without running it."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", EXPECTED.parent / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SPANS = _load_spans()
+TRACED = [(module, name) for module, names in SPANS.LAYERS.items() for name in names]
+
+
+@pytest.mark.parametrize("module, name", TRACED, ids=[f"{m}.{n}" for m, n in TRACED])
+def test_traced_layer_resolves(module, name):
+    """Each traced name resolves the way ``Recorder.tracing`` looks it up:
+    classes by their ``__post_init__`` in ``sftact.action``, functions in
+    ``sftact.<module>`` under their possibly private name."""
+    if name in SPANS.CLASSES:
+        cls = getattr(importlib.import_module("sftact.action"), name)
+        assert "__post_init__" in vars(cls)
+    else:
+        mod = importlib.import_module(f"sftact.{module}")
+        assert callable(getattr(mod, SPANS.RENAMED.get(name, name)))

@@ -11,7 +11,6 @@ from sftact import (
     InputError,
     IntMatrix,
     IntPolynomial,
-    RectMatrix,
     bowen_franks,
     char_poly_reciprocal,
     mat_mul,
@@ -23,7 +22,7 @@ from sftact import (
 )
 
 from helpers import SIX_STATE_A, dense_trace_of_power, networkx_digraph, six_state_action
-from sftact.matrices import _components, _sparse_rows
+from sftact.matrices import _components
 from sftact.reduce import right_reduce
 
 
@@ -107,10 +106,44 @@ class TestTypes:
         with pytest.raises(InputError):
             IntMatrix(((1, 1), (1, 1)), labels=("a", "a"))
 
-    def test_rect_matrix_sign_discipline(self):
-        with pytest.raises(InputError):
-            RectMatrix(((1, -1),))
-        assert RectMatrix(((1, -1),), signed=True).entries == ((1, -1),)
+    def test_int_matrix_any_shape(self):
+        m = IntMatrix(((1, 0, 2),))
+        assert (m.rows, m.cols) == (1, 3)
+        assert m.transpose().entries == ((1,), (0,), (2,))
+        with pytest.raises(InputError, match="matrix must be square, got 1x3"):
+            m.dim
+        with pytest.raises(InputError, match="nonnegative"):
+            IntMatrix(((1, -1),))
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, 0.5, "1", None])
+    def test_int_matrix_rejects_non_integers(self, bad):
+        with pytest.raises(InputError, match="must be an exact integer"):
+            IntMatrix(((1, 0), (bad, 1)))
+
+    def test_int_matrix_rejects_empty(self):
+        for empty in ((), ((),)):
+            with pytest.raises(InputError, match="at least one row and one column"):
+                IntMatrix(empty)
+
+    def test_sparse_rows(self):
+        m = IntMatrix(((0, 2, 0), (0, 0, 0), (1, 0, 3)))
+        assert m.sparse == (((1, 2),), (), ((0, 1), (2, 3)))
+        assert m.sparse is m.sparse
+        assert m.transpose().sparse == (((2, 1),), ((0, 2),), ((2, 3),))
+
+    def test_is_zero_one(self):
+        assert IntMatrix(((0, 1, 1),)).is_zero_one()
+        assert IntMatrix(((0,),)).is_zero_one()
+        assert not IntMatrix(((0, 1), (2, 0))).is_zero_one()
+
+    @pytest.mark.parametrize(
+        "fn",
+        [lambda m: trace_sequence(m, 3), char_poly_reciprocal, bowen_franks],
+        ids=["trace_sequence", "char_poly_reciprocal", "bowen_franks"],
+    )
+    def test_state_functions_reject_rectangular(self, fn):
+        with pytest.raises(InputError, match="matrix must be square, got 1x2"):
+            fn(IntMatrix(((1, 1),)))
 
     def test_polynomial_trims_trailing_zeros(self):
         assert IntPolynomial((1, 2, 0, 0)).coefficients == (1, 2)
@@ -130,21 +163,25 @@ class TestTypes:
 
 class TestMatMul:
     def test_identity(self):
-        m = RectMatrix(((1, 2), (3, 4)))
-        ident = RectMatrix(((1, 0), (0, 1)))
+        m = IntMatrix(((1, 2), (3, 4)))
+        ident = IntMatrix(((1, 0), (0, 1)))
         assert mat_mul(ident, m).entries == m.entries
 
     def test_row_times_column(self):
-        assert mat_mul(RectMatrix(((1, 1),)), RectMatrix(((1,), (1,)))).entries == ((2,),)
+        assert mat_mul(IntMatrix(((1, 1),)), IntMatrix(((1,), (1,)))).entries == ((2,),)
+
+    def test_rectangular_factors(self):
+        product = mat_mul(IntMatrix(((1, 2, 0),)), IntMatrix(((3,), (1,), (7,))))
+        assert product == IntMatrix(((5,),))
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            mat_mul(RectMatrix(((1, 1),)), RectMatrix(((1, 1),)))
+            mat_mul(IntMatrix(((1, 1),)), IntMatrix(((1, 1),)))
 
     def test_selector_product_reproduces_reduction(self):
         reduced = right_reduce(six_state_action())
         product = mat_mul(
-            mat_mul(reduced.u_selector, SIX_STATE_A.to_rect()), reduced.v_selector
+            mat_mul(reduced.u_selector, SIX_STATE_A), reduced.v_selector
         )
         assert product.entries == ((1, 2), (2, 1))
 
@@ -213,7 +250,7 @@ class TestComponents:
             rows = m.entries
             graph = networkx_digraph(nx, m)
             expected = sorted(sorted(c) for c in nx.strongly_connected_components(graph))
-            found = _components(_sparse_rows(rows))
+            found = _components(m.sparse)
             assert sorted(states for states, _ in found) == expected
             for states, is_cycle in found:
                 # a strongly connected set is one simple cycle exactly when
@@ -313,20 +350,29 @@ class TestPolyLcm:
 
 class TestSmithNormalForm:
     def test_two_torsion_pair(self):
-        out = smith_normal_form(RectMatrix(((0, -2), (-2, 0)), signed=True))
+        out = smith_normal_form(((0, -2), (-2, 0)))
         assert out.torsion == (2, 2) and out.free_rank == 0
 
     def test_single_four_torsion(self):
-        out = smith_normal_form(RectMatrix(((0, -1), (-4, 0)), signed=True))
+        out = smith_normal_form(((0, -1), (-4, 0)))
         assert out.torsion == (4,) and out.free_rank == 0
 
     def test_zero_matrix(self):
-        out = smith_normal_form(RectMatrix(((0, 0), (0, 0)), signed=True))
+        out = smith_normal_form(((0, 0), (0, 0)))
         assert out.torsion == () and out.free_rank == 2
 
     def test_rejects_rectangular(self):
         with pytest.raises(InputError):
-            smith_normal_form(RectMatrix(((1, 2, 3),), signed=True))
+            smith_normal_form(((1, 2, 3),))
+
+    def test_signed_rows(self):
+        assert smith_normal_form([[-3, 0], [0, -6]]) == AbelianGroupInvariants((3, 6), 0)
+        assert smith_normal_form(((-1,),)) == AbelianGroupInvariants((), 0)
+
+    @pytest.mark.parametrize("rows", [((1, 0), (0, 1.0)), ((True, 0), (0, 1)), ((1, 2), (3,)), ()])
+    def test_rejects_bad_rows(self, rows):
+        with pytest.raises(InputError):
+            smith_normal_form(rows)
 
     def test_determinant_is_torsion_product(self):
         rng = random.Random(19)
@@ -335,7 +381,7 @@ class TestSmithNormalForm:
             n = rng.randint(1, 4)
             rows = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n))
             det = brute_det(rows)
-            out = smith_normal_form(RectMatrix(rows, signed=True))
+            out = smith_normal_form(rows)
             if out.free_rank == 0:
                 prod = 1
                 for d in out.torsion:
@@ -350,7 +396,7 @@ class TestSmithNormalForm:
         for _ in range(20):
             n = rng.randint(2, 4)
             rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            base = smith_normal_form(RectMatrix(tuple(tuple(r) for r in rows), signed=True))
+            base = smith_normal_form(rows)
             for _ in range(6):
                 kind = rng.randrange(3)
                 i, j = rng.sample(range(n), 2)
@@ -363,7 +409,7 @@ class TestSmithNormalForm:
                         rows[k][i] += c * rows[k][j]
                 else:
                     rows[i], rows[j] = rows[j], rows[i]
-            moved = smith_normal_form(RectMatrix(tuple(tuple(r) for r in rows), signed=True))
+            moved = smith_normal_form(rows)
             assert moved == base
 
 

@@ -49,7 +49,7 @@ class TestRightReduce:
             act = random_action(rng)
             reduced = right_reduce(act)
             product = mat_mul(
-                mat_mul(reduced.u_selector, act.matrix.to_rect()), reduced.v_selector
+                mat_mul(reduced.u_selector, act.matrix), reduced.v_selector
             )
             assert product.entries == reduced.matrix.entries
             uv = mat_mul(reduced.u_selector, reduced.v_selector)
@@ -90,7 +90,7 @@ def assert_left_matches_oracle(act):
     assert [list(row) for row in reduced.matrix.entries] == expected
     assert reduced.matrix.labels == tuple(f"G{rep + 1}" for rep in act.orbits.representatives)
     product = mat_mul(
-        mat_mul(reduced.v_selector.transpose(), act.matrix.to_rect()),
+        mat_mul(reduced.v_selector.transpose(), act.matrix),
         reduced.u_selector.transpose(),
     )
     assert [list(row) for row in product.entries] == expected

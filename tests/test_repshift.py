@@ -33,7 +33,7 @@ from sftact import (
 )
 from sftact.repshift import check_word
 
-from helpers import brute_is_group, z48_with_swapped_products
+from helpers import brute_is_group, permutation_dihedral_table, z48_with_swapped_products
 
 
 def substitute(word, images):
@@ -78,6 +78,26 @@ class TestGroupTables:
     def test_dihedral(self):
         for n, order in ((1, 2), (2, 4), (3, 6), (4, 8)):
             assert dihedral_group(n).order == order
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_dihedral_matches_permutation_oracle(self, n):
+        d = dihedral_group(n)
+        assert (d.names, d.table) == permutation_dihedral_table(n)
+
+    def test_largest_named_groups(self):
+        assert cyclic_group(720).order == 720
+        d360 = dihedral_group(360)
+        assert d360.order == 720
+        assert d360.names[d360.mul(d360.names.index("s5"), d360.names.index("s7"))] == "r2"
+
+    @pytest.mark.parametrize(
+        "build, n",
+        [(cyclic_group, 0), (cyclic_group, 721), (dihedral_group, 0), (dihedral_group, 361),
+         (symmetric_group, 7)],
+    )
+    def test_named_group_bounds(self, build, n):
+        with pytest.raises(InputError, match=r"supported for 1 <= n <= (720|360|6)$"):
+            build(n)
 
     def test_quaternion(self):
         q8 = quaternion_group()

@@ -21,7 +21,6 @@ from sftact import (
     out_split,
     PermGroup,
     PreconditionError,
-    RectMatrix,
     right_reduce,
     SftPresentation,
     SplitData,
@@ -69,8 +68,8 @@ class TestVerify:
         cert = ElementarySse(
             a=IntMatrix(((2,),)),
             b=IntMatrix(((1, 1), (1, 1))),
-            r=RectMatrix(((1, 1),)),
-            s=RectMatrix(((1,), (1,))),
+            r=IntMatrix(((1, 1),)),
+            s=IntMatrix(((1,), (1,))),
         )
         assert verify_elementary_sse(cert)
 
@@ -78,8 +77,8 @@ class TestVerify:
         cert = ElementarySse(
             a=IntMatrix(((1,),)),
             b=IntMatrix(((1, 1), (0, 0))),
-            r=RectMatrix(((1, 1),)),
-            s=RectMatrix(((1,), (0,))),
+            r=IntMatrix(((1, 1),)),
+            s=IntMatrix(((1,), (0,))),
         )
         assert verify_elementary_sse(cert)
 
@@ -88,16 +87,16 @@ class TestVerify:
             ElementarySse(
                 a=IntMatrix(((1,),)),
                 b=IntMatrix(((1,),)),
-                r=RectMatrix(((1, 1),)),
-                s=RectMatrix(((1,), (1,))),
+                r=IntMatrix(((1, 1),)),
+                s=IntMatrix(((1,), (1,))),
             )
 
     def test_failing_products(self):
         cert = ElementarySse(
             a=IntMatrix(((1,),)),
             b=IntMatrix(((1, 1), (1, 1))),
-            r=RectMatrix(((1, 1),)),
-            s=RectMatrix(((1,), (1,))),
+            r=IntMatrix(((1, 1),)),
+            s=IntMatrix(((1,), (1,))),
         )
         assert not verify_elementary_sse(cert)
 
@@ -105,9 +104,7 @@ class TestVerify:
 class TestInducedConjugacy:
     def test_identity_certificate(self):
         m = GOLDEN_MEAN
-        cert = ElementarySse(
-            a=m, b=m, r=RectMatrix(IntMatrix.identity(2).entries), s=m.to_rect()
-        )
+        cert = ElementarySse(a=m, b=m, r=IntMatrix.identity(2), s=m)
         conj = induced_conjugacy(cert)
         path = ((0, 0, 0), (0, 1, 0), (1, 0, 0))
         # identity-shaped: the two-block tables reproduce the shifted path
@@ -128,8 +125,8 @@ class TestInducedConjugacy:
         cert = ElementarySse(
             a=IntMatrix(((1,),)),
             b=IntMatrix(((1, 1), (1, 1))),
-            r=RectMatrix(((1, 1),)),
-            s=RectMatrix(((1,), (1,))),
+            r=IntMatrix(((1, 1),)),
+            s=IntMatrix(((1,), (1,))),
         )
         with pytest.raises(PreconditionError, match="uniquely"):
             induced_conjugacy(cert)
@@ -138,10 +135,21 @@ class TestInducedConjugacy:
         cert = ElementarySse(
             a=IntMatrix(((2,),)),
             b=IntMatrix(((1, 1), (1, 1))),
-            r=RectMatrix(((1, 1),)),
-            s=RectMatrix(((1,), (1,))),
+            r=IntMatrix(((1, 1),)),
+            s=IntMatrix(((1,), (1,))),
         )
         with pytest.raises(PreconditionError, match="zero-one"):
+            induced_conjugacy(cert)
+
+    @pytest.mark.parametrize(
+        "name, r, s",
+        [("r", ((2, 1),), ((1,), (1,))), ("s", ((1, 1),), ((1,), (2,)))],
+    )
+    def test_rejects_multiplicities_in_factors(self, name, r, s):
+        cert = ElementarySse(
+            a=IntMatrix(((1,),)), b=IntMatrix(((1, 1), (1, 1))), r=IntMatrix(r), s=IntMatrix(s)
+        )
+        with pytest.raises(PreconditionError, match=f"matrix {name} is not zero-one"):
             induced_conjugacy(cert)
 
 
