@@ -158,13 +158,14 @@ class PermutationAction:
             raise InputError(
                 f"group degree {g.degree} does not match state count {p.num_states}"
             )
-        rows, sparse = p.matrix.entries, p.matrix.sparse
+        sparse = p.matrix.sparse
         for k in g.generators:
             perm = g.elements[k]
             for i, row in enumerate(sparse):
                 # row i is kept when its nonzero entries move onto those of row perm[i]
                 if sorted((perm[j], x) for j, x in row) == list(sparse[perm[i]]):
                     continue
+                rows = p.matrix.entries
                 j = next(j for j, x in enumerate(rows[i]) if rows[perm[i]][perm[j]] != x)
                 raise PreconditionError(
                     f"invariance violated: element {k} sends entry ({i + 1},{j + 1})="
@@ -262,13 +263,7 @@ def fixed_submatrix(a: PermutationAction, g: int) -> IntMatrix:
         return a.matrix
     if not fixed:
         return IntMatrix(((0,),))
-    rows = a.matrix.entries
-    labels = None
-    if a.matrix.labels is not None:
-        labels = tuple(a.matrix.labels[i] for i in fixed)
-    return IntMatrix(
-        tuple(tuple(rows[i][j] for j in fixed) for i in fixed), labels=labels
-    )
+    return a.matrix.principal(fixed)
 
 
 def word_stabilizer(a: PermutationAction, w: CycleWord):

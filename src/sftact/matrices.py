@@ -10,8 +10,10 @@ ones are selectors and equivalence certificates), integer polynomials
 with the constant term first (``IntPolynomial``, used for reciprocal
 characteristic polynomials and linear recurrences), and the invariant
 factors of an integer matrix cokernel (``AbelianGroupInvariants``, used
-for Bowen-Franks groups).  A matrix is validated once, when it is built,
-and derives its sparse rows once, when they are first read.
+for Bowen-Franks groups).  A matrix is stored as its sparse rows and
+validated once, when it is built; products, transposes and submatrices
+work on sparse rows, and the dense rows are derived only on demand, for
+reports and for the Smith form behind Bowen-Franks groups.
 
 Every periodic-point count goes through one engine: ``trace_sequence``
 and ``char_poly_reciprocal`` split the matrix into its strongly connected
@@ -29,6 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress
 from math import gcd, lcm
+from operator import ge
 
 from .errors import InputError
 
@@ -54,38 +57,81 @@ def _check_rows(entries) -> tuple:
     return rows
 
 
-@dataclass(frozen=True)
+def _check_sparse(rows, cols: int) -> tuple:
+    """``rows`` as a tuple of sparse rows of (column, entry) pairs, checked
+    in whole-matrix passes: columns strictly increase within 0..cols-1 in
+    each row, and entries are positive exact integers."""
+    _check_int(cols, "column count")
+    rows = tuple(tuple(map(tuple, row)) for row in rows)
+    if not rows or cols < 1:
+        raise InputError("matrix entry needs at least one row and one column")
+    flat = [v for row in rows for pair in row for v in pair]
+    if set(map(type, flat)) - {int}:
+        for v in flat:
+            _check_int(v, "sparse matrix column or entry")
+    columns, values = flat[0::2], flat[1::2]
+    if values and min(values) < 1:
+        raise InputError("sparse matrix entries must be positive")
+    # i * cols + j strictly increases exactly when each row's columns do
+    keys = [i * cols + j for i, row in enumerate(rows) for j, _ in row]
+    if columns and (min(columns) < 0 or max(columns) >= cols or any(map(ge, keys, keys[1:]))):
+        raise InputError(f"sparse matrix columns must strictly increase within 0..{cols - 1}")
+    return rows
+
+
+def _principal_rows(sparse, states):
+    """Sparse rows of the principal submatrix on the ascending ``states``."""
+    position = {s: k for k, s in enumerate(states)}
+    return [tuple((position[j], x) for j, x in sparse[s] if j in position) for s in states]
+
+
+@dataclass(frozen=True, init=False)
 class IntMatrix:
-    """Matrix of nonnegative integers, of any shape.
+    """Matrix of nonnegative integers, of any shape, stored as sparse rows.
 
     A square matrix presents a shift of finite type and ``dim`` counts its
-    states; selectors and certificate factors are rectangular.  Optional
-    ``labels`` name the rows; they must be pairwise distinct.
+    states; selectors and certificate factors are rectangular.  Row i of
+    ``sparse`` holds the (column, entry) pairs of its nonzero entries with
+    columns increasing, and ``cols`` is the column count.  ``IntMatrix(entries)``
+    builds a matrix from dense rows and ``from_sparse`` from sparse ones;
+    either way it is validated once, in whole-matrix passes.  The dense
+    ``entries`` are derived only when read.  Optional ``labels`` name the
+    rows; they must be pairwise distinct.
     """
 
-    entries: tuple
-    labels: tuple | None = None
+    sparse: tuple
+    cols: int
+    labels: tuple | None
 
-    def __post_init__(self):
-        rows = _check_rows(self.entries)
+    def __init__(self, entries, labels=None):
+        rows = _check_rows(entries)
         if min(chain.from_iterable(rows)) < 0:
             raise InputError("matrix entries must be nonnegative")
-        object.__setattr__(self, "entries", rows)
-        if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
-            if len(labels) != len(rows):
+        columns = range(len(rows[0]))
+        sparse = tuple(tuple((j, row[j]) for j in compress(columns, row)) for row in rows)
+        self._store(sparse, len(rows[0]), labels)
+
+    @classmethod
+    def from_sparse(cls, rows, cols: int, labels=None) -> "IntMatrix":
+        """The matrix with the given sparse rows and column count."""
+        matrix = cls.__new__(cls)
+        matrix._store(_check_sparse(rows, cols), cols, labels)
+        return matrix
+
+    def _store(self, sparse, cols, labels):
+        if labels is not None:
+            labels = tuple(str(s) for s in labels)
+            if len(labels) != len(sparse):
                 raise InputError("label count does not match matrix dimension")
             if len(set(labels)) != len(labels):
                 raise InputError("state labels must be pairwise distinct")
-            object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "sparse", sparse)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
+        return len(self.sparse)
 
     @property
     def dim(self) -> int:
@@ -95,27 +141,39 @@ class IntMatrix:
         return self.rows
 
     @cached_property
-    def sparse(self) -> tuple:
-        """Row i as the tuple of its (column, entry) pairs with a nonzero entry."""
-        columns = range(self.cols)
-        return tuple(
-            tuple((j, row[j]) for j in compress(columns, row)) for row in self.entries
-        )
+    def entries(self) -> tuple:
+        """The dense rows, for reports and dense algorithms."""
+        out = []
+        for row in self.sparse:
+            dense = [0] * self.cols
+            for j, x in row:
+                dense[j] = x
+            out.append(tuple(dense))
+        return tuple(out)
 
     def label(self, i: int) -> str:
         if self.labels is not None:
             return self.labels[i]
         return str(i + 1)
 
+    def principal(self, states) -> "IntMatrix":
+        """The principal submatrix on the ascending ``states``, with their labels."""
+        labels = None if self.labels is None else tuple(self.labels[i] for i in states)
+        return IntMatrix.from_sparse(_principal_rows(self.sparse, states), len(states), labels)
+
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)), labels=self.labels)
+        cols = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse):
+            for j, x in row:
+                cols[j].append((i, x))
+        return IntMatrix.from_sparse(cols, self.rows, labels=self.labels)
 
     def is_zero_one(self) -> bool:
         return all(x == 1 for row in self.sparse for _, x in row)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls.from_sparse([((i, 1),) for i in range(n)], n)
 
 
 @dataclass(frozen=True)
@@ -176,11 +234,6 @@ class AbelianGroupInvariants:
 
 # ---------------------------------------------------------------------------
 # raw helpers on rows of ints: dense nested sequences or sparse (j, entry) lists
-
-def _mul_rows(a, b):
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
 
 def _times_sparse(p, sparse):
     """The dense product p @ a, with a given by its sparse rows."""
@@ -264,8 +317,7 @@ def _cyclic_parts(a: IntMatrix):
         if is_cycle:
             yield states, None
             continue
-        position = {s: k for k, s in enumerate(states)}
-        sub = [[(position[j], x) for j, x in sparse[s] if j in position] for s in states]
+        sub = _principal_rows(sparse, states)
         if len(states) > 1 or sub[0]:
             yield states, sub
 
@@ -274,10 +326,18 @@ def _cyclic_parts(a: IntMatrix):
 # operations
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Exact product of two integer matrices of compatible shapes."""
+    """Exact product of two integer matrices of compatible shapes, row by
+    sparse row; entries are nonnegative, so no sum cancels to zero."""
     if a.cols != b.rows:
         raise InputError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    return IntMatrix(_mul_rows(a.entries, b.entries))
+    rows, b_rows = [], b.sparse
+    for row in a.sparse:
+        acc = {}
+        for k, x in row:
+            for j, y in b_rows[k]:
+                acc[j] = acc.get(j, 0) + x * y
+        rows.append(tuple(sorted(acc.items())))
+    return IntMatrix.from_sparse(rows, b.cols)
 
 
 def trace_sequence(a: IntMatrix, m: int) -> list:

@@ -47,9 +47,17 @@ class ReducedShift:
 
 def _selectors(os_: OrbitStructure, n: int):
     """U picks the representative of each orbit, V marks the orbit of each state."""
-    u = IntMatrix(tuple(tuple(int(j == rep) for j in range(n)) for rep in os_.representatives))
-    v = IntMatrix(tuple(tuple(int(o == k) for k in range(os_.num_orbits)) for o in os_.orbit_of))
+    u = IntMatrix.from_sparse([((rep, 1),) for rep in os_.representatives], n)
+    v = IntMatrix.from_sparse([((o, 1),) for o in os_.orbit_of], os_.num_orbits)
     return u, v
+
+
+def _orbit_sums(row, orbit_of) -> tuple:
+    """The sparse row of edge counts from one sparse row into each orbit."""
+    acc = {}
+    for j, x in row:
+        acc[orbit_of[j]] = acc.get(orbit_of[j], 0) + x
+    return tuple(sorted(acc.items()))
 
 
 def _reduce_rows(matrix: IntMatrix, os_: OrbitStructure):
@@ -60,13 +68,7 @@ def _reduce_rows(matrix: IntMatrix, os_: OrbitStructure):
     the representative is re-verified from every orbit member; a failure
     would mean the action was never valid.
     """
-    # sums[i][o]: the edges from state i into orbit o
-    sums = []
-    for row in matrix.sparse:
-        acc = [0] * os_.num_orbits
-        for j, x in row:
-            acc[os_.orbit_of[j]] += x
-        sums.append(tuple(acc))
+    sums = [_orbit_sums(row, os_.orbit_of) for row in matrix.sparse]
     for rep, *others in os_.orbits:
         for other in others:
             if sums[other] != sums[rep]:
@@ -74,7 +76,9 @@ def _reduce_rows(matrix: IntMatrix, os_: OrbitStructure):
                     f"reduction not representative-independent at states {rep + 1}, {other + 1}"
                 )
     reps = os_.representatives
-    reduced = IntMatrix(tuple(sums[i] for i in reps), labels=tuple(f"G{i + 1}" for i in reps))
+    reduced = IntMatrix.from_sparse(
+        [sums[i] for i in reps], os_.num_orbits, labels=tuple(f"G{i + 1}" for i in reps)
+    )
     return (reduced, *_selectors(os_, matrix.dim))
 
 
@@ -143,14 +147,14 @@ def build_eta(a: PermutationAction) -> OneBlockCode:
     """
     reduced = right_reduce(a)
     target = reduced.presentation
-    os_ = a.orbits
-    rows = a.matrix.entries
+    orbit_of = a.orbits.orbit_of
     edge_map = {}
-    for i in range(a.group.degree):
-        for o, orbit in enumerate(os_.orbits):
-            targets = [j for j in orbit if rows[i][j]]
-            for c, j in enumerate(targets):
-                edge_map[(i, j, 0)] = (os_.orbit_of[i], o, c)
+    for i, row in enumerate(a.matrix.sparse):
+        # the next multiplicity index of the edges from i into each orbit
+        index = {}
+        for j, _ in row:
+            c = index[orbit_of[j]] = index.get(orbit_of[j], -1) + 1
+            edge_map[(i, j, 0)] = (orbit_of[i], orbit_of[j], c)
     code = OneBlockCode(a.presentation, target, edge_map)
     assert code.is_right_resolving(), "the canonical ordering is right-resolving by construction"
     return code

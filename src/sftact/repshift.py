@@ -19,7 +19,7 @@ from itertools import permutations
 
 from .errors import InputError, LimitExceededError, PreconditionError
 from .matrices import IntMatrix, IntPolynomial
-from .action import PermGroup, PermutationAction, compose, greedy_generators
+from .action import PermGroup, PermutationAction, _close, compose, greedy_generators
 from .quotient import OrbitCountReport, burnside_counts
 from .reduce import ReducedShift, right_reduce
 from .sft import SftPresentation, trim_essential
@@ -48,7 +48,7 @@ class FiniteGroupTable:
     Identity and inverses are located during validation.  Associativity
     is checked exactly by Light's test: the elements a with (x a) y =
     x (a y) for all x, y are closed under products, so it suffices to
-    test the elements whose right products reach every element.
+    test the ``generators``, the greedy generating set of the element order.
     """
 
     names: tuple
@@ -82,7 +82,8 @@ class FiniteGroupTable:
             if len(inv) != 1:
                 raise InputError(f"element {names[x]} has no unique inverse")
             inverse.append(inv[0])
-        for a in greedy_generators(range(n), identity, lambda x, y: table[x][y], lambda q: None):
+        generators = greedy_generators(range(n), identity, lambda x, y: table[x][y], lambda q: None)
+        for a in generators:
             ta = table[a]
             for x in range(n):
                 tx, txa = table[x], table[table[x][a]]
@@ -93,6 +94,7 @@ class FiniteGroupTable:
                     )
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", tuple(inverse))
+        object.__setattr__(self, "generators", generators)
 
     @property
     def order(self) -> int:
@@ -305,16 +307,16 @@ def build_repshift(h: HnnData, g: FiniteGroupTable, limit: int = 1000000) -> Rep
 
     States are Hom(U, G); each element of Hom(B, G) contributes an edge
     from its restriction to U to its composition with the amalgamating
-    map.  Inessential states are trimmed, and the conjugation action
-    (state maps rho -> c^-1 rho c, deduplicated to the inner automorphism
-    image) is installed and validated.
+    map.  The state matrix is built from its sparse rows.  Inessential
+    states are trimmed, and the conjugation action (state maps
+    rho -> c^-1 rho c, deduplicated to the inner automorphism image) is
+    installed and validated.  The trivial homomorphism is a state with a
+    loop, so the trimmed shift is never empty.
     """
     u_states = enumerate_homs(len(h.u_gens), h.u_relators, g, limit)
     state_index = {s: k for k, s in enumerate(u_states)}
     b_homs = enumerate_homs(h.b_gens, h.b_relators, g, limit)
 
-    n = len(u_states)
-    counts = [[0] * n for _ in range(n)]
     attached = {}
     for rho in b_homs:
         init = tuple(evaluate_word(w, rho, g) for w in h.u_gens)
@@ -328,19 +330,15 @@ def build_repshift(h: HnnData, g: FiniteGroupTable, limit: int = 1000000) -> Rep
                     f"U relator {bad[0]} {bad[1]}; the amalgamating images do not "
                     "define a homomorphism on U"
                 )
-        i, j = state_index[init], state_index[term]
-        counts[i][j] += 1
-        attached.setdefault((i, j), []).append(rho)
+        attached.setdefault((state_index[init], state_index[term]), []).append(rho)
 
-    full = IntMatrix(tuple(tuple(row) for row in counts)) if n else None
-    if full is None:
-        raise InputError("the HNN data admits no states at all")
-    trimmed, kept = trim_essential(full)
-    if trimmed.is_empty:
-        raise InputError("every state of the representation shift is inessential")
+    rows = [[] for _ in u_states]
+    for (i, j), homs in sorted(attached.items()):
+        rows[i].append((j, len(homs)))
+    trimmed, kept = trim_essential(IntMatrix.from_sparse(rows, len(u_states)))
     kept_states = tuple(u_states[k] for k in kept)
     labels = tuple(",".join(g.names[x] for x in s) if s else "()" for s in kept_states)
-    matrix = IntMatrix(trimmed.matrix.entries, labels=labels)
+    matrix = IntMatrix.from_sparse(trimmed.matrix.sparse, len(kept), labels=labels)
     if not matrix.is_zero_one():
         raise PreconditionError(
             "representation shift has parallel edges (distinct base homomorphisms "
@@ -349,15 +347,16 @@ def build_repshift(h: HnnData, g: FiniteGroupTable, limit: int = 1000000) -> Rep
         )
     presentation = SftPresentation(matrix)
 
+    # conjugation by the generators of g, closed under composition
     kept_index = {s: k for k, s in enumerate(kept_states)}
-    perms = []
-    for c in range(g.order):
-        perm = tuple(
-            kept_index[tuple(g.conjugate(x, c) for x in s)] for s in kept_states
-        )
-        perms.append(perm)
+    gens = []
+    for c in g.generators:
+        conj = [g.conjugate(x, c) for x in range(g.order)]
+        gens.append(tuple(kept_index[tuple(map(conj.__getitem__, s))] for s in kept_states))
     identity = tuple(range(len(kept_states)))
-    distinct = [identity] + sorted({p for p in perms if p != identity})
+    perms = {identity}
+    _close(perms, [identity], gens, compose, lambda q: None)
+    distinct = [identity] + sorted(perms - {identity})
     action = PermutationAction(presentation, PermGroup(len(kept_states), tuple(distinct)))
 
     kept_pos = {orig: local for local, orig in enumerate(kept)}

@@ -97,8 +97,7 @@ class SftPresentation:
         if self.matrix is None:
             return False
         i, j, c = e
-        n = self.matrix.dim
-        return 0 <= i < n and 0 <= j < n and 0 <= c < self.matrix.entries[i][j]
+        return 0 <= i < self.matrix.dim and 0 <= c < dict(self.matrix.sparse[i]).get(j, 0)
 
     def is_zero_one(self) -> bool:
         return self.matrix is None or self.matrix.is_zero_one()
@@ -206,12 +205,7 @@ def trim_essential(matrix: IntMatrix):
         return SftPresentation.empty(), ()
     if len(kept) == n:
         return SftPresentation(matrix), tuple(kept)
-    labels = None
-    if matrix.labels is not None:
-        labels = tuple(matrix.labels[i] for i in kept)
-    rows = matrix.entries
-    sub = IntMatrix(tuple(tuple(rows[i][j] for j in kept) for i in kept), labels=labels)
-    return SftPresentation(sub), tuple(kept)
+    return SftPresentation(matrix.principal(kept)), tuple(kept)
 
 
 def is_irreducible(p: SftPresentation) -> bool:
@@ -245,12 +239,9 @@ def higher_block(p: SftPresentation, n: int):
     by_prefix = {}
     for k, b in enumerate(blocks):
         by_prefix.setdefault(b[:-1], []).append(k)
-    entries = [[0] * len(blocks) for _ in blocks]
-    for k, b in enumerate(blocks):
-        for k2 in by_prefix.get(b[1:], ()):
-            entries[k][k2] = 1
+    rows = [tuple((k2, 1) for k2 in by_prefix.get(b[1:], ())) for b in blocks]
     labels = tuple(".".join(p.label(s) for s in b) for b in blocks)
-    out = SftPresentation(IntMatrix(entries, labels=labels))
+    out = SftPresentation(IntMatrix.from_sparse(rows, len(blocks), labels=labels))
     return out, dict(enumerate(blocks))
 
 

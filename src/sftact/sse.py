@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .errors import InputError, PreconditionError
 from .matrices import IntMatrix, mat_mul
 from .action import PermGroup, PermutationAction
-from .reduce import OneBlockCode, build_eta, right_reduce
+from .reduce import OneBlockCode, _orbit_sums, build_eta, right_reduce
 from .sft import SftPresentation
 
 
@@ -55,6 +55,11 @@ class ElementarySse:
             )
 
 
+def _same_entries(a: IntMatrix, b: IntMatrix) -> bool:
+    """True when a and b have equal entries, whatever their labels."""
+    return a.cols == b.cols and a.sparse == b.sparse
+
+
 @dataclass(frozen=True)
 class SseChain:
     """Chain of elementary equivalences with matching endpoints."""
@@ -66,7 +71,7 @@ class SseChain:
         if not links:
             raise InputError("a chain needs at least one link")
         for e, f in zip(links, links[1:]):
-            if e.b.entries != f.a.entries:
+            if not _same_entries(e.b, f.a):
                 raise InputError("consecutive chain endpoints do not agree")
         object.__setattr__(self, "links", links)
 
@@ -81,9 +86,7 @@ class SseChain:
 
 def verify_elementary_sse(e: ElementarySse) -> bool:
     """True iff R S = A and S R = B hold exactly."""
-    rs = mat_mul(e.r, e.s)
-    sr = mat_mul(e.s, e.r)
-    return rs.entries == e.a.entries and sr.entries == e.b.entries
+    return _same_entries(mat_mul(e.r, e.s), e.a) and _same_entries(mat_mul(e.s, e.r), e.b)
 
 
 def verify_chain(chain: SseChain) -> bool:
@@ -91,7 +94,7 @@ def verify_chain(chain: SseChain) -> bool:
 
 
 def identity_sse(a: IntMatrix) -> ElementarySse:
-    return ElementarySse(a=a, b=a, r=IntMatrix(a.entries), s=IntMatrix.identity(a.dim))
+    return ElementarySse(a=a, b=a, r=IntMatrix.from_sparse(a.sparse, a.cols), s=IntMatrix.identity(a.dim))
 
 
 @dataclass(frozen=True)
@@ -134,11 +137,11 @@ def induced_conjugacy(e: ElementarySse) -> TwoBlockConjugacy:
         if not m.is_zero_one():
             raise PreconditionError(f"matrix {name} is not zero-one")
 
-    na, nb = e.a.dim, e.b.dim
-    r, s = e.r.entries, e.s.entries
+    r, s = e.r.sparse, e.s.sparse
+    r_support, s_support = ([{j for j, _ in row} for row in m] for m in (r, s))
 
     def resolve(i, j):
-        ks = [k for k in range(nb) if r[i][k] and s[k][j]]
+        ks = [k for k, _ in r[i] if j in s_support[k]]
         if len(ks) != 1:
             raise PreconditionError(
                 f"certificate does not resolve edge ({i + 1},{j + 1}) uniquely: candidates {[k + 1 for k in ks]}"
@@ -151,7 +154,7 @@ def induced_conjugacy(e: ElementarySse) -> TwoBlockConjugacy:
         raise PreconditionError("certificate products do not hold; nothing to induce")
 
     def resolve_back(k, l):
-        js = [j for j in range(na) if s[k][j] and r[j][l]]
+        js = [j for j, _ in s[k] if l in r_support[j]]
         assert len(js) == 1, "S R = B with zero-one B forces uniqueness"
         return js[0]
 
@@ -164,28 +167,31 @@ def induced_conjugacy(e: ElementarySse) -> TwoBlockConjugacy:
         for edge2 in src.out_edges[edge1[1]]:
             k1 = k_of[(edge1[0], edge1[1])]
             k2 = k_of[(edge2[0], edge2[1])]
-            assert e.b.entries[k1][k2], "resolved states must be adjacent in B"
+            assert dst.has_edge((k1, k2, 0)), "resolved states must be adjacent in B"
             forward[(edge1, edge2)] = (k1, k2, 0)
     backward = {}
     for edge1 in dst.edges:
         for edge2 in dst.out_edges[edge1[1]]:
             j1 = j_of[(edge1[0], edge1[1])]
             j2 = j_of[(edge2[0], edge2[1])]
-            assert e.a.entries[j1][j2], "resolved states must be adjacent in A"
+            assert src.has_edge((j1, j2, 0)), "resolved states must be adjacent in A"
             backward[(edge1, edge2)] = (j1, j2, 0)
     return TwoBlockConjugacy(source=src, target=dst, forward=forward, backward=backward)
 
 
 def _check_intertwining(e: ElementarySse, phi: PermutationAction, psi: PermutationAction):
-    # R P(g) = P(g) R and S P(g) = P(g) S with P(i, gi) = 1, entry by entry, for
-    # every element: the index pairing of the groups need not be a homomorphism
+    # R P(g) = P(g) R and S P(g) = P(g) S with P(i, gi) = 1, that is
+    # R(gi, gj) = R(i, j), for every element: the index pairing of the groups
+    # need not be a homomorphism.  (i, j) -> (gi, gj) is a bijection, so it
+    # suffices that each nonzero entry lands on an equal entry.
     if phi.group.order != psi.group.order:
         raise PreconditionError("the two actions must be actions of the same group")
-    r, s = e.r.entries, e.s.entries
+    r, s = e.r.sparse, e.s.sparse
+    r_rows, s_rows = [dict(row) for row in r], [dict(row) for row in s]
     for g, (pa, pb) in enumerate(zip(phi.group.elements, psi.group.elements)):
-        if any(r[pa[i]][pb[j]] != x for i, row in enumerate(r) for j, x in enumerate(row)):
+        if any(r_rows[pa[i]].get(pb[j]) != x for i, row in enumerate(r) for j, x in row):
             raise PreconditionError(f"R does not intertwine the actions at element {g}")
-        if any(s[pb[k]][pa[l]] != x for k, row in enumerate(s) for l, x in enumerate(row)):
+        if any(s_rows[pb[k]].get(pa[l]) != x for k, row in enumerate(s) for l, x in row):
             raise PreconditionError(f"S does not intertwine the actions at element {g}")
 
 
@@ -199,7 +205,7 @@ def transport_certificate(
     transported pair is (U R V', U' S V) built from the selectors of the
     two reductions, and is verified before being returned.
     """
-    if e.a.entries != phi.matrix.entries or e.b.entries != psi.matrix.entries:
+    if not (_same_entries(e.a, phi.matrix) and _same_entries(e.b, psi.matrix)):
         raise InputError("certificate endpoints do not match the action matrices")
     if not verify_elementary_sse(e):
         raise PreconditionError("certificate does not verify; cannot transport")
@@ -278,25 +284,16 @@ def _out_split_core(matrix: IntMatrix, group: PermGroup, partitions):
     blocks = tuple(tuple(sorted(bs, key=min)) for bs in partitions)
     new_states = [(i, p) for i, bs in enumerate(blocks) for p in range(len(bs))]
     index = {sp: k for k, sp in enumerate(new_states)}
-    n = matrix.dim
     m = len(new_states)
-    split_entries = [[0] * m for _ in range(m)]
-    for (i, p), k in index.items():
-        member_targets = {e[1] for e in blocks[i][p]}
-        for (j, q), k2 in index.items():
-            if j in member_targets:
-                split_entries[k][k2] = 1
+    split_of = [[index[(i, p)] for p in range(len(bs))] for i, bs in enumerate(blocks)]
+    # the matrix is zero-one, so a block is the set of its edges' targets
+    targets = [sorted({e[1] for e in blocks[i][p]}) for i, p in new_states]
     labels = tuple(f"{matrix.label(i)}.{p + 1}" for i, p in new_states)
-    split_matrix = IntMatrix(split_entries, labels=labels)
-    r = IntMatrix(
-        tuple(tuple(1 if i == j else 0 for (j, q) in new_states) for i in range(n))
+    split_matrix = IntMatrix.from_sparse(
+        [[(k, 1) for j in ts for k in split_of[j]] for ts in targets], m, labels=labels
     )
-    s = IntMatrix(
-        tuple(
-            tuple(1 if (i, j, 0) in blocks[i][p] else 0 for j in range(n))
-            for (i, p) in new_states
-        )
-    )
+    r = IntMatrix.from_sparse([[(k, 1) for k in ks] for ks in split_of], m)
+    s = IntMatrix.from_sparse([[(j, 1) for j in ts] for ts in targets], matrix.dim)
     cert = ElementarySse(a=matrix, b=split_matrix, r=r, s=s)
     assert verify_elementary_sse(cert), "split certificate must verify"
     state_of = {frozenset(blocks[i][p]): k for (i, p), k in index.items()}
@@ -403,12 +400,11 @@ def factor_square(
     ns, nd = src.presentation.num_states, dst.presentation.num_states
     if len(eta_states) != ns or any(not 0 <= v < nd for v in eta_states):
         raise InputError("state map must send every source state to a target state")
-    src_rows, src_sparse = src.matrix.entries, src.matrix.sparse
-    dst_rows = dst.matrix.entries
+    src_sparse = src.matrix.sparse
 
     for i, row in enumerate(src_sparse):
         for j, _ in row:
-            if not dst_rows[eta_states[i]][eta_states[j]]:
+            if not dst.presentation.has_edge((eta_states[i], eta_states[j], 0)):
                 raise PreconditionError(
                     f"state map is not a graph homomorphism: edge ({i + 1},{j + 1}) has no image"
                 )
@@ -434,12 +430,12 @@ def factor_square(
 
     src_orbits = src.orbits
     dst_orbits = dst.orbits
+    src_sums = [dict(_orbit_sums(row, src_orbits.orbit_of)) for row in src_sparse]
+    dst_sums = [dict(_orbit_sums(row, dst_orbits.orbit_of)) for row in dst.matrix.sparse]
     for i in range(ns):
         for o, orbit in enumerate(src_orbits.orbits):
-            count = sum(src_rows[i][j] for j in orbit)
-            image_orbit = dst_orbits.orbits[dst_orbits.orbit_of[eta_states[orbit[0]]]]
-            image_count = sum(dst_rows[eta_states[i]][j] for j in image_orbit)
-            if count != image_count:
+            image_orbit = dst_orbits.orbit_of[eta_states[orbit[0]]]
+            if src_sums[i].get(o, 0) != dst_sums[eta_states[i]].get(image_orbit, 0):
                 raise PreconditionError(
                     f"edges from state {i + 1} into orbit {o + 1} do not biject with their images"
                 )

@@ -589,3 +589,41 @@ def permutation_dihedral_table(n: int):
     # the product applies q first, then p
     table = tuple(tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms)
     return tuple(names), table
+
+
+# monodromies of the preset knots as substitutions on the free group of rank
+# two, a word being (generator, sign) letters: trefoil a -> b, b -> a^-1 b;
+# figure eight a -> a b a, b -> b a
+PLAIN_MONODROMIES = {
+    "trefoil": (((1, 1),), ((0, -1), (1, 1))),
+    "figure8": (((0, 1), (1, 1), (0, 1)), ((1, 1), (0, 1))),
+}
+
+
+def plain_monodromy_fixed_counts(substitution, degree: int, m: int):
+    """Oracle for the period counts of a fibered representation shift over
+    the symmetric group on ``degree`` points, on plain permutation tuples:
+    entry n - 1 counts the pairs (a, b) fixed by the n-th iterate of
+    (a, b) -> (w_a(a, b), w_b(a, b)) for the words of ``substitution``."""
+    def mul(p, q):
+        return tuple(p[q[i]] for i in range(degree))
+
+    def inverse(p):
+        out = [0] * degree
+        for i, j in enumerate(p):
+            out[j] = i
+        return tuple(out)
+
+    def evaluate(word, images):
+        acc = tuple(range(degree))
+        for k, sign in word:
+            acc = mul(acc, images[k] if sign == 1 else inverse(images[k]))
+        return acc
+
+    pairs = list(product(permutations(range(degree)), repeat=2))
+    step = {pair: tuple(evaluate(w, pair) for w in substitution) for pair in pairs}
+    counts, current = [], {pair: pair for pair in pairs}
+    for _ in range(m):
+        current = {pair: step[image] for pair, image in current.items()}
+        counts.append(sum(pair == image for pair, image in current.items()))
+    return counts

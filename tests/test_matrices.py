@@ -93,6 +93,16 @@ def mixed_matrix(rng, max_states=10):
     return IntMatrix(tuple(tuple(r) for r in rows))
 
 
+def sparse_test_rows(rng, rows, cols):
+    """Random dense rows with at least one zero row and one zero column."""
+    out = [[rng.choice((0, 0, 1, 2)) for _ in range(cols)] for _ in range(rows)]
+    out[rng.randrange(rows)] = [0] * cols
+    zero_col = rng.randrange(cols)
+    for row in out:
+        row[zero_col] = 0
+    return out
+
+
 class TestTypes:
     def test_int_matrix_rejects_negative(self):
         with pytest.raises(InputError):
@@ -130,6 +140,47 @@ class TestTypes:
         assert m.sparse == (((1, 2),), (), ((0, 1), (2, 3)))
         assert m.sparse is m.sparse
         assert m.transpose().sparse == (((2, 1),), ((0, 2),), ((2, 3),))
+
+    def test_sparse_and_dense_construction_agree(self):
+        rng = random.Random(23)
+        shapes = set()
+        for _ in range(80):
+            rows, cols, inner = (rng.randint(1, 6) for _ in range(3))
+            dense = sparse_test_rows(rng, rows, cols)
+            sparse = [[(j, x) for j, x in enumerate(row) if x] for row in dense]
+            labels = [f"s{i}" for i in range(rows)]
+            a, b = IntMatrix(dense, labels), IntMatrix.from_sparse(sparse, cols, labels)
+            assert a == b and hash(a) == hash(b)
+            assert b.entries == a.entries == tuple(map(tuple, dense))
+            assert b.sparse == a.sparse == tuple(map(tuple, sparse))
+            assert IntMatrix(dense).transpose() == IntMatrix.from_sparse(sparse, cols).transpose()
+            assert IntMatrix.from_sparse(sparse, cols).transpose().entries == tuple(zip(*dense))
+            other = sparse_test_rows(rng, cols, inner)
+            product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*other)] for row in dense]
+            assert mat_mul(b, IntMatrix(other)) == mat_mul(a, IntMatrix(other)) == IntMatrix(product)
+            shapes.add(rows == cols)
+        assert shapes == {True, False}
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([((2, 1),), ()], "strictly increase within 0..1"),
+            ([((-1, 1),), ()], "strictly increase within 0..1"),
+            ([((1, 1), (0, 1)), ()], "strictly increase within 0..1"),
+            ([(), ((0, 1), (0, 2))], "strictly increase within 0..1"),
+            ([((0, 0),), ()], "must be positive"),
+            ([((0, -1),), ()], "must be positive"),
+            ([((0, True),), ()], "must be an exact integer"),
+            ([((0, 1.0),), ()], "must be an exact integer"),
+            ([((1.0, 1),), ()], "must be an exact integer"),
+            ([], "at least one row and one column"),
+        ],
+        ids=["past-last", "negative-column", "unsorted", "duplicate", "zero",
+             "negative", "bool", "float", "float-column", "no-rows"],
+    )
+    def test_from_sparse_rejects_bad_rows(self, rows, message):
+        with pytest.raises(InputError, match=message):
+            IntMatrix.from_sparse(rows, 2)
 
     def test_is_zero_one(self):
         assert IntMatrix(((0, 1, 1),)).is_zero_one()

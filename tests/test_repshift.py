@@ -1,7 +1,15 @@
 """Representation shifts, hom enumeration, presets, transfer matrices."""
 
+import json
+import os
 import random
+import resource
+import subprocess
+import sys
+import time
+import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -29,11 +37,18 @@ from sftact import (
     symmetric_group,
     tqft_matrix,
     trace_of_power,
+    trace_sequence,
     trivial_group,
 )
 from sftact.repshift import check_word
 
-from helpers import brute_is_group, permutation_dihedral_table, z48_with_swapped_products
+from helpers import (
+    PLAIN_MONODROMIES,
+    brute_is_group,
+    permutation_dihedral_table,
+    plain_monodromy_fixed_counts,
+    z48_with_swapped_products,
+)
 
 
 def substitute(word, images):
@@ -265,6 +280,33 @@ class TestBuildRepshift:
                         shift.presentation.matrix, n
                     ) == monodromy_fixed_count(hnn, group, n)
 
+    @pytest.mark.parametrize("degree", [3, 4])
+    @pytest.mark.parametrize("name", ["trefoil", "figure8"])
+    def test_counts_match_plain_permutation_oracle(self, name, degree):
+        shift = build_repshift(fibered_preset(name), symmetric_group(degree))
+        expected = plain_monodromy_fixed_counts(PLAIN_MONODROMIES[name], degree, 6)
+        assert trace_sequence(shift.presentation.matrix, 6) == expected
+
+    @pytest.mark.parametrize(
+        "group", [cyclic_group(1), symmetric_group(3), quaternion_group()], ids=["Z1", "S3", "Q8"]
+    )
+    @pytest.mark.parametrize("name", ["trefoil", "figure8"])
+    def test_trivial_homomorphism_is_a_kept_state_with_a_loop(self, name, group):
+        shift = build_repshift(fibered_preset(name), group)
+        k = shift.states.index((group.identity, group.identity))
+        assert shift.presentation.has_edge((k, k, 0))
+
+    def test_trefoil_s4_memory_peak(self):
+        hnn, group = fibered_preset("trefoil"), symmetric_group(4)
+        tracemalloc.start()
+        try:
+            build_repshift(hnn, group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a dense 576 x 576 state matrix alone would take 2.6 MB
+        assert peak < 1.5e6
+
     def test_conjugation_action_installed(self):
         shift = build_repshift(fibered_preset("trefoil"), symmetric_group(3))
         assert shift.presentation.num_states == 36
@@ -320,6 +362,12 @@ class TestTqftMatrix:
         shift = build_repshift(fibered_preset("trefoil"), trivial_group())
         assert tqft_matrix(shift).reduced.matrix.entries == ((1,),)
 
+    def test_state_matrix_never_made_dense(self):
+        shift = build_repshift(fibered_preset("trefoil"), symmetric_group(3))
+        tqft_matrix(shift)
+        flat_bundle_counts(shift, 6)
+        assert "entries" not in vars(shift.presentation.matrix)
+
     def test_abelian_case_is_state_matrix(self):
         shift = build_repshift(fibered_preset("trefoil"), cyclic_group(2))
         out = tqft_matrix(shift)
@@ -355,6 +403,26 @@ class TestTqftMatrix:
         recoded = right_reduce(block_act).matrix
         assert char_poly_reciprocal(original) == char_poly_reciprocal(recoded)
         assert bowen_franks(original) == bowen_franks(recoded)
+
+
+@pytest.mark.slow
+def test_trefoil_s5_tqft_end_to_end(tmp_path):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "tqft", "input": {"hnn": {"preset": "trefoil"}, "group": "S5"}}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "sftact.cli", "tqft", "--input", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert len(result["basis"]) == len(result["matrix"]["entries"]) == 161
+    assert elapsed < 10
+    # the largest child so far, in KiB on Linux
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 200 * 1024
 
 
 class TestFlatBundleCounts:

@@ -30,6 +30,7 @@ from sftact import (
     verify_chain,
     verify_elementary_sse,
 )
+from sftact.sse import _check_intertwining
 
 from helpers import (
     GOLDEN_MEAN,
@@ -209,6 +210,27 @@ class TestTransportCertificate:
             expected = dense_intertwining_error(cert, act, psi)
             try:
                 transport_certificate(cert, act, psi)
+                got = None
+            except PreconditionError as err:
+                got = str(err)
+            assert got == expected
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}
+
+    def test_sparse_check_matches_dense_oracle_on_perturbed_certificates(self):
+        rng = random.Random(97)
+        outcomes = set()
+        for _ in range(60):
+            act, _ = random_group_action(rng, max_states=4)
+            psi, cert = out_split(act, random_compatible_split(rng, act, "out"))
+            r, s = (list(map(list, m.entries)) for m in (cert.r, cert.s))
+            target = rng.choice((r, s))
+            row = rng.choice(target)
+            row[rng.randrange(len(row))] = rng.choice((0, 1, 2))
+            perturbed = ElementarySse(cert.a, cert.b, IntMatrix(r), IntMatrix(s))
+            expected = dense_intertwining_error(perturbed, act, psi)
+            try:
+                _check_intertwining(perturbed, act, psi)
                 got = None
             except PreconditionError as err:
                 got = str(err)
