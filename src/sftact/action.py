@@ -13,11 +13,11 @@ laws kept under products, like invariance, are checked on the generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
 from .errors import InputError, LimitExceededError, PreconditionError
+from .records import record
 from .matrices import IntMatrix
 from .sft import CycleWord, SftPresentation
 
@@ -56,7 +56,7 @@ def greedy_generators(items, start, product, admit) -> tuple:
     return tuple(indices)
 
 
-@dataclass(frozen=True)
+@record
 class PermGroup:
     """A finite group of permutations of 0..degree-1.
 
@@ -135,7 +135,7 @@ def group_from_generators(degree: int, gens, limit: int = 100000) -> PermGroup:
     return PermGroup(degree, tuple(ordered))
 
 
-@dataclass(frozen=True)
+@record
 class PermutationAction:
     """A PermGroup acting on a zero-one presentation by symbol permutations.
 
@@ -193,7 +193,7 @@ def validate_action(p: SftPresentation, g: PermGroup) -> PermutationAction:
     return PermutationAction(p, g)
 
 
-@dataclass(frozen=True)
+@record
 class OrbitStructure:
     """Orbits, representatives, state stabilizers and kernel of an action.
 

@@ -24,10 +24,10 @@ import json
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from . import __version__
 from .errors import InputError, LimitExceededError, PreconditionError
+from .records import record
 from .matrices import (
     IntMatrix,
     bowen_franks,
@@ -71,7 +71,7 @@ PARAMETERS = ("max_n", "limit", "m")
 _HOM_LIMIT = 1000000  # default "limit" of the representation-shift commands
 
 
-@dataclass(frozen=True)
+@record
 class JobSpec:
     """A validated job: the document fields that reports echo, and the
     input as its command's parser returned it."""
@@ -79,7 +79,14 @@ class JobSpec:
     command: str
     input: dict
     parameters: dict
-    parsed: object = field(repr=False)
+    parsed: object
+
+    def __repr__(self) -> str:
+        # ``parsed`` is left out: it can be a large matrix or group.
+        return (
+            f"JobSpec(command={self.command!r}, input={self.input!r}, "
+            f"parameters={self.parameters!r})"
+        )
 
     def document(self) -> dict:
         """Canonical job document (used for provenance echoes and round trips)."""
@@ -91,7 +98,7 @@ class JobSpec:
         }
 
 
-@dataclass(frozen=True)
+@record
 class Report:
     command: str
     input: dict

@@ -26,7 +26,6 @@ products on its own submatrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress
@@ -34,6 +33,7 @@ from math import gcd, lcm
 from operator import ge
 
 from .errors import InputError
+from .records import record
 
 
 def _check_int(x, what: str) -> int:
@@ -85,7 +85,7 @@ def _principal_rows(sparse, states):
     return [tuple((position[j], x) for j, x in sparse[s] if j in position) for s in states]
 
 
-@dataclass(frozen=True, init=False)
+@record
 class IntMatrix:
     """Matrix of nonnegative integers, of any shape, stored as sparse rows.
 
@@ -176,7 +176,7 @@ class IntMatrix:
         return cls.from_sparse([((i, 1),) for i in range(n)], n)
 
 
-@dataclass(frozen=True)
+@record
 class IntPolynomial:
     """Integer polynomial, constant term first.
 
@@ -208,7 +208,7 @@ class IntPolynomial:
         return acc
 
 
-@dataclass(frozen=True)
+@record
 class AbelianGroupInvariants:
     """Invariant factors (torsion) and free rank of a finitely generated
     abelian group, in particular of an integer matrix cokernel.

@@ -21,16 +21,16 @@ radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError
+from .records import record
 from .matrices import IntPolynomial, char_poly_reciprocal, poly_lcm, trace_sequence
 from .action import PermutationAction, fixed_submatrix
 from .reduce import left_reduce
 from .sft import CycleWord, SftPresentation, is_irreducible, shortest_path, trim_essential
 
 
-@dataclass(frozen=True)
+@record
 class OrbitCountReport:
     """Orbit counts N_1..N_m, the annihilating recurrence polynomial and
     the per-element trace table behind them."""
@@ -107,7 +107,7 @@ def quotient_period_counts(a: PermutationAction, m: int):
     return trace_sequence(left_reduce(a).matrix, m)
 
 
-@dataclass(frozen=True)
+@record
 class QuotientClassification:
     """Verdict for the quotient of an irreducible action.
 
@@ -174,7 +174,7 @@ def classify_quotient(a: PermutationAction) -> QuotientClassification:
     return QuotientClassification(verdict="constant-to-one", kernel=kernel, witness=None)
 
 
-@dataclass(frozen=True)
+@record
 class NonexpansiveWitness:
     """Data producing arbitrarily long shadowing pairs in the quotient.
 

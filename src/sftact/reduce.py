@@ -13,15 +13,15 @@ onto the reduced edge alphabet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .errors import PreconditionError
+from .records import record
 from .matrices import IntMatrix
 from .action import OrbitStructure, PermutationAction
 from .sft import SftPresentation
 
 
-@dataclass(frozen=True)
+@record
 class ReducedShift:
     """Reduced presentation together with its selector matrices.
 
@@ -99,7 +99,7 @@ def left_reduce(a: PermutationAction) -> ReducedShift:
     return ReducedShift("left", reduced.transpose(), u, v)
 
 
-@dataclass(frozen=True)
+@record
 class OneBlockCode:
     """One-block map on edge alphabets between two presentations.
 

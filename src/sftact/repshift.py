@@ -14,10 +14,10 @@ cover when the data comes from a knot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import InputError, LimitExceededError, PreconditionError
+from .records import record
 from .matrices import IntMatrix, IntPolynomial
 from .action import PermGroup, PermutationAction, _close, compose, greedy_generators
 from .quotient import OrbitCountReport, burnside_counts
@@ -40,7 +40,7 @@ def check_word(w, gens: int, what: str = "word") -> GroupWord:
     return word
 
 
-@dataclass(frozen=True)
+@record
 class FiniteGroupTable:
     """Finite group as an explicit multiplication table.
 
@@ -227,7 +227,7 @@ def enumerate_homs(gens: int, relators, g: FiniteGroupTable, limit: int = 100000
     return out
 
 
-@dataclass(frozen=True)
+@record
 class HnnData:
     """Presentation data for a fibered kernel.
 
@@ -278,7 +278,7 @@ class HnnData:
         return cols
 
 
-@dataclass(frozen=True)
+@record
 class RepShift:
     """Shift of finite type on Hom(U, G) with its conjugation action.
 
@@ -422,7 +422,7 @@ def preset_alexander_polynomial(name: str) -> IntPolynomial:
     return _PRESETS[name][1]
 
 
-@dataclass(frozen=True)
+@record
 class TqftMatrix:
     """Transfer matrix on the conjugation-orbit basis of the state set."""
 

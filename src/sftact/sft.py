@@ -11,16 +11,16 @@ under trimming.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CapExceededError, InputError, PreconditionError
+from .records import record
 from .matrices import IntMatrix, _components
 
 Edge = tuple  # (initial state, terminal state, multiplicity index)
 
 
-@dataclass(frozen=True)
+@record
 class SftPresentation:
     """Essential presentation of a shift of finite type.
 
@@ -103,7 +103,7 @@ class SftPresentation:
         return self.matrix is None or self.matrix.is_zero_one()
 
 
-@dataclass(frozen=True)
+@record
 class Path:
     """Finite nonempty edge path; consecutive edges must compose."""
 
@@ -127,7 +127,7 @@ class Path:
         return (self.edges[0][0],) + tuple(e[1] for e in self.edges)
 
 
-@dataclass(frozen=True)
+@record
 class CycleWord:
     """Closed edge path with a distinguished starting phase.
 

@@ -21,16 +21,16 @@ between the original and reduced shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError
+from .records import record
 from .matrices import IntMatrix, mat_mul
 from .action import PermGroup, PermutationAction
 from .reduce import OneBlockCode, _orbit_sums, build_eta, right_reduce
 from .sft import SftPresentation
 
 
-@dataclass(frozen=True)
+@record
 class ElementarySse:
     """Claimed elementary strong shift equivalence between a and b.
 
@@ -60,7 +60,7 @@ def _same_entries(a: IntMatrix, b: IntMatrix) -> bool:
     return a.cols == b.cols and a.sparse == b.sparse
 
 
-@dataclass(frozen=True)
+@record
 class SseChain:
     """Chain of elementary equivalences with matching endpoints."""
 
@@ -97,7 +97,7 @@ def identity_sse(a: IntMatrix) -> ElementarySse:
     return ElementarySse(a=a, b=a, r=IntMatrix.from_sparse(a.sparse, a.cols), s=IntMatrix.identity(a.dim))
 
 
-@dataclass(frozen=True)
+@record
 class TwoBlockConjugacy:
     """The conjugacy canonically attached to a zero-one certificate.
 
@@ -219,7 +219,7 @@ def transport_certificate(
     return out
 
 
-@dataclass(frozen=True)
+@record
 class SplitData:
     """Ordered edge partitions, one per state, for a state splitting.
 
@@ -366,7 +366,7 @@ def higher_block_action(a: PermutationAction, n: int):
     return current, SseChain(tuple(links)), tuple(stages)
 
 
-@dataclass(frozen=True)
+@record
 class ActionFactorSquare:
     """Commuting square of right-resolving one-block codes.
 

@@ -84,3 +84,23 @@ def test_traced_layer_resolves(module, name):
     else:
         mod = importlib.import_module(f"sftact.{module}")
         assert callable(getattr(mod, SPANS.RENAMED.get(name, name)))
+
+
+def test_traced_job_records_construction_spans():
+    """A traced run times PermGroup and PermutationAction construction by
+    rebinding their ``__post_init__``; the records must call the rebound
+    one, and leaving the block restores the original."""
+    from sftact.action import PermGroup, PermutationAction
+
+    path = EXPECTED / "cli-small" / "trefoil-s3-tqft.json"
+    golden = path.read_bytes()
+    text = json.dumps(json.loads(golden)["input"])
+    originals = {cls: vars(cls)["__post_init__"] for cls in (PermGroup, PermutationAction)}
+    recorder = SPANS.Recorder()
+    with recorder.tracing():
+        report = cli.emit_report(cli.run_job(cli.parse_job(text)))
+    assert report.encode() == golden
+    names = {span[3] for span in recorder.spans}
+    assert {"action.PermGroup", "action.PermutationAction", "cli.run_job"} <= names
+    for cls, original in originals.items():
+        assert vars(cls)["__post_init__"] is original

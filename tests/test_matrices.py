@@ -474,3 +474,23 @@ class TestBowenFranks:
         assert right.torsion == (2, 2)
         assert left.torsion == (4,)
         assert right != left
+
+    def test_against_sympy_invariant_factors(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        rng = random.Random(41)
+        cases = []
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            cases.append(IntMatrix(tuple(tuple(rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(n)) for _ in range(n))))
+        cases += [mixed_matrix(rng, max_states=8) for _ in range(40)]
+        seen_torsion = seen_free = False
+        for m in cases:
+            factors = invariant_factors(sympy.eye(m.dim) - sympy.Matrix(m.entries), domain=sympy.ZZ)
+            found = bowen_franks(m)
+            assert found.torsion == tuple(abs(int(d)) for d in factors if abs(d) > 1)
+            assert found.free_rank == sum(1 for d in factors if d == 0)
+            seen_torsion |= bool(found.torsion)
+            seen_free |= found.free_rank > 0
+        assert seen_torsion and seen_free
