@@ -11,7 +11,10 @@ integers.
 Each command has one input parser and one runner.  ``parse_job`` parses
 the input once into library values (actions, matrices, certificates,
 HNN data, groups), rejecting unknown fields and naming the offending
-``$``-rooted path; ``run_job`` computes from those values alone.
+``$``-rooted path; ``run_job`` computes from those values alone.  Both
+call the library through its modules (``quotient.burnside_counts``), which
+the package loads on first use, so a job executes only the modules its
+command needs.
 
 Exit codes: 0 success, 1 input errors, 2 mathematical precondition
 failures, 3 closure or homomorphism limit exhaustion.
@@ -25,45 +28,9 @@ import re
 import sys
 from contextlib import contextmanager
 
-from . import __version__
+from . import __version__, action, matrices, quotient, reduce, repshift, sft, sse
 from .errors import InputError, LimitExceededError, PreconditionError
 from .records import record
-from .matrices import (
-    IntMatrix,
-    bowen_franks,
-    char_poly_reciprocal,
-    trace_sequence,
-)
-from .sft import SftPresentation
-from .action import PermGroup, PermutationAction, group_from_generators
-from .reduce import left_reduce, right_reduce
-from .sse import (
-    ElementarySse,
-    SplitData,
-    SseChain,
-    in_split,
-    out_split,
-    transport_certificate,
-    verify_elementary_sse,
-)
-from .quotient import (
-    burnside_counts,
-    classify_quotient,
-    nonexpansive_witness,
-    quotient_period_counts,
-)
-from .repshift import (
-    FiniteGroupTable,
-    HnnData,
-    build_repshift,
-    cyclic_group,
-    dihedral_group,
-    fibered_preset,
-    flat_bundle_counts,
-    quaternion_group,
-    symmetric_group,
-    tqft_matrix,
-)
 
 JOB_FORMAT = "sftact-job/1"
 REPORT_FORMAT = "sftact-report/1"
@@ -155,7 +122,7 @@ def _get_int(value, path, minimum=None):
     return value
 
 
-def parse_matrix(doc, path) -> IntMatrix:
+def parse_matrix(doc, path) -> matrices.IntMatrix:
     """A nonempty array of equally long rows of nonnegative integers, of
     any shape (certificate factors)."""
     _expect(isinstance(doc, list) and doc, path, "expected a nonempty array of rows")
@@ -165,10 +132,10 @@ def parse_matrix(doc, path) -> IntMatrix:
             _get_int(x, f"{path}[{i}][{j}]")
             _expect(x >= 0, f"{path}[{i}][{j}]", f"matrix entries must be nonnegative, got {x}")
     with _at(path):
-        return IntMatrix(tuple(tuple(row) for row in doc))
+        return matrices.IntMatrix(tuple(tuple(row) for row in doc))
 
 
-def parse_states(doc, path) -> IntMatrix:
+def parse_states(doc, path) -> matrices.IntMatrix:
     """A square matrix: the presentation datum of a shift of finite type."""
     matrix = parse_matrix(doc, path)
     with _at(path):
@@ -223,27 +190,31 @@ def cycles_of(perm) -> str:
     return "".join(parts) if parts else "()"
 
 
-def parse_perm_group(doc, degree, path) -> PermGroup:
+def parse_perm_group(doc, degree, path) -> action.PermGroup:
     doc = _fields(doc, path, ("generators", "limit"))
     gens_doc = doc.get("generators")
     _expect(isinstance(gens_doc, list), f"{path}.generators", "expected an array of cycle strings")
     limit = _get_int(doc.get("limit", 100000), f"{path}.limit", minimum=1)
     gens = [parse_cycles(g, degree, f"{path}.generators[{k}]") for k, g in enumerate(gens_doc)]
-    return group_from_generators(degree, gens, limit)
+    return action.group_from_generators(degree, gens, limit)
 
 
 _NAMED_GROUP_RE = re.compile(r"^([ZSD])(\d+)$")
 
 
-def parse_abstract_group(doc, path) -> FiniteGroupTable:
+def parse_abstract_group(doc, path) -> repshift.FiniteGroupTable:
     if isinstance(doc, str):
         if doc == "Q8":
-            return quaternion_group()
+            return repshift.quaternion_group()
         match = _NAMED_GROUP_RE.match(doc)
         _expect(match is not None, path, f"unknown group name {doc!r}")
         kind, n = match.group(1), int(match.group(2))
         _expect(n >= 1, path, "group parameter must be positive")
-        build = {"Z": cyclic_group, "S": symmetric_group, "D": dihedral_group}[kind]
+        build = {
+            "Z": repshift.cyclic_group,
+            "S": repshift.symmetric_group,
+            "D": repshift.dihedral_group,
+        }[kind]
         with _at(path):
             return build(n)
     if "name" in _get_dict(doc, path):
@@ -261,7 +232,7 @@ def parse_abstract_group(doc, path) -> FiniteGroupTable:
     for k, name in enumerate(names):
         _expect(isinstance(name, str), f"{path}.names[{k}]", "expected a string")
     with _at(f"{path}.table"):
-        return FiniteGroupTable(names=tuple(names), table=tuple(tuple(row) for row in table))
+        return repshift.FiniteGroupTable(names=tuple(names), table=tuple(tuple(row) for row in table))
 
 
 def parse_word(doc, path):
@@ -283,11 +254,11 @@ def parse_word(doc, path):
 _HNN_WORDS = ("b_relators", "u_gens", "u_relators", "v_gens", "v_relators", "phi_images")
 
 
-def parse_hnn(doc, path) -> HnnData:
+def parse_hnn(doc, path) -> repshift.HnnData:
     if "preset" in _get_dict(doc, path):
         name = _fields(doc, path, ("preset",))["preset"]
         _expect(isinstance(name, str), f"{path}.preset", "expected a preset name")
-        return fibered_preset(name)
+        return repshift.fibered_preset(name)
     _fields(doc, path, ("b_gens",) + _HNN_WORDS)
     for key in ("b_gens", "u_gens", "v_gens", "phi_images"):
         _field(doc, path, key)
@@ -298,30 +269,30 @@ def parse_hnn(doc, path) -> HnnData:
         words[key] = tuple(parse_word(w, f"{path}.{key}[{k}]") for k, w in enumerate(value))
     b_gens = _get_int(doc["b_gens"], f"{path}.b_gens", minimum=0)
     with _at(path):
-        return HnnData(b_gens=b_gens, **words)
+        return repshift.HnnData(b_gens=b_gens, **words)
 
 
-def parse_certificate(doc, path) -> ElementarySse:
+def parse_certificate(doc, path) -> sse.ElementarySse:
     doc = _fields(doc, path, ("a", "b", "r", "s"))
     for key in ("a", "b", "r", "s"):
         _field(doc, path, key)
     a, b = (parse_states(doc[key], f"{path}.{key}") for key in ("a", "b"))
     r, s = (parse_matrix(doc[key], f"{path}.{key}") for key in ("r", "s"))
     with _at(path):
-        return ElementarySse(a=a, b=b, r=r, s=s)
+        return sse.ElementarySse(a=a, b=b, r=r, s=s)
 
 
 # ---------------------------------------------------------------------------
 # command inputs: each parser takes the input object and its path "$.input"
 
-def _act(matrix, group_doc, path) -> PermutationAction:
+def _act(matrix, group_doc, path) -> action.PermutationAction:
     """The action on ``matrix`` of the permutation group at ``path``; the
     presentation is checked before the group is closed."""
-    presentation = SftPresentation.from_matrix(matrix)
-    return PermutationAction(presentation, parse_perm_group(group_doc, matrix.dim, path))
+    presentation = sft.SftPresentation.from_matrix(matrix)
+    return action.PermutationAction(presentation, parse_perm_group(group_doc, matrix.dim, path))
 
 
-def _parse_action(doc, path, known=("matrix", "group")) -> PermutationAction:
+def _parse_action(doc, path, known=("matrix", "group")) -> action.PermutationAction:
     doc = _fields(doc, path, known)
     matrix = parse_states(_field(doc, path, "matrix"), f"{path}.matrix")
     return _act(matrix, _field(doc, path, "group"), f"{path}.group")
@@ -342,7 +313,7 @@ def _parse_links(doc, path):
     _expect(isinstance(chain, list) and chain, f"{path}.chain", "expected a nonempty array")
     links = tuple(parse_certificate(link, f"{path}.chain[{k}]") for k, link in enumerate(chain))
     with _at(f"{path}.chain"):
-        return SseChain(links).links
+        return sse.SseChain(links).links
 
 
 def _parse_transport(doc, path):
@@ -357,7 +328,7 @@ def _parse_transport(doc, path):
 def _parse_split(doc, path):
     """(action, SplitData); partitions list 1-based target (out) or source
     (in) states per block."""
-    action = _parse_action(doc, path, ("matrix", "group", "direction", "partition"))
+    act = _parse_action(doc, path, ("matrix", "group", "direction", "partition"))
     direction = doc.get("direction", "out")
     _expect(direction in ("out", "in"), f"{path}.direction", "expected 'out' or 'in'")
     partition_doc = doc.get("partition")
@@ -376,7 +347,7 @@ def _parse_split(doc, path):
                 edges.append((i, o, 0) if direction == "out" else (o, i, 0))
             state_out.append(tuple(edges))
         blocks.append(tuple(state_out))
-    return action, SplitData(direction, tuple(blocks))
+    return act, sse.SplitData(direction, tuple(blocks))
 
 
 def _parse_repshift(doc, path):
@@ -420,7 +391,7 @@ def job_from_document(doc) -> JobSpec:
 # ---------------------------------------------------------------------------
 # command implementations: each runner takes (parsed input, parameters)
 
-def _matrix_doc(m: IntMatrix):
+def _matrix_doc(m: matrices.IntMatrix):
     out = {"entries": [list(row) for row in m.entries]}
     if m.labels is not None:
         out["labels"] = list(m.labels)
@@ -435,10 +406,10 @@ def _bf_doc(inv):
     return {"torsion": list(inv.torsion), "free_rank": inv.free_rank}
 
 
-def _run_reduce(action, parameters):
-    right = right_reduce(action)
-    left = left_reduce(action)
-    orbits = [[s + 1 for s in orbit] for orbit in action.orbits.orbits]
+def _run_reduce(act, parameters):
+    right = reduce.right_reduce(act)
+    left = reduce.left_reduce(act)
+    orbits = [[s + 1 for s in orbit] for orbit in act.orbits.orbits]
     return {
         "orbits": orbits,
         "right": _matrix_doc(right.matrix),
@@ -449,31 +420,31 @@ def _run_reduce(action, parameters):
 
 
 def _run_invariants(parsed, parameters):
-    matrix, action = parsed
+    matrix, act = parsed
     result = {
-        "char_poly_reciprocal": _poly_doc(char_poly_reciprocal(matrix)),
-        "bowen_franks": _bf_doc(bowen_franks(matrix)),
+        "char_poly_reciprocal": _poly_doc(matrices.char_poly_reciprocal(matrix)),
+        "bowen_franks": _bf_doc(matrices.bowen_franks(matrix)),
     }
-    if action is not None:
-        for side, reduced in (("right", right_reduce(action)), ("left", left_reduce(action))):
+    if act is not None:
+        for side, reduced in (("right", reduce.right_reduce(act)), ("left", reduce.left_reduce(act))):
             result[side] = {
                 "matrix": _matrix_doc(reduced.matrix),
-                "char_poly_reciprocal": _poly_doc(char_poly_reciprocal(reduced.matrix)),
-                "bowen_franks": _bf_doc(bowen_franks(reduced.matrix)),
+                "char_poly_reciprocal": _poly_doc(matrices.char_poly_reciprocal(reduced.matrix)),
+                "bowen_franks": _bf_doc(matrices.bowen_franks(reduced.matrix)),
             }
     return result
 
 
-def _run_classify(action, parameters):
-    verdict = classify_quotient(action)
+def _run_classify(act, parameters):
+    verdict = quotient.classify_quotient(act)
     result = {
         "verdict": verdict.verdict,
-        "kernel": [cycles_of(action.group.elements[g]) for g in verdict.kernel],
+        "kernel": [cycles_of(act.group.elements[g]) for g in verdict.kernel],
     }
     if verdict.witness is not None:
         g, cycle = verdict.witness
         result["witness"] = {
-            "element": cycles_of(action.group.elements[g]),
+            "element": cycles_of(act.group.elements[g]),
             "cycle_states": [s + 1 for s in cycle.states],
         }
     return result
@@ -483,13 +454,13 @@ def _edge_doc(edges):
     return [[e[0] + 1, e[1] + 1, e[2]] for e in edges]
 
 
-def _run_witness(action, parameters):
+def _run_witness(act, parameters):
     m = parameters.get("m", 1)
-    verdict = classify_quotient(action)
-    witness, x_window, y_window, zero = nonexpansive_witness(action, verdict, m)
+    verdict = quotient.classify_quotient(act)
+    witness, x_window, y_window, zero = quotient.nonexpansive_witness(act, verdict, m)
     return {
         "m": m,
-        "element": cycles_of(action.group.elements[witness.g]),
+        "element": cycles_of(act.group.elements[witness.g]),
         "u": _edge_doc(witness.u),
         "v": _edge_doc(witness.v),
         "w": _edge_doc(witness.w),
@@ -500,8 +471,8 @@ def _run_witness(action, parameters):
     }
 
 
-def _run_burnside(action, parameters):
-    report = burnside_counts(action, parameters.get("max_n", 6))
+def _run_burnside(act, parameters):
+    report = quotient.burnside_counts(act, parameters.get("max_n", 6))
     return {
         "counts": list(report.counts),
         "recurrence": _poly_doc(report.recurrence),
@@ -509,45 +480,45 @@ def _run_burnside(action, parameters):
     }
 
 
-def _run_quotient_counts(action, parameters):
-    return {"counts": quotient_period_counts(action, parameters.get("max_n", 6))}
+def _run_quotient_counts(act, parameters):
+    return {"counts": quotient.quotient_period_counts(act, parameters.get("max_n", 6))}
 
 
 def _run_verify_sse(links, parameters):
-    results = [verify_elementary_sse(link) for link in links]
+    results = [sse.verify_elementary_sse(link) for link in links]
     return {"links": results, "valid": all(results)}
 
 
 def _run_transport(parsed, parameters):
-    out = transport_certificate(*parsed)
+    out = sse.transport_certificate(*parsed)
     return {
         "a_reduced": _matrix_doc(out.a),
         "b_reduced": _matrix_doc(out.b),
         "r": [list(row) for row in out.r.entries],
         "s": [list(row) for row in out.s.entries],
-        "verified": verify_elementary_sse(out),
+        "verified": sse.verify_elementary_sse(out),
     }
 
 
 def _run_split(parsed, parameters):
-    action, data = parsed
-    split_fn = out_split if data.direction == "out" else in_split
+    act, data = parsed
+    split_fn = sse.out_split if data.direction == "out" else sse.in_split
     with _at("$.input.partition"):
-        new_action, cert = split_fn(action, data)
+        new_action, cert = split_fn(act, data)
     return {
         "direction": data.direction,
         "matrix": _matrix_doc(new_action.matrix),
         "r": [list(row) for row in cert.r.entries],
         "s": [list(row) for row in cert.s.entries],
         "group_generators": [cycles_of(p) for p in new_action.group.elements[1:]],
-        "verified": verify_elementary_sse(cert),
+        "verified": sse.verify_elementary_sse(cert),
     }
 
 
 def _build_repshift(parsed, parameters):
     """The representation shift of (HnnData, group); its input errors name the HNN data."""
     with _at("$.input.hnn"):
-        return build_repshift(*parsed, parameters.get("limit", _HOM_LIMIT))
+        return repshift.build_repshift(*parsed, parameters.get("limit", _HOM_LIMIT))
 
 
 def _run_repshift(parsed, parameters):
@@ -556,13 +527,13 @@ def _run_repshift(parsed, parameters):
     return {
         "states": list(shift.presentation.matrix.labels),
         "matrix": _matrix_doc(shift.presentation.matrix),
-        "period_counts": trace_sequence(shift.presentation.matrix, m),
+        "period_counts": matrices.trace_sequence(shift.presentation.matrix, m),
         "conjugation_order": shift.action.group.order,
     }
 
 
 def _run_tqft(parsed, parameters):
-    out = tqft_matrix(_build_repshift(parsed, parameters))
+    out = repshift.tqft_matrix(_build_repshift(parsed, parameters))
     return {
         "basis": list(out.basis),
         "matrix": _matrix_doc(out.reduced.matrix),
@@ -570,7 +541,7 @@ def _run_tqft(parsed, parameters):
 
 
 def _run_bundle_counts(parsed, parameters):
-    report = flat_bundle_counts(_build_repshift(parsed, parameters), parameters.get("max_n", 6))
+    report = repshift.flat_bundle_counts(_build_repshift(parsed, parameters), parameters.get("max_n", 6))
     return {
         "counts": list(report.counts),
         "recurrence": _poly_doc(report.recurrence),

@@ -1,8 +1,8 @@
 """Exact integer matrix and polynomial algebra.
 
-Everything here runs on Python's unbounded integers, with exact rationals
-used internally for polynomial gcd computations.  No floating point is
-used anywhere in the package.
+Everything here runs on Python's unbounded integers; polynomial gcds use
+pseudo-remainders, so no rational or floating-point number is formed
+anywhere in the package.
 
 The central objects are nonnegative integer matrices of any shape
 (``IntMatrix``: square ones present shifts of finite type, rectangular
@@ -26,10 +26,9 @@ products on its own submatrix.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress
-from math import gcd, lcm
+from math import gcd
 from operator import ge
 
 from .errors import InputError
@@ -412,7 +411,7 @@ def char_poly_reciprocal(a: IntMatrix) -> IntPolynomial:
             factor = (1,) + (0,) * (len(states) - 1) + (-1,)
         else:
             factor = _faddeev_leverrier(sub)
-        coeffs = _poly_mul_coeffs(coeffs, factor)
+        coeffs = _poly_mul_coeffs(factor, coeffs)
     return IntPolynomial(coeffs)
 
 
@@ -433,41 +432,65 @@ def _primitive(coeffs):
     return tuple(coeffs)
 
 
-def _frac_divmod(num, den):
-    """Polynomial division over the rationals; lists of Fractions, constant first."""
-    num = list(num)
-    dden = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(num) - dden, 0)
-    for i in range(len(num) - 1, dden - 1, -1):
-        q = num[i] / lead
-        quot[i - dden] = q
-        for j in range(dden + 1):
-            num[i - dden + j] -= q * den[j]
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
+def _pseudo_remainder(num, den):
+    """An integer multiple of the remainder of num divided by den.
+
+    Coefficient lists, constant first, den nonzero.  Each step scales the
+    dividend by lc(den) / g and subtracts (c / g) t^k den, where c is its
+    leading coefficient and g = gcd(c, lc(den)), so every coefficient stays
+    an integer; the result is a nonzero integer multiple of the remainder
+    over the rationals (Knuth, TAOCP vol. 2, section 4.6.1).
+    """
+    rem = list(num)
+    size, lead = len(den), den[-1]
+    while len(rem) >= size:
+        c = rem[-1]
+        if c % lead:
+            g = gcd(c, lead)
+            scale, q = lead // g, c // g
+            rem = [x * scale for x in rem]
+        else:
+            q = c // lead
+        shift = len(rem) - size
+        rem[shift:] = [x - q * y for x, y in zip(rem[shift:], den)]
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return rem
 
 
 def _poly_gcd_coeffs(p, q):
-    """Primitive integer gcd of two nonzero integer coefficient tuples."""
-    a = [Fraction(x) for x in p]
-    b = [Fraction(x) for x in q]
+    """Primitive gcd of two primitive integer coefficient tuples, by the
+    primitive pseudo-remainder sequence (Cohen, section 3.3)."""
+    a, b = p, q
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        _, r = _frac_divmod(a, b)
-        a, b = b, r
-    # a is a nonzero rational polynomial; clear denominators and normalize
-    denoms = lcm(*[f.denominator for f in a]) if len(a) > 1 else a[0].denominator
-    ints = [int(f * denoms) for f in a]
-    return _primitive(ints)
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return a
+
+
+def _exact_quotient(num, den):
+    """num / den for integer coefficient tuples when den divides num in
+    Z[t]: every quotient coefficient is an exact integer division."""
+    rem = list(num)
+    size, lead = len(den), den[-1]
+    quot = [0] * (len(rem) - size + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        q = rem[k + size - 1] // lead
+        if q:
+            quot[k] = q
+            rem[k:k + size] = [x - q * y for x, y in zip(rem[k:k + size], den)]
+    return tuple(quot)
 
 
 def _poly_mul_coeffs(p, q):
+    """Product of two coefficient tuples; zero coefficients of ``p`` are
+    skipped, so pass the sparser factor first."""
     out = [0] * (len(p) + len(q) - 1)
+    size = len(q)
     for i, x in enumerate(p):
         if x:
-            for j, y in enumerate(q):
-                out[i + j] += x * y
+            out[i:i + size] = [o + x * y for o, y in zip(out[i:i + size], q)]
     return tuple(out)
 
 
@@ -475,7 +498,10 @@ def poly_lcm(ps) -> IntPolynomial:
     """Least common multiple of nonzero integer polynomials over the rationals.
 
     The result is primitive with its lowest nonzero coefficient positive,
-    so polynomials arising as det(I - t A) keep constant term +1.
+    so polynomials arising as det(I - t A) keep constant term +1.  Each
+    step divides the product of two primitive polynomials by their
+    primitive gcd; by Gauss's lemma the quotient has integer coefficients
+    and is again primitive with its lowest coefficient positive.
     """
     ps = list(ps)
     if not ps:
@@ -487,11 +513,7 @@ def poly_lcm(ps) -> IntPolynomial:
         coeffs.append(_primitive(p.coefficients))
     acc = coeffs[0]
     for p in coeffs[1:]:
-        g = _poly_gcd_coeffs(acc, p)
-        prod = _poly_mul_coeffs(acc, p)
-        quot, rem = _frac_divmod([Fraction(x) for x in prod], [Fraction(x) for x in g])
-        assert not rem, "gcd must divide the product exactly"
-        acc = _primitive([int(f) for f in quot])
+        acc = _exact_quotient(_poly_mul_coeffs(acc, p), _poly_gcd_coeffs(acc, p))
     return IntPolynomial(acc)
 
 
@@ -503,10 +525,7 @@ def poly_divides(p: IntPolynomial, q: IntPolynomial) -> bool:
         return True
     if q.degree < p.degree:
         return False
-    _, rem = _frac_divmod(
-        [Fraction(x) for x in q.coefficients], [Fraction(x) for x in p.coefficients]
-    )
-    return not rem
+    return not _pseudo_remainder(q.coefficients, p.coefficients)
 
 
 def smith_normal_form(rows) -> AbelianGroupInvariants:

@@ -1,6 +1,8 @@
 """Shared fixtures, randomized generators and oracles for the test suite."""
 
+from fractions import Fraction
 from itertools import permutations, product
+from math import gcd, lcm
 
 from sftact import (
     IntMatrix,
@@ -554,6 +556,71 @@ def all_pairs_higher_block(p: SftPresentation, n: int):
         tuple(1 if b[1:] == b2[:-1] else 0 for b2 in blocks) for b in blocks
     )
     return entries, blocks
+
+
+def primitive_form(coeffs):
+    """Content-1 integer coefficients, lowest nonzero coefficient positive."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    content = 0
+    for x in coeffs:
+        content = gcd(content, x)
+    sign = -1 if next(x for x in coeffs if x) < 0 else 1
+    return tuple(sign * x // content for x in coeffs)
+
+
+def _frac_divmod(num, den):
+    """Polynomial division over the rationals; lists of Fractions, constant first."""
+    num = list(num)
+    dden = len(den) - 1
+    lead = den[-1]
+    quot = [Fraction(0)] * max(len(num) - dden, 0)
+    for i in range(len(num) - 1, dden - 1, -1):
+        q = num[i] / lead
+        quot[i - dden] = q
+        for j in range(dden + 1):
+            num[i - dden + j] -= q * den[j]
+    while num and num[-1] == 0:
+        num.pop()
+    return quot, num
+
+
+def _fraction_gcd(p, q):
+    """Primitive integer gcd of two nonzero integer coefficient tuples, by
+    Euclid over the rationals."""
+    a = [Fraction(x) for x in p]
+    b = [Fraction(x) for x in q]
+    while b:
+        _, r = _frac_divmod(a, b)
+        a, b = b, r
+    denoms = lcm(*[f.denominator for f in a])
+    return primitive_form([int(f * denoms) for f in a])
+
+
+def fraction_poly_lcm(ps):
+    """Oracle for poly_lcm: Euclid over ``Fraction``, product divided by the
+    gcd over the rationals; primitive coefficients, lowest one positive."""
+    acc = primitive_form(ps[0].coefficients)
+    for p in ps[1:]:
+        coeffs = primitive_form(p.coefficients)
+        g = _fraction_gcd(acc, coeffs)
+        prod = [0] * (len(acc) + len(coeffs) - 1)
+        for i, x in enumerate(acc):
+            for j, y in enumerate(coeffs):
+                prod[i + j] += x * y
+        quot, rem = _frac_divmod([Fraction(x) for x in prod], [Fraction(x) for x in g])
+        assert not rem, "gcd must divide the product exactly"
+        acc = primitive_form([int(f) for f in quot])
+    return acc
+
+
+def fraction_divides(p, q) -> bool:
+    """Oracle for poly_divides: the remainder of q by p over the rationals."""
+    if q.is_zero():
+        return True
+    _, rem = _frac_divmod([Fraction(x) for x in q.coefficients], [Fraction(x) for x in p.coefficients])
+    return not rem
 
 
 def networkx_digraph(nx, m: IntMatrix):

@@ -15,6 +15,9 @@ checks that every name it lists still resolves.
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +107,71 @@ def test_traced_job_records_construction_spans():
     assert {"action.PermGroup", "action.PermutationAction", "cli.run_job"} <= names
     for cls, original in originals.items():
         assert vars(cls)["__post_init__"] is original
+
+
+# Run in a fresh child: an invariants job executes only ``matrices``, so
+# ``sse`` and ``repshift`` are still placeholders when tracing starts.
+TRACE_CHILD = r"""
+import importlib.util, json, sys
+from types import ModuleType
+from sftact import cli
+
+expected = sys.argv[1]
+
+def run(stem):
+    golden = open(f"{expected}/cli-small/{stem}.json", encoding="utf-8").read()
+    job = json.dumps(json.loads(golden)["input"])
+    return cli.emit_report(cli.run_job(cli.parse_job(job))) == golden
+
+def layers():
+    return {name: module for name, module in sys.modules.items()
+            if name == "sftact" or name.startswith("sftact.")}
+
+def wrapped(module):
+    return sorted(attr for attr, value in vars(module).items()
+                  if getattr(value, "__qualname__", "").startswith("Recorder._wrap."))
+
+spec = importlib.util.spec_from_file_location("perfbench_spans", f"{expected}/../spans.py")
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+
+first = run("golden-invariants")
+placeholders = sorted(name for name, module in layers().items() if type(module) is not ModuleType)
+before = {name: dict(vars(module)) for name, module in layers().items() if type(module) is ModuleType}
+from sftact.action import PermGroup, PermutationAction
+inits = [vars(cls)["__post_init__"] for cls in (PermGroup, PermutationAction)]
+recorder = spans.Recorder()
+with recorder.tracing():
+    second = run("six-burnside")
+changed = sorted(
+    f"{name}.{attr}" for name, binding in before.items()
+    for attr, value in binding.items() if vars(sys.modules[name]).get(attr) is not value
+)
+print(json.dumps({
+    "reports": [first, second],
+    "placeholders": placeholders,
+    "spans": sorted({span[3] for span in recorder.spans}),
+    "changed": changed,
+    "wrapped": sorted(f"{name}.{attr}" for name, module in layers().items() for attr in wrapped(module)),
+    "inits": [vars(cls)["__post_init__"] is f for cls, f in zip((PermGroup, PermutationAction), inits)],
+}))
+"""
+
+
+def test_tracing_loads_placeholder_layers_and_restores_bindings():
+    """``Recorder.tracing`` indexes every layer in ``sys.modules``; layers a
+    job never used are placeholders that its lookups execute.  Leaving the
+    block restores every binding, in the package namespace too."""
+    env = dict(os.environ, PYTHONPATH=str(EXPECTED.parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACE_CHILD, str(EXPECTED)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["reports"] == [True, True]
+    assert {"sftact.sse", "sftact.repshift"} <= set(out["placeholders"])
+    assert "sftact.matrices" not in out["placeholders"]
+    assert "quotient.burnside_counts" in out["spans"]
+    assert out["changed"] == [] and out["wrapped"] == []
+    assert out["inits"] == [True, True]

@@ -12,16 +12,29 @@ from sftact import (
     IntMatrix,
     IntPolynomial,
     bowen_franks,
+    build_repshift,
     char_poly_reciprocal,
+    fibered_preset,
+    fixed_submatrix,
+    flat_bundle_counts,
     mat_mul,
     poly_divides,
     poly_lcm,
     smith_normal_form,
+    symmetric_group,
     trace_of_power,
     trace_sequence,
 )
 
-from helpers import SIX_STATE_A, dense_trace_of_power, networkx_digraph, six_state_action
+from helpers import (
+    SIX_STATE_A,
+    dense_trace_of_power,
+    fraction_divides,
+    fraction_poly_lcm,
+    networkx_digraph,
+    primitive_form,
+    six_state_action,
+)
 from sftact.matrices import _components
 from sftact.reduce import right_reduce
 
@@ -397,6 +410,112 @@ class TestPolyLcm:
     def test_rejects_zero(self):
         with pytest.raises(InputError):
             poly_lcm([IntPolynomial(())])
+
+
+def _cycle_product(lengths, scale=1):
+    """scale * prod (1 - t^L) over ``lengths``."""
+    coeffs = [scale]
+    for length in lengths:
+        shifted = [0] * length + [-x for x in coeffs]
+        coeffs = [a + b for a, b in zip(coeffs + [0] * length, shifted)]
+    return IntPolynomial(tuple(coeffs))
+
+
+def _times(p, q):
+    out = [0] * (len(p.coefficients) + len(q.coefficients) - 1)
+    for i, x in enumerate(p.coefficients):
+        for j, y in enumerate(q.coefficients):
+            out[i + j] += x * y
+    return IntPolynomial(tuple(out))
+
+
+def _dense_faddeev_factor(rng):
+    """det(I - t A) of a random strongly connected matrix with a self-loop
+    (so not a single cycle, and Faddeev-LeVerrier computes it)."""
+    while True:
+        n = rng.randint(2, 4)
+        rows = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+        rows[0][0] = max(rows[0][0], 1)
+        for i in range(n):  # a Hamiltonian cycle keeps the matrix irreducible
+            rows[i][(i + 1) % n] = max(rows[i][(i + 1) % n], 1)
+        poly = char_poly_reciprocal(IntMatrix(tuple(map(tuple, rows))))
+        if poly.degree >= 1:
+            return poly
+
+
+class TestPolyOracles:
+    """poly_lcm and poly_divides against Euclid over ``Fraction`` and sympy."""
+
+    @staticmethod
+    def _check_lcm(ps, sympy):
+        out = poly_lcm(ps)
+        assert out.coefficients == fraction_poly_lcm(ps)
+        assert out.coefficients == primitive_form(out.coefficients)
+        assert next(c for c in out.coefficients if c) > 0
+        t = sympy.Symbol("t")
+        acc = sympy.Poly(list(reversed(ps[0].coefficients)), t, domain="ZZ")
+        for p in ps[1:]:
+            acc = acc.lcm(sympy.Poly(list(reversed(p.coefficients)), t, domain="ZZ"))
+        assert out.coefficients == primitive_form(int(c) for c in reversed(acc.all_coeffs()))
+        for p in ps:
+            assert poly_divides(p, out)
+        return out
+
+    @staticmethod
+    def _check_divides(p, q, sympy):
+        t = sympy.Symbol("t")
+        expected = fraction_divides(p, q)
+        assert poly_divides(p, q) == expected
+        if not q.is_zero():
+            rem = sympy.rem(
+                sympy.Poly(list(reversed(q.coefficients)), t, domain="QQ"),
+                sympy.Poly(list(reversed(p.coefficients)), t, domain="QQ"),
+            )
+            assert rem.is_zero == expected
+
+    def test_cycle_products_with_shared_cyclotomic_factors(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(101)
+        for _ in range(40):
+            ps = [
+                _cycle_product(
+                    [rng.randint(1, 12) for _ in range(rng.randint(1, 4))],
+                    scale=rng.choice((1, -1, 2, -3)),
+                )
+                for _ in range(rng.randint(2, 4))
+            ]
+            out = self._check_lcm(ps, sympy)
+            assert out.coefficients[0] == 1
+            for p in ps:
+                for q in ps:
+                    self._check_divides(p, q, sympy)
+
+    def test_faddeev_factors_of_random_matrices(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(202)
+        leads = set()
+        for _ in range(30):
+            shared = _dense_faddeev_factor(rng)
+            ps = [
+                _times(shared, rng.choice((_dense_faddeev_factor(rng), _cycle_product([rng.randint(1, 6)]))))
+                for _ in range(rng.randint(2, 3))
+            ]
+            leads.update(abs(p.coefficients[-1]) for p in ps)
+            self._check_lcm(ps, sympy)
+            self._check_divides(shared, ps[0], sympy)
+            self._check_divides(ps[0], shared, sympy)
+            self._check_divides(_dense_faddeev_factor(rng), ps[-1], sympy)
+        assert leads - {1}, "some input has a leading coefficient other than +-1"
+
+    def test_trefoil_s4_fixed_submatrix_polynomials(self):
+        sympy = pytest.importorskip("sympy")
+        shift = build_repshift(fibered_preset("trefoil"), symmetric_group(4), 10**6)
+        ps = list(dict.fromkeys(
+            char_poly_reciprocal(fixed_submatrix(shift.action, g)) for g in range(shift.action.group.order)
+        ))
+        assert max(p.degree for p in ps) == 576
+        out = self._check_lcm(ps, sympy)
+        assert flat_bundle_counts(shift, 3).recurrence == out
 
 
 class TestSmithNormalForm:
