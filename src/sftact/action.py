@@ -3,8 +3,8 @@ permutations.
 
 An action is valid when every group element g satisfies the invariance law
 A(gi, gj) = A(i, j), so that g induces a one-block automorphism of the
-shift.  Orbits, stabilizers and fixed-state submatrices of a valid action
-drive the reduced-shift and orbit-counting machinery.
+shift.  Its orbits, searched along the generators, and its fixed-state
+submatrices drive the reduced-shift and orbit-counting machinery.
 
 Groups are element lists without a multiplication table: a list is a
 group when the closure of its greedy generating set stays inside it, and
@@ -31,7 +31,7 @@ def _check_perm(perm, degree: int):
 
 def compose(p, q):
     """Permutation product: apply q first, then p."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def _close(seen: set, frontier, gens, product, admit) -> None:
@@ -106,6 +106,11 @@ class PermGroup:
                 i, k = perm[i], k + 1
             order = lcm(order, max(k, 1))
         return order
+
+    def stabilizer(self, states) -> tuple:
+        """Indices of the elements that fix every state in ``states``."""
+        states = tuple(states)
+        return tuple(k for k, p in enumerate(self.elements) if all(p[s] == s for s in states))
 
     def exponent(self) -> int:
         return lcm(*[self.element_order(g) for g in range(self.order)])
@@ -195,17 +200,16 @@ def validate_action(p: SftPresentation, g: PermGroup) -> PermutationAction:
 
 @record
 class OrbitStructure:
-    """Orbits, representatives, state stabilizers and kernel of an action.
+    """Orbits, representatives and kernel of an action.
 
     Orbits list members in increasing index and are ordered by least
-    member; the representative of an orbit is its least member.
-    Stabilizers and the kernel are sorted tuples of element indices.
+    member; the representative of an orbit is its least member.  The
+    kernel is a sorted tuple of element indices.
     """
 
     orbits: tuple
     representatives: tuple
     orbit_of: tuple
-    stabilizers: tuple
     kernel: tuple
 
     @property
@@ -214,34 +218,31 @@ class OrbitStructure:
 
 
 def _orbit_structure(a: PermutationAction) -> OrbitStructure:
+    """Orbits by breadth-first search along the generators: in a finite
+    group every inverse is a power, so forward images reach the orbit."""
     g = a.group
-    n = g.degree
-    orbit_of = [-1] * n
+    gens = [g.elements[k] for k in g.generators]
+    orbit_of = [-1] * g.degree
     orbits = []
-    for i in range(n):
+    for i in range(g.degree):
         if orbit_of[i] >= 0:
             continue
-        members = sorted({g.apply(k, i) for k in range(g.order)})
-        idx = len(orbits)
-        for m in members:
-            orbit_of[m] = idx
-        orbits.append(tuple(members))
-    stabilizers = tuple(
-        tuple(k for k in range(g.order) if g.apply(k, i) == i) for i in range(n)
-    )
-    structure = OrbitStructure(
+        orbit_of[i] = len(orbits)
+        members = [i]
+        for s in members:
+            for perm in gens:
+                if orbit_of[perm[s]] < 0:
+                    orbit_of[perm[s]] = len(orbits)
+                    members.append(perm[s])
+        orbits.append(tuple(sorted(members)))
+    return OrbitStructure(
         orbits=tuple(orbits),
         representatives=tuple(members[0] for members in orbits),
         orbit_of=tuple(orbit_of),
-        stabilizers=stabilizers,
         # elements are pairwise distinct permutations of the states, so
         # only the identity, element 0, fixes every state
         kernel=(0,),
     )
-    for i in range(n):
-        orb = structure.orbits[structure.orbit_of[i]]
-        assert len(orb) * len(structure.stabilizers[i]) == g.order, "orbit-stabilizer identity"
-    return structure
 
 
 def orbit_structure(a: PermutationAction) -> OrbitStructure:
@@ -272,7 +273,4 @@ def word_stabilizer(a: PermutationAction, w: CycleWord):
     for e in w.edges:
         if not a.presentation.has_edge(e):
             raise PreconditionError(f"edge {e} does not belong to the presentation")
-    stab = set(range(a.group.order))
-    for s in w.states:
-        stab &= set(a.orbits.stabilizers[s])
-    return tuple(sorted(stab))
+    return a.group.stabilizer(set(w.states))

@@ -200,12 +200,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
 
 @record
 class AbelianGroupInvariants:
@@ -534,6 +528,7 @@ def smith_normal_form(rows) -> AbelianGroupInvariants:
 
     Standard integer row/column reduction with exact arithmetic, pivoting
     on the entry of minimal absolute value to bound coefficient growth.
+    Pivots divide the rest of their block, so the diagonal is a divisibility chain.
     """
     a = [list(row) for row in _check_rows(rows)]
     n = len(a)
@@ -592,15 +587,6 @@ def smith_normal_form(rows) -> AbelianGroupInvariants:
             piv = find_pivot(t)
         diag.append(abs(a[t][t]))
 
-    # enforce the divisibility chain d_1 | d_2 | ...
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            if diag[i + 1] % diag[i]:
-                g = gcd(diag[i], diag[i + 1])
-                diag[i], diag[i + 1] = g, diag[i] * diag[i + 1] // g
-                changed = True
     return AbelianGroupInvariants(
         torsion=tuple(d for d in diag if d >= 2),
         free_rank=n - len(diag),

@@ -19,7 +19,7 @@ from itertools import permutations
 from .errors import InputError, LimitExceededError, PreconditionError
 from .records import record
 from .matrices import IntMatrix, IntPolynomial
-from .action import PermGroup, PermutationAction, _close, compose, greedy_generators
+from .action import PermutationAction, compose, greedy_generators, group_from_generators
 from .quotient import OrbitCountReport, burnside_counts
 from .reduce import ReducedShift, right_reduce
 from .sft import SftPresentation, trim_essential
@@ -206,7 +206,8 @@ def enumerate_homs(gens: int, relators, g: FiniteGroupTable, limit: int = 100000
     if gens < 0:
         raise InputError("generator count must be nonnegative")
     relators = [check_word(w, gens, "relator") for w in relators]
-    if g.order ** gens > limit:
+    # exact without forming order ** gens: bit_length(limit) factors >= 2 exceed limit
+    if gens > limit or g.order ** min(gens, limit.bit_length()) > limit:
         raise LimitExceededError(
             f"{g.order}^{gens} assignments exceed the limit {limit}"
         )
@@ -353,11 +354,7 @@ def build_repshift(h: HnnData, g: FiniteGroupTable, limit: int = 1000000) -> Rep
     for c in g.generators:
         conj = [g.conjugate(x, c) for x in range(g.order)]
         gens.append(tuple(kept_index[tuple(map(conj.__getitem__, s))] for s in kept_states))
-    identity = tuple(range(len(kept_states)))
-    perms = {identity}
-    _close(perms, [identity], gens, compose, lambda q: None)
-    distinct = [identity] + sorted(perms - {identity})
-    action = PermutationAction(presentation, PermGroup(len(kept_states), tuple(distinct)))
+    action = PermutationAction(presentation, group_from_generators(len(kept_states), gens))
 
     kept_pos = {orig: local for local, orig in enumerate(kept)}
     edge_homs = {}

@@ -154,10 +154,6 @@ class CycleWord:
         return len(self.edges)
 
     @property
-    def base(self) -> int:
-        return self.edges[0][0]
-
-    @property
     def states(self) -> tuple:
         """States visited, one per edge (the initial states)."""
         return tuple(e[0] for e in self.edges)

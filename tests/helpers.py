@@ -193,7 +193,7 @@ def random_compatible_split(rng, act: PermutationAction, direction: str) -> Spli
     partitions = [None] * p.num_states
     for orbit in os_.orbits:
         rep = orbit[0]
-        stab = os_.stabilizers[rep]
+        stab = act.group.stabilizer((rep,))
         remaining = set(table[rep])
         classes = []
         while remaining:
@@ -227,7 +227,7 @@ def orbit_preserving_in_split(act: PermutationAction):
     nontrivial = False
     for orbit in os_.orbits:
         rep = orbit[0]
-        stab = os_.stabilizers[rep]
+        stab = act.group.stabilizer((rep,))
         in_edges = p.in_edges[rep]
         stab_orbit = {act.apply_edge(g, in_edges[0]) for g in stab}
         if len(in_edges) > 1 and stab_orbit == set(in_edges):

@@ -166,15 +166,15 @@ class TestOrbitStructure:
         assert os_.representatives == (0, 2)
 
     def test_six_state_stabilizers(self):
-        os_ = orbit_structure(six_state_action())
-        assert os_.stabilizers[2] == (0,)
-        assert os_.stabilizers[0] == (0, 2)
+        group = six_state_action().group
+        assert group.stabilizer((2,)) == (0,)
+        assert group.stabilizer((0,)) == (0, 2)
 
     def test_trivial_group(self):
         p = SftPresentation.from_matrix(IntMatrix(((1, 1), (1, 1))))
-        os_ = orbit_structure(validate_action(p, PermGroup.trivial(2)))
-        assert os_.orbits == ((0,), (1,))
-        assert all(stab == (0,) for stab in os_.stabilizers)
+        act = validate_action(p, PermGroup.trivial(2))
+        assert orbit_structure(act).orbits == ((0,), (1,))
+        assert all(act.group.stabilizer((i,)) == (0,) for i in range(2))
 
     def test_orbit_stabilizer_identity(self):
         rng = random.Random(37)
@@ -183,17 +183,40 @@ class TestOrbitStructure:
             os_ = act.orbits
             for i in range(act.group.degree):
                 orbit = os_.orbits[os_.orbit_of[i]]
-                assert len(orbit) * len(os_.stabilizers[i]) == act.group.order
+                assert len(orbit) * len(act.group.stabilizer((i,))) == act.group.order
 
     def test_kernel_is_stabilizer_intersection(self):
         rng = random.Random(41)
         for _ in range(10):
             act = random_action(rng)
-            os_ = act.orbits
             kernel = set(range(act.group.order))
-            for stab in os_.stabilizers:
-                kernel &= set(stab)
-            assert tuple(sorted(kernel)) == os_.kernel
+            for i in range(act.group.degree):
+                kernel &= set(act.group.stabilizer((i,)))
+            assert tuple(sorted(kernel)) == act.orbits.kernel
+
+    def test_orbits_and_stabilizers_match_sympy(self):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        rng = random.Random(47)
+        checked = 0
+        while checked < 40:
+            n = rng.randint(1, 8)
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                support = rng.sample(range(n), rng.randint(1, min(n, 4)))
+                perm = list(range(n))
+                for i, j in zip(support, rng.sample(support, len(support))):
+                    perm[i] = j
+                gens.append(tuple(perm))
+            try:
+                group = group_from_generators(n, gens, limit=1000)
+            except LimitExceededError:
+                continue
+            act = validate_action(SftPresentation.from_matrix(IntMatrix(((1,) * n,) * n)), group)
+            oracle = combinatorics.PermutationGroup([combinatorics.Permutation(list(g)) for g in gens])
+            assert act.orbits.orbits == tuple(sorted(tuple(sorted(o)) for o in oracle.orbits()))
+            for i in range(n):
+                assert len(group.stabilizer((i,))) == oracle.stabilizer(i).order()
+            checked += 1
 
 
 class TestFixedSubmatrix:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -467,6 +468,17 @@ class TestMain:
         code, out, err = self.run_main(tmp_path, capsys, doc, ["repshift"])
         assert (code, err) == (0, "")
         assert json.loads(out)["result"]["period_counts"] == [1] * 6
+
+    @pytest.mark.parametrize("group, order", [("S6", 720), ("Z1", 1)])
+    def test_huge_base_generator_count_exit_three(self, tmp_path, capsys, group, order):
+        hnn = {"b_gens": 10**9, "u_gens": [], "v_gens": [], "phi_images": []}
+        doc = {"command": "repshift", "input": {"hnn": hnn, "group": group}}
+        start = time.perf_counter()
+        code, out, err = self.run_main(tmp_path, capsys, doc, ["repshift"])
+        # the budget check itself is immediate; the bound leaves room for building S6
+        assert time.perf_counter() - start < 10
+        assert (code, out) == (3, "")
+        assert err == f"budget exhausted: {order}^1000000000 assignments exceed the limit 1000000\n"
 
     @pytest.mark.parametrize("key", ["maxn", "cap"])
     def test_unknown_parameter_exit_one(self, tmp_path, capsys, key):
