@@ -35,6 +35,10 @@ from .records import record
 JOB_FORMAT = "sftact-job/1"
 REPORT_FORMAT = "sftact-report/1"
 PARAMETERS = ("max_n", "limit", "m")
+_MAX_LENGTH = 10000  # bound of "max_n" and "m"; a report grows linearly in both
+# Python 3.11 and later limit int-to-str conversion (0 lifts it); 3.10 has no limit
+_get_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 _HOM_LIMIT = 1000000  # default "limit" of the representation-shift commands
 
 
@@ -365,7 +369,7 @@ def parse_job(text: str) -> JobSpec:
 def _load_document(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # also an integer literal beyond Python's digit limit
         raise InputError(f"malformed JSON document: {err}") from err
 
 
@@ -381,8 +385,10 @@ def job_from_document(doc) -> JobSpec:
     input_doc = _get_dict(doc.get("input", {}), "$.input")
     params = _get_dict(doc.get("parameters", {}), "$.parameters")
     for key, value in params.items():
-        _expect(key in PARAMETERS, f"$.parameters.{key}", "unknown parameter")
-        _get_int(value, f"$.parameters.{key}", minimum=1)
+        path = f"$.parameters.{key}"
+        _expect(key in PARAMETERS, path, "unknown parameter")
+        _get_int(value, path, minimum=1)
+        _expect(key == "limit" or value <= _MAX_LENGTH, path, f"expected an integer <= {_MAX_LENGTH}")
     parse_input, _ = _COMMAND_TABLE[command]
     parsed = parse_input(input_doc, "$.input")
     return JobSpec(command=command, input=input_doc, parameters=params, parsed=parsed)
@@ -718,7 +724,13 @@ def main(argv=None) -> int:
     except LimitExceededError as err:
         print(f"budget exhausted: {err}", file=sys.stderr)
         return 3
-    sys.stdout.write(emit_report(report, args.format))
+    previous = _get_digits()
+    _set_digits(0)  # exact results of any size print
+    try:
+        text = emit_report(report, args.format)
+    finally:
+        _set_digits(previous)
+    sys.stdout.write(text)
     return 0
 
 

@@ -208,9 +208,9 @@ def enumerate_homs(gens: int, relators, g: FiniteGroupTable, limit: int = 100000
     relators = [check_word(w, gens, "relator") for w in relators]
     # exact without forming order ** gens: bit_length(limit) factors >= 2 exceed limit
     if gens > limit or g.order ** min(gens, limit.bit_length()) > limit:
-        raise LimitExceededError(
-            f"{g.order}^{gens} assignments exceed the limit {limit}"
-        )
+        # over the trivial group there is one assignment; the work grows with gens
+        what = f"{g.order}^{gens} assignments" if g.order > 1 else f"{gens} generators"
+        raise LimitExceededError(f"{what} exceed the limit {limit}")
     by_depth = [[] for _ in range(gens + 1)]
     for w in relators:
         depth = max((i for i, _ in w), default=-1) + 1
@@ -324,8 +324,8 @@ def build_repshift(h: HnnData, g: FiniteGroupTable, limit: int = 1000000) -> Rep
         term = tuple(evaluate_word(w, rho, g) for w in h.phi_images)
         for name, tup in (("initial", init), ("terminal", term)):
             if tup not in state_index:
+                # Hom(U, G) holds every tuple that satisfies the relators
                 bad = _failing_relator(tup, h.u_relators, g)
-                assert bad is not None, "tuples outside the state set must fail a relator"
                 raise InputError(
                     f"inconsistent HNN data: the {name} state of an edge violates "
                     f"U relator {bad[0]} {bad[1]}; the amalgamating images do not "

@@ -63,7 +63,6 @@ class SftPresentation:
         return 0 if self.matrix is None else self.matrix.dim
 
     def label(self, i: int) -> str:
-        assert self.matrix is not None
         return self.matrix.label(i)
 
     @cached_property

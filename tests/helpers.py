@@ -251,6 +251,46 @@ def amalgamation_state_map(split_action: PermutationAction):
     )
 
 
+def square_commute_failures(square):
+    """The source 2-blocks (e, f) on which theta2 o eta and eta_bar o theta1
+    differ, composing the four edge maps as plain dictionaries over the
+    edges read off the source matrix."""
+    entries = square.eta.source.matrix.entries
+    edges = [(i, j, 0) for i, row in enumerate(entries) for j, x in enumerate(row) if x]
+
+    def via_eta(e):
+        return square.theta2.edge_map[square.eta.edge_map[e]]
+
+    def via_theta1(e):
+        return square.eta_bar.edge_map[square.theta1.edge_map[e]]
+
+    return [
+        (e, f)
+        for e in edges
+        for f in edges
+        if e[1] == f[0] and (via_eta(e), via_eta(f)) != (via_theta1(e), via_theta1(f))
+    ]
+
+
+def plain_orbits(n: int, gens):
+    """Orbits of the states 0..n-1 under the group generated by ``gens``,
+    each sorted, ordered by least member."""
+    orbits, seen = [], set()
+    for i in range(n):
+        if i in seen:
+            continue
+        orbit, frontier = {i}, [i]
+        while frontier:
+            k = frontier.pop()
+            for perm in gens:
+                if perm[k] not in orbit:
+                    orbit.add(perm[k])
+                    frontier.append(perm[k])
+        seen |= orbit
+        orbits.append(sorted(orbit))
+    return orbits
+
+
 def all_paths(p: SftPresentation, length: int):
     """Every edge path of the given length, lexicographic."""
     out = []

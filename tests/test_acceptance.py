@@ -60,6 +60,7 @@ from helpers import (
     random_compatible_split,
     reducible_action,
     six_state_action,
+    square_commute_failures,
     standard_actions,
     swapped_two_shift,
     three_state_action,
@@ -256,6 +257,7 @@ def test_criterion_08_commuting_squares():
     for act in (six_state_action(), swapped_two_shift(), triangle_action()):
         square = factor_square(act, act, tuple(range(act.presentation.num_states)))
         assert square.eta_bar.is_right_resolving()
+        assert square_commute_failures(square) == []
 
     checked = 0
     for act in [triangle_action()] + [_rotor_action(k) for k in (2, 3, 4)]:
@@ -266,6 +268,7 @@ def test_criterion_08_commuting_squares():
         square = factor_square(split_act, act, amalgamation_state_map(split_act))
         for code in (square.eta, square.eta_bar, square.theta1, square.theta2):
             assert code.is_right_resolving()
+        assert square_commute_failures(square) == []
         checked += 1
 
     from sftact import PreconditionError

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -478,7 +479,9 @@ class TestMain:
         # the budget check itself is immediate; the bound leaves room for building S6
         assert time.perf_counter() - start < 10
         assert (code, out) == (3, "")
-        assert err == f"budget exhausted: {order}^1000000000 assignments exceed the limit 1000000\n"
+        # one assignment over Z1: the message names the generator count instead
+        what = f"{order}^1000000000 assignments" if order > 1 else "1000000000 generators"
+        assert err == f"budget exhausted: {what} exceed the limit 1000000\n"
 
     @pytest.mark.parametrize("key", ["maxn", "cap"])
     def test_unknown_parameter_exit_one(self, tmp_path, capsys, key):
@@ -566,6 +569,55 @@ class TestMain:
         report = json.loads(out)
         assert report["input"]["parameters"] == {"max_n": 3}
         assert len(report["result"]["counts"]) == 3
+
+    @pytest.mark.parametrize(
+        "command, key, parameters, args",
+        [
+            ("burnside", "max_n", {"max_n": 10001}, []),
+            ("burnside", "max_n", {}, ["--max-n", str(10**20)]),
+            ("witness", "m", {"m": 10001}, []),
+        ],
+        ids=["max_n-document", "max_n-flag", "m-document"],
+    )
+    def test_count_length_above_bound_exit_one(self, tmp_path, capsys, command, key, parameters, args):
+        doc = dict(SIX_STATE_JOB, command=command, parameters=parameters)
+        code, out, err = self.run_main(tmp_path, capsys, doc, [command] + args)
+        assert (code, out) == (1, "")
+        assert err == f"error: $.parameters.{key}: expected an integer <= 10000\n"
+
+    def test_count_length_at_bound(self, tmp_path, capsys):
+        doc = {
+            "command": "quotient-counts",
+            "input": {"matrix": [[0, 1], [1, 0]], "group": {"generators": ["(1 2)"]}},
+            "parameters": {"max_n": 10000, "limit": 10**20},
+        }
+        code, out, err = self.run_main(tmp_path, capsys, doc, ["quotient-counts"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["counts"] == [1] * 10000
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_exact_result_beyond_digit_limit(self, tmp_path, capsys, fmt):
+        """det(I - tA) = 1 - 2*10^4000 t + (10^8000 - 1) t^2 prints in full,
+        and the interpreter's digit limit is the same afterwards."""
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = get_limit()
+        big = 10**4000
+        doc = {"command": "invariants", "input": {"matrix": [[big, 1], [1, big]]}}
+        code, out, err = self.run_main(tmp_path, capsys, doc, ["invariants", "--format", fmt])
+        assert (code, err) == (0, "")
+        assert get_limit() == before
+        # the decimal digits of 10^8000 - 1 and of -2*10^4000, written out by hand
+        assert re.search(r"-\s?2" + "0" * 4000 + r"(?!\d)", out)
+        assert re.search(r"(?<!\d)" + "9" * 8000 + r"(?!\d)", out)
+
+    def test_integer_literal_beyond_digit_limit_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text('{"command": "invariants", "input": {"matrix": [[' + "7" * 5000 + "]]}}")
+        code = main(["invariants", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("error: malformed JSON document: ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_text_format_stable(self, tmp_path, capsys):
         code1, out1, _ = self.run_main(

@@ -49,6 +49,31 @@ def test_report_matches_golden(path):
     assert emit_report(run_job(job)).encode() == golden
 
 
+# Rebuilds every golden in a ``python -O`` child, where ``assert`` is gone.
+OPTIMIZED_CHILD = r"""
+import json, sys
+from sftact.cli import emit_report, parse_job, run_job
+
+differ = []
+for path in sys.argv[1:]:
+    golden = open(path, encoding="utf-8").read()
+    if emit_report(run_job(parse_job(json.dumps(json.loads(golden)["input"])))) != golden:
+        differ.append(path)
+print(json.dumps({"optimize": sys.flags.optimize, "checked": len(sys.argv) - 1, "differ": differ}))
+"""
+
+
+def test_goldens_under_optimized_interpreter():
+    """No result rests on an assert: without them every report is the same."""
+    env = dict(os.environ, PYTHONPATH=str(EXPECTED.parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_CHILD, *map(str, GOLDENS)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"optimize": 1, "checked": len(GOLDENS), "differ": []}
+
+
 @pytest.mark.parametrize("path", sorted((EXPECTED / "cli-small").glob("*.json")), ids=lambda p: p.stem)
 def test_runners_parse_nothing(path, monkeypatch):
     """run_job works from the parsed input alone: no parser runs again."""

@@ -31,6 +31,7 @@ from helpers import (
     conjugation_action,
     dense_trace_of_power,
     random_action,
+    random_group_action,
     reducible_action,
     six_state_action,
     standard_actions,
@@ -105,6 +106,26 @@ class TestBurnsideCounts:
             full = burnside_counts(act, m) if m > 14 else report
             sums = [c * act.group.order for c in full.counts]
             assert recurrence_holds(report.recurrence, sums[: degree + 6])
+
+    def test_trace_table_sums_to_counts_randomized(self):
+        """Row g of the trace table is trace(A_g^n) for the submatrix on the
+        states g fixes, computed here by dense powers; each column sums to
+        |G| times the count."""
+        rng = random.Random(83)
+        for _ in range(30):
+            act, _ = random_group_action(rng, max_states=6, max_gens=2)
+            report = burnside_counts(act, 6)
+            for perm, traces in zip(act.group.elements, report.element_traces):
+                fixed = [i for i in range(len(perm)) if perm[i] == i]
+                sub = [[act.matrix.entries[i][j] for j in fixed] for i in fixed]
+                power, expected = sub, []
+                for _ in range(6):
+                    expected.append(sum(power[k][k] for k in range(len(fixed))))
+                    power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*sub)] for row in power]
+                assert list(traces) == expected
+            for n in range(6):
+                total = sum(row[n] for row in report.element_traces)
+                assert total == report.counts[n] * act.group.order
 
     def test_divisible_sums_through_twelve(self):
         for act in standard_actions():
@@ -187,20 +208,34 @@ class TestWitness:
         assert x_window != y_window
         assert len(x_window) == len(y_window) == zero + 3 * len(witness.u) + len(witness.w) + 2 * len(witness.v)
 
+    @staticmethod
+    def assert_window_properties(act, m):
+        """The pair lies in distinct orbits, and each central block of y
+        matches that of x or of g x."""
+        witness, x_window, y_window, zero = nonexpansive_witness(act, classify_quotient(act), m)
+        for g in range(act.group.order):
+            assert act.apply_word(g, y_window) != x_window
+        gx = act.apply_word(witness.g, x_window)
+        for center in range(m, len(x_window) - m):
+            block = y_window[center - m : center + m + 1]
+            assert block in (
+                x_window[center - m : center + m + 1],
+                gx[center - m : center + m + 1],
+            )
+
     def test_window_properties_explicitly(self):
-        act = six_state_action()
-        verdict = classify_quotient(act)
         for m in (1, 2, 3):
-            witness, x_window, y_window, zero = nonexpansive_witness(act, verdict, m)
-            for g in range(act.group.order):
-                assert act.apply_word(g, y_window) != x_window
-            gx = act.apply_word(witness.g, x_window)
-            for center in range(m, len(x_window) - m):
-                block = y_window[center - m : center + m + 1]
-                assert block in (
-                    x_window[center - m : center + m + 1],
-                    gx[center - m : center + m + 1],
-                )
+            self.assert_window_properties(six_state_action(), m)
+
+    def test_window_properties_randomized(self):
+        rng = random.Random(89)
+        checked = 0
+        while checked < 20:
+            act = random_action(rng, max_states=6, max_order=6, require_irreducible=True)
+            if classify_quotient(act).verdict == "nonexpansive":
+                for m in (1, 2, 4):
+                    self.assert_window_properties(act, m)
+                checked += 1
 
     def test_conjugation_action_witness(self):
         act = conjugation_action()

@@ -18,7 +18,9 @@ from helpers import (
     FULL_TWO_SHIFT,
     conjugation_action,
     direct_left_reduce,
+    plain_orbits,
     random_action,
+    random_group_action,
     reducible_action,
     six_state_action,
     swapped_two_shift,
@@ -42,6 +44,23 @@ class TestRightReduce:
         p = SftPresentation.from_matrix(FULL_TWO_SHIFT)
         act = validate_action(p, PermGroup.trivial(2))
         assert right_reduce(act).matrix.entries == FULL_TWO_SHIFT.entries
+
+    def test_orbit_members_share_orbit_sums(self):
+        """Every state has the orbit-sum row of its orbit's representative,
+        in A (the right reduction's rows) and in A^t (the left reduction's
+        columns), so reducing at the representatives loses nothing."""
+        rng = random.Random(71)
+        for _ in range(30):
+            act, gens = random_group_action(rng, max_states=6, max_gens=2)
+            entries = act.matrix.entries
+            orbits = plain_orbits(len(entries), gens)
+            right = right_reduce(act).matrix.entries
+            left_t = tuple(zip(*left_reduce(act).matrix.entries))
+            for rows, reduced in ((entries, right), (tuple(zip(*entries)), left_t)):
+                sums = [tuple(sum(row[j] for j in orbit) for orbit in orbits) for row in rows]
+                for o, orbit in enumerate(orbits):
+                    assert reduced[o] == sums[orbit[0]]
+                    assert all(sums[i] == sums[orbit[0]] for i in orbit)
 
     def test_selector_identity(self):
         rng = random.Random(47)

@@ -47,6 +47,7 @@ from helpers import (
     random_group_action,
     random_split,
     six_state_action,
+    square_commute_failures,
     swapped_two_shift,
     triangle_action,
 )
@@ -130,6 +131,18 @@ class TestInducedConjugacy:
             s=IntMatrix(((1,), (1,))),
         )
         with pytest.raises(PreconditionError, match="uniquely"):
+            induced_conjugacy(cert)
+
+    def test_products_checked_before_presentations(self):
+        """B = [[0]] is no presentation (its state has no outgoing edge);
+        the failing product S R = [[2]] is reported first."""
+        cert = ElementarySse(
+            a=IntMatrix(((1, 1), (1, 1))),
+            b=IntMatrix(((0,),)),
+            r=IntMatrix(((1,), (1,))),
+            s=IntMatrix(((1, 1),)),
+        )
+        with pytest.raises(PreconditionError, match="^certificate products do not hold"):
             induced_conjugacy(cert)
 
     def test_rejects_multiplicities(self):
@@ -407,6 +420,7 @@ class TestFactorSquare:
         square = factor_square(act, act, tuple(range(6)))
         assert square.eta_bar.is_right_resolving()
         assert square.theta1.edge_map == square.theta2.edge_map
+        assert square_commute_failures(square) == []
 
     def test_triangle_in_split_square(self):
         act = triangle_action()
@@ -416,6 +430,7 @@ class TestFactorSquare:
         square = factor_square(split_act, act, amalgamation_state_map(split_act))
         assert square.eta.is_right_resolving()
         assert square.eta_bar.is_right_resolving()
+        assert square_commute_failures(square) == []
 
     def test_identification_map_rejected(self):
         with pytest.raises(PreconditionError, match=r"\(3,1\) and \(3,2\)"):
