@@ -24,6 +24,7 @@ from . import errors, records
 from .errors import (
     CapExceededError,
     InputError,
+    InternalError,
     LimitExceededError,
     PreconditionError,
     SftactError,

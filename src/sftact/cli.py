@@ -17,7 +17,8 @@ the package loads on first use, so a job executes only the modules its
 command needs.
 
 Exit codes: 0 success, 1 input errors, 2 mathematical precondition
-failures, 3 closure or homomorphism limit exhaustion.
+failures, 3 closure or homomorphism limit exhaustion, 4 internal errors
+(a computed result failed one of the package's own checks).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import sys
 from contextlib import contextmanager
 
 from . import __version__, action, matrices, quotient, reduce, repshift, sft, sse
-from .errors import InputError, LimitExceededError, PreconditionError
+from .errors import InputError, InternalError, LimitExceededError, PreconditionError
 from .records import record
 
 JOB_FORMAT = "sftact-job/1"
@@ -37,8 +38,8 @@ REPORT_FORMAT = "sftact-report/1"
 PARAMETERS = ("max_n", "limit", "m")
 _MAX_LENGTH = 10000  # bound of "max_n" and "m"; a report grows linearly in both
 # Python 3.11 and later limit int-to-str conversion (0 lifts it); 3.10 has no limit
-_get_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
-_set_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 _HOM_LIMIT = 1000000  # default "limit" of the representation-shift commands
 
 
@@ -647,15 +648,24 @@ def _render_value(key, value, lines, indent=""):
 
 
 def emit_report(report: Report, format: str = "json") -> str:
-    """Deterministic rendering of a report; byte-identical across runs."""
-    if format == "json":
-        return json.dumps(report.document(), sort_keys=True, indent=2) + "\n"
-    if format != "text":
+    """Deterministic rendering of a report; byte-identical across runs.
+
+    Exact results of any size print in full: Python's limit on converting
+    integers to text is lifted while the report renders, then restored.
+    """
+    if format not in ("json", "text"):
         raise InputError(f"unknown output format {format!r}")
-    lines = [f"command: {report.command}"]
-    for key in sorted(report.result):
-        _render_value(key, report.result[key], lines)
-    return "\n".join(lines) + "\n"
+    previous = _digit_limit()
+    _set_digit_limit(0)
+    try:
+        if format == "json":
+            return json.dumps(report.document(), sort_keys=True, indent=2) + "\n"
+        lines = [f"command: {report.command}"]
+        for key in sorted(report.result):
+            _render_value(key, report.result[key], lines)
+        return "\n".join(lines) + "\n"
+    finally:
+        _set_digit_limit(previous)
 
 
 def emit_job(job: JobSpec) -> str:
@@ -724,13 +734,10 @@ def main(argv=None) -> int:
     except LimitExceededError as err:
         print(f"budget exhausted: {err}", file=sys.stderr)
         return 3
-    previous = _get_digits()
-    _set_digits(0)  # exact results of any size print
-    try:
-        text = emit_report(report, args.format)
-    finally:
-        _set_digits(previous)
-    sys.stdout.write(text)
+    except InternalError as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return 4
+    sys.stdout.write(emit_report(report, args.format))
     return 0
 
 

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by the whole package.
 
-Three failure families matter to callers (and map onto CLI exit codes):
-malformed input, violated mathematical preconditions, and exhausted
-enumeration budgets.
+Four failure families matter to callers (and map onto CLI exit codes):
+malformed input, violated mathematical preconditions, exhausted
+enumeration budgets, and internal checks that failed.
 """
 
 
@@ -27,3 +27,8 @@ class CapExceededError(SftactError):
 
 class LimitExceededError(SftactError):
     """A closure or search would exceed the caller's size limit."""
+
+
+class InternalError(SftactError):
+    """A computed result failed a check that holds for every valid input:
+    a defect in this package, not in its input."""

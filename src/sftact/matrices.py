@@ -20,18 +20,24 @@ and ``char_poly_reciprocal`` split the matrix into its strongly connected
 components, since det(I - t A) is the product of the factors of the
 components and trace(A^n) the sum of their traces.  A component that is
 a single cycle of length L contributes 1 - t^L and L points of every
-period divisible by L; any other component is handled with sparse
-products on its own submatrix.
+period divisible by L.  Any other component multiplies packed matrices
+by its own sparse submatrix: a packed matrix is one Python integer per
+column, each entry in a bit slot of fixed width, so a product costs one
+big-integer addition per nonzero entry of the submatrix rather than n
+scalar multiply-adds (``_times_packed``).
+The slot width comes from an a priori bound on every entry read, proved
+where it is used: the largest row sum for powers, and Hadamard's
+inequality on minors for the characteristic polynomial.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain, compress
-from math import gcd
+from math import gcd, isqrt
 from operator import ge
 
-from .errors import InputError
+from .errors import InputError, InternalError
 from .records import record
 
 
@@ -226,19 +232,42 @@ class AbelianGroupInvariants:
 
 
 # ---------------------------------------------------------------------------
-# raw helpers on rows of ints: dense nested sequences or sparse (j, entry) lists
+# raw helpers: sparse rows of (j, entry) pairs, and packed matrices, which
+# hold column j as the integer sum of entry (i, j) * 2^(i * width)
 
-def _times_sparse(p, sparse):
-    """The dense product p @ a, with a given by its sparse rows."""
-    n = len(sparse)
-    out = []
-    for row in p:
-        acc = [0] * n
-        for k, x in enumerate(row):
-            if x:
-                for j, w in sparse[k]:
-                    acc[j] += x * w
-        out.append(acc)
+def _columns_by_entry(sparse):
+    """The columns of a, given by its sparse rows, grouped by entry: a pair
+    (ones, weighted) where ones[j] lists the rows at which column j holds
+    1, and weighted holds a triple (j, x, ks) for each other entry x of
+    each column j, with ks the rows at which column j holds x."""
+    ones = [[] for _ in sparse]
+    weighted = {}
+    for k, row in enumerate(sparse):
+        for j, x in row:
+            if x == 1:
+                ones[j].append(k)
+            elif (j, x) in weighted:
+                weighted[j, x].append(k)
+            else:
+                weighted[j, x] = [k]
+    return ones, [(j, x, ks) for (j, x), ks in weighted.items()]
+
+
+def _times_packed(cols, columns):
+    """The packed product p @ a, for p packed as ``cols`` and a given by
+    ``_columns_by_entry``: column j of p @ a is the sum over its entries x
+    of x times the sum of the columns ks of p.  That is one big-integer
+    addition per nonzero entry of a, and one multiplication per distinct
+    entry other than 1 in a column.
+
+    Packing is linear, so the product is exact whatever the slot values;
+    a slot reads back its entry only while the entry fits the slot width.
+    """
+    ones, weighted = columns
+    get = cols.__getitem__
+    out = [sum(map(get, ks)) for ks in ones]
+    for j, x, ks in weighted:
+        out[j] += x * sum(map(get, ks))
     return out
 
 
@@ -339,8 +368,8 @@ def trace_sequence(a: IntMatrix, m: int) -> list:
 
     Summed over the components of ``a`` that carry a cycle: a single cycle
     of length L has L points of every period divisible by L, and any other
-    component carries its power P_n = P_(n-1) @ a forward, one sparse
-    product per n.
+    component carries its power P_n = P_(n-1) @ a forward as a packed
+    matrix, one packed product per n.
     """
     _check_int(m, "sequence length")
     if m < 0:
@@ -352,10 +381,16 @@ def trace_sequence(a: IntMatrix, m: int) -> list:
             for n in range(size, m + 1, size):
                 out[n - 1] += size
             continue
-        power = [[int(i == j) for j in range(size)] for i in range(size)]
+        # row sums of a^p are at most r^p, r the largest row sum of a, so
+        # (r^m).bit_length() bits hold every entry of a^1 .. a^m
+        width = (max(sum(x for _, x in row) for row in sub) ** m).bit_length()
+        mask = (1 << width) - 1
+        shifts = range(0, size * width, width)
+        columns = _columns_by_entry(sub)
+        power = [1 << shift for shift in shifts]
         for n in range(m):
-            power = _times_sparse(power, sub)
-            out[n] += sum(power[i][i] for i in range(size))
+            power = _times_packed(power, columns)
+            out[n] += sum([(col >> shift) & mask for col, shift in zip(power, shifts)])
     return out
 
 
@@ -369,21 +404,49 @@ def trace_of_power(a: IntMatrix, n: int) -> int:
 
 def _faddeev_leverrier(sparse):
     """Coefficients of det(I - t a), constant first, for a given by its
-    sparse rows; the Faddeev-LeVerrier divisions are exact over the
-    integers."""
+    sparse rows, by the Faddeev-LeVerrier recursion on packed matrices.
+
+    Write det(x I - a) = sum_j c_j x^j and adj(x I - a) = sum_k M_k x^(n-k).
+    Then c_n = 1, M_1 = I and M_(k+1) = a M_k + c_(n-k) I, with
+    M_(n+1) = 0, and c_(n-k) = -trace(a M_k) / k is an exact division over
+    the integers.  Step k forms the product M_k a, which equals a M_k
+    since M_k is a polynomial in a, and reads its trace.
+
+    Slot bound: let h be the product of 1 + ceil(|a_i|) over the rows a_i
+    of a, with |.| the Euclidean norm.  An entry of adj(x I - a) is, up to
+    sign, an (n-1) x (n-1) minor of x I - a; expanding it along its x
+    entries writes its x^(n-k-1) coefficient, an entry of M_(k+1), as a
+    signed sum of k x k minors of a on distinct row sets.  Likewise
+    c_(n-k) is a signed sum of the principal k x k minors of a.  By
+    Hadamard's inequality a minor on the rows T is at most the product of
+    |a_i| over i in T in absolute value, so either sum is at most the k-th
+    elementary symmetric function of the row norms, which is at most h.
+    Every entry of a M_k = M_(k+1) - c_(n-k) I is therefore at most 2h in
+    absolute value, and slots of w = h.bit_length() + 2 bits hold it with
+    the bias 2^(w-1) added: each biased slot lies in 0 .. 2^w - 1, so no
+    slot borrows from the next.
+    """
     n = len(sparse)
-    # char poly of a: lam^n + c[n-1] lam^(n-1) + ... + c[0], with c[n] = 1
+    h = 1
+    for row in sparse:
+        square = sum(x * x for _, x in row)
+        # 1 + ceil(sqrt(q)) is 2 + isqrt(q - 1) for q >= 1
+        h *= 2 + isqrt(square - 1) if square else 1
+    width = h.bit_length() + 2
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    shifts = range(0, n * width, width)
+    bias = sum([half << shift for shift in shifts])
+    columns = _columns_by_entry(sparse)
     c = [0] * (n + 1)
     c[n] = 1
-    # am holds a @ M_(k-1), with M_0 = 0 and M_k = a @ M_(k-1) + c[n-k+1] I;
-    # M_k is a polynomial in a, so it commutes with a
-    am = [[0] * n for _ in range(n)]
+    am = [0] * n
     for k in range(1, n + 1):
-        for i in range(n):
-            am[i][i] += c[n - k + 1]
-        am = _times_sparse(am, sparse)
-        t = sum(am[i][i] for i in range(n))
-        assert t % k == 0, "Faddeev-LeVerrier division must be exact"
+        coeff = c[n - k + 1]
+        am = _times_packed([col + (coeff << shift) for col, shift in zip(am, shifts)], columns)
+        t = sum([((col + bias) >> shift) & mask for col, shift in zip(am, shifts)]) - n * half
+        if t % k:
+            raise InternalError(f"Faddeev-LeVerrier division by {k} is not exact")
         c[n - k] = -(t // k)
     # det(I - t a) has t^j coefficient c[n - j]
     return tuple(c[n - j] for j in range(n + 1))

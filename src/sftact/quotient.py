@@ -22,7 +22,7 @@ radius.
 from __future__ import annotations
 
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, InternalError, PreconditionError
 from .records import record
 from .matrices import IntPolynomial, char_poly_reciprocal, poly_lcm, trace_sequence
 from .action import PermutationAction, fixed_submatrix
@@ -65,7 +65,8 @@ def burnside_counts(a: PermutationAction, m: int) -> OrbitCountReport:
     counts = []
     for n in range(m):
         total = sum(row[n] for row in traces)
-        assert total % order == 0, "Burnside sums are divisible by the group order"
+        if total % order:
+            raise InternalError(f"the period-{n + 1} Burnside sum is not divisible by |G| = {order}")
         counts.append(total // order)
     recurrence = poly_lcm(dict.fromkeys(poly for _, poly in by_fixed.values()))
     return OrbitCountReport(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .errors import InputError, LimitExceededError, PreconditionError
+from .errors import InputError, InternalError, LimitExceededError, PreconditionError
 from .records import record
 from .matrices import IntMatrix, IntPolynomial
 from .action import PermutationAction, compose, greedy_generators, group_from_generators
@@ -409,7 +409,8 @@ def fibered_preset(name: str) -> HnnData:
     trace = cols[0][0] + cols[1][1]
     det = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
     char = IntPolynomial((det, -trace, 1))
-    assert char == alexander, f"preset {name} fails its Alexander polynomial self-check"
+    if char != alexander:
+        raise InternalError(f"preset {name} fails its Alexander polynomial self-check")
     return data
 
 

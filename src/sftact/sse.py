@@ -22,7 +22,7 @@ between the original and reduced shifts.
 from __future__ import annotations
 
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, InternalError, PreconditionError
 from .records import record
 from .matrices import IntMatrix, mat_mul
 from .action import PermGroup, PermutationAction
@@ -147,7 +147,8 @@ def _two_block_table(src: SftPresentation, dst: SftPresentation, k_of: dict) -> 
     for edge1 in src.edges:
         for edge2 in src.out_edges[edge1[1]]:
             k1, k2 = k_of[edge1[:2]], k_of[edge2[:2]]
-            assert dst.has_edge((k1, k2, 0)), "resolved states must be adjacent"
+            if not dst.has_edge((k1, k2, 0)):
+                raise InternalError(f"resolved states {k1 + 1} and {k2 + 1} are not adjacent")
             table[(edge1, edge2)] = (k1, k2, 0)
     return table
 
@@ -209,7 +210,8 @@ def transport_certificate(
     r2 = mat_mul(mat_mul(red_a.u_selector, e.r), red_b.v_selector)
     s2 = mat_mul(mat_mul(red_b.u_selector, e.s), red_a.v_selector)
     out = ElementarySse(a=red_a.matrix, b=red_b.matrix, r=r2, s=s2)
-    assert verify_elementary_sse(out), "transported certificate must verify"
+    if not verify_elementary_sse(out):
+        raise InternalError("the transported certificate does not verify")
     return out
 
 
@@ -289,7 +291,8 @@ def _out_split_core(matrix: IntMatrix, group: PermGroup, partitions):
     r = IntMatrix.from_sparse([[(k, 1) for k in ks] for ks in split_of], m)
     s = IntMatrix.from_sparse([[(j, 1) for j in ts] for ts in targets], matrix.dim)
     cert = ElementarySse(a=matrix, b=split_matrix, r=r, s=s)
-    assert verify_elementary_sse(cert), "split certificate must verify"
+    if not verify_elementary_sse(cert):
+        raise InternalError("the split certificate does not verify")
     state_of = {frozenset(blocks[i][p]): k for (i, p), k in index.items()}
     elements = []
     for g, perm in enumerate(group.elements):
@@ -456,8 +459,4 @@ def factor_square(
         oj = src_orbits.orbit_of[e[1]]
         theta1_map[e] = (oi, oj, image[2])
     theta1 = OneBlockCode(src.presentation, theta1_target, theta1_map)
-
-    for code, name in ((eta, "eta"), (eta_bar, "eta_bar"), (theta1, "theta1"), (theta2, "theta2")):
-        if not code.is_right_resolving():
-            raise PreconditionError(f"{name} is not right-resolving")
     return ActionFactorSquare(eta=eta, eta_bar=eta_bar, theta1=theta1, theta2=theta2)

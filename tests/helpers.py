@@ -473,11 +473,6 @@ def all_element_split_error(act: PermutationAction, d: SplitData):
     return None
 
 
-def _dense_product(x, y):
-    cols = list(zip(*y))
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in x]
-
-
 def _dense_permutation_matrix(perm):
     """P with P(i, perm(i)) = 1."""
     return [[1 if j == perm[i] else 0 for j in range(len(perm))] for i in range(len(perm))]
@@ -580,6 +575,53 @@ def dense_trace_of_power(m: IntMatrix, n: int) -> int:
         base = _dense_product(base, base) if n > 1 else base
         n >>= 1
     return sum(result[i][i] for i in range(size))
+
+
+def _times_sparse(p, sparse):
+    """The dense product p @ a, with a given by its sparse rows, one scalar
+    multiply-add per entry of p and nonzero entry of a."""
+    n = len(sparse)
+    out = []
+    for row in p:
+        acc = [0] * n
+        for k, x in enumerate(row):
+            if x:
+                for j, w in sparse[k]:
+                    acc[j] += x * w
+        out.append(acc)
+    return out
+
+
+def scalar_trace_sequence(m: IntMatrix, length: int) -> list:
+    """Oracle for trace_sequence: the powers of the whole matrix carried
+    forward as dense rows of scalars, with no split into components."""
+    size = m.dim
+    power = [[int(i == j) for j in range(size)] for i in range(size)]
+    out = []
+    for _ in range(length):
+        power = _times_sparse(power, m.sparse)
+        out.append(sum(power[i][i] for i in range(size)))
+    return out
+
+
+def scalar_char_poly_reciprocal(m: IntMatrix) -> tuple:
+    """Oracle for char_poly_reciprocal: the coefficients of det(I - t m),
+    constant first, by the Faddeev-LeVerrier recursion on dense rows of
+    scalars over the whole matrix, with no split into components."""
+    n = m.dim
+    # char poly of m: x^n + c[n-1] x^(n-1) + ... + c[0], with c[n] = 1
+    c = [0] * (n + 1)
+    c[n] = 1
+    # am holds m @ M_(k-1), with M_0 = 0 and M_k = m @ M_(k-1) + c[n-k+1] I
+    am = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        for i in range(n):
+            am[i][i] += c[n - k + 1]
+        am = _times_sparse(am, m.sparse)
+        t = sum(am[i][i] for i in range(n))
+        assert t % k == 0, "Faddeev-LeVerrier division must be exact"
+        c[n - k] = -(t // k)
+    return tuple(c[n - j] for j in range(n + 1))
 
 
 def all_pairs_higher_block(p: SftPresentation, n: int):

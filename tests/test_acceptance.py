@@ -256,7 +256,8 @@ def _rotor_action(cycle_length):
 def test_criterion_08_commuting_squares():
     for act in (six_state_action(), swapped_two_shift(), triangle_action()):
         square = factor_square(act, act, tuple(range(act.presentation.num_states)))
-        assert square.eta_bar.is_right_resolving()
+        for code in (square.eta, square.eta_bar, square.theta1, square.theta2):
+            assert code.is_right_resolving()
         assert square_commute_failures(square) == []
 
     checked = 0

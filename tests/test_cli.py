@@ -37,6 +37,23 @@ def job_text(doc):
     return json.dumps(doc)
 
 
+def run_cli(tmp_path, doc, *args, optimize=False, code=None):
+    """Run ``sftact <command> --input <file> *args`` as a child process on
+    the document ``doc``, under ``python -O`` when ``optimize``.  ``code``,
+    when given, is Python source run in place of ``-m sftact.cli``: it sets
+    the child up and then calls ``main()`` itself."""
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(sftact.__file__).resolve().parent.parent)
+    path_entries = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    entry = ["-c", code] if code else ["-m", "sftact.cli"]
+    return subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), *entry, doc["command"], "--input", str(path), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 TWO_SHIFT_LINK = {"a": [[2]], "b": [[1, 1], [1, 1]], "r": [[1, 1]], "s": [[1], [1]]}
 
 SPLIT_INPUT = {
@@ -386,6 +403,21 @@ class TestEmit:
         assert again == job
         assert parse_job(emit_job(again)) == again
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_exact_result_beyond_digit_limit_in_process(self, tmp_path, fmt):
+        """emit_report prints integers past Python's digit limit itself, with
+        the same bytes as the CLI, and leaves the limit as it found it."""
+        get_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = get_limit()
+        big = 10**4000
+        doc = {"command": "invariants", "input": {"matrix": [[big, 1], [1, big]]}}
+        text = emit_report(run_job(parse_job(job_text(doc))), fmt)
+        assert get_limit() == before
+        proc = run_cli(tmp_path, doc, "--format", fmt)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert text == proc.stdout
+        assert "9" * 8000 in text
+
     def test_bf_text_rendering(self):
         from sftact.cli import bf_text
 
@@ -639,16 +671,36 @@ class TestOptimizedInterpreter:
         ids=["non-invariant-action", "non-associative-table", "non-array-names"],
     )
     def test_one_line_error_without_traceback(self, tmp_path, doc, code):
-        path = tmp_path / "job.json"
-        path.write_text(json.dumps(doc))
-        src = str(Path(sftact.__file__).resolve().parent.parent)
-        path_entries = [src, os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "sftact.cli", doc["command"], "--input", str(path)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_cli(tmp_path, doc, optimize=True)
         assert proc.returncode == code
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr
+
+    def test_failed_internal_check_exits_four(self, tmp_path):
+        # One period count of the identity element is off by one, so the
+        # Burnside sum is no longer divisible by the group order.
+        code = """
+import sys
+from sftact import quotient
+from sftact.cli import main
+
+traces = quotient.trace_sequence
+calls = []
+
+def off_by_one(sub, m):
+    out = traces(sub, m)
+    out[0] += not calls
+    calls.append(sub)
+    return out
+
+quotient.trace_sequence = off_by_one
+sys.exit(main())
+"""
+        doc = {"command": "burnside", "input": SIX_STATE_JOB["input"], "parameters": {"max_n": 4}}
+        proc = run_cli(tmp_path, doc, optimize=True, code=code)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "internal error: the period-1 Burnside sum is not divisible by |G| = 4\n"
+        )

@@ -115,7 +115,7 @@ def test_job_executes_only_its_modules(stem):
 ALL = [
     "AbelianGroupInvariants", "ActionFactorSquare", "CapExceededError", "CycleWord",
     "ElementarySse", "FiniteGroupTable", "HnnData", "InputError", "IntMatrix",
-    "IntPolynomial", "LimitExceededError", "NonexpansiveWitness", "OneBlockCode",
+    "IntPolynomial", "InternalError", "LimitExceededError", "NonexpansiveWitness", "OneBlockCode",
     "OrbitCountReport", "OrbitStructure", "Path", "PermGroup", "PermutationAction",
     "PreconditionError", "QuotientClassification", "ReducedShift", "RepShift",
     "SftPresentation", "SftactError", "SplitData", "SseChain", "TqftMatrix",

@@ -33,6 +33,8 @@ from helpers import (
     fraction_poly_lcm,
     networkx_digraph,
     primitive_form,
+    scalar_char_poly_reciprocal,
+    scalar_trace_sequence,
     six_state_action,
 )
 from sftact.matrices import _components
@@ -104,6 +106,40 @@ def mixed_matrix(rng, max_states=10):
                     if rng.random() < 0.2:
                         rows[s][t] = rng.randint(1, 2)
     return IntMatrix(tuple(tuple(r) for r in rows))
+
+
+def all_ones(n):
+    return IntMatrix(((1,) * n,) * n)
+
+
+def heavy_column(rng, n):
+    """A random 0-1 matrix whose one column holds entries near 10^6 in every row."""
+    heavy = rng.randrange(n)
+    return IntMatrix(tuple(
+        tuple(rng.randint(10**5, 10**6) if j == heavy else int(rng.random() < 0.4) for j in range(n))
+        for _ in range(n)
+    ))
+
+
+def slot_bound_matrices(rng):
+    """Matrices at the edges of the packed kernels' slot bounds: entries up
+    to 10^6, one heavy column, nilpotent matrices (strictly upper
+    triangular, and the same under a relabelling of states) and all-ones
+    matrices up to n = 40."""
+    out = []
+    for _ in range(8):
+        n = rng.randint(1, 10)
+        out.append(IntMatrix(tuple(
+            tuple(rng.choice((0, rng.randint(1, 10**6))) for _ in range(n)) for _ in range(n)
+        )))
+        out.append(heavy_column(rng, rng.randint(1, 12)))
+        n = rng.randint(1, 12)
+        upper = [[rng.randint(0, 3) if j > i else 0 for j in range(n)] for i in range(n)]
+        out.append(IntMatrix(tuple(map(tuple, upper))))
+        relabel = rng.sample(range(n), n)
+        out.append(IntMatrix(tuple(tuple(upper[relabel[i]][relabel[j]] for j in range(n)) for i in range(n))))
+    out += [all_ones(n) for n in (1, 2, 3, 7, 16, 40)]
+    return out
 
 
 def sparse_test_rows(rng, rows, cols):
@@ -285,6 +321,19 @@ class TestTraceSequence:
                 expected = [dense_trace_of_power(m, n) for n in range(1, length + 1)]
                 assert trace_sequence(m, length) == expected
 
+    def test_slot_bound_matrices(self):
+        rng = random.Random(41)
+        for m in slot_bound_matrices(rng):
+            assert trace_sequence(m, 12) == scalar_trace_sequence(m, 12)
+
+    def test_forty_powers(self):
+        # entries of A^40 reach 40^39 (all ones) and exceed 10^200 (a heavy column)
+        rng = random.Random(43)
+        for m in (all_ones(1), all_ones(12), all_ones(40), heavy_column(rng, 8), heavy_column(rng, 20)):
+            traces = trace_sequence(m, 40)
+            assert traces == scalar_trace_sequence(m, 40)
+            assert traces[-1] == dense_trace_of_power(m, 40)
+
     def test_permutation_cycles(self):
         # cycles of lengths 1, 2 and 3 on six states
         m = IntMatrix(tuple(
@@ -354,10 +403,19 @@ class TestCharPolyReciprocal:
             n = rng.randint(1, 12)
             cases.append(IntMatrix(tuple(tuple(rng.choice((0, 0, 1, 2, 5)) for _ in range(n)) for _ in range(n))))
         cases += [mixed_matrix(rng, max_states=12) for _ in range(60)]
+        cases += slot_bound_matrices(rng)
         for m in cases:
             # det(I - t A) has t^j coefficient equal to the x^(n-j) one of det(x I - A)
             coeffs = sympy.Matrix(m.entries).charpoly().all_coeffs()
-            assert char_poly_reciprocal(m) == IntPolynomial(tuple(int(c) for c in coeffs))
+            expected = IntPolynomial(tuple(int(c) for c in coeffs))
+            assert char_poly_reciprocal(m) == expected
+            assert IntPolynomial(scalar_char_poly_reciprocal(m)) == expected
+
+    @pytest.mark.slow
+    def test_dense_eighty_against_scalar_recursion(self):
+        rng = random.Random(80)
+        m = IntMatrix(tuple(tuple(rng.randint(0, 3) for _ in range(80)) for _ in range(80)))
+        assert char_poly_reciprocal(m) == IntPolynomial(scalar_char_poly_reciprocal(m))
 
     def test_zeta_exponential_identity(self):
         # exp(sum trace(a^n) t^n / n) * det(I - t a) = 1 through degree 8

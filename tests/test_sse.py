@@ -414,11 +414,17 @@ class TestHigherBlockAction:
             assert bowen_franks(r0) == bowen_franks(r1)
 
 
+def assert_right_resolving(square):
+    """factor_square builds all four codes right-resolving."""
+    for code in (square.eta, square.eta_bar, square.theta1, square.theta2):
+        assert code.is_right_resolving()
+
+
 class TestFactorSquare:
     def test_identity_map(self):
         act = six_state_action()
         square = factor_square(act, act, tuple(range(6)))
-        assert square.eta_bar.is_right_resolving()
+        assert_right_resolving(square)
         assert square.theta1.edge_map == square.theta2.edge_map
         assert square_commute_failures(square) == []
 
@@ -428,8 +434,7 @@ class TestFactorSquare:
         assert nontrivial
         split_act, _ = in_split(act, data)
         square = factor_square(split_act, act, amalgamation_state_map(split_act))
-        assert square.eta.is_right_resolving()
-        assert square.eta_bar.is_right_resolving()
+        assert_right_resolving(square)
         assert square_commute_failures(square) == []
 
     def test_identification_map_rejected(self):
