@@ -18,7 +18,7 @@ command needs.
 
 Exit codes: 0 success, 1 input errors, 2 mathematical precondition
 failures, 3 closure or homomorphism limit exhaustion, 4 internal errors
-(a computed result failed one of the package's own checks).
+(a failed check of the package's own, or any unexpected exception).
 """
 
 from __future__ import annotations
@@ -684,6 +684,17 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
+    """Run one job; an exception that no exit code names is a defect,
+    reported as one ``internal error: <type>: <message>`` line, exit 4."""
+    try:
+        return _main(argv)
+    except Exception as err:
+        message = " ".join(str(err).split())
+        print(f"internal error: {type(err).__name__}: {message}", file=sys.stderr)
+        return 4
+
+
+def _main(argv) -> int:
     parser = _ArgumentParser(
         prog="sftact",
         description="exact computations with finite group actions on shifts of finite type",
@@ -705,7 +716,7 @@ def main(argv=None) -> int:
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: cannot read input: {err}", file=sys.stderr)
         return 1
 

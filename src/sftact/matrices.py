@@ -15,27 +15,28 @@ validated once, when it is built; products, transposes and submatrices
 work on sparse rows, and the dense rows are derived only on demand, for
 reports and for the Smith form behind Bowen-Franks groups.
 
-Every periodic-point count goes through one engine: ``trace_sequence``
-and ``char_poly_reciprocal`` split the matrix into its strongly connected
-components, since det(I - t A) is the product of the factors of the
-components and trace(A^n) the sum of their traces.  A component that is
-a single cycle of length L contributes 1 - t^L and L points of every
-period divisible by L.  Any other component multiplies packed matrices
-by its own sparse submatrix: a packed matrix is one Python integer per
-column, each entry in a bit slot of fixed width, so a product costs one
-big-integer addition per nonzero entry of the submatrix rather than n
-scalar multiply-adds (``_times_packed``).
-The slot width comes from an a priori bound on every entry read, proved
-where it is used: the largest row sum for powers, and Hadamard's
-inequality on minors for the characteristic polynomial.
+Every periodic-point count goes through one engine, ``_zeta``, which
+walks the strongly connected components of a matrix once: det(I - t A)
+is the product of the factors of the components and trace(A^n) the sum
+of their traces.  k components that are single cycles of length L give
+(1 - t^L)^k and kL points of every period divisible by L.  Any other
+component runs the Faddeev-LeVerrier recursion on packed matrices: a
+packed matrix is one Python integer per column, each entry in a bit slot
+of fixed width, so a product costs one big-integer addition per nonzero
+entry of the submatrix rather than n scalar multiply-adds
+(``_times_packed``).  Its traces follow from its factor by Newton's
+identities, so a call that wants m traces runs at most m steps.  The
+slot width comes from one a priori bound, Hadamard's inequality on
+minors, proved where it is used.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import cached_property
 from itertools import chain, compress
 from math import gcd, isqrt
-from operator import ge
+from operator import ge, mul, sub
 
 from .errors import InputError, InternalError
 from .records import record
@@ -326,24 +327,6 @@ def _components(sparse):
     return components
 
 
-def _cyclic_parts(a: IntMatrix):
-    """The components of ``a`` that carry a cycle, as (states, sub) pairs.
-
-    ``sub`` is None for a single simple cycle and otherwise the sparse rows
-    of the principal submatrix on ``states``.  det(I - t a) is the product
-    of the factors of these parts, and trace(a^n) the sum of their traces.
-    """
-    a.dim  # raises the square error on a rectangular matrix
-    sparse = a.sparse
-    for states, is_cycle in _components(sparse):
-        if is_cycle:
-            yield states, None
-            continue
-        sub = _principal_rows(sparse, states)
-        if len(states) > 1 or sub[0]:
-            yield states, sub
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -362,36 +345,113 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix.from_sparse(rows, b.cols)
 
 
+def _faddeev_leverrier(sparse, steps):
+    """The coefficients of t^0 .. t^steps in det(I - t a), for a given by
+    its sparse rows, by ``steps`` steps of the Faddeev-LeVerrier recursion
+    on packed matrices.
+
+    Write det(x I - a) = sum_j c_j x^j and adj(x I - a) = sum_k M_k x^(n-k).
+    Then c_n = 1, M_1 = I and M_(k+1) = a M_k + c_(n-k) I, with
+    M_(n+1) = 0, and c_(n-k) = -trace(a M_k) / k, the t^k coefficient of
+    det(I - t a), is an exact division over the integers.  Step k forms
+    M_k a, which equals a M_k since M_k is a polynomial in a.
+
+    Slot bound: let e_k be the k-th elementary symmetric function of the
+    numbers ceil(|a_i|) over the rows a_i of a, with |.| the Euclidean
+    norm.  An entry of adj(x I - a) is, up to sign, an (n-1) x (n-1) minor
+    of x I - a; expanding it along its x entries writes its x^(n-k-1)
+    coefficient, an entry of M_(k+1), as a signed sum of k x k minors of a
+    on distinct row sets.  Likewise c_(n-k) is a signed sum of the
+    principal k x k minors of a.  By Hadamard's inequality a minor on the
+    rows T is at most the product of |a_i| over i in T in absolute value,
+    so either sum is at most e_k.  Every entry of a M_k = M_(k+1) - c_(n-k) I
+    is therefore at most 2 e_k in absolute value, and with E the largest
+    e_k for k <= steps, slots of w = E.bit_length() + 2 bits hold every
+    product the steps form, with the bias 2^(w-1) added: each biased slot
+    lies in 0 .. 2^w - 1, so no slot borrows from the next.
+    """
+    n = len(sparse)
+    e = [1] + [0] * steps
+    for row in sparse:
+        square = sum(x * x for _, x in row)
+        if square:
+            # ceil(sqrt(q)) is 1 + isqrt(q - 1) for q >= 1
+            norm = 1 + isqrt(square - 1)
+            for k in range(steps, 0, -1):
+                e[k] += norm * e[k - 1]
+    width = max(e).bit_length() + 2
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    shifts = range(0, n * width, width)
+    bias = sum([half << shift for shift in shifts])
+    columns = _columns_by_entry(sparse)
+    c = [1] + [0] * steps
+    am = [0] * n
+    for k in range(1, steps + 1):
+        am = _times_packed([col + (c[k - 1] << shift) for col, shift in zip(am, shifts)], columns)
+        t = sum([((col + bias) >> shift) & mask for col, shift in zip(am, shifts)]) - n * half
+        if t % k:
+            raise InternalError(f"Faddeev-LeVerrier division by {k} is not exact")
+        c[k] = -(t // k)
+    return c
+
+
+def _zeta(a: IntMatrix, m: int, with_det: bool):
+    """(traces, det): [trace(a^n) for n = 1..m], and det(I - t a) as an
+    IntPolynomial when ``with_det`` is true, else None.
+
+    Walks the strongly connected components of ``a`` once; the factors of
+    det(I - t a) multiply and the traces add.  k components that are
+    single cycles of length L give (1 - t^L)^k and kL points of every
+    period divisible by L.  Any other component gives the Faddeev-LeVerrier
+    factor c of its submatrix and, by Newton's identities, the traces
+    p_n = -n c_n - sum_(0<k<n) c_k p_(n-k), with c_k = 0 past the degree
+    of c; without the determinant the recursion stops after min(size, m)
+    steps and no product is formed.
+    """
+    a.dim  # raises the square error on a rectangular matrix
+    sparse = a.sparse
+    traces = [0] * m
+    cycles = {}  # cycle length -> number of components that are such a cycle
+    factors = []  # the Faddeev-LeVerrier factors of the other components
+    for states, is_cycle in _components(sparse):
+        size = len(states)
+        if is_cycle:
+            cycles[size] = cycles.get(size, 0) + 1
+            continue
+        rows = _principal_rows(sparse, states)
+        if size == 1 and not rows[0]:
+            continue
+        c = _faddeev_leverrier(rows, size if with_det else min(size, m))
+        factors.append(c)
+        tail = c[1:]
+        recent = deque(maxlen=len(tail))  # p_(n-1), p_(n-2), ..., newest first
+        for n in range(1, m + 1):
+            p = (-n * c[n] if n < len(c) else 0) - sum(map(mul, tail, recent))
+            recent.appendleft(p)
+            traces[n - 1] += p
+    coeffs = [1]
+    for length, k in cycles.items():
+        for n in range(length, m + 1, length):
+            traces[n - 1] += k * length
+        for _ in range(k if with_det else 0):
+            # times 1 - t^length: one subtraction per coefficient, no product
+            coeffs += [0] * length
+            coeffs[length:] = map(sub, coeffs[length:], coeffs)
+    if not with_det:
+        return traces, None
+    for factor in factors:
+        coeffs = _poly_mul_coeffs(factor, coeffs)
+    return traces, IntPolynomial(coeffs)
+
+
 def trace_sequence(a: IntMatrix, m: int) -> list:
     """[trace(a^n) for n = 1..m], the period-n point counts of the shift
-    presented by a.
-
-    Summed over the components of ``a`` that carry a cycle: a single cycle
-    of length L has L points of every period divisible by L, and any other
-    component carries its power P_n = P_(n-1) @ a forward as a packed
-    matrix, one packed product per n.
-    """
+    presented by a."""
     _check_int(m, "sequence length")
     if m < 0:
         raise InputError("sequence length must be nonnegative")
-    out = [0] * m
-    for states, sub in _cyclic_parts(a):
-        size = len(states)
-        if sub is None:
-            for n in range(size, m + 1, size):
-                out[n - 1] += size
-            continue
-        # row sums of a^p are at most r^p, r the largest row sum of a, so
-        # (r^m).bit_length() bits hold every entry of a^1 .. a^m
-        width = (max(sum(x for _, x in row) for row in sub) ** m).bit_length()
-        mask = (1 << width) - 1
-        shifts = range(0, size * width, width)
-        columns = _columns_by_entry(sub)
-        power = [1 << shift for shift in shifts]
-        for n in range(m):
-            power = _times_packed(power, columns)
-            out[n] += sum([(col >> shift) & mask for col, shift in zip(power, shifts)])
-    return out
+    return _zeta(a, m, False)[0]
 
 
 def trace_of_power(a: IntMatrix, n: int) -> int:
@@ -402,74 +462,14 @@ def trace_of_power(a: IntMatrix, n: int) -> int:
     return trace_sequence(a, n)[-1]
 
 
-def _faddeev_leverrier(sparse):
-    """Coefficients of det(I - t a), constant first, for a given by its
-    sparse rows, by the Faddeev-LeVerrier recursion on packed matrices.
-
-    Write det(x I - a) = sum_j c_j x^j and adj(x I - a) = sum_k M_k x^(n-k).
-    Then c_n = 1, M_1 = I and M_(k+1) = a M_k + c_(n-k) I, with
-    M_(n+1) = 0, and c_(n-k) = -trace(a M_k) / k is an exact division over
-    the integers.  Step k forms the product M_k a, which equals a M_k
-    since M_k is a polynomial in a, and reads its trace.
-
-    Slot bound: let h be the product of 1 + ceil(|a_i|) over the rows a_i
-    of a, with |.| the Euclidean norm.  An entry of adj(x I - a) is, up to
-    sign, an (n-1) x (n-1) minor of x I - a; expanding it along its x
-    entries writes its x^(n-k-1) coefficient, an entry of M_(k+1), as a
-    signed sum of k x k minors of a on distinct row sets.  Likewise
-    c_(n-k) is a signed sum of the principal k x k minors of a.  By
-    Hadamard's inequality a minor on the rows T is at most the product of
-    |a_i| over i in T in absolute value, so either sum is at most the k-th
-    elementary symmetric function of the row norms, which is at most h.
-    Every entry of a M_k = M_(k+1) - c_(n-k) I is therefore at most 2h in
-    absolute value, and slots of w = h.bit_length() + 2 bits hold it with
-    the bias 2^(w-1) added: each biased slot lies in 0 .. 2^w - 1, so no
-    slot borrows from the next.
-    """
-    n = len(sparse)
-    h = 1
-    for row in sparse:
-        square = sum(x * x for _, x in row)
-        # 1 + ceil(sqrt(q)) is 2 + isqrt(q - 1) for q >= 1
-        h *= 2 + isqrt(square - 1) if square else 1
-    width = h.bit_length() + 2
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    shifts = range(0, n * width, width)
-    bias = sum([half << shift for shift in shifts])
-    columns = _columns_by_entry(sparse)
-    c = [0] * (n + 1)
-    c[n] = 1
-    am = [0] * n
-    for k in range(1, n + 1):
-        coeff = c[n - k + 1]
-        am = _times_packed([col + (coeff << shift) for col, shift in zip(am, shifts)], columns)
-        t = sum([((col + bias) >> shift) & mask for col, shift in zip(am, shifts)]) - n * half
-        if t % k:
-            raise InternalError(f"Faddeev-LeVerrier division by {k} is not exact")
-        c[n - k] = -(t // k)
-    # det(I - t a) has t^j coefficient c[n - j]
-    return tuple(c[n - j] for j in range(n + 1))
-
-
 def char_poly_reciprocal(a: IntMatrix) -> IntPolynomial:
     """det(I - t a) as an exact integer polynomial in t.
 
     The reciprocal zeta function of the shift presented by ``a``: the
     coefficients c of det(I - t a) give the linear recurrence
     sum_k c_k trace(a^(n-k)) = 0 satisfied by the trace sequence.
-    The determinant is the product of its factors over the components of
-    ``a`` that carry a cycle: 1 - t^L for a single cycle of length L, and
-    the Faddeev-LeVerrier recursion on the submatrix of any other.
     """
-    coeffs = (1,)
-    for states, sub in _cyclic_parts(a):
-        if sub is None:
-            factor = (1,) + (0,) * (len(states) - 1) + (-1,)
-        else:
-            factor = _faddeev_leverrier(sub)
-        coeffs = _poly_mul_coeffs(factor, coeffs)
-    return IntPolynomial(coeffs)
+    return _zeta(a, 0, True)[1]
 
 
 def _primitive(coeffs):

@@ -4,10 +4,10 @@ The number of group orbits of period-n points averages the fixed-point
 counts trace(A_g^n) over the group (Cauchy-Frobenius), and the counts
 satisfy the linear recurrence given by the least common multiple of the
 polynomials det(I - t A_g).  Elements with the same fixed states have the
-same A_g, so both are computed once per fixed-state set, by the counting
-engine of ``matrices``.  The quotient dynamical system has the zeta
-function of the left-reduced shift (Fiebig), so its period-n counts are
-trace(A_left^n); the tests check them against an enumeration of cycles.
+same A_g, so both come from one pass of the counting engine of
+``matrices`` per fixed-state set.  The quotient dynamical system has the
+zeta function of the left-reduced shift (Fiebig), so its period-n counts
+are trace(A_left^n); the tests check them against enumerated cycles.
 
 For irreducible presentations the quotient is either again a shift of
 finite type (when the quotient map is constant-to-one) or fails to be
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .errors import InputError, InternalError, PreconditionError
 from .records import record
-from .matrices import IntPolynomial, char_poly_reciprocal, poly_lcm, trace_sequence
+from .matrices import IntPolynomial, _zeta, poly_lcm, trace_sequence
 from .action import PermutationAction, fixed_submatrix
 from .reduce import left_reduce
 from .sft import CycleWord, SftPresentation, is_irreducible, shortest_path, trim_essential
@@ -45,9 +45,9 @@ def burnside_counts(a: PermutationAction, m: int) -> OrbitCountReport:
 
     Elements with the same fixed states have the same fixed submatrix, so
     its traces and reciprocal characteristic polynomial are computed once
-    per fixed-state set.  The recurrence polynomial is the least common
-    multiple of those polynomials; it annihilates the sequence of
-    Burnside sums.
+    per fixed-state set, by one pass over its components.  The recurrence
+    polynomial is the least common multiple of those polynomials; it
+    annihilates the sequence of Burnside sums.
     """
     if m < 1:
         raise InputError("need at least one count")
@@ -59,8 +59,7 @@ def burnside_counts(a: PermutationAction, m: int) -> OrbitCountReport:
     for g, perm in enumerate(group.elements):
         fixed = tuple(i for i in range(group.degree) if perm[i] == i)
         if fixed not in by_fixed:
-            sub = fixed_submatrix(a, g)
-            by_fixed[fixed] = (tuple(trace_sequence(sub, m)), char_poly_reciprocal(sub))
+            by_fixed[fixed] = _zeta(fixed_submatrix(a, g), m, True)
         traces.append(by_fixed[fixed][0])
     counts = []
     for n in range(m):
@@ -70,7 +69,7 @@ def burnside_counts(a: PermutationAction, m: int) -> OrbitCountReport:
         counts.append(total // order)
     recurrence = poly_lcm(dict.fromkeys(poly for _, poly in by_fixed.values()))
     return OrbitCountReport(
-        counts=tuple(counts), recurrence=recurrence, element_traces=tuple(traces)
+        counts=tuple(counts), recurrence=recurrence, element_traces=tuple(map(tuple, traces))
     )
 
 

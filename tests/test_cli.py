@@ -450,6 +450,15 @@ class TestMain:
         assert code == 0
         assert json.loads(out)["result"]["right"]["entries"] == [[1, 2], [2, 1]]
 
+    def test_undecodable_input_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_bytes(b'\xff{"command": "reduce"}')
+        code = main(["reduce", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("error: cannot read input: 'utf-8' codec can't decode byte 0xff")
+        assert len(captured.err.splitlines()) == 1
+
     def test_command_inferred_from_subcommand(self, tmp_path, capsys):
         doc = {k: v for k, v in SIX_STATE_JOB.items() if k != "command"}
         code, out, _ = self.run_main(tmp_path, capsys, doc, ["reduce"])
@@ -685,16 +694,16 @@ import sys
 from sftact import quotient
 from sftact.cli import main
 
-traces = quotient.trace_sequence
+zeta = quotient._zeta
 calls = []
 
-def off_by_one(sub, m):
-    out = traces(sub, m)
+def off_by_one(sub, m, with_det):
+    out, det = zeta(sub, m, with_det)
     out[0] += not calls
     calls.append(sub)
-    return out
+    return out, det
 
-quotient.trace_sequence = off_by_one
+quotient._zeta = off_by_one
 sys.exit(main())
 """
         doc = {"command": "burnside", "input": SIX_STATE_JOB["input"], "parameters": {"max_n": 4}}
@@ -704,3 +713,23 @@ sys.exit(main())
         assert proc.stderr == (
             "internal error: the period-1 Burnside sum is not divisible by |G| = 4\n"
         )
+
+    def test_uncaught_exception_exits_four(self, tmp_path):
+        # A runner that fails with an exception the exit codes do not name.
+        code = """
+import sys
+from sftact import cli
+
+parse, _ = cli._COMMAND_TABLE["burnside"]
+
+def crash(parsed, parameters):
+    return 1 // 0
+
+cli._COMMAND_TABLE["burnside"] = (parse, crash)
+sys.exit(cli.main())
+"""
+        doc = {"command": "burnside", "input": SIX_STATE_JOB["input"]}
+        proc = run_cli(tmp_path, doc, optimize=True, code=code)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr == "internal error: ZeroDivisionError: integer division or modulo by zero\n"

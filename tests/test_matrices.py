@@ -142,6 +142,32 @@ def slot_bound_matrices(rng):
     return out
 
 
+def repeated_cycles(rng, dense):
+    """A permutation matrix with two to four cycles of each of one or two
+    lengths, and beside it, when ``dense``, a dense block that a cycle
+    state reaches by one edge, all under a random relabelling of states.
+    Returns the matrix and the largest L k over the lengths L, each with
+    k cycles."""
+    counts = {length: rng.randint(2, 4) for length in rng.sample(range(1, 5), rng.randint(1, 2))}
+    lengths = [length for length, k in counts.items() for _ in range(k)]
+    n = sum(lengths) + (rng.randint(1, 4) if dense else 0)
+    order = rng.sample(range(n), n)
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for length in lengths:
+        cycle = order[start:start + length]
+        for k, s in enumerate(cycle):
+            rows[s][cycle[(k + 1) % length]] = 1
+        start += length
+    block = order[start:]
+    for s in block:
+        for t in block:
+            rows[s][t] = rng.choice((0, 1, 1, 2))
+    if block:
+        rows[order[0]][block[0]] = 1
+    return IntMatrix(tuple(map(tuple, rows))), max(length * k for length, k in counts.items())
+
+
 def sparse_test_rows(rng, rows, cols):
     """Random dense rows with at least one zero row and one zero column."""
     out = [[rng.choice((0, 0, 1, 2)) for _ in range(cols)] for _ in range(rows)]
@@ -324,7 +350,10 @@ class TestTraceSequence:
     def test_slot_bound_matrices(self):
         rng = random.Random(41)
         for m in slot_bound_matrices(rng):
-            assert trace_sequence(m, 12) == scalar_trace_sequence(m, 12)
+            expected = scalar_trace_sequence(m, 12)
+            # fewer traces than states stop the recursion early, with a narrower slot
+            for length in (1, 2, 3, 12):
+                assert trace_sequence(m, length) == expected[:length]
 
     def test_forty_powers(self):
         # entries of A^40 reach 40^39 (all ones) and exceed 10^200 (a heavy column)
@@ -333,6 +362,10 @@ class TestTraceSequence:
             traces = trace_sequence(m, 40)
             assert traces == scalar_trace_sequence(m, 40)
             assert traces[-1] == dense_trace_of_power(m, 40)
+        # far more powers than states: Newton's identities carry the traces past the factor's degree
+        for n in (1, 2, 5, 12):
+            m = IntMatrix(tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n)))
+            assert trace_sequence(m, 300) == scalar_trace_sequence(m, 300)
 
     def test_permutation_cycles(self):
         # cycles of lengths 1, 2 and 3 on six states
@@ -340,6 +373,12 @@ class TestTraceSequence:
             tuple(int(j == image) for j in range(6)) for image in (0, 2, 1, 4, 5, 3)
         ))
         assert trace_sequence(m, 7) == [1, 3, 4, 3, 1, 6, 1]
+        # several cycles of one length, alone and beside a dense block
+        rng = random.Random(47)
+        for dense in (False, True) * 8:
+            m, top = repeated_cycles(rng, dense)
+            for length in (rng.randint(1, top - 1), top + rng.randint(1, 6)):
+                assert trace_sequence(m, length) == [dense_trace_of_power(m, n) for n in range(1, length + 1)]
 
     def test_zero_length(self):
         assert trace_sequence(IntMatrix(((1, 1), (1, 0))), 0) == []
@@ -404,6 +443,7 @@ class TestCharPolyReciprocal:
             cases.append(IntMatrix(tuple(tuple(rng.choice((0, 0, 1, 2, 5)) for _ in range(n)) for _ in range(n))))
         cases += [mixed_matrix(rng, max_states=12) for _ in range(60)]
         cases += slot_bound_matrices(rng)
+        cases += [repeated_cycles(rng, dense)[0] for dense in (False, True) * 8]
         for m in cases:
             # det(I - t A) has t^j coefficient equal to the x^(n-j) one of det(x I - A)
             coeffs = sympy.Matrix(m.entries).charpoly().all_coeffs()
