@@ -41,6 +41,7 @@ _MAX_LENGTH = 10000  # bound of "max_n" and "m"; a report grows linearly in both
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 _HOM_LIMIT = 1000000  # default "limit" of the representation-shift commands
+_REPSHIFT_STATE_BOUND = 1000  # most states a repshift report prints as a dense matrix
 
 
 @record
@@ -530,6 +531,12 @@ def _build_repshift(parsed, parameters):
 
 def _run_repshift(parsed, parameters):
     shift = _build_repshift(parsed, parameters)
+    states = shift.presentation.num_states
+    if states > _REPSHIFT_STATE_BOUND:
+        raise LimitExceededError(
+            f"the representation shift has {states} states, more than the {_REPSHIFT_STATE_BOUND} "
+            f"a repshift report prints as a dense matrix; tqft and bundle-counts report on it"
+        )
     m = parameters.get("max_n", 6)
     return {
         "states": list(shift.presentation.matrix.labels),

@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 from functools import cached_property
 from itertools import chain, compress
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 from operator import ge, mul, sub
 
 from .errors import InputError, InternalError
@@ -589,67 +589,54 @@ def smith_normal_form(rows) -> AbelianGroupInvariants:
     """Invariant factors and free rank of the cokernel of a square matrix
     given by its rows of integers, of any sign.
 
-    Standard integer row/column reduction with exact arithmetic, pivoting
-    on the entry of minimal absolute value to bound coefficient growth.
-    Pivots divide the rest of their block, so the diagonal is a divisibility chain.
+    Two phases (Cohen, A Course in Computational Algebraic Number Theory,
+    section 2.4).  Diagonalise: move the least nonzero entry of the remaining
+    block into the corner, divide its row and column by it with integer
+    row and column operations, and move the least remainder left in them
+    into the corner until both are clear.  Normalise: replace each pair
+    (d_i, d_j), i < j, with (gcd, lcm), which keeps the group
+    Z/d_i + Z/d_j, so the diagonal becomes a divisibility chain.
     """
     a = [list(row) for row in _check_rows(rows)]
     n = len(a)
     if len(a[0]) != n:
         raise InputError(f"Smith form corner reduction needs a square matrix, got {n}x{len(a[0])}")
 
-    def find_pivot(t):
-        best = None
-        for i in range(t, n):
-            for j in range(t, n):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
     diag = []
     for t in range(n):
-        piv = find_pivot(t)
-        if piv is None:
+        sizes = [min(filter(None, map(abs, row[t:])), default=inf) for row in a[t:]]
+        size = min(sizes)
+        if size == inf:
             break
+        i = t + sizes.index(size)
+        j = t + list(map(abs, a[i][t:])).index(size)
         while True:
-            i0, j0 = piv
-            if i0 != t:
-                a[t], a[i0] = a[i0], a[t]
-            if j0 != t:
-                for row in a:
-                    row[t], row[j0] = row[j0], row[t]
-            done = True
-            for i in range(t + 1, n):
-                q = a[i][t] // a[t][t]
+            a[t], a[i] = a[i], a[t]
+            for row in a[t:]:
+                row[t], row[j] = row[j], row[t]
+            top = a[t]
+            p = top[t]
+            for row in a[t + 1:]:
+                q = row[t] // p
                 if q:
-                    for j in range(t, n):
-                        a[i][j] -= q * a[t][j]
-                if a[i][t]:
-                    done = False
-            for j in range(t + 1, n):
-                q = a[t][j] // a[t][t]
+                    row[t:] = [x - q * y for x, y in zip(row[t:], top[t:])]
+            live = [row for row in a[t:] if row[t]]
+            for k in range(t + 1, n):
+                q = top[k] // p
                 if q:
-                    for i in range(t, n):
-                        a[i][j] -= q * a[i][t]
-                if a[t][j]:
-                    done = False
-            if done:
-                bad = None
-                for i in range(t + 1, n):
-                    for j in range(t + 1, n):
-                        if a[i][j] % a[t][t]:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    break
-                # fold the offending row in so the pivot can shrink
-                for j in range(t, n):
-                    a[t][j] += a[bad][j]
-            piv = find_pivot(t)
+                    for row in live:
+                        row[k] -= q * row[t]
+            rest = [(abs(a[k][t]), k, t) for k in range(t + 1, n) if a[k][t]]
+            rest += [(abs(top[k]), t, k) for k in range(t + 1, n) if top[k]]
+            if not rest:
+                break
+            _, i, j = min(rest)
         diag.append(abs(a[t][t]))
 
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
     return AbelianGroupInvariants(
         torsion=tuple(d for d in diag if d >= 2),
         free_rank=n - len(diag),

@@ -114,9 +114,6 @@ class OneBlockCode:
                         f"edge map does not induce a state map (state {src_state} goes to both {seen} and {dst_state})"
                     )
 
-    def apply_path(self, edges):
-        return tuple(self.edge_map[tuple(e)] for e in edges)
-
     def is_right_resolving(self) -> bool:
         for es in self.source.out_edges:
             images = [self.edge_map[e] for e in es]

@@ -273,9 +273,11 @@ def _out_split_core(matrix: IntMatrix, group: PermGroup, partitions):
     (division matrix, edge-count matrix) and the group transported to the
     split states by g.(i, p) = (gi, position of the image block).
 
-    The transport is the compatibility check: an image that is no block
-    raises PreconditionError.  Compatible elements are closed under
-    composition, so the first element that fails is a generator.
+    Compatibility is checked on the generators: an element whose image of
+    some block is no block raises PreconditionError, and compatible
+    elements are closed under composition, so the first element that fails
+    is a generator.  Every element then carries a block onto the block of
+    its first edge's image, read from one edge -> split state map.
     """
     blocks = tuple(tuple(sorted(bs, key=min)) for bs in partitions)
     new_states = [(i, p) for i, bs in enumerate(blocks) for p in range(len(bs))]
@@ -293,19 +295,20 @@ def _out_split_core(matrix: IntMatrix, group: PermGroup, partitions):
     cert = ElementarySse(a=matrix, b=split_matrix, r=r, s=s)
     if not verify_elementary_sse(cert):
         raise InternalError("the split certificate does not verify")
-    state_of = {frozenset(blocks[i][p]): k for (i, p), k in index.items()}
-    elements = []
-    for g, perm in enumerate(group.elements):
-        image = []
-        for i, p in new_states:
-            k = state_of.get(frozenset((perm[a], perm[b], c) for a, b, c in blocks[i][p]))
-            if k is None:
+    home = {e: k for k, (i, p) in enumerate(new_states) for e in blocks[i][p]}
+    size = [len(blocks[i][p]) for i, p in new_states]
+    for g in group.generators:
+        perm = group.elements[g]
+        for k, (i, p) in enumerate(new_states):
+            # the image edges are distinct, so one block of the same size is the image
+            image = {home[perm[x], perm[y], c] for x, y, c in blocks[i][p]}
+            if len(image) > 1 or size[min(image)] != size[k]:
                 raise PreconditionError(
                     f"partition is not action-compatible: element {g} does not carry "
                     f"a block at state {i + 1} onto a block at state {perm[i] + 1}"
                 )
-            image.append(k)
-        elements.append(tuple(image))
+    first = [blocks[i][p][0] for i, p in new_states]
+    elements = [tuple(home[perm[x], perm[y], c] for x, y, c in first) for perm in group.elements]
     return cert, PermGroup(m, tuple(elements))
 
 

@@ -473,6 +473,20 @@ def all_element_split_error(act: PermutationAction, d: SplitData):
     return None
 
 
+def frozenset_split_elements(act: PermutationAction, d: SplitData):
+    """Reference for the group a split transports: split state (i, p) is
+    the p-th block at state i, blocks ordered by least edge, and every
+    element, in list order, sends it to the state whose block is the image
+    of its edges, looked up as a frozenset for each element and block."""
+    blocks = [sorted(bs, key=min) for bs in d.partitions]
+    states = [(i, p) for i, bs in enumerate(blocks) for p in range(len(bs))]
+    state_of = {frozenset(blocks[i][p]): k for k, (i, p) in enumerate(states)}
+    return [
+        tuple(state_of[frozenset((perm[a], perm[b], c) for a, b, c in blocks[i][p])] for i, p in states)
+        for perm in act.group.elements
+    ]
+
+
 def _dense_permutation_matrix(perm):
     """P with P(i, perm(i)) = 1."""
     return [[1 if j == perm[i] else 0 for j in range(len(perm))] for i in range(len(perm))]

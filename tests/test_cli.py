@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import sftact
-from sftact import InputError, group_from_generators
+from sftact import InputError, cli, group_from_generators
 from sftact.cli import (
     cycles_of,
     emit_job,
@@ -523,6 +523,21 @@ class TestMain:
         # one assignment over Z1: the message names the generator count instead
         what = f"{order}^1000000000 assignments" if order > 1 else "1000000000 generators"
         assert err == f"budget exhausted: {what} exceed the limit 1000000\n"
+
+    def test_repshift_state_bound_exit_three(self, tmp_path, capsys, monkeypatch):
+        # trefoil over S4 (576 states) is the largest shift the tests and corpus
+        # print; trefoil over S5 (14400 states) is refused by the slow test
+        assert 576 < cli._REPSHIFT_STATE_BOUND < 14400
+        doc = {"command": "repshift", "input": {"hnn": {"preset": "trefoil"}, "group": "Z3"}}
+        monkeypatch.setattr(cli, "_REPSHIFT_STATE_BOUND", 8)
+        code, out, err = self.run_main(tmp_path, capsys, doc, ["repshift"])
+        assert (code, out) == (3, "")
+        assert err == (
+            "budget exhausted: the representation shift has 9 states, more than the 8 a repshift "
+            "report prints as a dense matrix; tqft and bundle-counts report on it\n"
+        )
+        monkeypatch.setattr(cli, "_REPSHIFT_STATE_BOUND", 9)
+        assert self.run_main(tmp_path, capsys, doc, ["repshift"])[0] == 0
 
     @pytest.mark.parametrize("key", ["maxn", "cap"])
     def test_unknown_parameter_exit_one(self, tmp_path, capsys, key):

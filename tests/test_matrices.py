@@ -642,6 +642,39 @@ class TestSmithNormalForm:
         with pytest.raises(InputError):
             smith_normal_form(rows)
 
+    def test_coprime_diagonal_needs_the_gcd_lcm_pass(self):
+        assert smith_normal_form(((2, 0), (0, 3))) == AbelianGroupInvariants((6,), 0)
+        assert smith_normal_form(((4, 0, 0), (0, 6, 0), (0, 0, 0))) == AbelianGroupInvariants((2, 12), 1)
+        # the diagonal phase leaves 6, 6, 3, 21: pairs (6, 3) and (6, 21) need
+        # gcd/lcm too, not only neighbours
+        rows = ((6, 0, 0, 0), (0, 6, 0, 0), (0, 0, 9, 12), (0, 0, 12, 9))
+        assert smith_normal_form(rows) == AbelianGroupInvariants((3, 3, 6, 42), 0)
+
+    def test_against_sympy_invariant_factors(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        rng = random.Random(43)
+        seen = set()
+        for k in range(60):
+            n = rng.randint(1, 12)
+            kind = k % 3
+            if kind == 0:  # small signed entries
+                rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            elif kind == 1:  # sparse entries up to 10^6 in absolute value
+                rows = [[rng.randint(-10**6, 10**6) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)]
+            else:  # rank at most r: a product of n x r and r x n factors
+                r = rng.randint(0, n - 1)
+                x = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+                y = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+                rows = [[sum(x[i][m] * y[m][j] for m in range(r)) for j in range(n)] for i in range(n)]
+            factors = [abs(int(d)) for d in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)]
+            out = smith_normal_form(rows)
+            assert out.torsion == tuple(d for d in factors if d > 1)
+            assert out.free_rank == factors.count(0)
+            seen.add((kind, bool(out.torsion), out.free_rank > 0))
+        assert {(0, True, False), (1, True, False), (2, True, True)} <= seen
+
     def test_determinant_is_torsion_product(self):
         rng = random.Random(19)
         checked = 0

@@ -425,6 +425,23 @@ def test_trefoil_s5_tqft_end_to_end(tmp_path):
     assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 200 * 1024
 
 
+@pytest.mark.slow
+def test_trefoil_s5_repshift_refused_before_dense_matrix(tmp_path):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "repshift", "input": {"hnn": {"preset": "trefoil"}, "group": "S5"}}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sftact.cli", "repshift", "--input", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("budget exhausted: the representation shift has 14400 states,")
+    assert proc.stderr.count("\n") == 1 and "tqft and bundle-counts" in proc.stderr
+    # the dense 14400 x 14400 matrix alone would hold 207 million entries
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 200 * 1024
+
+
 class TestFlatBundleCounts:
     def test_trivial_group(self):
         shift = build_repshift(fibered_preset("trefoil"), trivial_group())

@@ -41,6 +41,7 @@ from helpers import (
     dense_intertwining_error,
     direct_in_split,
     five_state_action,
+    frozenset_split_elements,
     orbit_preserving_in_split,
     random_action,
     random_compatible_split,
@@ -327,6 +328,19 @@ class TestOutSplit:
                 late_failures += failing > act.group.generators[0]
         assert outcomes == {True, False}
         assert late_failures > 0
+
+    def test_transported_group_matches_frozenset_oracle(self):
+        rng = random.Random(101)
+        split_directions = set()
+        for _ in range(80):
+            act, _ = random_group_action(rng, max_states=5)
+            direction = rng.choice(("out", "in"))
+            d = random_compatible_split(rng, act, direction)
+            split_act, _ = (out_split if direction == "out" else in_split)(act, d)
+            assert list(split_act.group.elements) == frozenset_split_elements(act, d)
+            if split_act.presentation.num_states > act.presentation.num_states and act.group.order > 1:
+                split_directions.add(direction)
+        assert split_directions == {"out", "in"}
 
     def test_intertwining_laws_hold(self):
         rng = random.Random(71)
