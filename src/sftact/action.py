@@ -6,15 +6,16 @@ A(gi, gj) = A(i, j), so that g induces a one-block automorphism of the
 shift.  Its orbits, searched along the generators, and its fixed-state
 submatrices drive the reduced-shift and orbit-counting machinery.
 
-Groups are element lists without a multiplication table: a list is a
-group when the closure of its greedy generating set stays inside it, and
-laws kept under products, like invariance, are checked on the generators.
+Groups are element lists without a multiplication table, closed once by
+the code that builds them: ``group_from_generators`` closes a generating
+set breadth first and hands ``PermGroup`` the indices of the generators
+it started from.  Laws kept under products, like invariance, are checked
+on those generators.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from math import lcm
 
 from .errors import InputError, LimitExceededError, PreconditionError
 from .records import record
@@ -34,60 +35,53 @@ def compose(p, q):
     return tuple(map(p.__getitem__, q))
 
 
-def _close(seen: set, frontier, gens, product, admit) -> None:
+def _layers(seen: set, frontier, gens, product):
     """Close ``seen`` under right products by ``gens``, breadth first from
-    ``frontier``, passing each sorted layer of new elements to ``admit``."""
+    ``frontier``, yielding each sorted layer of new elements."""
     while frontier:
         frontier = sorted({product(p, g) for p in frontier for g in gens} - seen)
         seen.update(frontier)
-        for q in frontier:
-            admit(q)
+        yield frontier
 
 
-def greedy_generators(items, start, product, admit) -> tuple:
+def greedy_generators(items, start, product) -> tuple:
     """Indices of the items that right products of the earlier items,
-    starting at ``start``, do not reach; ``admit`` sees each new product."""
+    starting at ``start``, do not reach."""
     seen, gens, indices = {start}, [], []
     for k, x in enumerate(items):
         if x not in seen:
             gens.append(x)
             indices.append(k)
-            _close(seen, list(seen), gens, product, admit)
+            for _ in _layers(seen, list(seen), gens, product):
+                pass
     return tuple(indices)
 
 
 @record
 class PermGroup:
-    """A finite group of permutations of 0..degree-1.
+    """A finite group of permutations of 0..degree-1, as its builder closed it.
 
     Element 0 is the identity; the element order is part of the value (it
     pins down selector matrices and transported actions), so construction
-    preserves the order it is given.
+    preserves the order it is given.  Construction checks only that much:
+    build a group with ``group_from_generators``, which closes it.
 
-    ``generators`` is the greedy generating set of that order: a law kept
-    under products holds for the group once it holds for the generators,
-    and the first element that breaks it is a generator.
+    ``generators`` are indices into ``elements`` in increasing order, and
+    they contain every element that the elements before it do not
+    generate.  So a law kept under products holds for the group once it
+    holds for the generators, and the first element that breaks it is a
+    generator.
     """
 
     degree: int
     elements: tuple
+    generators: tuple
 
     def __post_init__(self):
-        elements = tuple(_check_perm(p, self.degree) for p in self.elements)
-        if not elements:
+        if not self.elements:
             raise InputError("a permutation group needs at least the identity")
-        if elements[0] != tuple(range(self.degree)):
+        if self.elements[0] != tuple(range(self.degree)):
             raise InputError("element 0 must be the identity permutation")
-        index = {p: k for k, p in enumerate(elements)}
-        if len(index) != len(elements):
-            raise InputError("group elements must be pairwise distinct")
-
-        def admit(q):
-            if q not in index:
-                raise InputError("element list is not closed under composition")
-
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "generators", greedy_generators(elements, elements[0], compose, admit))
 
     @property
     def order(self) -> int:
@@ -96,28 +90,14 @@ class PermGroup:
     def apply(self, g: int, state: int) -> int:
         return self.elements[g][state]
 
-    def element_order(self, g: int) -> int:
-        """The lcm of the cycle lengths of element g."""
-        perm, seen, order = self.elements[g], set(), 1
-        for i in range(self.degree):
-            k = 0
-            while i not in seen:
-                seen.add(i)
-                i, k = perm[i], k + 1
-            order = lcm(order, max(k, 1))
-        return order
-
     def stabilizer(self, states) -> tuple:
         """Indices of the elements that fix every state in ``states``."""
         states = tuple(states)
         return tuple(k for k, p in enumerate(self.elements) if all(p[s] == s for s in states))
 
-    def exponent(self) -> int:
-        return lcm(*[self.element_order(g) for g in range(self.order)])
-
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
-        return cls(degree, (tuple(range(degree)),))
+        return cls(degree, (tuple(range(degree)),), ())
 
 
 def group_from_generators(degree: int, gens, limit: int = 100000) -> PermGroup:
@@ -126,18 +106,20 @@ def group_from_generators(degree: int, gens, limit: int = 100000) -> PermGroup:
     Breadth-first over products: the identity first, then each layer of
     new elements sorted lexicographically, which makes element indices
     reproducible.  Raises LimitExceededError past ``limit`` elements.
+
+    The first layer holds the distinct non-identity generators, and they
+    are the group's ``generators``: every later element is p s with p in
+    the layer before and s in the first, both earlier in the order.
     """
     gens = [_check_perm(g, degree) for g in gens]
     identity = tuple(range(degree))
     ordered = [identity]
-
-    def admit(q):
-        ordered.append(q)
+    for layer in _layers({identity}, [identity], gens, compose):
+        ordered += layer
         if len(ordered) > limit:
             raise LimitExceededError(f"group closure exceeds limit {limit}")
-
-    _close({identity}, [identity], gens, compose, admit)
-    return PermGroup(degree, tuple(ordered))
+    first = len(set(gens) - {identity})
+    return PermGroup(degree, tuple(ordered), tuple(range(1, 1 + first)))
 
 
 @record

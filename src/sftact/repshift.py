@@ -14,6 +14,7 @@ cover when the data comes from a knot.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import permutations
 
 from .errors import InputError, InternalError, LimitExceededError, PreconditionError
@@ -82,7 +83,7 @@ class FiniteGroupTable:
             if len(inv) != 1:
                 raise InputError(f"element {names[x]} has no unique inverse")
             inverse.append(inv[0])
-        generators = greedy_generators(range(n), identity, lambda x, y: table[x][y], lambda q: None)
+        generators = greedy_generators(range(n), identity, lambda x, y: table[x][y])
         for a in generators:
             ta = table[a]
             for x in range(n):
@@ -289,11 +290,23 @@ class RepShift:
     """
 
     presentation: SftPresentation
-    action: PermutationAction
     states: tuple
     edge_homs: dict
     group: FiniteGroupTable
     hnn: HnnData
+
+    @cached_property
+    def action(self) -> PermutationAction:
+        """The conjugation action: the state maps rho -> c^-1 rho c for the
+        generators c of the group, closed under composition (deduplicated
+        to the inner automorphism image) when first read."""
+        g, states = self.group, self.states
+        index = {s: k for k, s in enumerate(states)}
+        gens = []
+        for c in g.generators:
+            conj = [g.conjugate(x, c) for x in range(g.order)]
+            gens.append(tuple(index[tuple(map(conj.__getitem__, s))] for s in states))
+        return PermutationAction(self.presentation, group_from_generators(len(states), gens))
 
 
 def _failing_relator(images, relators, g: FiniteGroupTable):
@@ -309,10 +322,10 @@ def build_repshift(h: HnnData, g: FiniteGroupTable, limit: int = 1000000) -> Rep
     States are Hom(U, G); each element of Hom(B, G) contributes an edge
     from its restriction to U to its composition with the amalgamating
     map.  The state matrix is built from its sparse rows.  Inessential
-    states are trimmed, and the conjugation action (state maps
-    rho -> c^-1 rho c, deduplicated to the inner automorphism image) is
-    installed and validated.  The trivial homomorphism is a state with a
-    loop, so the trimmed shift is never empty.
+    states are trimmed; the conjugation action is closed when
+    ``RepShift.action`` is first read, so a caller can refuse an oversized
+    shift before it.  The trivial homomorphism is a state with a loop, so
+    the trimmed shift is never empty.
     """
     u_states = enumerate_homs(len(h.u_gens), h.u_relators, g, limit)
     state_index = {s: k for k, s in enumerate(u_states)}
@@ -348,14 +361,6 @@ def build_repshift(h: HnnData, g: FiniteGroupTable, limit: int = 1000000) -> Rep
         )
     presentation = SftPresentation(matrix)
 
-    # conjugation by the generators of g, closed under composition
-    kept_index = {s: k for k, s in enumerate(kept_states)}
-    gens = []
-    for c in g.generators:
-        conj = [g.conjugate(x, c) for x in range(g.order)]
-        gens.append(tuple(kept_index[tuple(map(conj.__getitem__, s))] for s in kept_states))
-    action = PermutationAction(presentation, group_from_generators(len(kept_states), gens))
-
     kept_pos = {orig: local for local, orig in enumerate(kept)}
     edge_homs = {}
     for (i, j), homs in attached.items():
@@ -363,7 +368,6 @@ def build_repshift(h: HnnData, g: FiniteGroupTable, limit: int = 1000000) -> Rep
             edge_homs[(kept_pos[i], kept_pos[j], 0)] = tuple(homs[0])
     return RepShift(
         presentation=presentation,
-        action=action,
         states=kept_states,
         edge_homs=edge_homs,
         group=g,

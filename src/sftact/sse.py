@@ -277,7 +277,9 @@ def _out_split_core(matrix: IntMatrix, group: PermGroup, partitions):
     some block is no block raises PreconditionError, and compatible
     elements are closed under composition, so the first element that fails
     is a generator.  Every element then carries a block onto the block of
-    its first edge's image, read from one edge -> split state map.
+    its first edge's image, read from one edge -> split state map.  The
+    transported group is an isomorphic image listed in the same order, so
+    it keeps the source's generator indices.
     """
     blocks = tuple(tuple(sorted(bs, key=min)) for bs in partitions)
     new_states = [(i, p) for i, bs in enumerate(blocks) for p in range(len(bs))]
@@ -309,7 +311,7 @@ def _out_split_core(matrix: IntMatrix, group: PermGroup, partitions):
                 )
     first = [blocks[i][p][0] for i, p in new_states]
     elements = [tuple(home[perm[x], perm[y], c] for x, y, c in first) for perm in group.elements]
-    return cert, PermGroup(m, tuple(elements))
+    return cert, PermGroup(m, tuple(elements), group.generators)
 
 
 def out_split(a: PermutationAction, d: SplitData):

@@ -333,7 +333,7 @@ def brute_quotient_counts(a: PermutationAction, m: int, cap: int):
     phases captures every witness, and the survivors are grouped into
     orbits.
     """
-    exponent = a.group.exponent()
+    exponent = brute_exponent(a.group.elements)
     order = a.group.order
     out = []
     for n in range(1, m + 1):
@@ -427,6 +427,58 @@ def brute_element_order(perm) -> int:
     while brute_power(perm, m) != identity:
         m += 1
     return m
+
+
+def brute_greedy_generators(elements) -> tuple:
+    """Indices of the elements that products of the earlier ones do not
+    reach, each subgroup closed by a depth-first search over left products
+    with the generators found so far."""
+    reached, generators = {elements[0]}, []
+    for k, perm in enumerate(elements):
+        if perm in reached:
+            continue
+        generators.append(k)
+        gens = [elements[i] for i in generators]
+        stack = list(reached)
+        while stack:
+            p = stack.pop()
+            for g in gens:
+                q = tuple(g[i] for i in p)
+                if q not in reached:
+                    reached.add(q)
+                    stack.append(q)
+    return tuple(generators)
+
+
+def reordered_group(degree: int, elements) -> PermGroup:
+    """The group of ``elements`` (a whole group, identity first) listed in
+    the given order, with its greedy generating set found independently
+    of the library's closure."""
+    elements = tuple(map(tuple, elements))
+    return PermGroup(degree, elements, brute_greedy_generators(elements))
+
+
+def check_built_group(group: PermGroup, combinatorics) -> None:
+    """Closure oracle for a group the library built, with sympy's
+    ``combinatorics`` module: the identity comes first, the elements are
+    distinct and are exactly the group sympy generates from them, and
+    ``generators`` (increasing) holds the greedy generating set and
+    generates the whole group."""
+    identity = tuple(range(group.degree))
+    elements = group.elements
+
+    def generated(perms):
+        oracle = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(p)) for p in (identity, *perms)]
+        )
+        return {tuple(p.array_form) for p in oracle.generate()}
+
+    assert elements[0] == identity
+    assert len(set(elements)) == len(elements)
+    assert generated(elements) == set(elements)
+    assert list(group.generators) == sorted(set(group.generators))
+    assert set(brute_greedy_generators(elements)) <= set(group.generators)
+    assert generated([elements[k] for k in group.generators]) == set(elements)
 
 
 def brute_exponent(elements) -> int:
@@ -530,7 +582,7 @@ def random_group_action(rng, max_states=5, max_gens=2):
     rest = elements[1:]
     rng.shuffle(rest)
     matrix = IntMatrix(tuple(tuple(row) for row in entries))
-    group = PermGroup(n, tuple(elements[:1] + rest))
+    group = reordered_group(n, elements[:1] + rest)
     return PermutationAction(SftPresentation.from_matrix(matrix), group), gens
 
 

@@ -27,9 +27,10 @@ from helpers import (
     SIX_STATE_A,
     all_element_invariance_error,
     brute_element_order,
-    brute_exponent,
+    check_built_group,
     random_action,
     random_group_action,
+    reordered_group,
     six_state_action,
     three_state_action,
 )
@@ -40,7 +41,7 @@ class TestGroupFromGenerators:
         g = group_from_generators(6, [(1, 0, 3, 4, 5, 2)])
         assert g.order == 4
         assert g.elements[0] == (0, 1, 2, 3, 4, 5)
-        assert g.element_order(1) == 4
+        assert brute_element_order(g.elements[1]) == 4
 
     def test_empty_generators(self):
         g = group_from_generators(4, [])
@@ -65,11 +66,13 @@ class TestGroupFromGenerators:
 
 
 class TestPermGroup:
-    def test_rejects_non_closed_list(self):
-        with pytest.raises(InputError, match="not closed"):
-            PermGroup(3, ((0, 1, 2), (1, 2, 0)))
+    def test_rejects_empty_list_and_identity_not_first(self):
+        with pytest.raises(InputError, match="at least the identity"):
+            PermGroup(2, (), ())
+        with pytest.raises(InputError, match="element 0 must be the identity"):
+            PermGroup(2, ((1, 0), (0, 1)), (0,))
 
-    def test_list_generating_s12_rejected_at_once(self, monkeypatch):
+    def test_closes_once(self, monkeypatch):
         calls = []
 
         compose = action_module.compose
@@ -79,30 +82,33 @@ class TestPermGroup:
             return compose(p, q)
 
         monkeypatch.setattr(action_module, "compose", counting_compose)
-        swap = (1, 0) + tuple(range(2, 12))
-        cycle = tuple(range(1, 12)) + (0,)
-        with pytest.raises(InputError, match="not closed"):
-            PermGroup(12, (tuple(range(12)), swap, cycle))
-        assert len(calls) <= 10
+        g = group_from_generators(6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)])
+        assert g.order == 720
+        # one product per element and generator: the closure itself
+        assert len(calls) <= 720 * 2
 
     def test_greedy_generators_regenerate_group(self):
         rng = random.Random(43)
         for _ in range(40):
-            act, _ = random_group_action(rng, max_states=6, max_gens=3)
-            g = act.group
-            again = group_from_generators(g.degree, [g.elements[k] for k in g.generators])
-            assert set(again.elements) == set(g.elements)
-            assert g.generators == tuple(sorted(g.generators))
-            assert 0 not in g.generators
+            n = rng.randint(1, 6)
+            gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3))]
+            g = group_from_generators(n, gens)
+            assert [g.elements[k] for k in g.generators] == sorted(set(gens) - {tuple(range(n))})
+            assert group_from_generators(n, [g.elements[k] for k in g.generators]) == g
 
-    def test_element_order_and_exponent_match_powers_oracle(self):
-        rng = random.Random(47)
-        for _ in range(30):
-            act, _ = random_group_action(rng, max_states=6, max_gens=2)
-            g = act.group
-            for k, perm in enumerate(g.elements):
-                assert g.element_order(k) == brute_element_order(perm)
-            assert g.exponent() == brute_exponent(g.elements)
+    def test_closure_oracle_on_random_generators(self):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        rng = random.Random(53)
+        checked = 0
+        while checked < 60:
+            n = rng.randint(1, 8)
+            gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3))]
+            try:
+                group = group_from_generators(n, gens, limit=1000)
+            except LimitExceededError:
+                continue
+            check_built_group(group, combinatorics)
+            checked += 1
 
 
 class TestValidateAction:
@@ -135,7 +141,7 @@ class TestValidateAction:
             elements = list(group_from_generators(n, gens + [extra]).elements)
             rest = elements[1:]
             rng.shuffle(rest)
-            group = PermGroup(n, tuple(elements[:1] + rest))
+            group = reordered_group(n, elements[:1] + rest)
             expected = all_element_invariance_error(act.presentation, group.elements)
             try:
                 validate_action(act.presentation, group)

@@ -25,6 +25,7 @@ from sftact import (
 
 from helpers import (
     FULL_TWO_SHIFT,
+    brute_exponent,
     brute_orbit_counts,
     brute_quotient_counts,
     constant_to_one_check,
@@ -45,7 +46,7 @@ def quotient_count_agreement(act, max_n=6, cap=CAP):
     """Enumerated quotient period counts equal the library counts and the
     trace powers of both reduced matrices, for every n whose enumeration
     fits the cap.  Returns the n tested."""
-    exponent = act.group.exponent()
+    exponent = brute_exponent(act.group.elements)
     tested = 0
     while tested < max_n and dense_trace_of_power(act.matrix, (tested + 1) * exponent) <= cap:
         tested += 1

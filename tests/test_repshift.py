@@ -45,6 +45,7 @@ from sftact.repshift import check_word
 from helpers import (
     PLAIN_MONODROMIES,
     brute_is_group,
+    check_built_group,
     permutation_dihedral_table,
     plain_monodromy_fixed_counts,
     z48_with_swapped_products,
@@ -310,7 +311,20 @@ class TestBuildRepshift:
     def test_conjugation_action_installed(self):
         shift = build_repshift(fibered_preset("trefoil"), symmetric_group(3))
         assert shift.presentation.num_states == 36
+        # closed on first read, so an oversized shift can be refused first
+        assert "action" not in vars(shift)
         assert shift.action.group.order == 6
+        assert shift.action is shift.action
+
+    @pytest.mark.parametrize(
+        "group",
+        [symmetric_group(3), symmetric_group(4), dihedral_group(4), quaternion_group()],
+        ids=["S3", "S4", "D4", "Q8"],
+    )
+    def test_conjugation_group_passes_closure_oracle(self, group):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        shift = build_repshift(fibered_preset("trefoil"), group)
+        check_built_group(shift.action.group, combinatorics)
 
     def test_abelian_group_conjugation_trivial(self):
         shift = build_repshift(fibered_preset("trefoil"), cyclic_group(5))
@@ -425,21 +439,34 @@ def test_trefoil_s5_tqft_end_to_end(tmp_path):
     assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 200 * 1024
 
 
+# Runs the CLI as its only child and prints the child's exit code, stdout,
+# stderr and peak RSS in KiB as JSON; in the test process itself
+# RUSAGE_CHILDREN would also count every earlier child, such as the tqft run.
+_MEASURED_CHILD = """
+import json, resource, subprocess, sys
+proc = subprocess.run(sys.argv[1:], capture_output=True, text=True, timeout=60)
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(json.dumps([proc.returncode, proc.stdout, proc.stderr, peak]))
+"""
+
+
 @pytest.mark.slow
 def test_trefoil_s5_repshift_refused_before_dense_matrix(tmp_path):
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"command": "repshift", "input": {"hnn": {"preset": "trefoil"}, "group": "S5"}}))
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "sftact.cli", "repshift", "--input", str(path)],
-        capture_output=True, text=True, env=env, timeout=60,
+    wrapper = subprocess.run(
+        [sys.executable, "-c", _MEASURED_CHILD, sys.executable, "-m", "sftact.cli", "repshift", "--input", str(path)],
+        capture_output=True, text=True, env=env, timeout=90, check=True,
     )
-    assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr.startswith("budget exhausted: the representation shift has 14400 states,")
-    assert proc.stderr.count("\n") == 1 and "tqft and bundle-counts" in proc.stderr
-    # the dense 14400 x 14400 matrix alone would hold 207 million entries
-    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 200 * 1024
+    returncode, stdout, stderr, peak_kib = json.loads(wrapper.stdout)
+    assert (returncode, stdout) == (3, "")
+    assert stderr.startswith("budget exhausted: the representation shift has 14400 states,")
+    assert stderr.count("\n") == 1 and "tqft and bundle-counts" in stderr
+    # refused once the states are counted, before the conjugation group of
+    # order 120 on 14400 states is closed and validated (about 70 MB)
+    assert peak_kib < 45 * 1024
 
 
 class TestFlatBundleCounts:

@@ -38,6 +38,7 @@ from helpers import (
     all_element_split_error,
     all_paths,
     amalgamation_state_map,
+    check_built_group,
     dense_intertwining_error,
     direct_in_split,
     five_state_action,
@@ -47,6 +48,7 @@ from helpers import (
     random_compatible_split,
     random_group_action,
     random_split,
+    reordered_group,
     six_state_action,
     square_commute_failures,
     swapped_two_shift,
@@ -202,9 +204,7 @@ class TestTransportCertificate:
         act = six_state_action()
         elements = act.group.elements
         # same group with elements paired against their inverses
-        reordered = PermGroup(
-            6, (elements[0], elements[3], elements[2], elements[1])
-        )
+        reordered = reordered_group(6, (elements[0], elements[3], elements[2], elements[1]))
         mismatched = validate_action(act.presentation, reordered)
         with pytest.raises(PreconditionError, match="intertwine"):
             transport_certificate(identity_sse(SIX_STATE_A), act, mismatched)
@@ -219,7 +219,7 @@ class TestTransportCertificate:
             elements = split_act.group.elements
             rest = list(elements[1:])
             rng.shuffle(rest)
-            reordered = PermGroup(split_act.group.degree, elements[:1] + tuple(rest))
+            reordered = reordered_group(split_act.group.degree, elements[:1] + tuple(rest))
             psi = validate_action(split_act.presentation, reordered)
             expected = dense_intertwining_error(cert, act, psi)
             try:
@@ -342,6 +342,16 @@ class TestOutSplit:
                 split_directions.add(direction)
         assert split_directions == {"out", "in"}
 
+    def test_split_groups_pass_closure_oracle(self):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        rng = random.Random(103)
+        for k in range(40):
+            act = random_group_action(rng, max_states=5)[0] if k % 2 else random_action(rng, max_states=5)
+            direction = rng.choice(("out", "in"))
+            d = random_compatible_split(rng, act, direction)
+            split_act, _ = (out_split if direction == "out" else in_split)(act, d)
+            check_built_group(split_act.group, combinatorics)
+
     def test_intertwining_laws_hold(self):
         rng = random.Random(71)
         for _ in range(10):
@@ -416,6 +426,14 @@ class TestHigherBlockAction:
         assert verify_chain(transported)
         assert transported.a.entries == right_reduce(act).matrix.entries
         assert transported.b.entries == right_reduce(block_act).matrix.entries
+
+    def test_stages_pass_closure_oracle(self):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        rng = random.Random(107)
+        for _ in range(8):
+            _, _, stages = higher_block_action(random_action(rng, max_states=4), 3)
+            for stage in stages:
+                check_built_group(stage.group, combinatorics)
 
     def test_invariants_preserved(self):
         rng = random.Random(73)
