@@ -22,6 +22,8 @@ from .records import record
 from .matrices import IntMatrix
 from .sft import CycleWord, SftPresentation
 
+CLOSURE_LIMIT = 100000  # default budget of group closure, in elements
+
 
 def _check_perm(perm, degree: int):
     p = tuple(perm)
@@ -100,7 +102,7 @@ class PermGroup:
         return cls(degree, (tuple(range(degree)),), ())
 
 
-def group_from_generators(degree: int, gens, limit: int = 100000) -> PermGroup:
+def group_from_generators(degree: int, gens, limit: int = CLOSURE_LIMIT) -> PermGroup:
     """Close a generating set of permutations under composition.
 
     Breadth-first over products: the identity first, then each layer of

@@ -16,9 +16,9 @@ call the library through its modules (``quotient.burnside_counts``), which
 the package loads on first use, so a job executes only the modules its
 command needs.
 
-Exit codes: 0 success, 1 input errors, 2 mathematical precondition
-failures, 3 closure or homomorphism limit exhaustion, 4 internal errors
-(a failed check of the package's own, or any unexpected exception).
+Exit codes, carried by the error families of ``errors``: 0 success, 1
+input errors, 2 precondition failures, 3 exhausted budgets, 4 internal
+errors (a failed check of the package's own, or any unexpected exception).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import sys
 from contextlib import contextmanager
 
 from . import __version__, action, matrices, quotient, reduce, repshift, sft, sse
-from .errors import InputError, InternalError, LimitExceededError, PreconditionError
+from .errors import InputError, LimitExceededError, SftactError
 from .records import record
 
 JOB_FORMAT = "sftact-job/1"
@@ -40,7 +40,6 @@ _MAX_LENGTH = 10000  # bound of "max_n" and "m"; a report grows linearly in both
 # Python 3.11 and later limit int-to-str conversion (0 lifts it); 3.10 has no limit
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
-_HOM_LIMIT = 1000000  # default "limit" of the representation-shift commands
 _REPSHIFT_STATE_BOUND = 1000  # most states a repshift report prints as a dense matrix
 
 
@@ -155,12 +154,7 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 def parse_cycles(text, degree, path):
     """1-based cycle notation over 1..degree; cycles compose left to right."""
     _expect(isinstance(text, str), path, "expected a cycle-notation string")
-    stripped = text.replace(" ", "").replace(",", "")
-    _expect(
-        stripped == "()" or _CYCLE_RE.sub("", text.strip()).strip() == "",
-        path,
-        f"malformed cycle notation {text!r}",
-    )
+    _expect(_CYCLE_RE.sub("", text).strip() == "", path, f"malformed cycle notation {text!r}")
     perm = list(range(degree))
     for cycle_text in _CYCLE_RE.findall(text):
         entries = [tok for tok in re.split(r"[\s,]+", cycle_text.strip()) if tok]
@@ -200,7 +194,7 @@ def parse_perm_group(doc, degree, path) -> action.PermGroup:
     doc = _fields(doc, path, ("generators", "limit"))
     gens_doc = doc.get("generators")
     _expect(isinstance(gens_doc, list), f"{path}.generators", "expected an array of cycle strings")
-    limit = _get_int(doc.get("limit", 100000), f"{path}.limit", minimum=1)
+    limit = _get_int(doc.get("limit", action.CLOSURE_LIMIT), f"{path}.limit", minimum=1)
     gens = [parse_cycles(g, degree, f"{path}.generators[{k}]") for k, g in enumerate(gens_doc)]
     return action.group_from_generators(degree, gens, limit)
 
@@ -526,7 +520,7 @@ def _run_split(parsed, parameters):
 def _build_repshift(parsed, parameters):
     """The representation shift of (HnnData, group); its input errors name the HNN data."""
     with _at("$.input.hnn"):
-        return repshift.build_repshift(*parsed, parameters.get("limit", _HOM_LIMIT))
+        return repshift.build_repshift(*parsed, parameters.get("limit", repshift.HOM_LIMIT))
 
 
 def _run_repshift(parsed, parameters):
@@ -691,17 +685,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def main(argv=None) -> int:
-    """Run one job; an exception that no exit code names is a defect,
-    reported as one ``internal error: <type>: <message>`` line, exit 4."""
-    try:
-        return _main(argv)
-    except Exception as err:
-        message = " ".join(str(err).split())
-        print(f"internal error: {type(err).__name__}: {message}", file=sys.stderr)
-        return 4
-
-
-def _main(argv) -> int:
+    """Run one job.  A package error prints one ``<label>: <message>``
+    line and exits with its family's code; an exception that no family
+    names is a defect, reported as one ``internal error: <type>:
+    <message>`` line, exit 4."""
     parser = _ArgumentParser(
         prog="sftact",
         description="exact computations with finite group actions on shifts of finite type",
@@ -713,22 +700,14 @@ def _main(argv) -> int:
     parser.add_argument("--max-n", type=int, default=None, help="number of counts to compute")
     try:
         args = parser.parse_args(argv)
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-
-    try:
-        if args.input == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
-    except (OSError, UnicodeDecodeError) as err:
-        print(f"error: cannot read input: {err}", file=sys.stderr)
-        return 1
-
-    overrides = {"limit": args.limit, "max_n": args.max_n}
-    try:
+        try:
+            if args.input == "-":
+                text = sys.stdin.read()
+            else:
+                with open(args.input, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+        except (OSError, UnicodeDecodeError) as err:
+            raise InputError(f"cannot read input: {err}") from err
         doc = _load_document(text)
         if isinstance(doc, dict):
             doc.setdefault("command", args.command)
@@ -736,27 +715,22 @@ def _main(argv) -> int:
             # same parameter rules; validation rejects non-object parameters
             params = doc.setdefault("parameters", {})
             if isinstance(params, dict):
+                overrides = {"limit": args.limit, "max_n": args.max_n}
                 params.update((k, v) for k, v in overrides.items() if v is not None)
         job = job_from_document(doc)
         if job.command != args.command:
             raise InputError(
                 f"$.command: document says {job.command!r} but the subcommand is {args.command!r}"
             )
-        report = run_job(job)
-    except InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except PreconditionError as err:
-        print(f"precondition failed: {err}", file=sys.stderr)
-        return 2
-    except LimitExceededError as err:
-        print(f"budget exhausted: {err}", file=sys.stderr)
-        return 3
-    except InternalError as err:
-        print(f"internal error: {err}", file=sys.stderr)
+        sys.stdout.write(emit_report(run_job(job), args.format))
+        return 0
+    except SftactError as err:
+        print(f"{err.label}: {err}", file=sys.stderr)
+        return err.exit_code
+    except Exception as err:
+        message = " ".join(str(err).split())
+        print(f"internal error: {type(err).__name__}: {message}", file=sys.stderr)
         return 4
-    sys.stdout.write(emit_report(report, args.format))
-    return 0
 
 
 if __name__ == "__main__":

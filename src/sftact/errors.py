@@ -1,18 +1,26 @@
 """Exception hierarchy shared by the whole package.
 
-Four failure families matter to callers (and map onto CLI exit codes):
-malformed input, violated mathematical preconditions, exhausted
-enumeration budgets, and internal checks that failed.
+Four failure families matter to callers, and each carries the CLI exit
+code and stderr label it is reported with: malformed input (1, "error"),
+violated mathematical preconditions (2, "precondition failed"),
+exhausted enumeration budgets (3, "budget exhausted"), and internal
+checks that failed (4, "internal error", also the base class's).
 """
 
 
 class SftactError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 4
+    label = "internal error"
+
 
 class InputError(SftactError):
     """Malformed or inconsistent input data (bad schema, bad dimensions,
     negative entries, non-bijective permutations, unknown names)."""
+
+    exit_code = 1
+    label = "error"
 
 
 class PreconditionError(SftactError):
@@ -20,13 +28,19 @@ class PreconditionError(SftactError):
     (matrix not zero-one, presentation not irreducible, map not
     right-resolving, action invariance violated, and so on)."""
 
-
-class CapExceededError(SftactError):
-    """An enumeration produced more objects than the caller's cap."""
+    exit_code = 2
+    label = "precondition failed"
 
 
 class LimitExceededError(SftactError):
     """A closure or search would exceed the caller's size limit."""
+
+    exit_code = 3
+    label = "budget exhausted"
+
+
+class CapExceededError(LimitExceededError):
+    """An enumeration produced more objects than the caller's cap."""
 
 
 class InternalError(SftactError):

@@ -5,14 +5,16 @@ entries A_red(Gi, Gj) = sum over k in Gj of A(i0, k), taken at the orbit
 representative i0; the left-reduced shift sums over the source orbit
 instead.  The left form is not computed on its own: it is the transpose
 of the right reduction of the transposed matrix over the same orbits.
-Both are conjugacy invariants of the action.  The right reduction also
-factors through selector matrices, A_red = U A V, and carries a canonical
-right-resolving one-block factor map from the edge alphabet of the action
-onto the reduced edge alphabet.
+Both are conjugacy invariants of the action.  One routine, ``_reduce``,
+forms the orbit sums for both and for certificate transport; the
+selectors of A_red = U A V are derived only when read.  The right
+reduction carries a canonical right-resolving one-block factor map from
+the edge alphabet of the action onto the reduced edge alphabet.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 
 from .errors import PreconditionError
 from .records import record
@@ -23,29 +25,30 @@ from .sft import SftPresentation
 
 @record
 class ReducedShift:
-    """Reduced presentation together with its selector matrices.
+    """Reduced matrix together with the orbits it was reduced over.
 
-    ``u_selector`` (orbits x states) picks orbit representatives and
-    ``v_selector`` (states x orbits) records orbit membership, so that
-    u_selector @ v_selector is the identity and, on the right side,
-    matrix = u_selector @ A @ v_selector.
+    The selectors are derived when read: ``u_selector`` (orbits x
+    states) picks orbit representatives and ``v_selector`` (states x
+    orbits) records orbit membership, so that u_selector @ v_selector is
+    the identity; the right reduction is u_selector @ A @ v_selector and
+    the left one v_selector^t @ A @ u_selector^t.
     """
 
-    side: str
     matrix: IntMatrix
-    u_selector: IntMatrix
-    v_selector: IntMatrix
+    orbits: OrbitStructure
 
     @property
     def presentation(self) -> SftPresentation:
         return SftPresentation(self.matrix)
 
+    @cached_property
+    def u_selector(self) -> IntMatrix:
+        n = len(self.orbits.orbit_of)
+        return IntMatrix.from_sparse([((rep, 1),) for rep in self.orbits.representatives], n)
 
-def _selectors(os_: OrbitStructure, n: int):
-    """U picks the representative of each orbit, V marks the orbit of each state."""
-    u = IntMatrix.from_sparse([((rep, 1),) for rep in os_.representatives], n)
-    v = IntMatrix.from_sparse([((o, 1),) for o in os_.orbit_of], os_.num_orbits)
-    return u, v
+    @cached_property
+    def v_selector(self) -> IntMatrix:
+        return IntMatrix.from_sparse([((o, 1),) for o in self.orbits.orbit_of], self.orbits.num_orbits)
 
 
 def _orbit_sums(row, orbit_of) -> tuple:
@@ -56,24 +59,28 @@ def _orbit_sums(row, orbit_of) -> tuple:
     return tuple(sorted(acc.items()))
 
 
-def _reduce_rows(matrix: IntMatrix, os_: OrbitStructure):
-    """Right reduction of ``matrix`` over the state orbits ``os_``: entry
-    (Gi, Gj) counts edges from a representative of Gi into the orbit Gj.
+def _reduce(matrix: IntMatrix, rows_by: OrbitStructure, cols_by: OrbitStructure, labels=None) -> IntMatrix:
+    """The rows of ``matrix`` at the representatives of ``rows_by``, each
+    summed over the orbits of ``cols_by``: U M V with U the representative
+    selector of ``rows_by`` and V the membership selector of ``cols_by``.
 
-    Returns (reduced matrix, U, V), with U A V = A_red.  The matrix
-    commutes with every permutation of the action, so every member of an
-    orbit has the same orbit sums as its representative.
+    When the matrix intertwines the two actions, every member of an orbit
+    of ``rows_by`` has its representative's orbit sums.
     """
-    reps = os_.representatives
-    rows = [_orbit_sums(matrix.sparse[i], os_.orbit_of) for i in reps]
-    reduced = IntMatrix.from_sparse(rows, os_.num_orbits, labels=tuple(f"G{i + 1}" for i in reps))
-    return (reduced, *_selectors(os_, matrix.dim))
+    orbit_of = cols_by.orbit_of
+    rows = [_orbit_sums(matrix.sparse[i], orbit_of) for i in rows_by.representatives]
+    return IntMatrix.from_sparse(rows, cols_by.num_orbits, labels=labels)
+
+
+def _labels(os_: OrbitStructure) -> tuple:
+    return tuple(f"G{i + 1}" for i in os_.representatives)
 
 
 def right_reduce(a: PermutationAction) -> ReducedShift:
     """Right-reduced shift: entry (Gi, Gj) counts edges from a
     representative of Gi into the orbit Gj."""
-    return ReducedShift("right", *_reduce_rows(a.matrix, a.orbits))
+    os_ = a.orbits
+    return ReducedShift(_reduce(a.matrix, os_, os_, _labels(os_)), os_)
 
 
 def left_reduce(a: PermutationAction) -> ReducedShift:
@@ -83,8 +90,8 @@ def left_reduce(a: PermutationAction) -> ReducedShift:
     It is the transpose of the right reduction of A^t over the same
     orbits, so its selector identity reads V^t A U^t = A_red.
     """
-    reduced, u, v = _reduce_rows(a.matrix.transpose(), a.orbits)
-    return ReducedShift("left", reduced.transpose(), u, v)
+    os_ = a.orbits
+    return ReducedShift(_reduce(a.matrix.transpose(), os_, os_, _labels(os_)).transpose(), os_)
 
 
 @record

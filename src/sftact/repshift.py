@@ -25,6 +25,8 @@ from .quotient import OrbitCountReport, burnside_counts
 from .reduce import ReducedShift, right_reduce
 from .sft import SftPresentation, trim_essential
 
+HOM_LIMIT = 1000000  # default budget of homomorphism enumeration
+
 # A group word is a tuple of (generator index, sign) pairs with sign +-1.
 GroupWord = tuple
 
@@ -197,7 +199,7 @@ def evaluate_word(w, images, g: FiniteGroupTable) -> int:
     return acc
 
 
-def enumerate_homs(gens: int, relators, g: FiniteGroupTable, limit: int = 1000000):
+def enumerate_homs(gens: int, relators, g: FiniteGroupTable, limit: int = HOM_LIMIT):
     """All homomorphisms from a finite presentation into g, as image tuples.
 
     Prefixes are extended one generator at a time, in lexicographic order
@@ -284,16 +286,12 @@ class HnnData:
 class RepShift:
     """Shift of finite type on Hom(U, G) with its conjugation action.
 
-    ``states`` lists the surviving homomorphisms as image tuples;
-    ``edge_homs`` maps each presentation edge to the base-group
-    homomorphism it came from.
+    ``states`` lists the surviving homomorphisms as image tuples.
     """
 
     presentation: SftPresentation
     states: tuple
-    edge_homs: dict
     group: FiniteGroupTable
-    hnn: HnnData
 
     @cached_property
     def action(self) -> PermutationAction:
@@ -316,7 +314,7 @@ def _failing_relator(images, relators, g: FiniteGroupTable):
     return None
 
 
-def build_repshift(h: HnnData, g: FiniteGroupTable, limit: int = 1000000) -> RepShift:
+def build_repshift(h: HnnData, g: FiniteGroupTable, limit: int = HOM_LIMIT) -> RepShift:
     """Enumerate the representation shift of HNN data over a finite group.
 
     States are Hom(U, G); each element of Hom(B, G) contributes an edge
@@ -331,7 +329,7 @@ def build_repshift(h: HnnData, g: FiniteGroupTable, limit: int = 1000000) -> Rep
     state_index = {s: k for k, s in enumerate(u_states)}
     b_homs = enumerate_homs(h.b_gens, h.b_relators, g, limit)
 
-    attached = {}
+    edges = {}  # (initial, terminal) -> the number of base homomorphisms
     for rho in b_homs:
         init = tuple(evaluate_word(w, rho, g) for w in h.u_gens)
         term = tuple(evaluate_word(w, rho, g) for w in h.phi_images)
@@ -344,11 +342,12 @@ def build_repshift(h: HnnData, g: FiniteGroupTable, limit: int = 1000000) -> Rep
                     f"U relator {bad[0]} {bad[1]}; the amalgamating images do not "
                     "define a homomorphism on U"
                 )
-        attached.setdefault((state_index[init], state_index[term]), []).append(rho)
+        key = (state_index[init], state_index[term])
+        edges[key] = edges.get(key, 0) + 1
 
     rows = [[] for _ in u_states]
-    for (i, j), homs in sorted(attached.items()):
-        rows[i].append((j, len(homs)))
+    for (i, j), count in sorted(edges.items()):
+        rows[i].append((j, count))
     trimmed, kept = trim_essential(IntMatrix.from_sparse(rows, len(u_states)))
     kept_states = tuple(u_states[k] for k in kept)
     labels = tuple(",".join(g.names[x] for x in s) if s else "()" for s in kept_states)
@@ -359,20 +358,7 @@ def build_repshift(h: HnnData, g: FiniteGroupTable, limit: int = 1000000) -> Rep
             "share endpoints); the conjugation action is not a symbol permutation "
             "on this presentation"
         )
-    presentation = SftPresentation(matrix)
-
-    kept_pos = {orig: local for local, orig in enumerate(kept)}
-    edge_homs = {}
-    for (i, j), homs in attached.items():
-        if i in kept_pos and j in kept_pos:
-            edge_homs[(kept_pos[i], kept_pos[j], 0)] = tuple(homs[0])
-    return RepShift(
-        presentation=presentation,
-        states=kept_states,
-        edge_homs=edge_homs,
-        group=g,
-        hnn=h,
-    )
+    return RepShift(presentation=SftPresentation(matrix), states=kept_states, group=g)
 
 
 _PRESETS = {

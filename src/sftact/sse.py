@@ -4,8 +4,8 @@ An elementary certificate is a pair (R, S) of nonnegative integer matrices
 with R S = A and S R = B; chains of these witness topological conjugacy.
 For zero-one data the certificate induces a canonical two-block conjugacy.
 When both matrices carry permutation actions intertwined by R and S, the
-certificate transports to one between the right-reduced matrices
-(the pair (U R V', U' S V) built from the selector matrices).
+certificate transports to one between the right-reduced matrices: the
+pair (U R V', U' S V), R and S reduced over the orbits of both actions.
 
 State splittings supply the certificates this package generates itself:
 out-splittings partition the outgoing edges of each state, in-splittings
@@ -26,7 +26,7 @@ from .errors import InputError, InternalError, PreconditionError
 from .records import record
 from .matrices import IntMatrix, mat_mul
 from .action import PermGroup, PermutationAction
-from .reduce import OneBlockCode, _orbit_sums, build_eta, right_reduce
+from .reduce import OneBlockCode, _orbit_sums, _reduce, build_eta, right_reduce
 from .sft import SftPresentation
 
 
@@ -197,19 +197,18 @@ def transport_certificate(
 
     Requires R P(g) = P(g) R and S P(g) = P(g) S for every group element
     (with the permutation matrices of the respective actions); the
-    transported pair is (U R V', U' S V) built from the selectors of the
-    two reductions, and is verified before being returned.
+    transported pair is (U R V', U' S V): R reduced over phi's orbits on
+    its rows and psi's on its columns, S the other way round.  It is
+    verified before being returned.
     """
     if not (_same_entries(e.a, phi.matrix) and _same_entries(e.b, psi.matrix)):
         raise InputError("certificate endpoints do not match the action matrices")
     if not verify_elementary_sse(e):
         raise PreconditionError("certificate does not verify; cannot transport")
     _check_intertwining(e, phi, psi)
-    red_a = right_reduce(phi)
-    red_b = right_reduce(psi)
-    r2 = mat_mul(mat_mul(red_a.u_selector, e.r), red_b.v_selector)
-    s2 = mat_mul(mat_mul(red_b.u_selector, e.s), red_a.v_selector)
-    out = ElementarySse(a=red_a.matrix, b=red_b.matrix, r=r2, s=s2)
+    r2 = _reduce(e.r, phi.orbits, psi.orbits)
+    s2 = _reduce(e.s, psi.orbits, phi.orbits)
+    out = ElementarySse(a=right_reduce(phi).matrix, b=right_reduce(psi).matrix, r=r2, s=s2)
     if not verify_elementary_sse(out):
         raise InternalError("the transported certificate does not verify")
     return out

@@ -629,6 +629,23 @@ def _dense_product(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
+def dense_product(*factors):
+    """The product of dense matrices (sequences of rows), left to right."""
+    out = factors[0]
+    for b in factors[1:]:
+        out = _dense_product(out, b)
+    return out
+
+
+def dense_selectors(n: int, orbits):
+    """Reference selectors of ``orbits`` (sorted lists of the states
+    0..n-1): U (orbits x states) picks each orbit's least member and V
+    (states x orbits) marks the orbit of each state."""
+    u = tuple(tuple(int(j == orbit[0]) for j in range(n)) for orbit in orbits)
+    v = tuple(tuple(int(i in orbit) for orbit in orbits) for i in range(n))
+    return u, v
+
+
 def dense_trace_of_power(m: IntMatrix, n: int) -> int:
     """Oracle for trace_sequence and trace_of_power: trace(m^n) from dense
     repeated squaring of the whole matrix."""

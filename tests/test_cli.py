@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import sftact
-from sftact import InputError, cli, group_from_generators
+from sftact import InputError, cli, errors, group_from_generators
 from sftact.cli import (
     cycles_of,
     emit_job,
@@ -283,6 +283,24 @@ NON_INVARIANT_JOB = {
 
 
 class TestRunJob:
+    @pytest.mark.parametrize(
+        "command, input_doc",
+        [
+            ("tqft", {"hnn": {"preset": "trefoil"}, "group": "S3"}),
+            ("bundle-counts", {"hnn": {"preset": "trefoil"}, "group": "S3"}),
+            ("invariants", SIX_STATE_JOB["input"]),
+            ("quotient-counts", SIX_STATE_JOB["input"]),
+        ],
+    )
+    def test_reports_without_selectors(self, monkeypatch, command, input_doc):
+        def unread(self):
+            raise AssertionError("a selector was built")
+
+        for name in ("u_selector", "v_selector"):
+            monkeypatch.setattr(sftact.reduce.ReducedShift, name, property(unread))
+        report = run_job(parse_job(job_text({"command": command, "input": input_doc})))
+        assert report.result
+
     def test_reduce_full_seven_shift_under_s7(self):
         doc = {
             "command": "reduce",
@@ -674,6 +692,44 @@ class TestMain:
         assert (code, captured.out) == (1, "")
         assert captured.err.startswith("error: malformed JSON document: ")
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text", [",()", "(),", " , () ", "(1 2),"])
+    def test_stray_comma_in_cycles_exit_one(self, tmp_path, capsys, text):
+        doc = {"command": "reduce", "input": {"matrix": [[1, 1], [1, 1]], "group": {"generators": [text]}}}
+        code, out, err = self.run_main(tmp_path, capsys, doc, ["reduce"])
+        assert (code, out) == (1, "")
+        assert err == f"error: $.input.group.generators[0]: malformed cycle notation {text!r}\n"
+
+    @pytest.mark.parametrize(
+        "error, code, line",
+        [
+            (errors.InputError, 1, "error: boom"),
+            (errors.PreconditionError, 2, "precondition failed: boom"),
+            (errors.LimitExceededError, 3, "budget exhausted: boom"),
+            (errors.CapExceededError, 3, "budget exhausted: boom"),
+            (errors.InternalError, 4, "internal error: boom"),
+            (errors.SftactError, 4, "internal error: boom"),
+            (ValueError, 4, "internal error: ValueError: boom"),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else None,
+    )
+    def test_each_error_family_has_its_exit_code(self, tmp_path, capsys, monkeypatch, error, code, line):
+        parse, _ = cli._COMMAND_TABLE["burnside"]
+
+        def fail(parsed, parameters):
+            raise error("boom")
+
+        monkeypatch.setitem(cli._COMMAND_TABLE, "burnside", (parse, fail))
+        doc = dict(SIX_STATE_JOB, command="burnside")
+        assert self.run_main(tmp_path, capsys, doc, ["burnside"]) == (code, "", line + "\n")
+
+    def test_budget_defaults_are_the_library_ones(self):
+        from sftact import action, repshift
+
+        assert action.group_from_generators.__defaults__ == (action.CLOSURE_LIMIT,)
+        assert repshift.enumerate_homs.__defaults__ == (repshift.HOM_LIMIT,)
+        assert repshift.build_repshift.__defaults__ == (repshift.HOM_LIMIT,)
+        assert (action.CLOSURE_LIMIT, repshift.HOM_LIMIT) == (100000, 1000000)
 
     def test_text_format_stable(self, tmp_path, capsys):
         code1, out1, _ = self.run_main(

@@ -4,6 +4,7 @@ import random
 
 from sftact import (
     PermGroup,
+    ReducedShift,
     SftPresentation,
     bowen_franks,
     build_eta,
@@ -29,6 +30,9 @@ from helpers import (
 
 
 class TestRightReduce:
+    def test_fields(self):
+        assert tuple(ReducedShift.__annotations__) == ("matrix", "orbits")
+
     def test_conjugation_full_shift(self):
         reduced = right_reduce(conjugation_action())
         assert reduced.matrix.entries == ((1, 3, 2), (1, 3, 2), (1, 3, 2))

@@ -20,6 +20,7 @@ from sftact import (
     IntPolynomial,
     LimitExceededError,
     PreconditionError,
+    RepShift,
     bowen_franks,
     build_repshift,
     char_poly_reciprocal,
@@ -30,6 +31,7 @@ from sftact import (
     fibered_preset,
     flat_bundle_counts,
     higher_block_action,
+    left_reduce,
     preset_alexander_polynomial,
     quaternion_group,
     recurrence_holds,
@@ -46,8 +48,11 @@ from helpers import (
     PLAIN_MONODROMIES,
     brute_is_group,
     check_built_group,
+    dense_product,
+    dense_selectors,
     permutation_dihedral_table,
     plain_monodromy_fixed_counts,
+    plain_orbits,
     z48_with_swapped_products,
 )
 
@@ -254,6 +259,9 @@ class TestPresets:
 
 
 class TestBuildRepshift:
+    def test_fields(self):
+        assert tuple(RepShift.__annotations__) == ("presentation", "states", "group")
+
     def test_trivial_group_single_loop(self):
         shift = build_repshift(fibered_preset("trefoil"), trivial_group())
         assert shift.presentation.matrix.entries == ((1,),)
@@ -381,6 +389,17 @@ class TestTqftMatrix:
         tqft_matrix(shift)
         flat_bundle_counts(shift, 6)
         assert "entries" not in vars(shift.presentation.matrix)
+
+    def test_selectors_built_only_when_read(self):
+        shift = build_repshift(fibered_preset("trefoil"), symmetric_group(3))
+        reduced = tqft_matrix(shift).reduced
+        assert "u_selector" not in vars(reduced) and "v_selector" not in vars(reduced)
+        act = shift.action
+        a, n = act.matrix.entries, act.matrix.dim
+        u, v = dense_selectors(n, plain_orbits(n, act.group.elements))
+        assert (reduced.u_selector.entries, reduced.v_selector.entries) == (u, v)
+        assert dense_product(u, a, v) == reduced.matrix.entries
+        assert dense_product(tuple(zip(*v)), a, tuple(zip(*u))) == left_reduce(act).matrix.entries
 
     def test_abelian_case_is_state_matrix(self):
         shift = build_repshift(fibered_preset("trefoil"), cyclic_group(2))

@@ -40,10 +40,13 @@ from helpers import (
     amalgamation_state_map,
     check_built_group,
     dense_intertwining_error,
+    dense_product,
+    dense_selectors,
     direct_in_split,
     five_state_action,
     frozenset_split_elements,
     orbit_preserving_in_split,
+    plain_orbits,
     random_action,
     random_compatible_split,
     random_group_action,
@@ -251,6 +254,28 @@ class TestTransportCertificate:
             assert got == expected
             outcomes.add(expected is None)
         assert outcomes == {True, False}
+
+    def test_transport_matches_dense_selector_products(self):
+        """The transported pair is (U R V', U' S V) and its ends are U A V
+        and U' B V', with dense 0/1 selectors built from plain orbits."""
+        rng = random.Random(113)
+        shapes = set()
+        for _ in range(40):
+            phi, gens = random_group_action(rng, max_states=5)
+            direction = rng.choice(("out", "in"))
+            split = out_split if direction == "out" else in_split
+            psi, cert = split(phi, random_compatible_split(rng, phi, direction))
+            n, n2 = phi.matrix.dim, psi.matrix.dim
+            orbits, orbits2 = plain_orbits(n, gens), plain_orbits(n2, psi.group.elements)
+            u, v = dense_selectors(n, orbits)
+            u2, v2 = dense_selectors(n2, orbits2)
+            out = transport_certificate(cert, phi, psi)
+            assert out.r.entries == dense_product(u, cert.r.entries, v2)
+            assert out.s.entries == dense_product(u2, cert.s.entries, v)
+            assert out.a.entries == dense_product(u, phi.matrix.entries, v)
+            assert out.b.entries == dense_product(u2, psi.matrix.entries, v2)
+            shapes.add((len(orbits) < n, len(orbits) == len(orbits2)))
+        assert {(True, True), (True, False)} <= shapes
 
     def test_s_intertwining_failure_reported(self):
         # R = A is all ones and intertwines any pair; S = I only equal actions
