@@ -80,11 +80,12 @@ class FiniteGroupTable:
         if identity is None:
             raise InputError("multiplication table has no identity element")
         inverse = []
-        for x in range(n):
-            inv = [y for y in range(n) if table[x][y] == identity and table[y][x] == identity]
-            if len(inv) != 1:
+        for x, row in enumerate(table):
+            # a two-sided inverse; it is unique once the table is associative
+            inv = row.index(identity) if identity in row else None
+            if inv is None or table[inv][x] != identity:
                 raise InputError(f"element {names[x]} has no unique inverse")
-            inverse.append(inv[0])
+            inverse.append(inv)
         generators = greedy_generators(range(n), identity, lambda x, y: table[x][y])
         for a in generators:
             ta = table[a]
@@ -129,14 +130,24 @@ def cyclic_group(n: int) -> FiniteGroupTable:
 
 
 def symmetric_group(n: int) -> FiniteGroupTable:
+    """The permutations of 1..n in lexicographic order; p q applies q first.
+    Row p lists p q over all q, so row(p s) is row(p) composed with row(s):
+    each row is built from an earlier one along (1 2) or the n-cycle."""
     if not 1 <= n <= 6:
         raise InputError("symmetric groups are supported for 1 <= n <= 6")
     perms = list(permutations(range(n)))
     index = {p: k for k, p in enumerate(perms)}
-    return FiniteGroupTable(
-        names=tuple("".join(str(i + 1) for i in p) for p in perms),
-        table=tuple(tuple(index[compose(p, q)] for q in perms) for p in perms),
-    )
+    gens = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
+    gen_rows = [(index[s], tuple(index[compose(s, q)] for q in perms)) for s in gens]
+    rows = [tuple(range(len(perms)))] + [None] * (len(perms) - 1)
+    order = [0]  # breadth first from the identity: the loop visits what it appends
+    for p in order:
+        for s, row_s in gen_rows:
+            ps = rows[p][s]
+            if rows[ps] is None:
+                rows[ps] = compose(rows[p], row_s)
+                order.append(ps)
+    return FiniteGroupTable(names=tuple("".join(str(i + 1) for i in p) for p in perms), table=tuple(rows))
 
 
 def dihedral_group(n: int) -> FiniteGroupTable:

@@ -823,6 +823,16 @@ def permutation_dihedral_table(n: int):
     return tuple(names), table
 
 
+def composition_symmetric_table(n: int):
+    """(names, table) of the symmetric group on 1..n, its permutations in
+    lexicographic order, by one composition per entry: the product applies
+    q first, then p."""
+    perms = list(permutations(range(n)))
+    index = {p: k for k, p in enumerate(perms)}
+    names = tuple("".join(str(i + 1) for i in p) for p in perms)
+    return names, tuple(tuple(index[tuple(p[i] for i in q)] for q in perms) for p in perms)
+
+
 # monodromies of the preset knots as substitutions on the free group of rank
 # two, a word being (generator, sign) letters: trefoil a -> b, b -> a^-1 b;
 # figure eight a -> a b a, b -> b a

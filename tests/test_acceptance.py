@@ -44,7 +44,8 @@ from sftact import (
     word_stabilizer,
 )
 from sftact.quotient import burnside_counts
-from sftact.cli import emit_job, emit_report, parse_job, run_job
+from sftact.cli import emit_report, parse_job, run_job
+from sftact.jobs import emit_job
 
 from helpers import (
     REDUCIBLE_A,

@@ -11,16 +11,9 @@ from pathlib import Path
 import pytest
 
 import sftact
-from sftact import InputError, cli, errors, group_from_generators
-from sftact.cli import (
-    cycles_of,
-    emit_job,
-    emit_report,
-    main,
-    parse_cycles,
-    parse_job,
-    run_job,
-)
+from sftact import InputError, cli, errors, group_from_generators, jobs
+from sftact.cli import emit_report, main, parse_job, run_job
+from sftact.jobs import COMMANDS, cycles_of, emit_job, parse_cycles
 
 from helpers import SIX_STATE_A, z48_with_swapped_products
 
@@ -202,11 +195,17 @@ class TestParseJob:
                 {"command": "verify-sse", "input": {"chain": [dict(TWO_SHIFT_LINK, R=[[1, 1]])]}},
                 "$.input.chain[0].R",
             ),
+            # a key that is not printable is shown as a JSON string, so the message stays one line
+            ({"command": "reduce", "input": dict(SIX_STATE_JOB["input"], **{"a\nb": 1})}, '$.input["a\\nb"]'),
+            (
+                {"command": "reduce", "input": {"matrix": [[1]], "group": {"generators": [], "\u2028": 1}}},
+                '$.input.group["\\u2028"]',
+            ),
         ],
         ids=[
             "input", "perm-group", "split-input", "hnn-preset", "hnn-words", "group-name",
             "group-table", "transport-input", "certificate", "chain-beside-link", "inline-link",
-            "chain-link",
+            "chain-link", "unprintable-input", "unprintable-perm-group",
         ],
     )
     def test_unknown_field_names_its_path(self, doc, path):
@@ -437,7 +436,7 @@ class TestEmit:
         assert "9" * 8000 in text
 
     def test_bf_text_rendering(self):
-        from sftact.cli import bf_text
+        from sftact.jobs import bf_text
 
         assert bf_text({"torsion": [2, 2], "free_rank": 0}) == "Z/2 + Z/2"
         assert bf_text({"torsion": [], "free_rank": 0}) == "0"
@@ -545,16 +544,16 @@ class TestMain:
     def test_repshift_state_bound_exit_three(self, tmp_path, capsys, monkeypatch):
         # trefoil over S4 (576 states) is the largest shift the tests and corpus
         # print; trefoil over S5 (14400 states) is refused by the slow test
-        assert 576 < cli._REPSHIFT_STATE_BOUND < 14400
+        assert 576 < jobs._REPSHIFT_STATE_BOUND < 14400
         doc = {"command": "repshift", "input": {"hnn": {"preset": "trefoil"}, "group": "Z3"}}
-        monkeypatch.setattr(cli, "_REPSHIFT_STATE_BOUND", 8)
+        monkeypatch.setattr(jobs, "_REPSHIFT_STATE_BOUND", 8)
         code, out, err = self.run_main(tmp_path, capsys, doc, ["repshift"])
         assert (code, out) == (3, "")
         assert err == (
             "budget exhausted: the representation shift has 9 states, more than the 8 a repshift "
             "report prints as a dense matrix; tqft and bundle-counts report on it\n"
         )
-        monkeypatch.setattr(cli, "_REPSHIFT_STATE_BOUND", 9)
+        monkeypatch.setattr(jobs, "_REPSHIFT_STATE_BOUND", 9)
         assert self.run_main(tmp_path, capsys, doc, ["repshift"])[0] == 0
 
     @pytest.mark.parametrize("key", ["maxn", "cap"])
@@ -563,6 +562,11 @@ class TestMain:
         code, out, err = self.run_main(tmp_path, capsys, doc, ["burnside"])
         assert (code, out) == (1, "")
         assert err == f"error: $.parameters.{key}: unknown parameter\n"
+
+    def test_unprintable_parameter_keeps_one_line(self, tmp_path, capsys):
+        doc = dict(SIX_STATE_JOB, parameters={"max\rn": 3})
+        code, out, err = self.run_main(tmp_path, capsys, doc, ["reduce"])
+        assert (code, out, err) == (1, "", 'error: $.parameters["max\\rn"]: unknown parameter\n')
 
     @pytest.mark.parametrize("flag", ["--cap", "--bogus"])
     def test_unknown_flag_exit_one(self, tmp_path, capsys, flag):
@@ -714,12 +718,12 @@ class TestMain:
         ids=lambda v: v.__name__ if isinstance(v, type) else None,
     )
     def test_each_error_family_has_its_exit_code(self, tmp_path, capsys, monkeypatch, error, code, line):
-        parse, _ = cli._COMMAND_TABLE["burnside"]
+        parse, _ = jobs._COMMAND_TABLE["burnside"]
 
         def fail(parsed, parameters):
             raise error("boom")
 
-        monkeypatch.setitem(cli._COMMAND_TABLE, "burnside", (parse, fail))
+        monkeypatch.setitem(jobs._COMMAND_TABLE, "burnside", (parse, fail))
         doc = dict(SIX_STATE_JOB, command="burnside")
         assert self.run_main(tmp_path, capsys, doc, ["burnside"]) == (code, "", line + "\n")
 
@@ -740,6 +744,52 @@ class TestMain:
         )
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+SWAP_JOB = {"command": "quotient-counts", "input": {"matrix": [[0, 1], [1, 0]], "group": {"generators": ["(1 2)"]}}}
+SWAP_TWO = "command: quotient-counts\ncounts: [1, 1]\n"
+HELP = cli.HELP.format(commands=", ".join(COMMANDS))
+CHOICES = ", ".join(map(repr, COMMANDS))
+
+# argv ("P" is the path of a file holding SWAP_JOB) -> exit code, stdout, stderr
+ARGV_TABLE = [
+    (["quotient-counts", "--input", "P", "--format", "text", "--max-n", "2"], 0, SWAP_TWO, ""),
+    (["quotient-counts", "--input=P", "--format=text", "--max-n=2"], 0, SWAP_TWO, ""),
+    (["--format", "text", "--max-n=2", "quotient-counts", "--input", "P"], 0, SWAP_TWO, ""),
+    (["quotient-counts", "--input", "P", "--format", "json", "--max-n", "5", "--format=text", "--max-n", "2"],
+     0, SWAP_TWO, ""),
+    (["-h"], 0, HELP, ""),
+    (["--help"], 0, HELP, ""),
+    (["quotient-counts", "--input", "P", "--help"], 0, HELP, ""),
+    ([], 1, "", "error: the following arguments are required: command\n"),
+    (["--input", "P", "--max-n", "2"], 1, "", "error: the following arguments are required: command\n"),
+    (["frobnicate", "--input", "P"], 1, "",
+     f"error: argument command: invalid choice: 'frobnicate' (choose from {CHOICES})\n"),
+    (["quotient-counts", "--input", "P", "--max-n"], 1, "", "error: argument --max-n: expected one argument\n"),
+    (["quotient-counts", "--input", "--format", "text"], 1, "", "error: argument --input: expected one argument\n"),
+    (["quotient-counts", "--input", "P", "--format", "yaml"], 1, "",
+     "error: argument --format: invalid choice: 'yaml' (choose from 'json', 'text')\n"),
+    (["quotient-counts", "--input", "P", "--max", "2"], 1, "", "error: unrecognized arguments: --max 2\n"),
+    (["quotient-counts", "--input", "P", "--limit", "2.5"], 1, "", "error: argument --limit: invalid int value: '2.5'\n"),
+    (["quotient-counts", "--input", "P", "reduce", "-x"], 1, "", "error: unrecognized arguments: reduce -x\n"),
+    (["quotient-counts", "--input", "P", "--cap\n5"], 1, "", 'error: unrecognized arguments: "--cap\\n5"\n'),
+    (["reduce", "--input", "P"], 1, "",
+     "error: $.command: document says 'quotient-counts' but the subcommand is 'reduce'\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", ARGV_TABLE, ids=[" ".join(row[0]) or "empty" for row in ARGV_TABLE])
+def test_argv(tmp_path, capsys, argv, code, out, err):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(SWAP_JOB))
+    argv = [token.replace("P", str(path)) if token in ("P", "--input=P") else token for token in argv]
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_help_lists_every_command():
+    assert HELP.startswith("usage: sftact COMMAND [--input PATH|-] [--format json|text] [--limit N] [--max-n N]\n")
+    assert f"commands: {', '.join(COMMANDS)}\n" in HELP
 
 
 class TestOptimizedInterpreter:
@@ -789,14 +839,14 @@ sys.exit(main())
         # A runner that fails with an exception the exit codes do not name.
         code = """
 import sys
-from sftact import cli
+from sftact import cli, jobs
 
-parse, _ = cli._COMMAND_TABLE["burnside"]
+parse, _ = jobs._COMMAND_TABLE["burnside"]
 
 def crash(parsed, parameters):
     return 1 // 0
 
-cli._COMMAND_TABLE["burnside"] = (parse, crash)
+jobs._COMMAND_TABLE["burnside"] = (parse, crash)
 sys.exit(cli.main())
 """
         doc = {"command": "burnside", "input": SIX_STATE_JOB["input"]}

@@ -64,7 +64,8 @@ def mutants(draw):
         return command, doc
     if kind == "unknown key":
         path, value = draw(st.sampled_from([p for p in places if isinstance(p[1], dict)]))
-        value[draw(st.sampled_from(("extra", "Matrix", "max_n", "")))] = copy.deepcopy(draw(st.sampled_from(JUNK)))
+        key = draw(st.one_of(st.sampled_from(("extra", "Matrix", "max_n", "", "a\nb")), st.text()))
+        value[key] = copy.deepcopy(draw(st.sampled_from(JUNK)))
         return command, doc
     path, value = draw(st.sampled_from(places))
     return command, replace(doc, path, [value])

@@ -22,8 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from sftact import cli
-from sftact.cli import COMMANDS, emit_job, emit_report, parse_job, run_job
+from sftact import cli, jobs
+from sftact.cli import emit_report, parse_job, run_job
+from sftact.jobs import COMMANDS, emit_job
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
 GOLDENS = sorted((EXPECTED / "cli-small").glob("*.json")) + [
@@ -74,19 +75,50 @@ def test_goldens_under_optimized_interpreter():
     assert json.loads(proc.stdout) == {"optimize": 1, "checked": len(GOLDENS), "differ": []}
 
 
+# the job layer's parsers: no runner may call one
+PARSERS = [
+    "_act", "_field", "_fields", "_get_dict", "_get_int", "_load_document", "_parse_action",
+    "_parse_invariants", "_parse_links", "_parse_repshift", "_parse_split", "_parse_transport",
+    "job_from_document", "parse_abstract_group", "parse_certificate", "parse_cycles", "parse_hnn",
+    "parse_job", "parse_matrix", "parse_perm_group", "parse_states", "parse_word",
+]
+
+
+def refuse_parsers(monkeypatch):
+    """Make every parser of the job layer fail when it is called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a runner parsed its input again")
+
+    prefixes = ("parse", "_parse", "_act", "_field", "_get_", "job_from", "_load")
+    assert [name for name in dir(jobs) if name.startswith(prefixes)] == PARSERS
+    for name in PARSERS:
+        monkeypatch.setattr(jobs, name, refuse)
+
+
 @pytest.mark.parametrize("path", sorted((EXPECTED / "cli-small").glob("*.json")), ids=lambda p: p.stem)
 def test_runners_parse_nothing(path, monkeypatch):
     """run_job works from the parsed input alone: no parser runs again."""
     golden = path.read_bytes()
     job = parse_job(json.dumps(json.loads(golden)["input"]))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a runner parsed its input again")
-
-    for name in dir(cli):
-        if name.startswith(("parse", "_parse", "_act", "_field", "_get_", "job_from", "_load")):
-            monkeypatch.setattr(cli, name, refuse)
+    refuse_parsers(monkeypatch)
     assert emit_report(run_job(job)).encode() == golden
+
+
+def test_refusal_fails_a_runner_that_parses(monkeypatch):
+    """The refusal above is not vacuous: a runner that parses its input again fails it."""
+    golden = (EXPECTED / "cli-small" / "six-reduce.json").read_bytes()
+    job = parse_job(json.dumps(json.loads(golden)["input"]))
+    parse, run = jobs._COMMAND_TABLE["reduce"]
+
+    def reparse(act, parameters):
+        return run(jobs._parse_action(job.input, "$.input"), parameters)
+
+    monkeypatch.setitem(jobs._COMMAND_TABLE, "reduce", (parse, reparse))
+    assert emit_report(run_job(job)).encode() == golden
+    refuse_parsers(monkeypatch)
+    with pytest.raises(AssertionError, match="parsed its input again"):
+        run_job(job)
 
 
 def _load_spans():

@@ -1,11 +1,12 @@
 """What each command compiles, and the package's public surface.
 
 ``sftact`` registers its library modules as lazy placeholders, so a job
-executes only the modules its command uses.  Each command's golden job
-runs through ``sftact.cli.main`` in a fresh ``python -S`` child (no site
-hooks that import extra modules), which lists the ``sftact`` modules that
-were executed.  A placeholder is told apart by its type, since reading
-any attribute of it would execute it.
+executes only the modules its command uses, and the command-line entry
+``sftact.cli`` imports its job layer, ``sftact.jobs``, only to run a job.
+Each command's golden job runs through ``sftact.cli.main`` in a fresh
+``python -S`` child (no site hooks that import extra modules), which
+lists the ``sftact`` modules that were executed.  A placeholder is told
+apart by its type, since reading any attribute of it would execute it.
 """
 
 import json
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import sftact
-from sftact.cli import COMMANDS
+from sftact.jobs import COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -33,8 +34,12 @@ def executed():
     return sorted(name[len("sftact."):] for name, module in sys.modules.items()
                   if name.startswith("sftact.") and type(module) is ModuleType)
 
+def stdlib():
+    return [m for m in ("argparse", "fractions", "decimal", "dataclasses", "inspect") if m in sys.modules]
+
 import sftact.cli
 after_import = executed()
+import_stdlib = stdlib()
 golden = open(sys.argv[1], encoding="utf-8").read()
 job = json.loads(golden)["input"]
 stdout = sys.stdout
@@ -43,10 +48,11 @@ code = sftact.cli.main([job["command"]])
 output, sys.stdout = sys.stdout.getvalue(), stdout
 print(json.dumps({
     "import": after_import,
+    "import_stdlib": import_stdlib,
     "job": executed(),
     "code": code,
     "same_report": output == golden,
-    "stdlib": [m for m in ("fractions", "decimal", "dataclasses", "inspect") if m in sys.modules],
+    "stdlib": stdlib(),
 }))
 """
 
@@ -56,7 +62,7 @@ QUOTIENT = REDUCE + ["quotient"]
 SSE = REDUCE + ["sse"]
 REPSHIFT = QUOTIENT + ["repshift"]
 
-# golden job -> the sftact modules it executes, besides cli
+# golden job -> the sftact modules it executes, besides cli and jobs
 MODULES = {
     "golden-invariants": EAGER + ["matrices"],
     "six-invariants": REDUCE,
@@ -105,8 +111,33 @@ def test_job_executes_only_its_modules(stem):
     out = run_child(EXPECTED / "cli-small" / f"{stem}.json")
     assert out["code"] == 0 and out["same_report"]
     assert out["import"] == sorted(EAGER + ["cli"])
-    assert out["job"] == sorted(MODULES[stem] + ["cli"])
+    assert out["import_stdlib"] == []
+    assert out["job"] == sorted(MODULES[stem] + ["cli", "jobs"])
     assert out["stdlib"] == []
+
+
+# Run in the child: a job through the job layer alone.
+JOBS_CHILD = r"""
+import json, sys
+from sftact import jobs
+
+golden = open(sys.argv[1], encoding="utf-8").read()
+report = jobs.emit_report(jobs.run_job(jobs.parse_job(json.dumps(json.loads(golden)["input"]))))
+print(json.dumps({"same_report": report == golden, "cli": "sftact.cli" in sys.modules}))
+"""
+
+
+def test_job_layer_never_imports_the_entry_point():
+    """``python -m sftact.cli`` runs the entry as ``__main__``; an import of
+    ``sftact.cli`` from the job layer would compile it a second time."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    path = EXPECTED / "cli-small" / "trefoil-s3-tqft.json"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", JOBS_CHILD, str(path)],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"same_report": True, "cli": False}
 
 
 # ---------------------------------------------------------------------------

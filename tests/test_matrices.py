@@ -139,6 +139,12 @@ def slot_bound_matrices(rng):
         relabel = rng.sample(range(n), n)
         out.append(IntMatrix(tuple(tuple(upper[relabel[i]][relabel[j]] for j in range(n)) for i in range(n))))
     out += [all_ones(n) for n in (1, 2, 3, 7, 16, 40)]
+    # Hadamard's bound attained: a cycle of n states whose edges all weigh
+    # r >= n has orthogonal rows of norm r, and the last step's slots hold
+    # r^n, the largest of the bound's e_k
+    for n in (2, 3, 5, 8):
+        r = rng.randint(n, 10**3)
+        out.append(IntMatrix(tuple(tuple(r if j == (i + 1) % n else 0 for j in range(n)) for i in range(n))))
     return out
 
 

@@ -48,6 +48,7 @@ from helpers import (
     PLAIN_MONODROMIES,
     brute_is_group,
     check_built_group,
+    composition_symmetric_table,
     dense_product,
     dense_selectors,
     permutation_dihedral_table,
@@ -95,6 +96,11 @@ class TestGroupTables:
         s3 = symmetric_group(3)
         assert s3.order == 6
         assert sorted(s3.inverse) == list(range(6))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_symmetric_matches_composition_oracle(self, n):
+        s = symmetric_group(n)
+        assert (s.names, s.table) == composition_symmetric_table(n)
 
     def test_dihedral(self):
         for n, order in ((1, 2), (2, 4), (3, 6), (4, 8)):
