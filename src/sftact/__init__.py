@@ -36,31 +36,31 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "matrices": (
         "AbelianGroupInvariants", "IntMatrix", "IntPolynomial", "bowen_franks",
-        "char_poly_reciprocal", "mat_mul", "poly_divides", "poly_lcm", "smith_normal_form",
+        "char_poly_reciprocal", "mat_mul", "poly_lcm", "smith_normal_form",
         "trace_of_power", "trace_sequence",
     ),
     "sft": (
-        "CycleWord", "Path", "SftPresentation", "enumerate_cycles", "higher_block",
+        "CycleWord", "SftPresentation", "enumerate_cycles", "higher_block",
         "is_irreducible", "shortest_path", "trim_essential",
     ),
     "action": (
         "OrbitStructure", "PermGroup", "PermutationAction", "fixed_submatrix",
-        "group_from_generators", "orbit_structure", "validate_action", "word_stabilizer",
+        "group_from_generators", "word_stabilizer",
     ),
     "reduce": ("OneBlockCode", "ReducedShift", "build_eta", "left_reduce", "right_reduce"),
     "sse": (
         "ActionFactorSquare", "ElementarySse", "SplitData", "SseChain", "TwoBlockConjugacy",
-        "factor_square", "higher_block_action", "identity_sse", "in_split", "induced_conjugacy",
-        "out_split", "transport_certificate", "verify_chain", "verify_elementary_sse",
+        "factor_square", "higher_block_action", "in_split", "induced_conjugacy",
+        "out_split", "transport_certificate", "verify_elementary_sse",
     ),
     "quotient": (
         "NonexpansiveWitness", "OrbitCountReport", "QuotientClassification", "burnside_counts",
-        "classify_quotient", "nonexpansive_witness", "quotient_period_counts", "recurrence_holds",
+        "classify_quotient", "nonexpansive_witness", "quotient_period_counts",
     ),
     "repshift": (
         "FiniteGroupTable", "HnnData", "RepShift", "TqftMatrix", "build_repshift", "cyclic_group",
         "dihedral_group", "enumerate_homs", "evaluate_word", "fibered_preset", "flat_bundle_counts",
-        "preset_alexander_polynomial", "quaternion_group", "symmetric_group", "tqft_matrix",
+        "quaternion_group", "symmetric_group", "tqft_matrix",
         "trivial_group",
     ),
 }

@@ -97,10 +97,6 @@ class PermGroup:
         states = tuple(states)
         return tuple(k for k, p in enumerate(self.elements) if all(p[s] == s for s in states))
 
-    @classmethod
-    def trivial(cls, degree: int) -> "PermGroup":
-        return cls(degree, (tuple(range(degree)),), ())
-
 
 def group_from_generators(degree: int, gens, limit: int = CLOSURE_LIMIT) -> PermGroup:
     """Close a generating set of permutations under composition.
@@ -177,11 +173,6 @@ class PermutationAction:
         return _orbit_structure(self)
 
 
-def validate_action(p: SftPresentation, g: PermGroup) -> PermutationAction:
-    """Check the invariance law A(gi, gj) = A(i, j) and return the action."""
-    return PermutationAction(p, g)
-
-
 @record
 class OrbitStructure:
     """Orbits, representatives and kernel of an action.
@@ -227,10 +218,6 @@ def _orbit_structure(a: PermutationAction) -> OrbitStructure:
         # only the identity, element 0, fixes every state
         kernel=(0,),
     )
-
-
-def orbit_structure(a: PermutationAction) -> OrbitStructure:
-    return a.orbits
 
 
 def fixed_submatrix(a: PermutationAction, g: int) -> IntMatrix:

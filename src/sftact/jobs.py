@@ -31,7 +31,7 @@ import sys
 from contextlib import contextmanager
 
 from . import __version__, action, matrices, quotient, reduce, repshift, sft, sse
-from .errors import InputError, LimitExceededError, SftactError
+from .errors import InputError, LimitExceededError
 from .records import record
 
 JOB_FORMAT = "sftact-job/1"
@@ -279,7 +279,7 @@ def parse_certificate(doc, path) -> sse.ElementarySse:
 def _act(matrix, group_doc, path) -> action.PermutationAction:
     """The action on ``matrix`` of the permutation group at ``path``; the
     presentation is checked before the group is closed."""
-    presentation = sft.SftPresentation.from_matrix(matrix)
+    presentation = sft.SftPresentation(matrix)
     return action.PermutationAction(presentation, parse_perm_group(group_doc, matrix.dim, path))
 
 

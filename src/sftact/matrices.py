@@ -177,10 +177,6 @@ class IntMatrix:
     def is_zero_one(self) -> bool:
         return all(x == 1 for row in self.sparse for _, x in row)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls.from_sparse([((i, 1),) for i in range(n)], n)
-
 
 @record
 class IntPolynomial:
@@ -358,17 +354,21 @@ def _faddeev_leverrier(sparse, steps):
 
     Slot bound: let e_k be the k-th elementary symmetric function of the
     numbers ceil(|a_i|) over the rows a_i of a, with |.| the Euclidean
-    norm.  An entry of adj(x I - a) is, up to sign, an (n-1) x (n-1) minor
-    of x I - a; expanding it along its x entries writes its x^(n-k-1)
-    coefficient, an entry of M_(k+1), as a signed sum of k x k minors of a
-    on distinct row sets.  Likewise c_(n-k) is a signed sum of the
-    principal k x k minors of a.  By Hadamard's inequality a minor on the
-    rows T is at most the product of |a_i| over i in T in absolute value,
-    so either sum is at most e_k.  Every entry of a M_k = M_(k+1) - c_(n-k) I
-    is therefore at most 2 e_k in absolute value, and with E the largest
-    e_k for k <= steps, slots of w = E.bit_length() + 2 bits hold every
-    product the steps form, with the bias 2^(w-1) added: each biased slot
-    lies in 0 .. 2^w - 1, so no slot borrows from the next.
+    norm.  By Hadamard's inequality a k x k minor of a on the rows T is at
+    most the product of |a_i| over i in T in absolute value, so a signed
+    sum of k x k minors on distinct row sets is at most e_k.  Step k reads
+    a M_k = M_(k+1) - c_(n-k) I.  An entry of adj(x I - a) is, up to sign,
+    an (n-1) x (n-1) minor of x I - a; expanding it along its x entries
+    writes its x^(n-k-1) coefficient, an entry of M_(k+1), as a signed sum
+    of k x k minors of a on distinct row sets.  That bounds the entries
+    off the diagonal.  On the diagonal, (M_(k+1))_ii is (-1)^k times the
+    sum of the principal k x k minors that avoid row i, and c_(n-k) is
+    (-1)^k times the sum of all of them, so (a M_k)_ii is -(-1)^k times
+    the sum of the principal k x k minors through row i.  Every entry of
+    a M_k is therefore at most e_k in absolute value, and with E the
+    largest e_k for k <= steps, slots of w = E.bit_length() + 1 bits hold
+    every product the steps form, with the bias 2^(w-1) added: each biased
+    slot lies in 1 .. 2^w - 1, so no slot borrows from the next.
     """
     n = len(sparse)
     e = [1] + [0] * steps
@@ -379,7 +379,7 @@ def _faddeev_leverrier(sparse, steps):
             norm = 1 + isqrt(square - 1)
             for k in range(steps, 0, -1):
                 e[k] += norm * e[k - 1]
-    width = max(e).bit_length() + 2
+    width = max(e).bit_length() + 1
     mask = (1 << width) - 1
     half = 1 << (width - 1)
     shifts = range(0, n * width, width)
@@ -572,17 +572,6 @@ def poly_lcm(ps) -> IntPolynomial:
     for p in coeffs[1:]:
         acc = _exact_quotient(_poly_mul_coeffs(acc, p), _poly_gcd_coeffs(acc, p))
     return IntPolynomial(acc)
-
-
-def poly_divides(p: IntPolynomial, q: IntPolynomial) -> bool:
-    """True when p divides q over the rationals (p nonzero)."""
-    if p.is_zero():
-        raise InputError("division by the zero polynomial")
-    if q.is_zero():
-        return True
-    if q.degree < p.degree:
-        return False
-    return not _pseudo_remainder(q.coefficients, p.coefficients)
 
 
 def smith_normal_form(rows) -> AbelianGroupInvariants:

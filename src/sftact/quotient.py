@@ -73,19 +73,6 @@ def burnside_counts(a: PermutationAction, m: int) -> OrbitCountReport:
     )
 
 
-def recurrence_holds(recurrence: IntPolynomial, terms) -> bool:
-    """Check that sum_k c_k terms[n - k] = 0 for every window of the sequence."""
-    c = recurrence.coefficients
-    d = recurrence.degree
-    if d < 0:
-        raise InputError("the zero polynomial is not a recurrence")
-    terms = list(terms)
-    for n in range(d, len(terms)):
-        if sum(c[k] * terms[n - k] for k in range(d + 1)) != 0:
-            return False
-    return True
-
-
 def quotient_period_counts(a: PermutationAction, m: int):
     """Period-n point counts of the quotient dynamical system, n = 1..m.
 
@@ -108,12 +95,6 @@ class QuotientClassification:
     verdict: str
     kernel: tuple
     witness: tuple | None
-
-    def __post_init__(self):
-        if self.verdict not in ("constant-to-one", "nonexpansive"):
-            raise InputError(f"unknown verdict {self.verdict!r}")
-        if (self.verdict == "nonexpansive") != (self.witness is not None):
-            raise InputError("nonexpansive verdicts need a witness, constant-to-one must not have one")
 
 
 def _find_cycle(p: SftPresentation):

@@ -121,13 +121,6 @@ class OneBlockCode:
                         f"edge map does not induce a state map (state {src_state} goes to both {seen} and {dst_state})"
                     )
 
-    def is_right_resolving(self) -> bool:
-        for es in self.source.out_edges:
-            images = [self.edge_map[e] for e in es]
-            if len(set(images)) != len(images):
-                return False
-        return True
-
 
 def build_eta(a: PermutationAction) -> OneBlockCode:
     """Canonical right-resolving factor map onto the right-reduced shift.

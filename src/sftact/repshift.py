@@ -17,9 +17,9 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import permutations
 
-from .errors import InputError, InternalError, LimitExceededError, PreconditionError
+from .errors import InputError, LimitExceededError, PreconditionError
 from .records import record
-from .matrices import IntMatrix, IntPolynomial
+from .matrices import IntMatrix
 from .action import PermutationAction, compose, greedy_generators, group_from_generators
 from .quotient import OrbitCountReport, burnside_counts
 from .reduce import ReducedShift, right_reduce
@@ -283,15 +283,6 @@ class HnnData:
             raise InputError("need exactly one amalgamating image per U generator")
         object.__setattr__(self, "phi_images", phi)
 
-    def abelianized_matrix(self):
-        """Exponent-sum matrix of the amalgamating images: entry (i, k) is
-        the exponent sum of base generator i in the image of U generator k."""
-        cols = [[0] * len(self.phi_images) for _ in range(self.b_gens)]
-        for k, w in enumerate(self.phi_images):
-            for i, s in w:
-                cols[i][k] += s
-        return cols
-
 
 @record
 class RepShift:
@@ -372,53 +363,28 @@ def build_repshift(h: HnnData, g: FiniteGroupTable, limit: int = HOM_LIMIT) -> R
     return RepShift(presentation=SftPresentation(matrix), states=kept_states, group=g)
 
 
+# monodromies of the two fibered genus-one knots, as substitutions on the
+# free group of rank two
 _PRESETS = {
-    # monodromies of the two fibered genus-one knots, as substitutions on
-    # the free group of rank two; the stored polynomial is the knot's
-    # Alexander polynomial, which the abelianized substitution must match
-    "trefoil": (
-        (((1, 1),), ((0, -1), (1, 1))),
-        IntPolynomial((1, -1, 1)),
-    ),
-    "figure8": (
-        (((0, 1), (1, 1), (0, 1)), ((1, 1), (0, 1))),
-        IntPolynomial((1, -3, 1)),
-    ),
+    "trefoil": (((1, 1),), ((0, -1), (1, 1))),
+    "figure8": (((0, 1), (1, 1), (0, 1)), ((1, 1), (0, 1))),
 }
 
 
 def fibered_preset(name: str) -> HnnData:
     """HNN data of a fibered genus-one knot: base, U and V all free of rank
-    two, with the knot's monodromy as amalgamating map.
-
-    Each preset self-checks: the characteristic polynomial of the
-    abelianized monodromy must equal the stored Alexander polynomial.
-    """
+    two, with the knot's monodromy as amalgamating map."""
     if name not in _PRESETS:
         raise InputError(f"unknown preset {name!r}; available: {sorted(_PRESETS)}")
-    phi_images, alexander = _PRESETS[name]
-    data = HnnData(
+    return HnnData(
         b_gens=2,
         b_relators=(),
         u_gens=(((0, 1),), ((1, 1),)),
         u_relators=(),
         v_gens=(((0, 1),), ((1, 1),)),
         v_relators=(),
-        phi_images=phi_images,
+        phi_images=_PRESETS[name],
     )
-    cols = data.abelianized_matrix()
-    trace = cols[0][0] + cols[1][1]
-    det = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
-    char = IntPolynomial((det, -trace, 1))
-    if char != alexander:
-        raise InternalError(f"preset {name} fails its Alexander polynomial self-check")
-    return data
-
-
-def preset_alexander_polynomial(name: str) -> IntPolynomial:
-    if name not in _PRESETS:
-        raise InputError(f"unknown preset {name!r}; available: {sorted(_PRESETS)}")
-    return _PRESETS[name][1]
 
 
 @record

@@ -24,8 +24,8 @@ Edge = tuple  # (initial state, terminal state, multiplicity index)
 class SftPresentation:
     """Essential presentation of a shift of finite type.
 
-    ``matrix`` is ``None`` for the empty shift.  Construct via
-    ``from_matrix`` (which insists on essential form) or ``trim_essential``.
+    ``matrix`` is ``None`` for the empty shift.  Construction insists on
+    essential form; ``trim_essential`` finds the essential part of a matrix.
     """
 
     matrix: IntMatrix | None
@@ -45,10 +45,6 @@ class SftPresentation:
                 raise PreconditionError(
                     f"state {self.matrix.label(i)} has no incoming edge; trim_essential first"
                 )
-
-    @classmethod
-    def from_matrix(cls, matrix: IntMatrix) -> "SftPresentation":
-        return cls(matrix)
 
     @classmethod
     def empty(cls) -> "SftPresentation":
@@ -103,37 +99,11 @@ class SftPresentation:
 
 
 @record
-class Path:
-    """Finite nonempty edge path; consecutive edges must compose."""
-
-    edges: tuple
-
-    def __post_init__(self):
-        edges = tuple(tuple(e) for e in self.edges)
-        if not edges:
-            raise InputError("a path needs at least one edge")
-        for e, f in zip(edges, edges[1:]):
-            if e[1] != f[0]:
-                raise InputError(f"edges {e} and {f} do not compose")
-        object.__setattr__(self, "edges", edges)
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    @property
-    def states(self) -> tuple:
-        """Visited states, length len(edges) + 1."""
-        return (self.edges[0][0],) + tuple(e[1] for e in self.edges)
-
-
-@record
 class CycleWord:
     """Closed edge path with a distinguished starting phase.
 
     Distinct rotations of the same cycle are distinct values; they present
-    distinct periodic points.  ``canonical_rotation`` gives the
-    lexicographically least rotation, the representative used when phases
-    must be identified.
+    distinct periodic points.
     """
 
     edges: tuple
@@ -156,11 +126,6 @@ class CycleWord:
     def states(self) -> tuple:
         """States visited, one per edge (the initial states)."""
         return tuple(e[0] for e in self.edges)
-
-    def canonical_rotation(self) -> "CycleWord":
-        edges = self.edges
-        best = min(edges[k:] + edges[:k] for k in range(len(edges)))
-        return CycleWord(best)
 
 
 def trim_essential(matrix: IntMatrix):

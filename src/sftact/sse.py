@@ -89,14 +89,6 @@ def verify_elementary_sse(e: ElementarySse) -> bool:
     return _same_entries(mat_mul(e.r, e.s), e.a) and _same_entries(mat_mul(e.s, e.r), e.b)
 
 
-def verify_chain(chain: SseChain) -> bool:
-    return all(verify_elementary_sse(link) for link in chain.links)
-
-
-def identity_sse(a: IntMatrix) -> ElementarySse:
-    return ElementarySse(a=a, b=a, r=IntMatrix.from_sparse(a.sparse, a.cols), s=IntMatrix.identity(a.dim))
-
-
 @record
 class TwoBlockConjugacy:
     """The conjugacy canonically attached to a zero-one certificate.
@@ -240,12 +232,6 @@ class SplitData:
         """One singleton block per edge (the full splitting)."""
         table = p.out_edges if direction == "out" else p.in_edges
         return cls(direction, tuple(tuple((e,) for e in es) for es in table))
-
-    @classmethod
-    def trivial(cls, p: SftPresentation, direction: str) -> "SplitData":
-        """One block per state (no splitting at all)."""
-        table = p.out_edges if direction == "out" else p.in_edges
-        return cls(direction, tuple((tuple(es),) for es in table))
 
 
 def _validate_split(a: PermutationAction, d: SplitData):

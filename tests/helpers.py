@@ -5,6 +5,7 @@ from itertools import permutations, product
 from math import gcd, lcm
 
 from sftact import (
+    ElementarySse,
     IntMatrix,
     PermGroup,
     PermutationAction,
@@ -20,7 +21,6 @@ from sftact import (
     left_reduce,
     right_reduce,
     trim_essential,
-    validate_action,
 )
 
 # Six-state matrix with the order-four action generated by (1 2)(3 4 5 6).
@@ -60,43 +60,43 @@ TRIANGLE_A = IntMatrix(((0, 1, 1), (1, 0, 1), (1, 1, 0)))
 
 
 def six_state_action() -> PermutationAction:
-    return validate_action(
-        SftPresentation.from_matrix(SIX_STATE_A),
+    return PermutationAction(
+        SftPresentation(SIX_STATE_A),
         group_from_generators(6, [SIX_STATE_GEN]),
     )
 
 
 def five_state_action() -> PermutationAction:
-    return validate_action(
-        SftPresentation.from_matrix(FIVE_STATE_B),
+    return PermutationAction(
+        SftPresentation(FIVE_STATE_B),
         group_from_generators(5, [FIVE_STATE_GEN]),
     )
 
 
 def reducible_action() -> PermutationAction:
-    return validate_action(
-        SftPresentation.from_matrix(REDUCIBLE_A),
+    return PermutationAction(
+        SftPresentation(REDUCIBLE_A),
         group_from_generators(3, [(1, 0, 2)]),
     )
 
 
 def three_state_action() -> PermutationAction:
-    return validate_action(
-        SftPresentation.from_matrix(THREE_STATE_A),
+    return PermutationAction(
+        SftPresentation(THREE_STATE_A),
         group_from_generators(3, [(0, 2, 1)]),
     )
 
 
 def swapped_two_shift() -> PermutationAction:
-    return validate_action(
-        SftPresentation.from_matrix(FULL_TWO_SHIFT),
+    return PermutationAction(
+        SftPresentation(FULL_TWO_SHIFT),
         group_from_generators(2, [(1, 0)]),
     )
 
 
 def triangle_action() -> PermutationAction:
-    return validate_action(
-        SftPresentation.from_matrix(TRIANGLE_A),
+    return PermutationAction(
+        SftPresentation(TRIANGLE_A),
         group_from_generators(3, [(0, 2, 1)]),
     )
 
@@ -121,7 +121,7 @@ def conjugation_action() -> PermutationAction:
 
     full = IntMatrix(tuple(tuple(1 for _ in elems) for _ in elems))
     group = group_from_generators(6, [conj_perm(elems[1]), conj_perm(elems[3])])
-    return validate_action(SftPresentation.from_matrix(full), group)
+    return PermutationAction(SftPresentation(full), group)
 
 
 def standard_actions():
@@ -174,7 +174,7 @@ def random_action(rng, max_states=5, max_order=4, density=None, require_irreduci
             continue
         pos = {orig: local for local, orig in enumerate(kept)}
         sub_perm = tuple(pos[perm[orig]] for orig in kept)
-        presentation = SftPresentation.from_matrix(IntMatrix(trimmed.matrix.entries))
+        presentation = SftPresentation(IntMatrix(trimmed.matrix.entries))
         if require_irreducible and not is_irreducible(presentation):
             continue
         group = group_from_generators(len(kept), [sub_perm])
@@ -249,6 +249,28 @@ def amalgamation_state_map(split_action: PermutationAction):
         int(label.rsplit(".", 1)[0]) - 1
         for label in split_action.presentation.matrix.labels
     )
+
+
+def is_right_resolving(code) -> bool:
+    """True when a one-block code sends the out-edges of each source state
+    to pairwise distinct edges."""
+    for es in code.source.out_edges:
+        images = [code.edge_map[e] for e in es]
+        if len(set(images)) != len(images):
+            return False
+    return True
+
+
+def identity_certificate(a: IntMatrix) -> ElementarySse:
+    """The elementary equivalence (A, I) from A to itself."""
+    identity = IntMatrix.from_sparse([((i, 1),) for i in range(a.dim)], a.dim)
+    return ElementarySse(a=a, b=a, r=IntMatrix.from_sparse(a.sparse, a.cols), s=identity)
+
+
+def trivial_split(p: SftPresentation, direction: str) -> SplitData:
+    """One block per state: the splitting that splits nothing."""
+    table = p.out_edges if direction == "out" else p.in_edges
+    return SplitData(direction, tuple((tuple(es),) for es in table))
 
 
 def square_commute_failures(square):
@@ -583,7 +605,7 @@ def random_group_action(rng, max_states=5, max_gens=2):
     rng.shuffle(rest)
     matrix = IntMatrix(tuple(tuple(row) for row in entries))
     group = reordered_group(n, elements[:1] + rest)
-    return PermutationAction(SftPresentation.from_matrix(matrix), group), gens
+    return PermutationAction(SftPresentation(matrix), group), gens
 
 
 def random_split(rng, p: SftPresentation, direction: str) -> SplitData:
@@ -780,8 +802,17 @@ def fraction_poly_lcm(ps):
     return acc
 
 
+def recurrence_holds(recurrence, terms) -> bool:
+    """True when sum_k c_k terms[n - k] = 0 for every window of the sequence."""
+    c = recurrence.coefficients
+    d = recurrence.degree
+    assert d >= 0, "the zero polynomial is not a recurrence"
+    return all(sum(c[k] * terms[n - k] for k in range(d + 1)) == 0 for n in range(d, len(terms)))
+
+
 def fraction_divides(p, q) -> bool:
-    """Oracle for poly_divides: the remainder of q by p over the rationals."""
+    """True when p divides q over the rationals: the remainder of q by p,
+    by long division over ``Fraction``, is zero."""
     if q.is_zero():
         return True
     _, rem = _frac_divmod([Fraction(x) for x in q.coefficients], [Fraction(x) for x in p.coefficients])
@@ -869,3 +900,14 @@ def plain_monodromy_fixed_counts(substitution, degree: int, m: int):
         current = {pair: step[image] for pair, image in current.items()}
         counts.append(sum(pair == image for pair, image in current.items()))
     return counts
+
+
+def alexander_polynomial(substitution) -> tuple:
+    """det(t I - M), constant term first, for M the 2 x 2 exponent-sum
+    matrix of a substitution on the free group of rank two: entry (i, k)
+    is the exponent sum of generator i in the image of generator k."""
+    m = [[0, 0], [0, 0]]
+    for k, word in enumerate(substitution):
+        for i, sign in word:
+            m[i][k] += sign
+    return (m[0][0] * m[1][1] - m[0][1] * m[1][0], -(m[0][0] + m[1][1]), 1)

@@ -13,13 +13,12 @@ from sftact import (
     IntMatrix,
     LimitExceededError,
     PermGroup,
+    PermutationAction,
     PreconditionError,
     SftPresentation,
     fixed_submatrix,
     group_from_generators,
-    orbit_structure,
     trim_essential,
-    validate_action,
     word_stabilizer,
 )
 
@@ -119,16 +118,16 @@ class TestValidateAction:
     def test_invariance_violation_reports_witness(self):
         p, _ = trim_essential(IntMatrix(((1, 1), (0, 1))))
         with pytest.raises(PreconditionError, match="invariance violated"):
-            validate_action(p, group_from_generators(2, [(1, 0)]))
+            PermutationAction(p, group_from_generators(2, [(1, 0)]))
 
     def test_trivial_group_always_valid(self):
         p, _ = trim_essential(IntMatrix(((1, 1), (0, 1))))
-        validate_action(p, PermGroup.trivial(2))
+        PermutationAction(p, group_from_generators(2, []))
 
     def test_rejects_multiplicities(self):
         p, _ = trim_essential(IntMatrix(((2,),)))
         with pytest.raises(PreconditionError, match="zero-one"):
-            validate_action(p, PermGroup.trivial(1))
+            PermutationAction(p, group_from_generators(1, []))
 
     def test_generator_check_matches_all_element_oracle(self):
         rng = random.Random(41)
@@ -144,7 +143,7 @@ class TestValidateAction:
             group = reordered_group(n, elements[:1] + rest)
             expected = all_element_invariance_error(act.presentation, group.elements)
             try:
-                validate_action(act.presentation, group)
+                PermutationAction(act.presentation, group)
                 got = None
             except PreconditionError as err:
                 got = str(err)
@@ -167,7 +166,7 @@ class TestValidateAction:
 
 class TestOrbitStructure:
     def test_six_state_orbits(self):
-        os_ = orbit_structure(six_state_action())
+        os_ = six_state_action().orbits
         assert os_.orbits == ((0, 1), (2, 3, 4, 5))
         assert os_.representatives == (0, 2)
 
@@ -177,9 +176,9 @@ class TestOrbitStructure:
         assert group.stabilizer((0,)) == (0, 2)
 
     def test_trivial_group(self):
-        p = SftPresentation.from_matrix(IntMatrix(((1, 1), (1, 1))))
-        act = validate_action(p, PermGroup.trivial(2))
-        assert orbit_structure(act).orbits == ((0,), (1,))
+        p = SftPresentation(IntMatrix(((1, 1), (1, 1))))
+        act = PermutationAction(p, group_from_generators(2, []))
+        assert act.orbits.orbits == ((0,), (1,))
         assert all(act.group.stabilizer((i,)) == (0,) for i in range(2))
 
     def test_orbit_stabilizer_identity(self):
@@ -217,7 +216,7 @@ class TestOrbitStructure:
                 group = group_from_generators(n, gens, limit=1000)
             except LimitExceededError:
                 continue
-            act = validate_action(SftPresentation.from_matrix(IntMatrix(((1,) * n,) * n)), group)
+            act = PermutationAction(SftPresentation(IntMatrix(((1,) * n,) * n)), group)
             oracle = combinatorics.PermutationGroup([combinatorics.Permutation(list(g)) for g in gens])
             assert act.orbits.orbits == tuple(sorted(tuple(sorted(o)) for o in oracle.orbits()))
             for i in range(n):
@@ -262,8 +261,8 @@ class TestWordStabilizer:
         assert word_stabilizer(act, CycleWord(((0, 0, 0),))) == (0, 2)
 
     def test_trivial_group(self):
-        p = SftPresentation.from_matrix(IntMatrix(((1, 1), (1, 0))))
-        act = validate_action(p, PermGroup.trivial(2))
+        p = SftPresentation(IntMatrix(((1, 1), (1, 0))))
+        act = PermutationAction(p, group_from_generators(2, []))
         w = CycleWord(((0, 0, 0),))
         assert word_stabilizer(act, w) == (0,)
 

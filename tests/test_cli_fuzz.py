@@ -1,11 +1,16 @@
-"""Mutated job documents keep the CLI contract: exit 0-3, and a nonzero
-exit prints exactly one stderr line and nothing on stdout.
+"""Job documents keep the CLI contract: exit 0-3, and a nonzero exit
+prints exactly one stderr line and nothing on stdout; a success prints
+nothing on stderr.
 
-The documents are the small corpus's fixtures (the ``input`` echoed by
-each expected report); a mutant swaps one leaf for junk, deletes a key,
-adds an unknown key or wraps a value in a list, and runs through ``main``
-in-process.  An exit of 4 here would be a parser that lets malformed
-input reach the library.
+Two sources of documents run through ``main`` in-process.  Mutants start
+from the small corpus's fixtures (the ``input`` echoed by each expected
+report) and swap one leaf for junk, delete a key, add an unknown key or
+wrap a value in a list.  Generated documents are drawn whole for every
+command: small zero-one matrices, groups given as cycle-notation
+generators (cycles may overlap), HNN words, split partitions of each
+state's edges and certificates built as products.  An exit of 4 here would
+be a parser that lets malformed input reach the library, or a library
+defect on well-formed input.
 """
 
 import copy
@@ -20,6 +25,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sftact.cli import main
+from sftact.jobs import COMMANDS
 
 FIXTURES = sorted((Path(__file__).resolve().parent.parent / "perfbench" / "expected" / "cli-small").glob("*.json"))
 DOCUMENTS = [json.loads(path.read_text())["input"] for path in FIXTURES]
@@ -71,6 +77,16 @@ def mutants(draw):
     return command, replace(doc, path, [value])
 
 
+def check_exit_contract(command, doc):
+    code, out, err = run_main(command, json.dumps(doc))
+    assert code in (0, 1, 2, 3), err
+    if code:
+        assert out == ""
+        assert len(err.splitlines()) == 1, err
+    else:
+        assert err == ""
+
+
 def run_main(command, text):
     """main([command]) on ``text`` as stdin: (exit code, stdout, stderr)."""
     saved = sys.stdin, sys.stdout, sys.stderr
@@ -86,11 +102,145 @@ def run_main(command, text):
           suppress_health_check=[HealthCheck.too_slow])
 @given(mutants())
 def test_mutated_documents_keep_the_exit_contract(mutant):
-    command, doc = mutant
-    code, out, err = run_main(command, json.dumps(doc))
-    assert code in (0, 1, 2, 3), err
-    if code:
-        assert out == ""
-        assert len(err.splitlines()) == 1, err
+    check_exit_contract(*mutant)
+
+
+def zero_one_rows(rows, cols):
+    return st.lists(st.lists(st.integers(0, 1), min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def cycle_generators(degree):
+    """Up to two generators, each a list of up to two cycles over 1..degree."""
+    cycle = st.lists(st.integers(1, degree), min_size=1, max_size=degree, unique=True)
+    return st.lists(st.lists(cycle, max_size=2), max_size=2)
+
+
+def group_document(gens) -> dict:
+    """The group document of generators given as lists of cycles."""
+    return {"generators": ["".join("(" + " ".join(map(str, c)) + ")" for c in cycles) for cycles in gens]}
+
+
+def cycle_permutation(cycles, degree):
+    """The permutation of 0..degree-1 that the cycles compose to, the
+    leftmost applied first."""
+    perm = list(range(degree))
+    for c in cycles:
+        step = {c[k] - 1: c[(k + 1) % len(c)] - 1 for k in range(len(c))}
+        perm = [step.get(x, x) for x in perm]
+    return perm
+
+
+def invariant_closure(matrix, perms):
+    """The least zero-one matrix above ``matrix`` that every permutation keeps."""
+    rows = [row[:] for row in matrix]
+    pending = [(i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+    while pending:
+        i, j = pending.pop()
+        for p in perms:
+            if not rows[p[i]][p[j]]:
+                rows[p[i]][p[j]] = 1
+                pending.append((p[i], p[j]))
+    return rows
+
+
+def group_words(gens):
+    """Words of up to three [generator, sign] letters over 1..gens."""
+    if not gens:
+        return st.just([])
+    letter = st.tuples(st.integers(1, gens), st.sampled_from((1, -1))).map(list)
+    return st.lists(letter, max_size=3)
+
+
+def product_rows(r, s):
+    return [[sum(x * s[k][j] for k, x in enumerate(row)) for j in range(len(s[0]))] for row in r]
+
+
+@st.composite
+def certificates(draw):
+    """An elementary equivalence (R, S) between R S and S R."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    r, s = draw(zero_one_rows(n, k)), draw(zero_one_rows(k, n))
+    return {"a": product_rows(r, s), "b": product_rows(s, r), "r": r, "s": s}
+
+
+@st.composite
+def hnn_documents(draw):
+    if draw(st.booleans()):
+        return {"preset": draw(st.sampled_from(("trefoil", "figure8")))}
+    b_gens = draw(st.integers(0, 2))
+    u_gens = draw(st.lists(group_words(b_gens), max_size=2))
+    v_gens = draw(st.lists(group_words(b_gens), max_size=2))
+    return {
+        "b_gens": b_gens,
+        "b_relators": draw(st.lists(group_words(b_gens), max_size=1)),
+        "u_gens": u_gens,
+        "u_relators": draw(st.lists(group_words(len(u_gens)), max_size=1)),
+        "v_gens": v_gens,
+        "v_relators": draw(st.lists(group_words(len(v_gens)), max_size=1)),
+        "phi_images": draw(st.lists(group_words(b_gens), min_size=len(u_gens), max_size=len(u_gens))),
+    }
+
+
+@st.composite
+def split_fields(draw, matrix):
+    """The direction and partition of a split of ``matrix``: each state's
+    out- or in-neighbours, 1-based, dealt into up to two blocks; a state
+    with none gets an empty block."""
+    direction = draw(st.sampled_from(("out", "in")))
+    n = len(matrix)
+    partition = []
+    for i in range(n):
+        others = [j + 1 for j in range(n) if (matrix[i][j] if direction == "out" else matrix[j][i])]
+        labels = draw(st.lists(st.integers(0, 1), min_size=len(others), max_size=len(others)))
+        blocks = [[o for o, label in zip(others, labels) if label == b] for b in (0, 1)]
+        partition.append([block for block in blocks if block] or [[]])
+    return {"direction": direction, "partition": partition}
+
+
+@st.composite
+def generated_documents(draw):
+    """(command, document): a whole job document drawn for a command."""
+    command = draw(st.sampled_from(COMMANDS))
+    n = draw(st.integers(1, 4))
+    matrix = draw(zero_one_rows(n, n))
+    gens = draw(cycle_generators(n))
+    if draw(st.booleans()):
+        # an irreducible matrix that the generators keep; with self-loops
+        # every element with a fixed state fixes a cycle (a nonexpansive quotient)
+        loops = draw(st.booleans())
+        for i in range(n):
+            matrix[i][(i + 1) % n] = 1
+            matrix[i][i] |= loops
+        matrix = invariant_closure(matrix, [cycle_permutation(g, n) for g in gens])
+    group = group_document(gens)
+    parameters = {}
+    if command in ("verify-sse", "transport"):
+        if command == "transport":
+            cert = draw(certificates())
+            phi = group_document(draw(cycle_generators(len(cert["a"]))))
+            psi = group_document(draw(cycle_generators(len(cert["b"]))))
+            doc = {"certificate": cert, "phi": phi, "psi": psi}
+        elif draw(st.booleans()):
+            doc = draw(certificates())
+        else:
+            doc = {"chain": draw(st.lists(certificates(), min_size=1, max_size=2))}
+    elif command == "split":
+        doc = {"matrix": matrix, "group": group, **draw(split_fields(matrix))}
+    elif command in ("repshift", "tqft", "bundle-counts"):
+        doc = {"hnn": draw(hnn_documents()), "group": draw(st.sampled_from(("Z1", "Z2", "Z3", "S3", "D2", "Q8")))}
+    elif command == "invariants" and draw(st.booleans()):
+        doc = {"matrix": matrix}
     else:
-        assert err == ""
+        doc = {"matrix": matrix, "group": group}
+    if command == "witness":
+        parameters["m"] = draw(st.integers(1, 3))
+    elif command in ("burnside", "quotient-counts", "repshift", "bundle-counts"):
+        parameters["max_n"] = draw(st.integers(1, 6))
+    return command, {"format": "sftact-job/1", "command": command, "input": doc, "parameters": parameters}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(generated_documents())
+def test_generated_documents_keep_the_exit_contract(generated):
+    check_exit_contract(*generated)

@@ -146,23 +146,21 @@ def test_job_layer_never_imports_the_entry_point():
 ALL = [
     "AbelianGroupInvariants", "ActionFactorSquare", "CapExceededError", "CycleWord",
     "ElementarySse", "FiniteGroupTable", "HnnData", "InputError", "IntMatrix",
-    "IntPolynomial", "InternalError", "LimitExceededError", "NonexpansiveWitness", "OneBlockCode",
-    "OrbitCountReport", "OrbitStructure", "Path", "PermGroup", "PermutationAction",
+    "IntPolynomial", "InternalError", "LimitExceededError", "NonexpansiveWitness",
+    "OneBlockCode", "OrbitCountReport", "OrbitStructure", "PermGroup", "PermutationAction",
     "PreconditionError", "QuotientClassification", "ReducedShift", "RepShift",
     "SftPresentation", "SftactError", "SplitData", "SseChain", "TqftMatrix",
     "TwoBlockConjugacy", "action", "bowen_franks", "build_eta", "build_repshift",
     "burnside_counts", "char_poly_reciprocal", "classify_quotient", "cyclic_group",
     "dihedral_group", "enumerate_cycles", "enumerate_homs", "errors", "evaluate_word",
     "factor_square", "fibered_preset", "fixed_submatrix", "flat_bundle_counts",
-    "group_from_generators", "higher_block", "higher_block_action", "identity_sse",
-    "in_split", "induced_conjugacy", "is_irreducible", "left_reduce", "mat_mul",
-    "matrices", "nonexpansive_witness", "orbit_structure", "out_split", "poly_divides",
-    "poly_lcm", "preset_alexander_polynomial", "quaternion_group", "quotient",
-    "quotient_period_counts", "records", "recurrence_holds", "reduce", "repshift",
-    "right_reduce", "sft", "shortest_path", "smith_normal_form", "sse",
-    "symmetric_group", "tqft_matrix", "trace_of_power", "trace_sequence",
-    "transport_certificate", "trim_essential", "trivial_group", "validate_action",
-    "verify_chain", "verify_elementary_sse", "word_stabilizer",
+    "group_from_generators", "higher_block", "higher_block_action", "in_split",
+    "induced_conjugacy", "is_irreducible", "left_reduce", "mat_mul", "matrices",
+    "nonexpansive_witness", "out_split", "poly_lcm", "quaternion_group", "quotient",
+    "quotient_period_counts", "records", "reduce", "repshift", "right_reduce", "sft",
+    "shortest_path", "smith_normal_form", "sse", "symmetric_group", "tqft_matrix",
+    "trace_of_power", "trace_sequence", "transport_certificate", "trim_essential",
+    "trivial_group", "verify_elementary_sse", "word_stabilizer",
 ]
 
 

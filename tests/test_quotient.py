@@ -5,7 +5,7 @@ import random
 import pytest
 
 from sftact import (
-    PermGroup,
+    PermutationAction,
     PreconditionError,
     SftPresentation,
     burnside_counts,
@@ -13,13 +13,12 @@ from sftact import (
     classify_quotient,
     enumerate_cycles,
     fixed_submatrix,
+    group_from_generators,
     left_reduce,
     nonexpansive_witness,
     poly_lcm,
     quotient_period_counts,
-    recurrence_holds,
     right_reduce,
-    validate_action,
     word_stabilizer,
 )
 
@@ -33,6 +32,7 @@ from helpers import (
     dense_trace_of_power,
     random_action,
     random_group_action,
+    recurrence_holds,
     reducible_action,
     six_state_action,
     standard_actions,
@@ -72,8 +72,8 @@ def brute_stabilizer_verdict(act, cap=CAP):
 
 class TestBurnsideCounts:
     def test_trivial_group_counts_traces(self):
-        p = SftPresentation.from_matrix(FULL_TWO_SHIFT)
-        act = validate_action(p, PermGroup.trivial(2))
+        p = SftPresentation(FULL_TWO_SHIFT)
+        act = PermutationAction(p, group_from_generators(2, []))
         report = burnside_counts(act, 6)
         assert report.counts == tuple(dense_trace_of_power(FULL_TWO_SHIFT, n) for n in range(1, 7))
 
@@ -152,8 +152,8 @@ class TestBruteOrbitCounts:
 
 class TestQuotientPeriodCounts:
     def test_trivial_group(self):
-        p = SftPresentation.from_matrix(FULL_TWO_SHIFT)
-        act = validate_action(p, PermGroup.trivial(2))
+        p = SftPresentation(FULL_TWO_SHIFT)
+        act = PermutationAction(p, group_from_generators(2, []))
         assert quotient_period_counts(act, 6) == [2, 4, 8, 16, 32, 64]
 
     def test_reducible_fixture_counts_two(self):
@@ -170,8 +170,8 @@ class TestQuotientPeriodCounts:
 
 class TestClassification:
     def test_trivial_group_constant_to_one(self):
-        p = SftPresentation.from_matrix(FULL_TWO_SHIFT)
-        act = validate_action(p, PermGroup.trivial(2))
+        p = SftPresentation(FULL_TWO_SHIFT)
+        act = PermutationAction(p, group_from_generators(2, []))
         assert classify_quotient(act).verdict == "constant-to-one"
 
     def test_swap_constant_to_one(self):
@@ -259,8 +259,8 @@ class TestConstantToOneCheck:
         assert left_reduce(act).matrix.entries == ((2,),)
 
     def test_trivial_group(self):
-        p = SftPresentation.from_matrix(FULL_TWO_SHIFT)
-        act = validate_action(p, PermGroup.trivial(2))
+        p = SftPresentation(FULL_TWO_SHIFT)
+        act = PermutationAction(p, group_from_generators(2, []))
         assert constant_to_one_check(act)
 
     def test_refuses_nonexpansive(self):

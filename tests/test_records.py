@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import sftact
-from sftact import AbelianGroupInvariants, CycleWord, IntMatrix, IntPolynomial, Path as EdgePath
+from sftact import AbelianGroupInvariants, IntMatrix, IntPolynomial
 from sftact.cli import parse_job
 from sftact.records import record
 
@@ -59,9 +59,6 @@ def test_classes_with_the_same_fields_differ():
     assert Point(1, 2) != Pair(1, 2)
     assert Point(1, 2).__eq__(Pair(1, 2)) is NotImplemented
     assert IntPolynomial((1,)).__eq__((1,)) is NotImplemented
-    loop = ((0, 0, 0),)
-    assert EdgePath(loop).edges == CycleWord(loop).edges
-    assert EdgePath(loop) != CycleWord(loop)
 
 
 def test_assignment_and_deletion_raise():

@@ -3,22 +3,23 @@
 import random
 
 from sftact import (
-    PermGroup,
+    PermutationAction,
     ReducedShift,
     SftPresentation,
     bowen_franks,
     build_eta,
+    group_from_generators,
     left_reduce,
     mat_mul,
     right_reduce,
     trace_of_power,
-    validate_action,
 )
 
 from helpers import (
     FULL_TWO_SHIFT,
     conjugation_action,
     direct_left_reduce,
+    is_right_resolving,
     plain_orbits,
     random_action,
     random_group_action,
@@ -45,8 +46,8 @@ class TestRightReduce:
         assert right_reduce(three_state_action()).matrix.entries == ((1, 2), (1, 1))
 
     def test_trivial_group_returns_matrix(self):
-        p = SftPresentation.from_matrix(FULL_TWO_SHIFT)
-        act = validate_action(p, PermGroup.trivial(2))
+        p = SftPresentation(FULL_TWO_SHIFT)
+        act = PermutationAction(p, group_from_generators(2, []))
         assert right_reduce(act).matrix.entries == FULL_TWO_SHIFT.entries
 
     def test_orbit_members_share_orbit_sums(self):
@@ -102,8 +103,8 @@ class TestLeftReduce:
         assert left_reduce(act).matrix.entries == ((1, 2), (0, 1))
 
     def test_trivial_group(self):
-        p = SftPresentation.from_matrix(FULL_TWO_SHIFT)
-        act = validate_action(p, PermGroup.trivial(2))
+        p = SftPresentation(FULL_TWO_SHIFT)
+        act = PermutationAction(p, group_from_generators(2, []))
         assert left_reduce(act).matrix.entries == FULL_TWO_SHIFT.entries
 
 
@@ -141,8 +142,8 @@ class TestNonConjugacyGuard:
 
 class TestBuildEta:
     def test_trivial_group_identity_shape(self):
-        p = SftPresentation.from_matrix(FULL_TWO_SHIFT)
-        act = validate_action(p, PermGroup.trivial(2))
+        p = SftPresentation(FULL_TWO_SHIFT)
+        act = PermutationAction(p, group_from_generators(2, []))
         eta = build_eta(act)
         assert eta.edge_map == {e: e for e in p.edges}
 
@@ -160,7 +161,7 @@ class TestBuildEta:
         rng = random.Random(61)
         for _ in range(15):
             eta = build_eta(random_action(rng))
-            assert eta.is_right_resolving()
+            assert is_right_resolving(eta)
 
     def test_left_equals_right_counts_via_duality(self):
         # both reduced matrices carry the same periodic counts as the quotient
@@ -168,8 +169,8 @@ class TestBuildEta:
         for _ in range(10):
             act = random_action(rng)
             right = right_reduce(act).matrix
-            transposed = validate_action(
-                SftPresentation.from_matrix(act.matrix.transpose()), act.group
+            transposed = PermutationAction(
+                SftPresentation(act.matrix.transpose()), act.group
             )
             left_t = left_reduce(transposed).matrix
             for n in range(1, 9):

@@ -17,7 +17,6 @@ from sftact import (
     FiniteGroupTable,
     HnnData,
     InputError,
-    IntPolynomial,
     LimitExceededError,
     PreconditionError,
     RepShift,
@@ -32,9 +31,7 @@ from sftact import (
     flat_bundle_counts,
     higher_block_action,
     left_reduce,
-    preset_alexander_polynomial,
     quaternion_group,
-    recurrence_holds,
     right_reduce,
     symmetric_group,
     tqft_matrix,
@@ -46,6 +43,7 @@ from sftact.repshift import check_word
 
 from helpers import (
     PLAIN_MONODROMIES,
+    alexander_polynomial,
     brute_is_group,
     check_built_group,
     composition_symmetric_table,
@@ -54,6 +52,7 @@ from helpers import (
     permutation_dihedral_table,
     plain_monodromy_fixed_counts,
     plain_orbits,
+    recurrence_holds,
     z48_with_swapped_products,
 )
 
@@ -251,13 +250,30 @@ class TestEnumerateHoms:
 
 
 class TestPresets:
+    """Each preset's monodromy abelianizes to a matrix whose characteristic
+    polynomial is the knot's Alexander polynomial."""
+
     def test_trefoil_alexander(self):
-        assert preset_alexander_polynomial("trefoil") == IntPolynomial((1, -1, 1))
-        fibered_preset("trefoil")
+        phi = fibered_preset("trefoil").phi_images
+        assert phi == PLAIN_MONODROMIES["trefoil"]
+        assert alexander_polynomial(phi) == (1, -1, 1)
 
     def test_figure8_alexander(self):
-        assert preset_alexander_polynomial("figure8") == IntPolynomial((1, -3, 1))
-        fibered_preset("figure8")
+        phi = fibered_preset("figure8").phi_images
+        assert phi == PLAIN_MONODROMIES["figure8"]
+        assert alexander_polynomial(phi) == (1, -3, 1)
+
+    def test_alexander_polynomials_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        for name in ("trefoil", "figure8"):
+            phi = fibered_preset(name).phi_images
+            m = sympy.zeros(2, 2)
+            for k, word in enumerate(phi):
+                for i, sign in word:
+                    m[i, k] += sign
+            char = m.charpoly(t).all_coeffs()
+            assert tuple(int(c) for c in reversed(char)) == alexander_polynomial(phi)
 
     def test_unknown_preset(self):
         with pytest.raises(InputError):

@@ -13,21 +13,18 @@ from sftact import (
     group_from_generators,
     higher_block,
     higher_block_action,
-    identity_sse,
     in_split,
     induced_conjugacy,
     InputError,
     IntMatrix,
     out_split,
-    PermGroup,
+    PermutationAction,
     PreconditionError,
     right_reduce,
     SftPresentation,
     SplitData,
     SseChain,
     transport_certificate,
-    validate_action,
-    verify_chain,
     verify_elementary_sse,
 )
 from sftact.sse import _check_intertwining
@@ -45,6 +42,8 @@ from helpers import (
     direct_in_split,
     five_state_action,
     frozenset_split_elements,
+    identity_certificate,
+    is_right_resolving,
     orbit_preserving_in_split,
     plain_orbits,
     random_action,
@@ -56,11 +55,12 @@ from helpers import (
     square_commute_failures,
     swapped_two_shift,
     triangle_action,
+    trivial_split,
 )
 
 
 def golden_mean_action():
-    return validate_action(SftPresentation.from_matrix(GOLDEN_MEAN), PermGroup.trivial(2))
+    return PermutationAction(SftPresentation(GOLDEN_MEAN), group_from_generators(2, []))
 
 
 def golden_mean_split_cert():
@@ -70,7 +70,7 @@ def golden_mean_split_cert():
 
 class TestVerify:
     def test_identity_certificate(self):
-        assert verify_elementary_sse(identity_sse(SIX_STATE_A))
+        assert verify_elementary_sse(identity_certificate(SIX_STATE_A))
 
     def test_full_shift_collapse(self):
         cert = ElementarySse(
@@ -112,7 +112,7 @@ class TestVerify:
 class TestInducedConjugacy:
     def test_identity_certificate(self):
         m = GOLDEN_MEAN
-        cert = ElementarySse(a=m, b=m, r=IntMatrix.identity(2), s=m)
+        cert = ElementarySse(a=m, b=m, r=IntMatrix(((1, 0), (0, 1))), s=m)
         conj = induced_conjugacy(cert)
         path = ((0, 0, 0), (0, 1, 0), (1, 0, 0))
         # identity-shaped: the two-block tables reproduce the shifted path
@@ -176,14 +176,14 @@ class TestInducedConjugacy:
 class TestTransportCertificate:
     def test_trivial_groups_reduce_to_same(self):
         act = golden_mean_action()
-        cert = identity_sse(GOLDEN_MEAN)
+        cert = identity_certificate(GOLDEN_MEAN)
         out = transport_certificate(cert, act, act)
         assert out.a.entries == GOLDEN_MEAN.entries
         assert out.r.entries == cert.r.entries
 
     def test_six_state_identity_collapses_selectors(self):
         act = six_state_action()
-        out = transport_certificate(identity_sse(SIX_STATE_A), act, act)
+        out = transport_certificate(identity_certificate(SIX_STATE_A), act, act)
         assert out.a.entries == ((1, 2), (2, 1))
         assert out.r.entries == ((1, 2), (2, 1))
         assert out.s.entries == ((1, 0), (0, 1))
@@ -198,8 +198,8 @@ class TestTransportCertificate:
 
     def test_group_mismatch_reported(self):
         act = swapped_two_shift()
-        ident = validate_action(act.presentation, PermGroup.trivial(2))
-        cert = identity_sse(act.matrix)
+        ident = PermutationAction(act.presentation, group_from_generators(2, []))
+        cert = identity_certificate(act.matrix)
         with pytest.raises(PreconditionError, match="same group"):
             transport_certificate(cert, act, ident)
 
@@ -208,9 +208,9 @@ class TestTransportCertificate:
         elements = act.group.elements
         # same group with elements paired against their inverses
         reordered = reordered_group(6, (elements[0], elements[3], elements[2], elements[1]))
-        mismatched = validate_action(act.presentation, reordered)
+        mismatched = PermutationAction(act.presentation, reordered)
         with pytest.raises(PreconditionError, match="intertwine"):
-            transport_certificate(identity_sse(SIX_STATE_A), act, mismatched)
+            transport_certificate(identity_certificate(SIX_STATE_A), act, mismatched)
 
 
     def test_index_check_matches_dense_oracle(self):
@@ -223,7 +223,7 @@ class TestTransportCertificate:
             rest = list(elements[1:])
             rng.shuffle(rest)
             reordered = reordered_group(split_act.group.degree, elements[:1] + tuple(rest))
-            psi = validate_action(split_act.presentation, reordered)
+            psi = PermutationAction(split_act.presentation, reordered)
             expected = dense_intertwining_error(cert, act, psi)
             try:
                 transport_certificate(cert, act, psi)
@@ -279,10 +279,10 @@ class TestTransportCertificate:
 
     def test_s_intertwining_failure_reported(self):
         # R = A is all ones and intertwines any pair; S = I only equal actions
-        full = SftPresentation.from_matrix(IntMatrix(((1, 1, 1),) * 3))
-        phi = validate_action(full, group_from_generators(3, [(1, 0, 2)]))
-        psi = validate_action(full, group_from_generators(3, [(0, 2, 1)]))
-        cert = identity_sse(full.matrix)
+        full = SftPresentation(IntMatrix(((1, 1, 1),) * 3))
+        phi = PermutationAction(full, group_from_generators(3, [(1, 0, 2)]))
+        psi = PermutationAction(full, group_from_generators(3, [(0, 2, 1)]))
+        cert = identity_certificate(full.matrix)
         message = "S does not intertwine the actions at element 1"
         assert dense_intertwining_error(cert, phi, psi) == message
         with pytest.raises(PreconditionError, match=f"^{message}$"):
@@ -292,7 +292,7 @@ class TestTransportCertificate:
 class TestOutSplit:
     def test_trivial_partition_is_identity_shaped(self):
         act = golden_mean_action()
-        split_act, cert = out_split(act, SplitData.trivial(act.presentation, "out"))
+        split_act, cert = out_split(act, trivial_split(act.presentation, "out"))
         assert split_act.matrix.entries == GOLDEN_MEAN.entries
         assert verify_elementary_sse(cert)
 
@@ -338,7 +338,7 @@ class TestOutSplit:
                 if kind == 2 and act.group.generators:
                     first = act.group.elements[act.group.generators[0]]
                     sub = group_from_generators(act.group.degree, [first])
-                    source = validate_action(act.presentation, sub)
+                    source = PermutationAction(act.presentation, sub)
                 d = random_compatible_split(rng, source, direction)
             expected = all_element_split_error(act, d)
             try:
@@ -389,7 +389,7 @@ class TestOutSplit:
 class TestInSplit:
     def test_trivial_partition(self):
         act = golden_mean_action()
-        split_act, cert = in_split(act, SplitData.trivial(act.presentation, "in"))
+        split_act, cert = in_split(act, trivial_split(act.presentation, "in"))
         assert split_act.matrix.entries == GOLDEN_MEAN.entries
         assert verify_elementary_sse(cert)
 
@@ -437,7 +437,7 @@ class TestHigherBlockAction:
                 block_act, chain, stages = higher_block_action(act, n)
                 hb, _ = higher_block(act.presentation, n)
                 assert block_act.matrix.entries == hb.matrix.entries
-                assert verify_chain(chain)
+                assert all(map(verify_elementary_sse, chain.links))
                 assert len(stages) == n
 
     def test_chain_transports_to_reduced_equivalence(self):
@@ -448,7 +448,7 @@ class TestHigherBlockAction:
             for k, link in enumerate(chain.links)
         ]
         transported = SseChain(tuple(reduced_links))
-        assert verify_chain(transported)
+        assert all(map(verify_elementary_sse, transported.links))
         assert transported.a.entries == right_reduce(act).matrix.entries
         assert transported.b.entries == right_reduce(block_act).matrix.entries
 
@@ -474,7 +474,7 @@ class TestHigherBlockAction:
 def assert_right_resolving(square):
     """factor_square builds all four codes right-resolving."""
     for code in (square.eta, square.eta_bar, square.theta1, square.theta2):
-        assert code.is_right_resolving()
+        assert is_right_resolving(code)
 
 
 class TestFactorSquare:
@@ -500,6 +500,6 @@ class TestFactorSquare:
 
     def test_non_equivariant_rejected(self):
         act = swapped_two_shift()
-        ident = validate_action(act.presentation, PermGroup.trivial(2))
+        ident = PermutationAction(act.presentation, group_from_generators(2, []))
         with pytest.raises(PreconditionError):
             factor_square(act, ident, (0, 1))
