@@ -3,8 +3,9 @@ permutations.
 
 An action is valid when every group element g satisfies the invariance law
 A(gi, gj) = A(i, j), so that g induces a one-block automorphism of the
-shift.  Its orbits, searched along the generators, and its fixed-state
-submatrices drive the reduced-shift and orbit-counting machinery.
+shift.  Its orbits, searched along the generators, and its submatrices on
+the states an element fixes, which ``PermGroup.fixed`` alone finds, drive
+the reduced-shift and orbit-counting machinery.
 
 Groups are element lists without a multiplication table, closed once by
 the code that builds them: ``group_from_generators`` closes a generating
@@ -92,10 +93,14 @@ class PermGroup:
     def apply(self, g: int, state: int) -> int:
         return self.elements[g][state]
 
+    def fixed(self, g: int) -> tuple:
+        """The states element g fixes, in ascending order."""
+        return tuple(i for i, image in enumerate(self.elements[g]) if image == i)
+
     def stabilizer(self, states) -> tuple:
         """Indices of the elements that fix every state in ``states``."""
-        states = tuple(states)
-        return tuple(k for k, p in enumerate(self.elements) if all(p[s] == s for s in states))
+        states = set(states)
+        return tuple(k for k in range(self.order) if states.issubset(self.fixed(k)))
 
 
 def group_from_generators(degree: int, gens, limit: int = CLOSURE_LIMIT) -> PermGroup:
@@ -175,17 +180,15 @@ class PermutationAction:
 
 @record
 class OrbitStructure:
-    """Orbits, representatives and kernel of an action.
+    """Orbits and representatives of an action.
 
     Orbits list members in increasing index and are ordered by least
-    member; the representative of an orbit is its least member.  The
-    kernel is a sorted tuple of element indices.
+    member; the representative of an orbit is its least member.
     """
 
     orbits: tuple
     representatives: tuple
     orbit_of: tuple
-    kernel: tuple
 
     @property
     def num_orbits(self) -> int:
@@ -214,9 +217,6 @@ def _orbit_structure(a: PermutationAction) -> OrbitStructure:
         orbits=tuple(orbits),
         representatives=tuple(members[0] for members in orbits),
         orbit_of=tuple(orbit_of),
-        # elements are pairwise distinct permutations of the states, so
-        # only the identity, element 0, fixes every state
-        kernel=(0,),
     )
 
 
@@ -229,13 +229,16 @@ def fixed_submatrix(a: PermutationAction, g: int) -> IntMatrix:
     """
     if not 0 <= g < a.group.order:
         raise InputError(f"element index {g} out of range")
-    perm = a.group.elements[g]
-    fixed = [i for i in range(a.group.degree) if perm[i] == i]
-    if len(fixed) == a.group.degree:
-        return a.matrix
-    if not fixed:
+    return _submatrix_on(a.matrix, a.group.fixed(g))
+
+
+def _submatrix_on(matrix: IntMatrix, states: tuple) -> IntMatrix:
+    """``fixed_submatrix`` on a fixed-state set already at hand."""
+    if len(states) == matrix.dim:
+        return matrix
+    if not states:
         return IntMatrix(((0,),))
-    return a.matrix.principal(fixed)
+    return matrix.principal(states)
 
 
 def word_stabilizer(a: PermutationAction, w: CycleWord):

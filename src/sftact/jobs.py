@@ -153,6 +153,7 @@ def parse_states(doc, path) -> matrices.IntMatrix:
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_ENTRY_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_cycles(text, degree, path):
@@ -165,8 +166,9 @@ def parse_cycles(text, degree, path):
         if not entries:
             continue
         try:
-            points = [int(tok) - 1 for tok in entries]
-        except ValueError:
+            # no match is a TypeError; int() refuses numerals past Python's digit limit
+            points = [int(_ENTRY_RE.fullmatch(tok)[0]) - 1 for tok in entries]
+        except (TypeError, ValueError):
             raise InputError(f"{path}: non-integer entry in cycle {cycle_text!r}") from None
         for pt in points:
             _expect(0 <= pt < degree, path, f"cycle entry {pt + 1} out of range 1..{degree}")
@@ -198,16 +200,18 @@ def parse_perm_group(doc, degree, path) -> action.PermGroup:
     return action.group_from_generators(degree, gens, limit)
 
 
-_NAMED_GROUP_RE = re.compile(r"^([ZSD])(\d+)$")
+_NAMED_GROUP_RE = re.compile(r"([ZSD])([0-9]+)")
 
 
 def parse_abstract_group(doc, path) -> repshift.FiniteGroupTable:
     if isinstance(doc, str):
         if doc == "Q8":
             return repshift.quaternion_group()
-        match = _NAMED_GROUP_RE.match(doc)
-        _expect(match is not None, path, f"unknown group name {doc!r}")
-        kind, n = match.group(1), int(match.group(2))
+        match = _NAMED_GROUP_RE.fullmatch(doc)
+        try:
+            kind, n = match[1], int(match[2])
+        except (TypeError, ValueError):  # no match, or past Python's int digit limit
+            raise InputError(f"{path}: unknown group name {doc!r}") from None
         _expect(n >= 1, path, "group parameter must be positive")
         build = {"Z": repshift.cyclic_group, "S": repshift.symmetric_group, "D": repshift.dihedral_group}[kind]
         with _at(path):
@@ -445,10 +449,8 @@ def _run_invariants(parsed, parameters):
 
 def _run_classify(act, parameters):
     verdict = quotient.classify_quotient(act)
-    result = {
-        "verdict": verdict.verdict,
-        "kernel": [cycles_of(act.group.elements[g]) for g in verdict.kernel],
-    }
+    # the elements are distinct permutations: only the identity fixes every state
+    result = {"verdict": verdict.verdict, "kernel": ["()"]}
     if verdict.witness is not None:
         g, cycle = verdict.witness
         result["witness"] = {

@@ -12,20 +12,19 @@ are trace(A_left^n); the tests check them against enumerated cycles.
 For irreducible presentations the quotient is either again a shift of
 finite type (when the quotient map is constant-to-one) or fails to be
 expansive.  The decision procedure used here: the quotient is
-nonexpansive exactly when some element outside the kernel fixes a cycle,
-since such a cycle and a cycle through all states present periodic points
-with different stabilizers, and a witness pair of points that shadow each
-other's central blocks at every shift can then be produced for any block
-radius.
+nonexpansive exactly when some element other than the identity fixes a
+cycle, since such a cycle and a cycle through all states present periodic
+points with different stabilizers, and a witness pair of points that
+shadow each other's central blocks at every shift can then be produced
+for any block radius.  Each distinct fixed-state set is tried once.
 """
 
 from __future__ import annotations
 
-
 from .errors import InputError, InternalError, PreconditionError
 from .records import record
 from .matrices import IntPolynomial, _zeta, poly_lcm, trace_sequence
-from .action import PermutationAction, fixed_submatrix
+from .action import PermutationAction, _submatrix_on
 from .reduce import left_reduce
 from .sft import CycleWord, SftPresentation, is_irreducible, shortest_path, trim_essential
 
@@ -56,10 +55,10 @@ def burnside_counts(a: PermutationAction, m: int) -> OrbitCountReport:
     # fixed-state set -> (traces of its submatrix, det(I - t A_g))
     by_fixed = {}
     traces = []
-    for g, perm in enumerate(group.elements):
-        fixed = tuple(i for i in range(group.degree) if perm[i] == i)
+    for g in range(order):
+        fixed = group.fixed(g)
         if fixed not in by_fixed:
-            by_fixed[fixed] = _zeta(fixed_submatrix(a, g), m, True)
+            by_fixed[fixed] = _zeta(_submatrix_on(a.matrix, fixed), m, True)
         traces.append(by_fixed[fixed][0])
     counts = []
     for n in range(m):
@@ -88,12 +87,11 @@ class QuotientClassification:
     """Verdict for the quotient of an irreducible action.
 
     ``witness`` is None for the constant-to-one verdict; otherwise it is a
-    pair (g, cycle) with g outside the kernel and the cycle inside the
+    pair (g, cycle) with g not the identity and the cycle inside the
     fixed-state subgraph of g.
     """
 
     verdict: str
-    kernel: tuple
     witness: tuple | None
 
 
@@ -112,36 +110,33 @@ def _find_cycle(p: SftPresentation):
         seen_at[cur] = len(edges)
 
 
-def _cycle_in_fixed_subgraph(a: PermutationAction, g: int):
-    """A cycle of the presentation lying in the states fixed by g, or None."""
-    sub = fixed_submatrix(a, g)
-    trimmed, kept = trim_essential(sub)
+def _cycle_in_fixed_subgraph(a: PermutationAction, fixed: tuple):
+    """A cycle of the presentation inside the ascending states ``fixed``, or None."""
+    trimmed, kept = trim_essential(_submatrix_on(a.matrix, fixed))
     if trimmed.is_empty:
         return None
-    perm = a.group.elements[g]
-    fixed = [i for i in range(a.group.degree) if perm[i] == i]
-    original = [fixed[k] for k in kept]
-    local_edges = _find_cycle(trimmed)
-    return CycleWord(tuple((original[i], original[j], c) for (i, j, c) in local_edges))
+    return CycleWord(tuple((fixed[kept[i]], fixed[kept[j]], c) for (i, j, c) in _find_cycle(trimmed)))
 
 
 def classify_quotient(a: PermutationAction) -> QuotientClassification:
     """Constant-to-one or nonexpansive, for an irreducible presentation.
 
-    Nonexpansive exactly when some element outside the kernel keeps a
-    cycle inside its fixed-state subgraph; the element and cycle are
-    returned as the witness.
+    Nonexpansive exactly when some element other than the identity keeps
+    a cycle inside its fixed-state subgraph; the first such element and a
+    cycle are the witness.  Each distinct fixed-state set is trimmed once.
     """
     if not is_irreducible(a.presentation):
         raise PreconditionError("classification needs an irreducible presentation")
-    kernel = a.orbits.kernel  # the identity alone, element 0
+    tried = set()
     for g in range(1, a.group.order):
-        cycle = _cycle_in_fixed_subgraph(a, g)
+        fixed = a.group.fixed(g)
+        if fixed in tried:
+            continue
+        tried.add(fixed)
+        cycle = _cycle_in_fixed_subgraph(a, fixed)
         if cycle is not None:
-            return QuotientClassification(
-                verdict="nonexpansive", kernel=kernel, witness=(g, cycle)
-            )
-    return QuotientClassification(verdict="constant-to-one", kernel=kernel, witness=None)
+            return QuotientClassification(verdict="nonexpansive", witness=(g, cycle))
+    return QuotientClassification(verdict="constant-to-one", witness=None)
 
 
 @record

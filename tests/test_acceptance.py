@@ -195,7 +195,8 @@ def test_criterion_06_certificate_transport_across_recodings():
 
 
 def _brute_stabilizer_verdict(act, cap=CAP):
-    kernel = set(act.orbits.kernel)
+    # the kernel: the elements that fix every state
+    kernel = {g for g, perm in enumerate(act.group.elements) if perm == tuple(range(act.group.degree))}
     for n in range(1, act.presentation.num_states + 1):
         for w in enumerate_cycles(act.presentation, n, cap):
             if set(word_stabilizer(act, w)) != kernel:

@@ -688,6 +688,7 @@ class TestMain:
         assert re.search(r"-\s?2" + "0" * 4000 + r"(?!\d)", out)
         assert re.search(r"(?<!\d)" + "9" * 8000 + r"(?!\d)", out)
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit before Python 3.11")
     def test_integer_literal_beyond_digit_limit_exit_one(self, tmp_path, capsys):
         path = tmp_path / "job.json"
         path.write_text('{"command": "invariants", "input": {"matrix": [[' + "7" * 5000 + "]]}}")
@@ -703,6 +704,59 @@ class TestMain:
         code, out, err = self.run_main(tmp_path, capsys, doc, ["reduce"])
         assert (code, out) == (1, "")
         assert err == f"error: $.input.group.generators[0]: malformed cycle notation {text!r}\n"
+
+    @pytest.mark.parametrize(
+        "name",
+        ["Z" + "9" * 5000, "S3\n", "S\u0663", "Z1_2", " Z2", "Z-3"],
+        ids=["past-digit-limit", "newline", "arabic-indic-digit", "underscore", "leading-space", "sign"],
+    )
+    def test_malformed_group_name_exit_one(self, tmp_path, capsys, name):
+        """Only a whole ASCII name reads as a group; a parameter past Python's
+        int digit limit (3.11 and later) is unknown, and before 3.11 it is
+        past the builder's range."""
+        doc = {"command": "repshift", "input": {"hnn": {"preset": "trefoil"}, "group": name}}
+        code, out, err = self.run_main(tmp_path, capsys, doc, ["repshift"])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(
+            ("error: $.input.group: unknown group name ", "error: $.input.group: cyclic groups are supported")
+        ), err
+        if len(name) < 10:
+            assert err == f"error: $.input.group: unknown group name {name!r}\n"
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ("2_0", "non-integer entry in cycle '1 2_0'"),
+            ("\u0662", "non-integer entry in cycle '1 \u0662'"),
+            ("2.0", "non-integer entry in cycle '1 2.0'"),
+            ("0x2", "non-integer entry in cycle '1 0x2'"),
+            ("--2", "non-integer entry in cycle '1 --2'"),
+            ("-1", "cycle entry -1 out of range 1..3"),
+            ("+9", "cycle entry 9 out of range 1..3"),
+            ("+2", None),
+            ("002", None),
+        ],
+    )
+    def test_cycle_entry_grammar(self, tmp_path, capsys, entry, message):
+        ones = [[1, 1, 1]] * 3
+        doc = {"command": "reduce", "input": {"matrix": ones, "group": {"generators": [f"(1 {entry})"]}}}
+        code, out, err = self.run_main(tmp_path, capsys, doc, ["reduce"])
+        if message is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, out) == (1, "")
+            assert err == f"error: $.input.group.generators[0]: {message}\n"
+
+    def test_cycle_entry_past_digit_limit_exit_one(self, tmp_path, capsys):
+        entry = "9" * 5000
+        doc = {"command": "reduce", "input": {"matrix": [[1, 1], [1, 1]], "group": {"generators": [f"(1 {entry})"]}}}
+        code, out, err = self.run_main(tmp_path, capsys, doc, ["reduce"])
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        # int() reads it before Python 3.11, and then it is out of range
+        assert err.startswith(("error: $.input.group.generators[0]: non-integer entry in cycle '1 99",
+                               "error: $.input.group.generators[0]: cycle entry 99")), err[:100]
 
     @pytest.mark.parametrize(
         "error, code, line",

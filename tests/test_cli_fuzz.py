@@ -78,6 +78,7 @@ def mutants(draw):
 
 
 def check_exit_contract(command, doc):
+    """Run the document and check the contract; returns the exit code."""
     code, out, err = run_main(command, json.dumps(doc))
     assert code in (0, 1, 2, 3), err
     if code:
@@ -85,6 +86,7 @@ def check_exit_contract(command, doc):
         assert len(err.splitlines()) == 1, err
     else:
         assert err == ""
+    return code
 
 
 def run_main(command, text):
@@ -244,3 +246,48 @@ def generated_documents(draw):
 @given(generated_documents())
 def test_generated_documents_keep_the_exit_contract(generated):
     check_exit_contract(*generated)
+
+
+# Numerals that int() alone mishandles: it reads underscores, non-ASCII
+# decimal digits and surrounding whitespace, and it refuses numerals past
+# Python's digit limit (3.11 and later).
+NON_ASCII_DIGITS = "\u0663\u0968\uff13\U0001d7d1"  # Arabic-Indic, Devanagari, fullwidth, math bold
+
+
+@st.composite
+def perturbed_numerals(draw, numeral, kinds=("underscore", "digit", "space", "long")):
+    """``numeral`` with an underscore or a non-ASCII digit inside, with
+    whitespace around it, or replaced by one past Python's digit limit."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "long":
+        return draw(st.sampled_from("123456789")) * draw(st.integers(4301, 6000))
+    at = draw(st.integers(0 if kind == "space" else 1, len(numeral)))
+    if kind == "underscore":
+        return numeral[:at] + "_" + numeral[at:] if 0 < at < len(numeral) else numeral + "_0"
+    if kind == "digit":
+        return numeral[:at] + draw(st.sampled_from(NON_ASCII_DIGITS)) + numeral[at:]
+    space = draw(st.sampled_from(("\n", " ", "\t", "\r\n", "\u00a0")))
+    return numeral[:at] + space + numeral[at:] if at < len(numeral) else numeral + space
+
+
+@st.composite
+def perturbed_documents(draw):
+    """(command, document) whose group name or one cycle entry is perturbed:
+    each must exit 1."""
+    if draw(st.booleans()):
+        command = draw(st.sampled_from(("repshift", "tqft", "bundle-counts")))
+        kind, numeral = draw(st.sampled_from((("Z", "3"), ("S", "3"), ("D", "2"), ("Z", "12"))))
+        name = kind + draw(perturbed_numerals(numeral))
+        return command, {"command": command, "input": {"hnn": {"preset": "trefoil"}, "group": name}}
+    command = draw(st.sampled_from(("reduce", "classify", "burnside", "invariants")))
+    # whitespace separates cycle entries, so it perturbs only names
+    entry = draw(perturbed_numerals(draw(st.sampled_from(("1", "2", "3"))), ("underscore", "digit", "long")))
+    matrix = [[1, 1, 1]] * 3
+    return command, {"command": command, "input": {"matrix": matrix, "group": {"generators": [f"(1 {entry})"]}}}
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(perturbed_documents())
+def test_perturbed_numerals_exit_one(perturbed):
+    assert check_exit_contract(*perturbed) == 1

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+import sftact.quotient
 from sftact import (
+    IntMatrix,
     PermutationAction,
     PreconditionError,
     SftPresentation,
@@ -19,8 +21,10 @@ from sftact import (
     poly_lcm,
     quotient_period_counts,
     right_reduce,
+    trim_essential,
     word_stabilizer,
 )
+from sftact.quotient import _cycle_in_fixed_subgraph
 
 from helpers import (
     FULL_TWO_SHIFT,
@@ -61,7 +65,8 @@ def quotient_count_agreement(act, max_n=6, cap=CAP):
 
 
 def brute_stabilizer_verdict(act, cap=CAP):
-    kernel = set(act.orbits.kernel)
+    # the kernel: the elements that fix every state
+    kernel = {g for g, perm in enumerate(act.group.elements) if perm == tuple(range(act.group.degree))}
     max_len = min(8, act.presentation.num_states)
     for n in range(1, max_len + 1):
         for w in enumerate_cycles(act.presentation, n, cap):
@@ -197,6 +202,45 @@ class TestClassification:
             except PreconditionError:
                 continue
             assert verdict.verdict == brute_stabilizer_verdict(act)
+
+    def test_each_fixed_state_set_is_trimmed_once(self, monkeypatch):
+        """One trim per distinct non-identity fixed-state set, up to the
+        witness, and the witness a scan over every element finds."""
+        trimmed = []
+
+        def counting_trim(matrix):
+            trimmed.append(matrix)
+            return trim_essential(matrix)
+
+        monkeypatch.setattr(sftact.quotient, "trim_essential", counting_trim)
+        # Z12 rotating the full 12-shift fixes no state outside the identity
+        rotation = tuple((i + 1) % 12 for i in range(12))
+        full = PermutationAction(
+            SftPresentation(IntMatrix(((1,) * 12,) * 12)), group_from_generators(12, [rotation])
+        )
+        assert classify_quotient(full).verdict == "constant-to-one"
+        assert len(trimmed) == 1
+        rng = random.Random(59)
+        tried = 0
+        while tried < 30:
+            act, _ = random_group_action(rng, max_states=6, max_gens=2)
+            trimmed.clear()
+            try:
+                verdict = classify_quotient(act)
+            except PreconditionError:
+                continue
+            tried += 1
+            calls = len(trimmed)
+            identity = tuple(range(act.group.degree))
+            fixed_sets = [tuple(i for i in identity if perm[i] == i) for perm in act.group.elements]
+            scan = next(
+                ((g, cycle) for g in range(1, act.group.order)
+                 if (cycle := _cycle_in_fixed_subgraph(act, fixed_sets[g])) is not None),
+                None,
+            )
+            assert verdict.witness == scan
+            last = scan[0] if scan else act.group.order - 1
+            assert calls == len(set(fixed_sets[1:last + 1]))
 
 
 class TestWitness:
