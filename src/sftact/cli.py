@@ -4,10 +4,13 @@ The job layer (document parsing, the command table, the runners and the
 renderer) is ``sftact.jobs``, imported only when a job runs, so importing
 this module compiles none of it and no argument-parsing library.
 ``parse_job``, ``run_job`` and ``emit_report`` are that layer's entry
-points, kept here as plain functions.  Exit codes, carried by the error
-families of ``errors``: 0 success, 1 input errors (usage errors included),
-2 precondition failures, 3 exhausted budgets, 4 internal errors (a failed
-check of the package's own, or any unexpected exception).
+points, kept here as plain functions; ``main`` passes the document text,
+the subcommand and the ``--limit``/``--max-n`` overrides to the same
+``jobs.parse_job``, the one function that decodes a job document.  Exit
+codes, carried by the error families of ``errors``: 0 success, 1 input
+errors (usage errors included), 2 precondition failures, 3 exhausted
+budgets, 4 internal errors (a failed check of the package's own, or any
+unexpected exception).
 """
 
 import sys
@@ -88,7 +91,7 @@ def main(argv=None) -> int:
         except (OSError, UnicodeDecodeError) as err:
             raise InputError(f"cannot read input: {err}") from err
         overrides = {"limit": flags["--limit"], "max_n": flags["--max-n"]}
-        job = jobs.command_job(text, command, {k: v for k, v in overrides.items() if v is not None})
+        job = jobs.parse_job(text, command, {k: v for k, v in overrides.items() if v is not None})
         sys.stdout.write(jobs.emit_report(jobs.run_job(job), flags["--format"]))
         return 0
     except SftactError as err:

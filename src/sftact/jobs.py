@@ -8,13 +8,17 @@ named (Zn, Sn, Dn, Q8) or given as an explicit multiplication table.
 Reports serialize deterministically: stable key order, exact decimal
 integers.
 
-Each command has one input parser and one runner.  ``parse_job`` parses
-the input once into library values (actions, matrices, certificates,
-HNN data, groups), rejecting unknown fields and naming the offending
-``$``-rooted path; ``run_job`` computes from those values alone.  Both
-call the library through its modules (``quotient.burnside_counts``), which
-the package loads on first use, so a job executes only the modules its
-command needs.
+Each command has one row in the command table: its input parser, its
+runner and the parameters that runner reads; any other parameter is an
+input error.  ``parse_job`` is the one function that decodes a job
+document, from the command line (with the subcommand and flag overrides)
+or not.  It parses the input once into library values (actions, matrices,
+certificates, HNN data, groups), rejecting unknown fields and naming the
+offending ``$``-rooted path; ``run_job`` computes from those values alone,
+passing the parameters to the runner as keyword arguments.  Both call the
+library through its modules (``quotient.burnside_counts``), which the
+package loads on first use, so a job executes only the modules its command
+needs.
 
 This is the job layer of the command line: ``sftact.cli`` reads the
 arguments and imports this module only when it runs a job, so that
@@ -37,7 +41,7 @@ from .records import record
 JOB_FORMAT = "sftact-job/1"
 REPORT_FORMAT = "sftact-report/1"
 FORMATS = ("json", "text")  # the renderings of a report
-PARAMETERS = ("max_n", "limit", "m")
+_MAX_N = 6  # default of "max_n", the number of counts a report lists
 _MAX_LENGTH = 10000  # bound of "max_n" and "m"; a report grows linearly in both
 # Python 3.11 and later limit int-to-str conversion (0 lifts it); 3.10 has no limit
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -230,6 +234,8 @@ def parse_abstract_group(doc, path) -> repshift.FiniteGroupTable:
     _expect(isinstance(names, list), f"{path}.names", "expected an array of element names")
     for k, name in enumerate(names):
         _expect(isinstance(name, str), f"{path}.names[{k}]", "expected a string")
+    _expect(len(set(names)) == len(names), f"{path}.names", "element names must be pairwise distinct")
+    _expect(len(names) == len(table), f"{path}.names", "expected one name per table row")
     with _at(f"{path}.table"):
         return repshift.FiniteGroupTable(names=tuple(names), table=tuple(tuple(row) for row in table))
 
@@ -350,57 +356,38 @@ def _parse_repshift(doc, path):
     return hnn, parse_abstract_group(_field(doc, path, "group"), f"{path}.group")
 
 
-def parse_job(text: str) -> JobSpec:
-    """Decode and validate a job document; diagnostics name the offending path."""
-    return job_from_document(_load_document(text))
-
-
-def _load_document(text: str):
+def parse_job(text: str, command: str = None, overrides=()) -> JobSpec:
+    """Decode and validate a job document and parse its input once;
+    diagnostics name the offending path.  ``command``, the subcommand of a
+    command-line run, is the document's default command and must agree
+    with it; ``overrides``, its flags, join the parameters before
+    validation, so that they obey the same rules."""
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except ValueError as err:  # also an integer literal beyond Python's digit limit
         raise InputError(f"malformed JSON document: {err}") from err
-
-
-def job_from_document(doc) -> JobSpec:
-    """Validate a decoded job document and parse its input once;
-    diagnostics name the offending path."""
     doc = _get_dict(doc, "$")
     fmt = doc.get("format", JOB_FORMAT)
     _expect(fmt == JOB_FORMAT, "$.format", f"unsupported format {fmt!r}")
-    _expect("command" in doc, "$", "missing command")
-    command = doc["command"]
-    _expect(command in COMMANDS, "$.command", f"unknown command {command!r}")
+    _expect("command" in doc or command is not None, "$", "missing command")
+    name = doc.get("command", command)
+    _expect(name in COMMANDS, "$.command", f"unknown command {name!r}")
     input_doc = _get_dict(doc.get("input", {}), "$.input")
-    params = _get_dict(doc.get("parameters", {}), "$.parameters")
+    params = {**_get_dict(doc.get("parameters", {}), "$.parameters"), **dict(overrides)}
+    parse_input, _, reads = _COMMAND_TABLE[name]
     for key, value in params.items():
         path = _key_path("$.parameters", key)
-        _expect(key in PARAMETERS, path, "unknown parameter")
+        _expect(key in reads, path, "unknown parameter")
         _get_int(value, path, minimum=1)
         _expect(key == "limit" or value <= _MAX_LENGTH, path, f"expected an integer <= {_MAX_LENGTH}")
-    parse_input, _ = _COMMAND_TABLE[command]
     parsed = parse_input(input_doc, "$.input")
-    return JobSpec(command=command, input=input_doc, parameters=params, parsed=parsed)
-
-
-def command_job(text: str, command: str, overrides: dict) -> JobSpec:
-    """The job of a command-line run: ``text`` with the subcommand as its
-    default command and the flag overrides joined to its parameters before
-    validation, so that they obey the same rules."""
-    doc = _load_document(text)
-    if isinstance(doc, dict):
-        doc.setdefault("command", command)
-        params = doc.setdefault("parameters", {})
-        if isinstance(params, dict):  # validation rejects any other parameters
-            params.update(overrides)
-    job = job_from_document(doc)
-    if job.command != command:
-        raise InputError(f"$.command: document says {job.command!r} but the subcommand is {command!r}")
-    return job
+    _expect(command in (None, name), "$.command", f"document says {name!r} but the subcommand is {command!r}")
+    return JobSpec(command=name, input=input_doc, parameters=params, parsed=parsed)
 
 
 # ---------------------------------------------------------------------------
-# command implementations: each runner takes (parsed input, parameters)
+# command implementations: each runner takes the parsed input and, as
+# keyword arguments, the parameters its table row says it reads
 
 def _matrix_doc(m: matrices.IntMatrix):
     out = {"entries": [list(row) for row in m.entries]}
@@ -417,7 +404,7 @@ def _bf_doc(inv):
     return {"torsion": list(inv.torsion), "free_rank": inv.free_rank}
 
 
-def _run_reduce(act, parameters):
+def _run_reduce(act):
     right = reduce.right_reduce(act)
     left = reduce.left_reduce(act)
     orbits = [[s + 1 for s in orbit] for orbit in act.orbits.orbits]
@@ -438,7 +425,7 @@ def _invariants_doc(m, **fields):
     )
 
 
-def _run_invariants(parsed, parameters):
+def _run_invariants(parsed):
     matrix, act = parsed
     result = _invariants_doc(matrix)
     if act is not None:
@@ -447,7 +434,7 @@ def _run_invariants(parsed, parameters):
     return result
 
 
-def _run_classify(act, parameters):
+def _run_classify(act):
     verdict = quotient.classify_quotient(act)
     # the elements are distinct permutations: only the identity fixes every state
     result = {"verdict": verdict.verdict, "kernel": ["()"]}
@@ -464,8 +451,7 @@ def _edge_doc(edges):
     return [[e[0] + 1, e[1] + 1, e[2]] for e in edges]
 
 
-def _run_witness(act, parameters):
-    m = parameters.get("m", 1)
+def _run_witness(act, m=1):
     verdict = quotient.classify_quotient(act)
     witness, x_window, y_window, zero = quotient.nonexpansive_witness(act, verdict, m)
     return {
@@ -481,8 +467,8 @@ def _run_witness(act, parameters):
     }
 
 
-def _run_burnside(act, parameters):
-    report = quotient.burnside_counts(act, parameters.get("max_n", 6))
+def _run_burnside(act, max_n=_MAX_N):
+    report = quotient.burnside_counts(act, max_n)
     return {
         "counts": list(report.counts),
         "recurrence": _poly_doc(report.recurrence),
@@ -490,11 +476,11 @@ def _run_burnside(act, parameters):
     }
 
 
-def _run_quotient_counts(act, parameters):
-    return {"counts": quotient.quotient_period_counts(act, parameters.get("max_n", 6))}
+def _run_quotient_counts(act, max_n=_MAX_N):
+    return {"counts": quotient.quotient_period_counts(act, max_n)}
 
 
-def _run_verify_sse(links, parameters):
+def _run_verify_sse(links):
     results = [sse.verify_elementary_sse(link) for link in links]
     return {"links": results, "valid": all(results)}
 
@@ -505,12 +491,12 @@ def _certificate_doc(cert, **fields):
     return dict(fields, r=r, s=s, verified=sse.verify_elementary_sse(cert))
 
 
-def _run_transport(parsed, parameters):
+def _run_transport(parsed):
     out = sse.transport_certificate(*parsed)
     return _certificate_doc(out, a_reduced=_matrix_doc(out.a), b_reduced=_matrix_doc(out.b))
 
 
-def _run_split(parsed, parameters):
+def _run_split(parsed):
     act, data = parsed
     split_fn = sse.out_split if data.direction == "out" else sse.in_split
     with _at("$.input.partition"):
@@ -523,66 +509,67 @@ def _run_split(parsed, parameters):
     )
 
 
-def _build_repshift(parsed, parameters):
-    """The representation shift of (HnnData, group); its input errors name the HNN data."""
+def _build_repshift(parsed, budget):
+    """The representation shift of (HnnData, group) under the hom ``limit``
+    in ``budget``, if any; its input errors name the HNN data."""
     with _at("$.input.hnn"):
-        return repshift.build_repshift(*parsed, parameters.get("limit", repshift.HOM_LIMIT))
+        return repshift.build_repshift(*parsed, **budget)
 
 
-def _run_repshift(parsed, parameters):
-    shift = _build_repshift(parsed, parameters)
+def _run_repshift(parsed, max_n=_MAX_N, **budget):
+    shift = _build_repshift(parsed, budget)
     states = shift.presentation.num_states
     if states > _REPSHIFT_STATE_BOUND:
         raise LimitExceededError(
             f"the representation shift has {states} states, more than the {_REPSHIFT_STATE_BOUND} "
             f"a repshift report prints as a dense matrix; tqft and bundle-counts report on it"
         )
-    m = parameters.get("max_n", 6)
     return {
         "states": list(shift.presentation.matrix.labels),
         "matrix": _matrix_doc(shift.presentation.matrix),
-        "period_counts": matrices.trace_sequence(shift.presentation.matrix, m),
+        "period_counts": matrices.trace_sequence(shift.presentation.matrix, max_n),
         "conjugation_order": shift.action.group.order,
     }
 
 
-def _run_tqft(parsed, parameters):
-    out = repshift.tqft_matrix(_build_repshift(parsed, parameters))
+def _run_tqft(parsed, **budget):
+    out = repshift.tqft_matrix(_build_repshift(parsed, budget))
     return {
         "basis": list(out.basis),
         "matrix": _matrix_doc(out.reduced.matrix),
     }
 
 
-def _run_bundle_counts(parsed, parameters):
-    report = repshift.flat_bundle_counts(_build_repshift(parsed, parameters), parameters.get("max_n", 6))
+def _run_bundle_counts(parsed, max_n=_MAX_N, **budget):
+    report = repshift.flat_bundle_counts(_build_repshift(parsed, budget), max_n)
     return {
         "counts": list(report.counts),
         "recurrence": _poly_doc(report.recurrence),
     }
 
 
-# command -> (input parser, runner); the order is the order of the usage text
+# command -> (input parser, runner, the parameters the runner reads); any
+# other parameter is an input error.  The order is the order of the usage text.
 _COMMAND_TABLE = {
-    "reduce": (_parse_action, _run_reduce),
-    "invariants": (_parse_invariants, _run_invariants),
-    "classify": (_parse_action, _run_classify),
-    "witness": (_parse_action, _run_witness),
-    "burnside": (_parse_action, _run_burnside),
-    "quotient-counts": (_parse_action, _run_quotient_counts),
-    "verify-sse": (_parse_links, _run_verify_sse),
-    "transport": (_parse_transport, _run_transport),
-    "split": (_parse_split, _run_split),
-    "repshift": (_parse_repshift, _run_repshift),
-    "tqft": (_parse_repshift, _run_tqft),
-    "bundle-counts": (_parse_repshift, _run_bundle_counts),
+    "reduce": (_parse_action, _run_reduce, ()),
+    "invariants": (_parse_invariants, _run_invariants, ()),
+    "classify": (_parse_action, _run_classify, ()),
+    "witness": (_parse_action, _run_witness, ("m",)),
+    "burnside": (_parse_action, _run_burnside, ("max_n",)),
+    "quotient-counts": (_parse_action, _run_quotient_counts, ("max_n",)),
+    "verify-sse": (_parse_links, _run_verify_sse, ()),
+    "transport": (_parse_transport, _run_transport, ()),
+    "split": (_parse_split, _run_split, ()),
+    "repshift": (_parse_repshift, _run_repshift, ("max_n", "limit")),
+    "tqft": (_parse_repshift, _run_tqft, ("limit",)),
+    "bundle-counts": (_parse_repshift, _run_bundle_counts, ("max_n", "limit")),
 }
 COMMANDS = tuple(_COMMAND_TABLE)
 
 
 def run_job(job: JobSpec) -> Report:
-    _, run = _COMMAND_TABLE[job.command]
-    result = run(job.parsed, job.parameters)
+    _, run, _ = _COMMAND_TABLE[job.command]
+    result = run(job.parsed, **job.parameters)
     return Report(command=job.command, input=job.document(), result=result)
 
 
@@ -634,8 +621,8 @@ def _render_value(key, value, lines, indent=""):
             _render_value(k, value[k], lines, indent + "  ")
     elif key in ("recurrence", "char_poly_reciprocal"):
         lines.append(f"{indent}{key}: {poly_text(value)}")
-    elif isinstance(value, list) and value and isinstance(value[0], list) and value and all(
-        isinstance(x, int) for row in value for x in row if isinstance(row, list)
+    elif isinstance(value, list) and value and all(
+        isinstance(row, list) and all(isinstance(x, int) for x in row) for row in value
     ):
         lines.append(f"{indent}{key}:")
         lines.extend(_render_matrix_lines({"entries": value}, indent + "  "))

@@ -563,6 +563,42 @@ class TestMain:
         assert (code, out) == (1, "")
         assert err == f"error: $.parameters.{key}: unknown parameter\n"
 
+    @pytest.mark.parametrize(
+        "command, parameters, args, key",
+        [
+            ("reduce", {}, ["--limit", "5"], "limit"),
+            ("tqft", {}, ["--max-n", "3"], "max_n"),
+            ("reduce", {"m": 3}, [], "m"),
+            ("tqft", {"m": 3}, [], "m"),
+            ("burnside", {"limit": 5}, [], "limit"),
+            ("witness", {}, ["--max-n", "3"], "max_n"),
+            ("bundle-counts", {"m": 1}, [], "m"),
+        ],
+    )
+    def test_parameter_the_command_does_not_read_exit_one(self, tmp_path, capsys, command, parameters, args, key):
+        doc = {"command": command, "input": {}, "parameters": parameters}
+        code, out, err = self.run_main(tmp_path, capsys, doc, [command] + args)
+        assert (code, out, err) == (1, "", f"error: $.parameters.{key}: unknown parameter\n")
+
+    @pytest.mark.parametrize(
+        "command, input_doc, key, value",
+        [
+            ("witness", SIX_STATE_JOB["input"], "m", 2),
+            ("burnside", SIX_STATE_JOB["input"], "max_n", 2),
+            ("quotient-counts", SIX_STATE_JOB["input"], "max_n", 2),
+            ("repshift", {"hnn": {"preset": "trefoil"}, "group": "Z2"}, "max_n", 2),
+            ("repshift", {"hnn": {"preset": "trefoil"}, "group": "Z2"}, "limit", 50),
+            ("tqft", {"hnn": {"preset": "trefoil"}, "group": "Z2"}, "limit", 50),
+            ("bundle-counts", {"hnn": {"preset": "trefoil"}, "group": "Z2"}, "max_n", 2),
+            ("bundle-counts", {"hnn": {"preset": "trefoil"}, "group": "Z2"}, "limit", 50),
+        ],
+    )
+    def test_each_read_parameter_is_accepted(self, tmp_path, capsys, command, input_doc, key, value):
+        doc = {"command": command, "input": input_doc, "parameters": {key: value}}
+        code, out, err = self.run_main(tmp_path, capsys, doc, [command])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["input"]["parameters"] == {key: value}
+
     def test_unprintable_parameter_keeps_one_line(self, tmp_path, capsys):
         doc = dict(SIX_STATE_JOB, parameters={"max\rn": 3})
         code, out, err = self.run_main(tmp_path, capsys, doc, ["reduce"])
@@ -606,6 +642,21 @@ class TestMain:
         code, out, err = self.run_main(tmp_path, capsys, doc, ["tqft"])
         assert (code, out) == (1, "")
         assert err == f"error: $.input.group: {message}\n"
+
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            (["a", "a"], "element names must be pairwise distinct"),
+            (["a"], "expected one name per table row"),
+            ([], "expected one name per table row"),
+        ],
+        ids=["repeated", "too-few", "empty"],
+    )
+    def test_faulty_group_names_name_the_names(self, tmp_path, capsys, names, message):
+        group = {"table": [[0, 1], [1, 0]], "names": names}
+        doc = {"command": "repshift", "input": {"hnn": {"preset": "trefoil"}, "group": group}}
+        code, out, err = self.run_main(tmp_path, capsys, doc, ["repshift"])
+        assert (code, out, err) == (1, "", f"error: $.input.group.names: {message}\n")
 
     def test_uncovered_split_partition_exit_one(self, tmp_path, capsys):
         doc = {"command": "split", "input": dict(SPLIT_INPUT, partition=[[[1]], [[1]]])}
@@ -664,14 +715,15 @@ class TestMain:
         assert err == f"error: $.parameters.{key}: expected an integer <= 10000\n"
 
     def test_count_length_at_bound(self, tmp_path, capsys):
+        """``max_n`` may be 10000, and ``limit`` has no upper bound."""
         doc = {
-            "command": "quotient-counts",
-            "input": {"matrix": [[0, 1], [1, 0]], "group": {"generators": ["(1 2)"]}},
+            "command": "repshift",
+            "input": {"hnn": {"preset": "trefoil"}, "group": "Z1"},
             "parameters": {"max_n": 10000, "limit": 10**20},
         }
-        code, out, err = self.run_main(tmp_path, capsys, doc, ["quotient-counts"])
+        code, out, err = self.run_main(tmp_path, capsys, doc, ["repshift"])
         assert (code, err) == (0, "")
-        assert json.loads(out)["result"]["counts"] == [1] * 10000
+        assert json.loads(out)["result"]["period_counts"] == [1] * 10000
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_exact_result_beyond_digit_limit(self, tmp_path, capsys, fmt):
@@ -772,12 +824,12 @@ class TestMain:
         ids=lambda v: v.__name__ if isinstance(v, type) else None,
     )
     def test_each_error_family_has_its_exit_code(self, tmp_path, capsys, monkeypatch, error, code, line):
-        parse, _ = jobs._COMMAND_TABLE["burnside"]
+        parse, _, reads = jobs._COMMAND_TABLE["burnside"]
 
-        def fail(parsed, parameters):
+        def fail(parsed):
             raise error("boom")
 
-        monkeypatch.setitem(jobs._COMMAND_TABLE, "burnside", (parse, fail))
+        monkeypatch.setitem(jobs._COMMAND_TABLE, "burnside", (parse, fail, reads))
         doc = dict(SIX_STATE_JOB, command="burnside")
         assert self.run_main(tmp_path, capsys, doc, ["burnside"]) == (code, "", line + "\n")
 
@@ -895,12 +947,12 @@ sys.exit(main())
 import sys
 from sftact import cli, jobs
 
-parse, _ = jobs._COMMAND_TABLE["burnside"]
+parse, _, reads = jobs._COMMAND_TABLE["burnside"]
 
-def crash(parsed, parameters):
+def crash(parsed):
     return 1 // 0
 
-jobs._COMMAND_TABLE["burnside"] = (parse, crash)
+jobs._COMMAND_TABLE["burnside"] = (parse, crash, reads)
 sys.exit(cli.main())
 """
         doc = {"command": "burnside", "input": SIX_STATE_JOB["input"]}

@@ -8,22 +8,27 @@ report) and swap one leaf for junk, delete a key, add an unknown key or
 wrap a value in a list.  Generated documents are drawn whole for every
 command: small zero-one matrices, groups given as cycle-notation
 generators (cycles may overlap), HNN words, split partitions of each
-state's edges and certificates built as products.  An exit of 4 here would
-be a parser that lets malformed input reach the library, or a library
-defect on well-formed input.
+state's edges and certificates built as products; some carry a parameter
+their command does not read.  An exit of 4 here would be a parser that
+lets malformed input reach the library, or a library defect on
+well-formed input.  A fixed sample of the generated documents also runs
+under ``python`` and ``python -O``, which must print the same bytes.
 """
 
 import copy
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
+import sftact
 from sftact.cli import main
 from sftact.jobs import COMMANDS
 
@@ -77,24 +82,24 @@ def mutants(draw):
     return command, replace(doc, path, [value])
 
 
-def check_exit_contract(command, doc):
-    """Run the document and check the contract; returns the exit code."""
-    code, out, err = run_main(command, json.dumps(doc))
+def check_exit_contract(command, doc, args=()):
+    """Run the document and check the contract; returns (exit code, stderr)."""
+    code, out, err = run_main([command, *args], json.dumps(doc))
     assert code in (0, 1, 2, 3), err
     if code:
         assert out == ""
         assert len(err.splitlines()) == 1, err
     else:
         assert err == ""
-    return code
+    return code, err
 
 
-def run_main(command, text):
-    """main([command]) on ``text`` as stdin: (exit code, stdout, stderr)."""
+def run_main(argv, text):
+    """main(argv) on ``text`` as stdin: (exit code, stdout, stderr)."""
     saved = sys.stdin, sys.stdout, sys.stderr
     sys.stdin, sys.stdout, sys.stderr = io.StringIO(text), io.StringIO(), io.StringIO()
     try:
-        code = main([command])
+        code = main(argv)
         return code, sys.stdout.getvalue(), sys.stderr.getvalue()
     finally:
         sys.stdin, sys.stdout, sys.stderr = saved
@@ -199,9 +204,20 @@ def split_fields(draw, matrix):
     return {"direction": direction, "partition": partition}
 
 
+# the parameters each command reads; any other is an input error
+READS = {
+    "witness": ("m",), "burnside": ("max_n",), "quotient-counts": ("max_n",),
+    "repshift": ("max_n", "limit"), "tqft": ("limit",), "bundle-counts": ("max_n", "limit"),
+}
+FLAGS = {"limit": "--limit", "max_n": "--max-n"}
+
+
 @st.composite
 def generated_documents(draw):
-    """(command, document): a whole job document drawn for a command."""
+    """(command, document, command-line flags, the parameter the command
+    does not read or None): a whole job document drawn for a command.  About
+    one in six carries a parameter its command does not read, in the
+    document or as a flag, and must exit 1 naming it."""
     command = draw(st.sampled_from(COMMANDS))
     n = draw(st.integers(1, 4))
     matrix = draw(zero_one_rows(n, n))
@@ -234,18 +250,76 @@ def generated_documents(draw):
         doc = {"matrix": matrix}
     else:
         doc = {"matrix": matrix, "group": group}
-    if command == "witness":
+    reads = READS.get(command, ())
+    if "m" in reads:
         parameters["m"] = draw(st.integers(1, 3))
-    elif command in ("burnside", "quotient-counts", "repshift", "bundle-counts"):
+    if "max_n" in reads:
         parameters["max_n"] = draw(st.integers(1, 6))
-    return command, {"format": "sftact-job/1", "command": command, "input": doc, "parameters": parameters}
+    args, unread = [], None
+    where = draw(st.sampled_from((None,) * 7 + ("document", "flag", "flag")))
+    if where is not None:
+        unread = draw(st.sampled_from([key for key in ("max_n", "limit", "m") if key not in reads]))
+        value = draw(st.integers(1, 6))
+        if where == "flag" and unread in FLAGS:
+            args = [FLAGS[unread], str(value)]
+        else:
+            parameters[unread] = value
+    return command, {"format": "sftact-job/1", "command": command, "input": doc, "parameters": parameters}, args, unread
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+GENERATED = dict(max_examples=300, derandomize=True, database=None, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+@settings(**GENERATED)
 @given(generated_documents())
 def test_generated_documents_keep_the_exit_contract(generated):
-    check_exit_contract(*generated)
+    command, doc, args, unread = generated
+    code, err = check_exit_contract(command, doc, args)
+    if unread is not None:
+        assert (code, err) == (1, f"error: $.parameters.{unread}: unknown parameter\n")
+
+
+# Runs each [argv, stdin text] of a JSON list on stdin through main() and
+# prints the list of [exit code, stdout, stderr].
+BATCH_CHILD = """
+import io, json, sys
+from sftact.cli import main
+runs, results = json.load(sys.stdin), []
+for argv, text in runs:
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(text), io.StringIO(), io.StringIO()
+    code = main(argv)
+    results.append([code, sys.stdout.getvalue(), sys.stderr.getvalue()])
+sys.__stdout__.write(json.dumps({"optimize": sys.flags.optimize, "results": results}))
+"""
+
+
+def test_generated_documents_same_under_optimized_interpreter():
+    """A fixed sample of the generated documents gives the same exit code,
+    stdout and stderr, byte for byte, under ``python`` and ``python -O``."""
+    sample = []
+
+    @settings(**dict(GENERATED, max_examples=60, phases=[Phase.generate]))
+    @given(generated_documents())
+    def collect(generated):
+        command, doc, args, _ = generated
+        sample.append([[command, *args], json.dumps(doc)])
+
+    collect()
+    src = str(Path(sftact.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outputs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", BATCH_CHILD], input=json.dumps(sample),
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    plain, optimized = outputs
+    assert (plain["optimize"], optimized["optimize"]) == (0, 1)
+    assert len(plain["results"]) == len(sample) == 60
+    for run, a, b in zip(sample, plain["results"], optimized["results"]):
+        assert a == b, run
+    assert {code for code, _, _ in plain["results"]} >= {0, 1}
 
 
 # Numerals that int() alone mishandles: it reads underscores, non-ASCII
@@ -290,4 +364,4 @@ def perturbed_documents(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(perturbed_documents())
 def test_perturbed_numerals_exit_one(perturbed):
-    assert check_exit_contract(*perturbed) == 1
+    assert check_exit_contract(*perturbed)[0] == 1

@@ -77,9 +77,9 @@ def test_goldens_under_optimized_interpreter():
 
 # the job layer's parsers: no runner may call one
 PARSERS = [
-    "_act", "_field", "_fields", "_get_dict", "_get_int", "_load_document", "_parse_action",
+    "_act", "_field", "_fields", "_get_dict", "_get_int", "_parse_action",
     "_parse_invariants", "_parse_links", "_parse_repshift", "_parse_split", "_parse_transport",
-    "job_from_document", "parse_abstract_group", "parse_certificate", "parse_cycles", "parse_hnn",
+    "parse_abstract_group", "parse_certificate", "parse_cycles", "parse_hnn",
     "parse_job", "parse_matrix", "parse_perm_group", "parse_states", "parse_word",
 ]
 
@@ -90,7 +90,7 @@ def refuse_parsers(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a runner parsed its input again")
 
-    prefixes = ("parse", "_parse", "_act", "_field", "_get_", "job_from", "_load")
+    prefixes = ("parse", "_parse", "_act", "_field", "_get_")
     assert [name for name in dir(jobs) if name.startswith(prefixes)] == PARSERS
     for name in PARSERS:
         monkeypatch.setattr(jobs, name, refuse)
@@ -109,12 +109,12 @@ def test_refusal_fails_a_runner_that_parses(monkeypatch):
     """The refusal above is not vacuous: a runner that parses its input again fails it."""
     golden = (EXPECTED / "cli-small" / "six-reduce.json").read_bytes()
     job = parse_job(json.dumps(json.loads(golden)["input"]))
-    parse, run = jobs._COMMAND_TABLE["reduce"]
+    parse, run, reads = jobs._COMMAND_TABLE["reduce"]
 
-    def reparse(act, parameters):
-        return run(jobs._parse_action(job.input, "$.input"), parameters)
+    def reparse(act):
+        return run(jobs._parse_action(job.input, "$.input"))
 
-    monkeypatch.setitem(jobs._COMMAND_TABLE, "reduce", (parse, reparse))
+    monkeypatch.setitem(jobs._COMMAND_TABLE, "reduce", (parse, reparse, reads))
     assert emit_report(run_job(job)).encode() == golden
     refuse_parsers(monkeypatch)
     with pytest.raises(AssertionError, match="parsed its input again"):

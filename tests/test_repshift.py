@@ -3,7 +3,6 @@
 import json
 import os
 import random
-import resource
 import subprocess
 import sys
 import time
@@ -460,29 +459,11 @@ class TestTqftMatrix:
         assert bowen_franks(original) == bowen_franks(recoded)
 
 
-@pytest.mark.slow
-def test_trefoil_s5_tqft_end_to_end(tmp_path):
-    path = tmp_path / "job.json"
-    path.write_text(json.dumps({"command": "tqft", "input": {"hnn": {"preset": "trefoil"}, "group": "S5"}}))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "sftact.cli", "tqft", "--input", str(path)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    elapsed = time.perf_counter() - start
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)["result"]
-    assert len(result["basis"]) == len(result["matrix"]["entries"]) == 161
-    assert elapsed < 10
-    # the largest child so far, in KiB on Linux
-    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss < 200 * 1024
-
-
 # Runs the CLI as its only child and prints the child's exit code, stdout,
-# stderr and peak RSS in KiB as JSON; in the test process itself
-# RUSAGE_CHILDREN would also count every earlier child, such as the tqft run.
+# stderr and peak RSS in KiB as JSON.  In the test process itself neither
+# RUSAGE_CHILDREN nor os.wait4 would measure the CLI alone: the first is the
+# largest child reaped so far, and the second counts the pages a child
+# starts with, so both can follow the size of the test process.
 _MEASURED_CHILD = """
 import json, resource, subprocess, sys
 proc = subprocess.run(sys.argv[1:], capture_output=True, text=True, timeout=60)
@@ -491,17 +472,39 @@ print(json.dumps([proc.returncode, proc.stdout, proc.stderr, peak]))
 """
 
 
-@pytest.mark.slow
-def test_trefoil_s5_repshift_refused_before_dense_matrix(tmp_path):
+def run_measured_cli(tmp_path, command, input_doc):
+    """(exit code, stdout, stderr, peak RSS in KiB) of ``sftact command`` on
+    the job ``input_doc``, run in a small wrapper process."""
     path = tmp_path / "job.json"
-    path.write_text(json.dumps({"command": "repshift", "input": {"hnn": {"preset": "trefoil"}, "group": "S5"}}))
+    path.write_text(json.dumps({"command": command, "input": input_doc}))
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     wrapper = subprocess.run(
-        [sys.executable, "-c", _MEASURED_CHILD, sys.executable, "-m", "sftact.cli", "repshift", "--input", str(path)],
+        [sys.executable, "-c", _MEASURED_CHILD, sys.executable, "-m", "sftact.cli", command, "--input", str(path)],
         capture_output=True, text=True, env=env, timeout=90, check=True,
     )
-    returncode, stdout, stderr, peak_kib = json.loads(wrapper.stdout)
+    return json.loads(wrapper.stdout)
+
+
+@pytest.mark.slow
+def test_trefoil_s5_tqft_end_to_end(tmp_path):
+    start = time.perf_counter()
+    returncode, stdout, stderr, peak_kib = run_measured_cli(
+        tmp_path, "tqft", {"hnn": {"preset": "trefoil"}, "group": "S5"}
+    )
+    elapsed = time.perf_counter() - start
+    assert returncode == 0, stderr
+    result = json.loads(stdout)["result"]
+    assert len(result["basis"]) == len(result["matrix"]["entries"]) == 161
+    assert elapsed < 10
+    assert peak_kib < 200 * 1024
+
+
+@pytest.mark.slow
+def test_trefoil_s5_repshift_refused_before_dense_matrix(tmp_path):
+    returncode, stdout, stderr, peak_kib = run_measured_cli(
+        tmp_path, "repshift", {"hnn": {"preset": "trefoil"}, "group": "S5"}
+    )
     assert (returncode, stdout) == (3, "")
     assert stderr.startswith("budget exhausted: the representation shift has 14400 states,")
     assert stderr.count("\n") == 1 and "tqft and bundle-counts" in stderr
