@@ -17,7 +17,10 @@ names resolve through the module ``__getattr__`` on every access and are
 never cached here, so a wrapper rebound in a submodule and later removed
 leaves nothing behind in the package namespace.  ``sftact.cli`` is not
 registered: ``python -m sftact.cli`` warns when the module it is about to
-run is already in ``sys.modules``.
+run is already in ``sys.modules``.  Nor are the modules that export no
+public name: ``intmatrix``, the matrix type that ``matrices`` imports
+back, and the job layer ``jobs`` with its family modules; each is an
+ordinary import of the module that needs it.
 """
 
 from . import errors, records

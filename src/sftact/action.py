@@ -20,7 +20,7 @@ from functools import cached_property
 
 from .errors import InputError, LimitExceededError, PreconditionError
 from .records import record
-from .matrices import IntMatrix
+from .intmatrix import IntMatrix
 from .sft import CycleWord, SftPresentation
 
 CLOSURE_LIMIT = 100000  # default budget of group closure, in elements

@@ -17,15 +17,15 @@ cycle, since such a cycle and a cycle through all states present periodic
 points with different stabilizers, and a witness pair of points that
 shadow each other's central blocks at every shift can then be produced
 for any block radius.  Each distinct fixed-state set is tried once.
+The counting engine and the reductions are imported inside the two
+counting functions, so a classification compiles neither.
 """
 
 from __future__ import annotations
 
 from .errors import InputError, InternalError, PreconditionError
 from .records import record
-from .matrices import IntPolynomial, _zeta, poly_lcm, trace_sequence
 from .action import PermutationAction, _submatrix_on
-from .reduce import left_reduce
 from .sft import CycleWord, SftPresentation, is_irreducible, shortest_path, trim_essential
 
 
@@ -48,6 +48,8 @@ def burnside_counts(a: PermutationAction, m: int) -> OrbitCountReport:
     polynomial is the least common multiple of those polynomials; it
     annihilates the sequence of Burnside sums.
     """
+    from .matrices import _zeta, poly_lcm
+
     if m < 1:
         raise InputError("need at least one count")
     group = a.group
@@ -79,6 +81,9 @@ def quotient_period_counts(a: PermutationAction, m: int):
     orbit of x.  The quotient has the zeta function of the left-reduced
     shift, so these counts are the traces of the powers of its matrix.
     """
+    from .matrices import trace_sequence
+    from .reduce import left_reduce
+
     return trace_sequence(left_reduce(a).matrix, m)
 
 

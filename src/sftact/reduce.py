@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .errors import PreconditionError
 from .records import record
-from .matrices import IntMatrix
+from .intmatrix import IntMatrix
 from .action import OrbitStructure, PermutationAction
 from .sft import SftPresentation
 

@@ -9,7 +9,8 @@ pullback along the amalgamating map.  The finite group acts on this shift
 by conjugating values; the right-reduced shift of that action is the
 transfer matrix on the orbit basis Hom(U, G)/G, and Burnside orbit counts
 of period-n points count flat G-bundles over the n-fold cyclic branched
-cover when the data comes from a knot.
+cover when the data comes from a knot.  The reduction and the Burnside
+counts are imported inside ``tqft_matrix`` and ``flat_bundle_counts``.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ from itertools import permutations
 
 from .errors import InputError, LimitExceededError, PreconditionError
 from .records import record
-from .matrices import IntMatrix
+from .intmatrix import IntMatrix
 from .action import PermutationAction, compose, greedy_generators, group_from_generators
-from .quotient import OrbitCountReport, burnside_counts
-from .reduce import ReducedShift, right_reduce
 from .sft import SftPresentation, trim_essential
 
 HOM_LIMIT = 1000000  # default budget of homomorphism enumeration
@@ -52,6 +51,9 @@ class FiniteGroupTable:
     is checked exactly by Light's test: the elements a with (x a) y =
     x (a y) for all x, y are closed under products, so it suffices to
     test the ``generators``, the greedy generating set of the element order.
+    The named groups below are built correct, so ``_built`` skips the
+    entry scan and Light's test for them; a table from anywhere else gets
+    every check.
     """
 
     names: tuple
@@ -71,7 +73,31 @@ class FiniteGroupTable:
             raise InputError("multiplication table entries must be element indices")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "table", table)
+        self._derive()
+        for a in self.generators:
+            ta = table[a]
+            for x in range(n):
+                tx, txa = table[x], table[table[x][a]]
+                if txa != tuple(map(tx.__getitem__, ta)):
+                    y = next(y for y in range(n) if txa[y] != tx[ta[y]])
+                    raise InputError(
+                        f"multiplication table is not associative at ({names[x]},{names[a]},{names[y]})"
+                    )
 
+    @classmethod
+    def _built(cls, names, table) -> "FiniteGroupTable":
+        """The group of a named builder's table: nothing is checked but
+        that an identity and inverses exist, which are located anyway."""
+        group = cls.__new__(cls)
+        object.__setattr__(group, "names", names)
+        object.__setattr__(group, "table", table)
+        group._derive()
+        return group
+
+    def _derive(self):
+        """Locate the identity, the inverses and the greedy generators."""
+        names, table = self.names, self.table
+        n = len(names)
         identity = None
         for e in range(n):
             if all(table[e][x] == x and table[x][e] == x for x in range(n)):
@@ -87,15 +113,6 @@ class FiniteGroupTable:
                 raise InputError(f"element {names[x]} has no unique inverse")
             inverse.append(inv)
         generators = greedy_generators(range(n), identity, lambda x, y: table[x][y])
-        for a in generators:
-            ta = table[a]
-            for x in range(n):
-                tx, txa = table[x], table[table[x][a]]
-                if txa != tuple(map(tx.__getitem__, ta)):
-                    y = next(y for y in range(n) if txa[y] != tx[ta[y]])
-                    raise InputError(
-                        f"multiplication table is not associative at ({names[x]},{names[a]},{names[y]})"
-                    )
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", tuple(inverse))
         object.__setattr__(self, "generators", generators)
@@ -113,7 +130,7 @@ class FiniteGroupTable:
 
 
 def trivial_group() -> FiniteGroupTable:
-    return FiniteGroupTable(names=("e",), table=((0,),))
+    return FiniteGroupTable._built(("e",), ((0,),))
 
 
 # named groups are bounded by the order of S6, the largest symmetric group
@@ -123,9 +140,9 @@ _MAX_NAMED_ORDER = 720
 def cyclic_group(n: int) -> FiniteGroupTable:
     if not 1 <= n <= _MAX_NAMED_ORDER:
         raise InputError(f"cyclic groups are supported for 1 <= n <= {_MAX_NAMED_ORDER}")
-    return FiniteGroupTable(
-        names=tuple(str(k) for k in range(n)),
-        table=tuple(tuple((i + j) % n for j in range(n)) for i in range(n)),
+    return FiniteGroupTable._built(
+        tuple(str(k) for k in range(n)),
+        tuple(tuple((i + j) % n for j in range(n)) for i in range(n)),
     )
 
 
@@ -147,7 +164,7 @@ def symmetric_group(n: int) -> FiniteGroupTable:
             if rows[ps] is None:
                 rows[ps] = compose(rows[p], row_s)
                 order.append(ps)
-    return FiniteGroupTable(names=tuple("".join(str(i + 1) for i in p) for p in perms), table=tuple(rows))
+    return FiniteGroupTable._built(tuple("".join(str(i + 1) for i in p) for p in perms), tuple(rows))
 
 
 def dihedral_group(n: int) -> FiniteGroupTable:
@@ -168,7 +185,7 @@ def dihedral_group(n: int) -> FiniteGroupTable:
         for a in range(n)
     ]
     names = tuple(f"r{a}" for a in range(n)) + tuple(f"s{a}" for a in range(n))
-    return FiniteGroupTable(names=names, table=tuple(rotations + reflections))
+    return FiniteGroupTable._built(names, tuple(rotations + reflections))
 
 
 def quaternion_group() -> FiniteGroupTable:
@@ -196,7 +213,7 @@ def quaternion_group() -> FiniteGroupTable:
     table = tuple(
         tuple(order[values[qmul(units[a], units[b])]] for b in names) for a in names
     )
-    return FiniteGroupTable(names=names, table=table)
+    return FiniteGroupTable._built(names, table)
 
 
 def evaluate_word(w, images, g: FiniteGroupTable) -> int:
@@ -397,6 +414,8 @@ class TqftMatrix:
 
 def tqft_matrix(r: RepShift) -> TqftMatrix:
     """Right-reduced shift of the conjugation action, with orbit labels."""
+    from .reduce import right_reduce
+
     reduced = right_reduce(r.action)
     orbit_labels = tuple(
         r.presentation.label(rep) for rep in r.action.orbits.representatives
@@ -408,4 +427,6 @@ def flat_bundle_counts(r: RepShift, m: int) -> OrbitCountReport:
     """Flat-bundle counts over the cyclic branched covers: Burnside orbit
     counts of period-n points of the conjugation action, with the
     annihilating recurrence of the count sequence."""
+    from .quotient import burnside_counts
+
     return burnside_counts(r.action, m)

@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .errors import CapExceededError, InputError, PreconditionError
 from .records import record
-from .matrices import IntMatrix, _components
+from .intmatrix import IntMatrix, _components
 
 Edge = tuple  # (initial state, terminal state, multiplicity index)
 

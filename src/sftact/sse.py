@@ -16,7 +16,9 @@ along the reversed edge blocks, transposed back, and its certificate is
 the transposed pair (S^t, R^t).  Repeated complete out-splittings
 realize higher-block recodings.  Finally, a right-resolving one-block
 factor map of actions induces a commuting square of right-resolving maps
-between the original and reduced shifts.
+between the original and reduced shifts.  The reductions are imported
+inside the two operations that use them, so verifying or splitting
+compiles none.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from __future__ import annotations
 
 from .errors import InputError, InternalError, PreconditionError
 from .records import record
-from .matrices import IntMatrix, mat_mul
+from .intmatrix import IntMatrix, mat_mul
 from .action import PermGroup, PermutationAction
-from .reduce import OneBlockCode, _orbit_sums, _reduce, build_eta, right_reduce
 from .sft import SftPresentation
 
 
@@ -193,6 +194,8 @@ def transport_certificate(
     its rows and psi's on its columns, S the other way round.  It is
     verified before being returned.
     """
+    from .reduce import _reduce, right_reduce
+
     if not (_same_entries(e.a, phi.matrix) and _same_entries(e.b, psi.matrix)):
         raise InputError("certificate endpoints do not match the action matrices")
     if not verify_elementary_sse(e):
@@ -383,6 +386,8 @@ def factor_square(
     and theta2 use the canonical ordering of build_eta; theta1 is then the
     unique map closing the square.
     """
+    from .reduce import OneBlockCode, _orbit_sums, build_eta, right_reduce
+
     eta_states = tuple(state_map)
     ns, nd = src.presentation.num_states, dst.presentation.num_states
     if len(eta_states) != ns or any(not 0 <= v < nd for v in eta_states):

@@ -1,5 +1,6 @@
 """Shared fixtures, randomized generators and oracles for the test suite."""
 
+import json
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, lcm
@@ -911,3 +912,32 @@ def alexander_polynomial(substitution) -> tuple:
         for i, sign in word:
             m[i][k] += sign
     return (m[0][0] * m[1][1] - m[0][1] * m[1][0], -(m[0][0] + m[1][1]), 1)
+
+
+def emit_job(job) -> str:
+    """Canonical serialization of a parsed job's document, for round trips
+    through ``parse_job``."""
+    return json.dumps(job.document(), sort_keys=True, indent=2) + "\n"
+
+
+
+def check_group_table(group, combinatorics):
+    """sympy oracle for a multiplication table; returns the permutation
+    group of its right multiplications r_a: x -> x a.
+
+    The r_a must be distinct permutations that the generators' r_a
+    generate, in a group of the table's order.  They then form that whole
+    group, so r_a followed by r_b is some r_c, and evaluating both at the
+    identity e gives c = a b: (x a) b = x (a b) for every x, which is
+    associativity, checked without Light's test.  The identity and the
+    inverses are checked directly.
+    """
+    n, table, e = group.order, group.table, group.identity
+    right = [combinatorics.Permutation([table[x][a] for x in range(n)]) for a in range(n)]
+    assert len(set(right)) == n
+    assert right[e].is_Identity and list(table[e]) == list(range(n))
+    assert all(table[x][group.inverse[x]] == e == table[group.inverse[x]][x] for x in range(n))
+    oracle = combinatorics.PermutationGroup([right[a] for a in group.generators] or [right[e]])
+    assert oracle.order() == n
+    assert all(oracle.contains(r) for r in right)
+    return oracle

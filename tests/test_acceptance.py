@@ -42,7 +42,6 @@ from sftact import (
 )
 from sftact.quotient import burnside_counts
 from sftact.cli import emit_report, parse_job, run_job
-from sftact.jobs import emit_job
 
 from helpers import (
     REDUCIBLE_A,
@@ -54,6 +53,7 @@ from helpers import (
     brute_quotient_counts,
     conjugation_action,
     dense_trace_of_power,
+    emit_job,
     five_state_action,
     is_right_resolving,
     orbit_preserving_in_split,

@@ -6,16 +6,17 @@ import re
 import subprocess
 import sys
 import time
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import sftact
-from sftact import InputError, cli, errors, group_from_generators, jobs
+from sftact import InputError, cli, errors, group_from_generators, jobs, jobs_repshift
 from sftact.cli import emit_report, main, parse_job, run_job
-from sftact.jobs import COMMANDS, cycles_of, emit_job, parse_cycles
+from sftact.jobs import COMMANDS, cycles_of, parse_cycles
 
-from helpers import SIX_STATE_A, z48_with_swapped_products
+from helpers import SIX_STATE_A, emit_job, z48_with_swapped_products
 
 SIX_STATE_JOB = {
     "command": "reduce",
@@ -436,7 +437,7 @@ class TestEmit:
         assert "9" * 8000 in text
 
     def test_bf_text_rendering(self):
-        from sftact.jobs import bf_text
+        from sftact.jobs_text import bf_text
 
         assert bf_text({"torsion": [2, 2], "free_rank": 0}) == "Z/2 + Z/2"
         assert bf_text({"torsion": [], "free_rank": 0}) == "0"
@@ -544,16 +545,16 @@ class TestMain:
     def test_repshift_state_bound_exit_three(self, tmp_path, capsys, monkeypatch):
         # trefoil over S4 (576 states) is the largest shift the tests and corpus
         # print; trefoil over S5 (14400 states) is refused by the slow test
-        assert 576 < jobs._REPSHIFT_STATE_BOUND < 14400
+        assert 576 < jobs_repshift._REPSHIFT_STATE_BOUND < 14400
         doc = {"command": "repshift", "input": {"hnn": {"preset": "trefoil"}, "group": "Z3"}}
-        monkeypatch.setattr(jobs, "_REPSHIFT_STATE_BOUND", 8)
+        monkeypatch.setattr(jobs_repshift, "_REPSHIFT_STATE_BOUND", 8)
         code, out, err = self.run_main(tmp_path, capsys, doc, ["repshift"])
         assert (code, out) == (3, "")
         assert err == (
             "budget exhausted: the representation shift has 9 states, more than the 8 a repshift "
             "report prints as a dense matrix; tqft and bundle-counts report on it\n"
         )
-        monkeypatch.setattr(jobs, "_REPSHIFT_STATE_BOUND", 9)
+        monkeypatch.setattr(jobs_repshift, "_REPSHIFT_STATE_BOUND", 9)
         assert self.run_main(tmp_path, capsys, doc, ["repshift"])[0] == 0
 
     @pytest.mark.parametrize("key", ["maxn", "cap"])
@@ -824,12 +825,12 @@ class TestMain:
         ids=lambda v: v.__name__ if isinstance(v, type) else None,
     )
     def test_each_error_family_has_its_exit_code(self, tmp_path, capsys, monkeypatch, error, code, line):
-        parse, _, reads = jobs._COMMAND_TABLE["burnside"]
+        family, _, run, _ = jobs._COMMAND_TABLE["burnside"]
 
         def fail(parsed):
             raise error("boom")
 
-        monkeypatch.setitem(jobs._COMMAND_TABLE, "burnside", (parse, fail, reads))
+        monkeypatch.setattr(import_module(f"sftact.{family}"), run, fail)
         doc = dict(SIX_STATE_JOB, command="burnside")
         assert self.run_main(tmp_path, capsys, doc, ["burnside"]) == (code, "", line + "\n")
 
@@ -918,10 +919,10 @@ class TestOptimizedInterpreter:
         # Burnside sum is no longer divisible by the group order.
         code = """
 import sys
-from sftact import quotient
+from sftact import matrices
 from sftact.cli import main
 
-zeta = quotient._zeta
+zeta = matrices._zeta
 calls = []
 
 def off_by_one(sub, m, with_det):
@@ -930,7 +931,7 @@ def off_by_one(sub, m, with_det):
     calls.append(sub)
     return out, det
 
-quotient._zeta = off_by_one
+matrices._zeta = off_by_one
 sys.exit(main())
 """
         doc = {"command": "burnside", "input": SIX_STATE_JOB["input"], "parameters": {"max_n": 4}}
@@ -945,14 +946,15 @@ sys.exit(main())
         # A runner that fails with an exception the exit codes do not name.
         code = """
 import sys
+from importlib import import_module
 from sftact import cli, jobs
 
-parse, _, reads = jobs._COMMAND_TABLE["burnside"]
+family, _, run, _ = jobs._COMMAND_TABLE["burnside"]
 
 def crash(parsed):
     return 1 // 0
 
-jobs._COMMAND_TABLE["burnside"] = (parse, crash, reads)
+setattr(import_module(f"sftact.{family}"), run, crash)
 sys.exit(cli.main())
 """
         doc = {"command": "burnside", "input": SIX_STATE_JOB["input"]}

@@ -3,10 +3,13 @@
 ``sftact`` registers its library modules as lazy placeholders, so a job
 executes only the modules its command uses, and the command-line entry
 ``sftact.cli`` imports its job layer, ``sftact.jobs``, only to run a job.
-Each command's golden job runs through ``sftact.cli.main`` in a fresh
-``python -S`` child (no site hooks that import extra modules), which
-lists the ``sftact`` modules that were executed.  A placeholder is told
-apart by its type, since reading any attribute of it would execute it.
+``jobs`` imports the family module of the certificate or the
+representation-shift commands only when one of them runs, and the text
+renderer only for ``--format text``.  Each command's golden job runs
+through ``sftact.cli.main`` in a fresh ``python -S`` child (no site hooks
+that import extra modules), which lists the ``sftact`` modules that were
+executed.  A placeholder is told apart by its type, since reading any
+attribute of it would execute it.
 """
 
 import json
@@ -24,8 +27,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 EXPECTED = ROOT / "perfbench" / "expected"
 
-# Run in the child: import the CLI, run one golden job through main(),
-# and report the executed sftact modules after each step.
+# Run in the child: import the CLI, run one golden job through main() in
+# the given format, and report the executed sftact modules after each step.
 CHILD = r"""
 import io, json, sys
 from types import ModuleType
@@ -40,11 +43,11 @@ def stdlib():
 import sftact.cli
 after_import = executed()
 import_stdlib = stdlib()
-golden = open(sys.argv[1], encoding="utf-8").read()
-job = json.loads(golden)["input"]
+job = json.loads(open(sys.argv[1], encoding="utf-8").read())["input"]
+golden = open(sys.argv[3], encoding="utf-8").read()
 stdout = sys.stdout
 sys.stdin, sys.stdout = io.StringIO(json.dumps(job)), io.StringIO()
-code = sftact.cli.main([job["command"]])
+code = sftact.cli.main([job["command"], "--format", sys.argv[2]])
 output, sys.stdout = sys.stdout.getvalue(), stdout
 print(json.dumps({
     "import": after_import,
@@ -57,26 +60,27 @@ print(json.dumps({
 """
 
 EAGER = ["errors", "records"]
-REDUCE = EAGER + ["action", "matrices", "reduce", "sft"]
-QUOTIENT = REDUCE + ["quotient"]
-SSE = REDUCE + ["sse"]
-REPSHIFT = QUOTIENT + ["repshift"]
+MATRIX = EAGER + ["intmatrix"]
+ACTION = MATRIX + ["action", "sft"]
+QUOTIENT = ACTION + ["quotient"]
+SSE = ACTION + ["jobs_sse", "sse"]
+REPSHIFT = ACTION + ["jobs_repshift", "repshift"]
 
 # golden job -> the sftact modules it executes, besides cli and jobs
 MODULES = {
-    "golden-invariants": EAGER + ["matrices"],
-    "six-invariants": REDUCE,
-    "six-reduce": REDUCE,
+    "golden-invariants": MATRIX + ["matrices"],
+    "six-invariants": ACTION + ["matrices", "reduce"],
+    "six-reduce": ACTION + ["reduce"],
     "six-classify": QUOTIENT,
     "six-witness": QUOTIENT,
-    "six-burnside": QUOTIENT,
-    "swap-quotient-counts": QUOTIENT,
+    "six-burnside": QUOTIENT + ["matrices"],
+    "swap-quotient-counts": QUOTIENT + ["matrices", "reduce"],
     "sse-single": SSE,
-    "six-transport": SSE,
+    "six-transport": SSE + ["reduce"],
     "six-split-in": SSE,
-    "trefoil-z3-repshift": REPSHIFT,
-    "trefoil-s3-tqft": REPSHIFT,
-    "trefoil-z2-bundle": REPSHIFT,
+    "trefoil-z3-repshift": REPSHIFT + ["matrices"],
+    "trefoil-s3-tqft": REPSHIFT + ["reduce"],
+    "trefoil-z2-bundle": REPSHIFT + ["matrices", "quotient"],
 }
 
 
@@ -84,10 +88,12 @@ def _command(stem):
     return json.loads((EXPECTED / "cli-small" / f"{stem}.json").read_text())["command"]
 
 
-def run_child(path):
+def run_child(stem, format="json"):
+    path = EXPECTED / "cli-small" / f"{stem}.json"
+    golden = path if format == "json" else ROOT / "tests" / "text_goldens" / f"{stem}.txt"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", CHILD, str(path)],
+        [sys.executable, "-S", "-c", CHILD, str(path), format, str(golden)],
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -106,13 +112,29 @@ def test_no_counting_command_loads_sse():
             assert "sse" not in modules, stem
 
 
+def test_only_counting_commands_load_the_counting_engine():
+    uncounted = {"classify", "witness", "reduce", "split", "verify-sse", "transport", "tqft"}
+    assert uncounted <= {_command(stem) for stem in MODULES}
+    for stem, modules in MODULES.items():
+        if _command(stem) in uncounted:
+            assert "matrices" not in modules, stem
+
+
 @pytest.mark.parametrize("stem", sorted(MODULES))
 def test_job_executes_only_its_modules(stem):
-    out = run_child(EXPECTED / "cli-small" / f"{stem}.json")
+    out = run_child(stem)
     assert out["code"] == 0 and out["same_report"]
     assert out["import"] == sorted(EAGER + ["cli"])
     assert out["import_stdlib"] == []
     assert out["job"] == sorted(MODULES[stem] + ["cli", "jobs"])
+    assert out["stdlib"] == []
+
+
+@pytest.mark.parametrize("stem", ["six-reduce", "trefoil-z2-bundle"])
+def test_text_format_alone_executes_the_renderer(stem):
+    out = run_child(stem, "text")
+    assert out["code"] == 0 and out["same_report"]
+    assert out["job"] == sorted(MODULES[stem] + ["cli", "jobs", "jobs_text"])
     assert out["stdlib"] == []
 
 

@@ -38,6 +38,7 @@ from sftact import (
     trace_sequence,
     trivial_group,
 )
+from sftact.jobs_repshift import parse_abstract_group
 from sftact.repshift import check_word
 
 from helpers import (
@@ -45,6 +46,7 @@ from helpers import (
     alexander_polynomial,
     brute_is_group,
     check_built_group,
+    check_group_table,
     composition_symmetric_table,
     dense_product,
     dense_selectors,
@@ -81,6 +83,13 @@ def monodromy_fixed_count(hnn, group, n):
         ):
             count += 1
     return count
+
+
+# every named group of the job documents up to order 24, and the largest of each kind
+NAMED_GROUPS = (
+    [f"Z{n}" for n in (*range(1, 13), 720)] + [f"S{n}" for n in range(1, 7)]
+    + [f"D{n}" for n in (*range(1, 13), 360)] + ["Q8"]
+)
 
 
 class TestGroupTables:
@@ -176,6 +185,28 @@ class TestGroupTables:
             assert got == expected
             outcomes.add(expected)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("name", NAMED_GROUPS)
+    def test_named_group_passes_every_check(self, name):
+        """A named group skips the entry scan and Light's test; the checks
+        a job document's table gets pass on it, and find the same identity,
+        inverses and generators, and sympy builds the same group."""
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        named = pytest.importorskip("sympy.combinatorics.named_groups")
+        group = parse_abstract_group(name, "$")
+        checked = FiniteGroupTable(names=group.names, table=group.table)
+        assert checked == group
+        assert (checked.identity, checked.inverse, checked.generators) == (
+            group.identity, group.inverse, group.generators,
+        )
+        oracle = check_group_table(group, combinatorics)
+        kind, n = name[0], int(name[1:])
+        if kind == "Q":
+            reference = (False, False, 2)
+        else:
+            built = {"Z": named.CyclicGroup, "S": named.SymmetricGroup, "D": named.DihedralGroup}[kind](n)
+            reference = (built.is_cyclic, built.is_abelian, built.derived_subgroup().order())
+        assert (oracle.is_cyclic, oracle.is_abelian, oracle.derived_subgroup().order()) == reference
 
     @pytest.mark.parametrize("entry", [1.0, 1.7, True, "1"])
     def test_non_integer_entries_rejected(self, entry):
