@@ -19,8 +19,8 @@ leaves nothing behind in the package namespace.  ``sftact.cli`` is not
 registered: ``python -m sftact.cli`` warns when the module it is about to
 run is already in ``sys.modules``.  Nor are the modules that export no
 public name: ``intmatrix``, the matrix type that ``matrices`` imports
-back, and the job layer ``jobs`` with its family modules; each is an
-ordinary import of the module that needs it.
+back, and the job layer ``jobs`` with its text renderer ``jobs_text``;
+each is an ordinary import of the module that needs it.
 """
 
 from . import errors, records

@@ -1,27 +1,29 @@
-"""JSON job documents: parsing, the command table and the action commands.
+"""JSON job documents: parsing, the command table and the runners.
 
 A job document is ``{"format": "sftact-job/1", "command": ..., "input":
 {...}, "parameters": {...}}``.  Permutations are written in 1-based cycle
-notation like "(1 2)(3 4 5 6)".  Reports serialize deterministically:
-stable key order, exact decimal integers.
+notation like "(1 2)(3 4 5 6)"; group words are lists of
+[generator, sign] pairs with 1-based generators; abstract groups may be
+named (Zn, Sn, Dn, Q8) or given as an explicit multiplication table.
+Reports serialize deterministically: stable key order, exact decimal
+integers.
 
-Each command has one row in the command table: its family module, its
-input parser and runner there, and the parameters that runner reads; any
-other parameter is an input error.  The six action commands live here;
-``jobs_sse`` and ``jobs_repshift`` hold the certificate and the
-representation-shift commands and are imported only when one of theirs
-runs, as the text renderer ``jobs_text`` is only for ``--format text``.
-``parse_job`` is the one function that decodes a job document, from the
-command line (with the subcommand and flag overrides) or not.  It parses
-the input once into library values, rejecting unknown fields and naming
-the offending ``$``-rooted path; ``run_job`` computes from those values
-alone, passing the parameters to the runner as keyword arguments.  Both
-call the library through its modules (``quotient.burnside_counts``), which
-the package loads on first use, so a job executes only the modules its
-command needs.
+Each command has one row in the command table: its input parser, its
+runner and the parameters that runner reads; any other parameter is an
+input error.  ``parse_job`` is the one function that decodes a job
+document, from the command line (with the subcommand and flag overrides)
+or not.  It parses the input once into library values (actions, matrices,
+certificates, HNN data, groups), rejecting unknown fields and naming the
+offending ``$``-rooted path; ``run_job`` computes from those values alone,
+passing the parameters to the runner as keyword arguments.  Both call the
+library through its modules (``quotient.burnside_counts``), which the
+package loads on first use, so a job executes only the modules its command
+needs.  The text renderer ``jobs_text`` is imported only for ``--format
+text``.
 
-This is the job layer of the command line: ``sftact.cli`` imports it only
-when it runs a job.  Nothing here or in a family module imports
+This is the job layer of the command line: ``sftact.cli`` reads the
+arguments and imports this module only when it runs a job, so that
+importing the entry point compiles none of it.  Nothing here imports
 ``sftact.cli``, which ``python -m sftact.cli`` runs as ``__main__``.
 Errors carry their exit code in their family (see ``errors``).
 """
@@ -32,10 +34,9 @@ import json
 import re
 import sys
 from contextlib import contextmanager
-from importlib import import_module
 
-from . import __version__, action, matrices, quotient, reduce, sft
-from .errors import InputError
+from . import __version__, action, matrices, quotient, reduce, repshift, sft, sse
+from .errors import InputError, LimitExceededError
 from .intmatrix import IntMatrix
 from .records import record
 
@@ -47,6 +48,7 @@ _MAX_LENGTH = 10000  # bound of "max_n" and "m"; a report grows linearly in both
 # Python 3.11 and later limit int-to-str conversion (0 lifts it); 3.10 has no limit
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+_REPSHIFT_STATE_BOUND = 1000  # most states a repshift report prints as a dense matrix
 
 
 @record
@@ -204,6 +206,85 @@ def parse_perm_group(doc, degree, path) -> action.PermGroup:
     return action.group_from_generators(degree, gens, limit)
 
 
+_NAMED_GROUP_RE = re.compile(r"([ZSD])([0-9]+)")
+
+
+def parse_abstract_group(doc, path) -> repshift.FiniteGroupTable:
+    if isinstance(doc, str):
+        if doc == "Q8":
+            return repshift.quaternion_group()
+        match = _NAMED_GROUP_RE.fullmatch(doc)
+        try:
+            kind, n = match[1], int(match[2])
+        except (TypeError, ValueError):  # no match, or past Python's int digit limit
+            raise InputError(f"{path}: unknown group name {doc!r}") from None
+        _expect(n >= 1, path, "group parameter must be positive")
+        build = {"Z": repshift.cyclic_group, "S": repshift.symmetric_group, "D": repshift.dihedral_group}[kind]
+        with _at(path):
+            return build(n)
+    if "name" in _get_dict(doc, path):
+        return parse_abstract_group(_fields(doc, path, ("name",))["name"], f"{path}.name")
+    _fields(doc, path, ("table", "names"))
+    _expect("table" in doc, path, "expected a group name or an explicit table")
+    table = doc["table"]
+    _expect(isinstance(table, list) and table, f"{path}.table", "expected a nonempty array")
+    for i, row in enumerate(table):
+        _expect(isinstance(row, list), f"{path}.table[{i}]", "expected an array")
+        for j, x in enumerate(row):
+            _get_int(x, f"{path}.table[{i}][{j}]")
+    names = doc.get("names", [str(k) for k in range(len(table))])
+    _expect(isinstance(names, list), f"{path}.names", "expected an array of element names")
+    for k, name in enumerate(names):
+        _expect(isinstance(name, str), f"{path}.names[{k}]", "expected a string")
+    _expect(len(set(names)) == len(names), f"{path}.names", "element names must be pairwise distinct")
+    _expect(len(names) == len(table), f"{path}.names", "expected one name per table row")
+    with _at(f"{path}.table"):
+        return repshift.FiniteGroupTable(names=tuple(names), table=tuple(tuple(row) for row in table))
+
+
+def parse_word(doc, path):
+    _expect(isinstance(doc, list), path, "expected an array of [generator, sign] pairs")
+    word = []
+    for k, pair in enumerate(doc):
+        _expect(
+            isinstance(pair, list) and len(pair) == 2,
+            f"{path}[{k}]",
+            "expected a [generator, sign] pair",
+        )
+        gen = _get_int(pair[0], f"{path}[{k}][0]", minimum=1)
+        sign = _get_int(pair[1], f"{path}[{k}][1]")
+        _expect(sign in (1, -1), f"{path}[{k}][1]", "sign must be 1 or -1")
+        word.append((gen - 1, sign))
+    return tuple(word)
+
+
+_HNN_WORDS = ("b_relators", "u_gens", "u_relators", "v_gens", "v_relators", "phi_images")
+
+
+def parse_hnn(doc, path) -> repshift.HnnData:
+    if "preset" in _get_dict(doc, path):
+        name = _fields(doc, path, ("preset",))["preset"]
+        _expect(isinstance(name, str), f"{path}.preset", "expected a preset name")
+        return repshift.fibered_preset(name)
+    _fields(doc, path, ("b_gens",) + _HNN_WORDS, required=("b_gens", "u_gens", "v_gens", "phi_images"))
+    words = {}
+    for key in _HNN_WORDS:
+        value = doc.get(key, [])
+        _expect(isinstance(value, list), f"{path}.{key}", "expected an array of words")
+        words[key] = tuple(parse_word(w, f"{path}.{key}[{k}]") for k, w in enumerate(value))
+    b_gens = _get_int(doc["b_gens"], f"{path}.b_gens", minimum=0)
+    with _at(path):
+        return repshift.HnnData(b_gens=b_gens, **words)
+
+
+def parse_certificate(doc, path) -> sse.ElementarySse:
+    doc = _fields(doc, path, ("a", "b", "r", "s"), required=("a", "b", "r", "s"))
+    a, b = (parse_states(doc[key], f"{path}.{key}") for key in ("a", "b"))
+    r, s = (parse_matrix(doc[key], f"{path}.{key}") for key in ("r", "s"))
+    with _at(path):
+        return sse.ElementarySse(a=a, b=b, r=r, s=s)
+
+
 # ---------------------------------------------------------------------------
 # command inputs: each parser takes the input object and its path "$.input"
 
@@ -227,6 +308,56 @@ def _parse_invariants(doc, path):
     return matrix, _act(matrix, doc["group"], f"{path}.group") if "group" in doc else None
 
 
+def _parse_links(doc, path):
+    """The links of a certificate chain, or of one certificate given inline."""
+    if "chain" not in doc:
+        return (parse_certificate(doc, path),)
+    chain = _fields(doc, path, ("chain",))["chain"]
+    _expect(isinstance(chain, list) and chain, f"{path}.chain", "expected a nonempty array")
+    links = tuple(parse_certificate(link, f"{path}.chain[{k}]") for k, link in enumerate(chain))
+    with _at(f"{path}.chain"):
+        return sse.SseChain(links).links
+
+
+def _parse_transport(doc, path):
+    """(certificate, action on its a, action on its b)."""
+    doc = _fields(doc, path, ("certificate", "phi", "psi"), required=("certificate", "phi", "psi"))
+    cert = parse_certificate(doc["certificate"], f"{path}.certificate")
+    return cert, _act(cert.a, doc["phi"], f"{path}.phi"), _act(cert.b, doc["psi"], f"{path}.psi")
+
+
+def _parse_split(doc, path):
+    """(action, SplitData); partitions list 1-based target (out) or source
+    (in) states per block."""
+    act = _parse_action(doc, path, ("matrix", "group", "direction", "partition"))
+    direction = doc.get("direction", "out")
+    _expect(direction in ("out", "in"), f"{path}.direction", "expected 'out' or 'in'")
+    partition_doc = doc.get("partition")
+    _expect(isinstance(partition_doc, list), f"{path}.partition", "expected an array (one entry per state)")
+    blocks = []
+    for i, state_blocks in enumerate(partition_doc):
+        state_path = f"{path}.partition[{i}]"
+        _expect(isinstance(state_blocks, list) and state_blocks, state_path, "expected a nonempty array of blocks")
+        state_out = []
+        for k, block in enumerate(state_blocks):
+            block_path = f"{state_path}[{k}]"
+            _expect(isinstance(block, list) and block, block_path, "expected a nonempty array of states")
+            edges = []
+            for t, other in enumerate(block):
+                o = _get_int(other, f"{block_path}[{t}]", minimum=1) - 1
+                edges.append((i, o, 0) if direction == "out" else (o, i, 0))
+            state_out.append(tuple(edges))
+        blocks.append(tuple(state_out))
+    return act, sse.SplitData(direction, tuple(blocks))
+
+
+def _parse_repshift(doc, path):
+    """(HnnData, FiniteGroupTable)."""
+    doc = _fields(doc, path, ("hnn", "group"))
+    hnn = parse_hnn(_field(doc, path, "hnn"), f"{path}.hnn")
+    return hnn, parse_abstract_group(_field(doc, path, "group"), f"{path}.group")
+
+
 def parse_job(text: str, command: str = None, overrides=()) -> JobSpec:
     """Decode and validate a job document and parse its input once;
     diagnostics name the offending path.  ``command``, the subcommand of a
@@ -245,7 +376,7 @@ def parse_job(text: str, command: str = None, overrides=()) -> JobSpec:
     _expect(name in COMMANDS, "$.command", f"unknown command {name!r}")
     input_doc = _get_dict(doc.get("input", {}), "$.input")
     params = {**_get_dict(doc.get("parameters", {}), "$.parameters"), **dict(overrides)}
-    parse_input, _, reads = resolve_command(name)
+    parse_input, _, reads = _COMMAND_TABLE[name]
     for key, value in params.items():
         path = _key_path("$.parameters", key)
         _expect(key in reads, path, "unknown parameter")
@@ -351,37 +482,95 @@ def _run_quotient_counts(act, max_n=_MAX_N):
     return {"counts": quotient.quotient_period_counts(act, max_n)}
 
 
-# command -> (family module, input parser, runner, the parameters the
-# runner reads); any other parameter is an input error.  Parser and runner
-# are names in the family module, which is imported only when one of its
-# commands runs.  The order is the order of the usage text.
+def _run_verify_sse(links):
+    results = [sse.verify_elementary_sse(link) for link in links]
+    return {"links": results, "valid": all(results)}
+
+
+def _certificate_doc(cert, **fields):
+    """``fields`` with the factors of ``cert`` and whether it verifies."""
+    r, s = ([list(row) for row in m.entries] for m in (cert.r, cert.s))
+    return dict(fields, r=r, s=s, verified=sse.verify_elementary_sse(cert))
+
+
+def _run_transport(parsed):
+    out = sse.transport_certificate(*parsed)
+    return _certificate_doc(out, a_reduced=_matrix_doc(out.a), b_reduced=_matrix_doc(out.b))
+
+
+def _run_split(parsed):
+    act, data = parsed
+    split_fn = sse.out_split if data.direction == "out" else sse.in_split
+    with _at("$.input.partition"):
+        new_action, cert = split_fn(act, data)
+    return _certificate_doc(
+        cert,
+        direction=data.direction,
+        matrix=_matrix_doc(new_action.matrix),
+        group_generators=[cycles_of(p) for p in new_action.group.elements[1:]],
+    )
+
+
+def _build_repshift(parsed, budget):
+    """The representation shift of (HnnData, group) under the hom ``limit``
+    in ``budget``, if any; its input errors name the HNN data."""
+    with _at("$.input.hnn"):
+        return repshift.build_repshift(*parsed, **budget)
+
+
+def _run_repshift(parsed, max_n=_MAX_N, **budget):
+    shift = _build_repshift(parsed, budget)
+    states = shift.presentation.num_states
+    if states > _REPSHIFT_STATE_BOUND:
+        raise LimitExceededError(
+            f"the representation shift has {states} states, more than the {_REPSHIFT_STATE_BOUND} "
+            f"a repshift report prints as a dense matrix; tqft and bundle-counts report on it"
+        )
+    return {
+        "states": list(shift.presentation.matrix.labels),
+        "matrix": _matrix_doc(shift.presentation.matrix),
+        "period_counts": matrices.trace_sequence(shift.presentation.matrix, max_n),
+        "conjugation_order": shift.action.group.order,
+    }
+
+
+def _run_tqft(parsed, **budget):
+    out = repshift.tqft_matrix(_build_repshift(parsed, budget))
+    return {
+        "basis": list(out.basis),
+        "matrix": _matrix_doc(out.reduced.matrix),
+    }
+
+
+def _run_bundle_counts(parsed, max_n=_MAX_N, **budget):
+    report = repshift.flat_bundle_counts(_build_repshift(parsed, budget), max_n)
+    return {
+        "counts": list(report.counts),
+        "recurrence": _poly_doc(report.recurrence),
+    }
+
+
+# command -> (input parser, runner, the parameters the runner reads); any
+# other parameter is an input error.  The order is the order of the usage text.
 _COMMAND_TABLE = {
-    "reduce": ("jobs", "_parse_action", "_run_reduce", ()),
-    "invariants": ("jobs", "_parse_invariants", "_run_invariants", ()),
-    "classify": ("jobs", "_parse_action", "_run_classify", ()),
-    "witness": ("jobs", "_parse_action", "_run_witness", ("m",)),
-    "burnside": ("jobs", "_parse_action", "_run_burnside", ("max_n",)),
-    "quotient-counts": ("jobs", "_parse_action", "_run_quotient_counts", ("max_n",)),
-    "verify-sse": ("jobs_sse", "_parse_links", "_run_verify_sse", ()),
-    "transport": ("jobs_sse", "_parse_transport", "_run_transport", ()),
-    "split": ("jobs_sse", "_parse_split", "_run_split", ()),
-    "repshift": ("jobs_repshift", "_parse_repshift", "_run_repshift", ("max_n", "limit")),
-    "tqft": ("jobs_repshift", "_parse_repshift", "_run_tqft", ("limit",)),
-    "bundle-counts": ("jobs_repshift", "_parse_repshift", "_run_bundle_counts", ("max_n", "limit")),
+    "reduce": (_parse_action, _run_reduce, ()),
+    "invariants": (_parse_invariants, _run_invariants, ()),
+    "classify": (_parse_action, _run_classify, ()),
+    "witness": (_parse_action, _run_witness, ("m",)),
+    "burnside": (_parse_action, _run_burnside, ("max_n",)),
+    "quotient-counts": (_parse_action, _run_quotient_counts, ("max_n",)),
+    "verify-sse": (_parse_links, _run_verify_sse, ()),
+    "transport": (_parse_transport, _run_transport, ()),
+    "split": (_parse_split, _run_split, ()),
+    "repshift": (_parse_repshift, _run_repshift, ("max_n", "limit")),
+    "tqft": (_parse_repshift, _run_tqft, ("limit",)),
+    "bundle-counts": (_parse_repshift, _run_bundle_counts, ("max_n", "limit")),
 }
 COMMANDS = tuple(_COMMAND_TABLE)
 
 
-def resolve_command(name):
-    """(input parser, runner, the parameters the runner reads) of the
-    command ``name``, looked up in its family module."""
-    family, parse, run, reads = _COMMAND_TABLE[name]
-    module = import_module(f"{__package__}.{family}")
-    return getattr(module, parse), getattr(module, run), reads
-
-
 def run_job(job: JobSpec) -> Report:
-    _, run, _ = resolve_command(job.command)
+    _, run, _ = _COMMAND_TABLE[job.command]
     result = run(job.parsed, **job.parameters)
     return Report(command=job.command, input=job.document(), result=result)
 
@@ -404,4 +593,3 @@ def emit_report(report: Report, format: str = "json") -> str:
         return render_text(report.command, report.result)
     finally:
         _set_digit_limit(previous)
-

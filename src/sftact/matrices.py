@@ -27,6 +27,7 @@ identities, so a call that wants m traces runs at most m steps.  The
 slot width comes from one a priori bound, Hadamard's inequality on
 minors, proved where it is used.
 """
+
 from __future__ import annotations
 
 from collections import deque

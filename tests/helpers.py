@@ -920,7 +920,6 @@ def emit_job(job) -> str:
     return json.dumps(job.document(), sort_keys=True, indent=2) + "\n"
 
 
-
 def check_group_table(group, combinatorics):
     """sympy oracle for a multiplication table; returns the permutation
     group of its right multiplications r_a: x -> x a.

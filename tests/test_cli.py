@@ -6,13 +6,12 @@ import re
 import subprocess
 import sys
 import time
-from importlib import import_module
 from pathlib import Path
 
 import pytest
 
 import sftact
-from sftact import InputError, cli, errors, group_from_generators, jobs, jobs_repshift
+from sftact import InputError, cli, errors, group_from_generators, jobs
 from sftact.cli import emit_report, main, parse_job, run_job
 from sftact.jobs import COMMANDS, cycles_of, parse_cycles
 
@@ -545,16 +544,16 @@ class TestMain:
     def test_repshift_state_bound_exit_three(self, tmp_path, capsys, monkeypatch):
         # trefoil over S4 (576 states) is the largest shift the tests and corpus
         # print; trefoil over S5 (14400 states) is refused by the slow test
-        assert 576 < jobs_repshift._REPSHIFT_STATE_BOUND < 14400
+        assert 576 < jobs._REPSHIFT_STATE_BOUND < 14400
         doc = {"command": "repshift", "input": {"hnn": {"preset": "trefoil"}, "group": "Z3"}}
-        monkeypatch.setattr(jobs_repshift, "_REPSHIFT_STATE_BOUND", 8)
+        monkeypatch.setattr(jobs, "_REPSHIFT_STATE_BOUND", 8)
         code, out, err = self.run_main(tmp_path, capsys, doc, ["repshift"])
         assert (code, out) == (3, "")
         assert err == (
             "budget exhausted: the representation shift has 9 states, more than the 8 a repshift "
             "report prints as a dense matrix; tqft and bundle-counts report on it\n"
         )
-        monkeypatch.setattr(jobs_repshift, "_REPSHIFT_STATE_BOUND", 9)
+        monkeypatch.setattr(jobs, "_REPSHIFT_STATE_BOUND", 9)
         assert self.run_main(tmp_path, capsys, doc, ["repshift"])[0] == 0
 
     @pytest.mark.parametrize("key", ["maxn", "cap"])
@@ -825,12 +824,12 @@ class TestMain:
         ids=lambda v: v.__name__ if isinstance(v, type) else None,
     )
     def test_each_error_family_has_its_exit_code(self, tmp_path, capsys, monkeypatch, error, code, line):
-        family, _, run, _ = jobs._COMMAND_TABLE["burnside"]
+        parse, _, reads = jobs._COMMAND_TABLE["burnside"]
 
         def fail(parsed):
             raise error("boom")
 
-        monkeypatch.setattr(import_module(f"sftact.{family}"), run, fail)
+        monkeypatch.setitem(jobs._COMMAND_TABLE, "burnside", (parse, fail, reads))
         doc = dict(SIX_STATE_JOB, command="burnside")
         assert self.run_main(tmp_path, capsys, doc, ["burnside"]) == (code, "", line + "\n")
 
@@ -946,15 +945,14 @@ sys.exit(main())
         # A runner that fails with an exception the exit codes do not name.
         code = """
 import sys
-from importlib import import_module
 from sftact import cli, jobs
 
-family, _, run, _ = jobs._COMMAND_TABLE["burnside"]
+parse, _, reads = jobs._COMMAND_TABLE["burnside"]
 
 def crash(parsed):
     return 1 // 0
 
-setattr(import_module(f"sftact.{family}"), run, crash)
+jobs._COMMAND_TABLE["burnside"] = (parse, crash, reads)
 sys.exit(cli.main())
 """
         doc = {"command": "burnside", "input": SIX_STATE_JOB["input"]}

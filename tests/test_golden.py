@@ -14,7 +14,6 @@ checks that every name it lists still resolves.
 
 import importlib
 import importlib.util
-import inspect
 import json
 import os
 import subprocess
@@ -78,41 +77,25 @@ def test_goldens_under_optimized_interpreter():
     assert json.loads(proc.stdout) == {"optimize": 1, "checked": len(GOLDENS), "differ": []}
 
 
-# the job modules, as the command table names them
-FAMILIES = sorted({row[0] for row in jobs._COMMAND_TABLE.values()})
-
-# the job layer's parsers in each job module, the core ones that a family
-# module calls included: no runner may call one
-PARSERS = {
-    "jobs": [
-        "_act", "_field", "_fields", "_get_dict", "_get_int", "_parse_action", "_parse_invariants",
-        "parse_cycles", "parse_job", "parse_matrix", "parse_perm_group", "parse_states",
-    ],
-    "jobs_repshift": [
-        "_field", "_fields", "_get_dict", "_get_int", "_parse_repshift",
-        "parse_abstract_group", "parse_hnn", "parse_word",
-    ],
-    "jobs_sse": [
-        "_act", "_fields", "_get_int", "_parse_action", "_parse_links", "_parse_split", "_parse_transport",
-        "parse_certificate", "parse_matrix", "parse_states",
-    ],
-}
+# the job layer's parsers: no runner may call one
+PARSERS = [
+    "_act", "_field", "_fields", "_get_dict", "_get_int", "_parse_action",
+    "_parse_invariants", "_parse_links", "_parse_repshift", "_parse_split", "_parse_transport",
+    "parse_abstract_group", "parse_certificate", "parse_cycles", "parse_hnn",
+    "parse_job", "parse_matrix", "parse_perm_group", "parse_states", "parse_word",
+]
 
 
 def refuse_parsers(monkeypatch):
-    """Make every parser of the job layer fail when it is called, in each
-    module that binds it."""
+    """Make every parser of the job layer fail when it is called."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("a runner parsed its input again")
 
     prefixes = ("parse", "_parse", "_act", "_field", "_get_")
-    assert sorted(PARSERS) == FAMILIES
-    for family, names in PARSERS.items():
-        module = importlib.import_module(f"sftact.{family}")
-        assert [name for name in dir(module) if name.startswith(prefixes)] == names
-        for name in names:
-            monkeypatch.setattr(module, name, refuse)
+    assert [name for name in dir(jobs) if name.startswith(prefixes)] == PARSERS
+    for name in PARSERS:
+        monkeypatch.setattr(jobs, name, refuse)
 
 
 @pytest.mark.parametrize("path", sorted((EXPECTED / "cli-small").glob("*.json")), ids=lambda p: p.stem)
@@ -128,32 +111,16 @@ def test_refusal_fails_a_runner_that_parses(monkeypatch):
     """The refusal above is not vacuous: a runner that parses its input again fails it."""
     golden = (EXPECTED / "cli-small" / "six-reduce.json").read_bytes()
     job = parse_job(json.dumps(json.loads(golden)["input"]))
-    family, _, run, _ = jobs._COMMAND_TABLE["reduce"]
-    module = importlib.import_module(f"sftact.{family}")
-    original = getattr(module, run)
+    parse, run, reads = jobs._COMMAND_TABLE["reduce"]
 
     def reparse(act):
-        return original(module._parse_action(job.input, "$.input"))
+        return run(jobs._parse_action(job.input, "$.input"))
 
-    monkeypatch.setattr(module, run, reparse)
+    monkeypatch.setitem(jobs._COMMAND_TABLE, "reduce", (parse, reparse, reads))
     assert emit_report(run_job(job)).encode() == golden
     refuse_parsers(monkeypatch)
     with pytest.raises(AssertionError, match="parsed its input again"):
         run_job(job)
-
-
-@pytest.mark.parametrize("command", COMMANDS)
-def test_table_row_resolves_in_its_family(command):
-    """Each row names a callable parser and runner in its family module, and
-    the runner takes the parameters the row says it reads as keywords, so a
-    misspelt row fails here rather than in the first job of its family."""
-    family, parse, run, reads = jobs._COMMAND_TABLE[command]
-    module = importlib.import_module(f"sftact.{family}")
-    parser, runner = getattr(module, parse), getattr(module, run)
-    assert callable(parser) and callable(runner)
-    assert jobs.resolve_command(command) == (parser, runner, reads)
-    inspect.signature(parser).bind({}, "$.input")
-    inspect.signature(runner).bind(None, **dict.fromkeys(reads, 1))
 
 
 def _load_spans():

@@ -2,13 +2,11 @@
 
 ``sftact`` registers its library modules as lazy placeholders, so a job
 executes only the modules its command uses, and the command-line entry
-``sftact.cli`` imports its job layer, ``sftact.jobs``, only to run a job.
-``jobs`` imports the family module of the certificate or the
-representation-shift commands only when one of them runs, and the text
-renderer only for ``--format text``.  Each command's golden job runs
-through ``sftact.cli.main`` in a fresh ``python -S`` child (no site hooks
-that import extra modules), which lists the ``sftact`` modules that were
-executed.  A placeholder is told apart by its type, since reading any
+``sftact.cli`` imports its job layer, ``sftact.jobs``, only to run a job,
+and ``jobs`` imports the text renderer only for ``--format text``.  Each
+command's golden job runs through ``sftact.cli.main`` in a fresh
+``python -S`` child (no site hooks that import extra modules), which lists
+the ``sftact`` modules that were executed.  A placeholder is told apart by its type, since reading any
 attribute of it would execute it.
 """
 
@@ -63,8 +61,8 @@ EAGER = ["errors", "records"]
 MATRIX = EAGER + ["intmatrix"]
 ACTION = MATRIX + ["action", "sft"]
 QUOTIENT = ACTION + ["quotient"]
-SSE = ACTION + ["jobs_sse", "sse"]
-REPSHIFT = ACTION + ["jobs_repshift", "repshift"]
+SSE = ACTION + ["sse"]
+REPSHIFT = ACTION + ["repshift"]
 
 # golden job -> the sftact modules it executes, besides cli and jobs
 MODULES = {

@@ -38,7 +38,7 @@ from sftact import (
     trace_sequence,
     trivial_group,
 )
-from sftact.jobs_repshift import parse_abstract_group
+from sftact.jobs import parse_abstract_group
 from sftact.repshift import check_word
 
 from helpers import (
