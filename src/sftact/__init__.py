@@ -18,9 +18,10 @@ never cached here, so a wrapper rebound in a submodule and later removed
 leaves nothing behind in the package namespace.  ``sftact.cli`` is not
 registered: ``python -m sftact.cli`` warns when the module it is about to
 run is already in ``sys.modules``.  Nor are the modules that export no
-public name: ``intmatrix``, the matrix type that ``matrices`` imports
-back, and the job layer ``jobs`` with its text renderer ``jobs_text``;
-each is an ordinary import of the module that needs it.
+public name, the job layer ``jobs`` and its text renderer ``jobs_text``;
+each is an ordinary import of the module that needs it.  ``IntMatrix``
+and ``mat_mul`` resolve to ``intmatrix``, so reading them executes the
+matrix type without the counting engine of ``matrices``.
 """
 
 from . import errors, records
@@ -37,10 +38,10 @@ __version__ = "0.1.0"
 
 # library module -> the public names it exports
 _EXPORTS = {
+    "intmatrix": ("IntMatrix", "mat_mul"),
     "matrices": (
-        "AbelianGroupInvariants", "IntMatrix", "IntPolynomial", "bowen_franks",
-        "char_poly_reciprocal", "mat_mul", "poly_lcm", "smith_normal_form",
-        "trace_of_power", "trace_sequence",
+        "AbelianGroupInvariants", "IntPolynomial", "bowen_franks", "char_poly_reciprocal",
+        "poly_lcm", "smith_normal_form", "trace_of_power", "trace_sequence",
     ),
     "sft": (
         "CycleWord", "SftPresentation", "enumerate_cycles", "higher_block",

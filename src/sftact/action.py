@@ -138,8 +138,6 @@ class PermutationAction:
 
     def __post_init__(self):
         p, g = self.presentation, self.group
-        if p.is_empty:
-            raise PreconditionError("cannot act on the empty presentation")
         if not p.is_zero_one():
             raise PreconditionError(
                 "permutation actions need a zero-one matrix; recode with higher_block first"

@@ -5,8 +5,9 @@ A job document is ``{"format": "sftact-job/1", "command": ..., "input":
 notation like "(1 2)(3 4 5 6)"; group words are lists of
 [generator, sign] pairs with 1-based generators; abstract groups may be
 named (Zn, Sn, Dn, Q8) or given as an explicit multiplication table.
-Reports serialize deterministically: stable key order, exact decimal
-integers.
+A report is the document ``{"format": "sftact-report/1", "version": ...,
+"command": ..., "input": <the job document>, "result": {...}}``; it
+serializes deterministically: stable key order, exact decimal integers.
 
 Each command has one row in the command table: its input parser, its
 runner and the parameters that runner reads; any other parameter is an
@@ -15,7 +16,8 @@ document, from the command line (with the subcommand and flag overrides)
 or not.  It parses the input once into library values (actions, matrices,
 certificates, HNN data, groups), rejecting unknown fields and naming the
 offending ``$``-rooted path; ``run_job`` computes from those values alone,
-passing the parameters to the runner as keyword arguments.  Both call the
+passing the parameters to the runner as keyword arguments, and returns the
+report document, a plain dict that ``emit_report`` renders.  Both call the
 library through its modules (``quotient.burnside_counts``), which the
 package loads on first use, so a job executes only the modules its command
 needs.  The text renderer ``jobs_text`` is imported only for ``--format
@@ -68,22 +70,6 @@ class JobSpec:
     def document(self) -> dict:
         """Canonical job document (used for provenance echoes and round trips)."""
         return {"format": JOB_FORMAT, "command": self.command, "input": self.input, "parameters": self.parameters}
-
-
-@record
-class Report:
-    command: str
-    input: dict
-    result: dict
-
-    def document(self) -> dict:
-        return {
-            "format": REPORT_FORMAT,
-            "version": __version__,
-            "command": self.command,
-            "input": self.input,
-            "result": self.result,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +222,8 @@ def parse_abstract_group(doc, path) -> repshift.FiniteGroupTable:
     _expect(isinstance(names, list), f"{path}.names", "expected an array of element names")
     for k, name in enumerate(names):
         _expect(isinstance(name, str), f"{path}.names[{k}]", "expected a string")
+        # representation-shift state labels join element names with commas
+        _expect("," not in name, f"{path}.names[{k}]", "element names must not contain ','")
     _expect(len(set(names)) == len(names), f"{path}.names", "element names must be pairwise distinct")
     _expect(len(names) == len(table), f"{path}.names", "expected one name per table row")
     with _at(f"{path}.table"):
@@ -569,14 +557,15 @@ _COMMAND_TABLE = {
 COMMANDS = tuple(_COMMAND_TABLE)
 
 
-def run_job(job: JobSpec) -> Report:
+def run_job(job: JobSpec) -> dict:
     _, run, _ = _COMMAND_TABLE[job.command]
     result = run(job.parsed, **job.parameters)
-    return Report(command=job.command, input=job.document(), result=result)
+    return {"format": REPORT_FORMAT, "version": __version__, "command": job.command,
+            "input": job.document(), "result": result}
 
 
-def emit_report(report: Report, format: str = "json") -> str:
-    """Deterministic rendering of a report; byte-identical across runs.
+def emit_report(report: dict, format: str = "json") -> str:
+    """Deterministic rendering of a report document; byte-identical across runs.
 
     Exact results of any size print in full: Python's limit on converting
     integers to text is lifted while the report renders, then restored.
@@ -587,9 +576,9 @@ def emit_report(report: Report, format: str = "json") -> str:
     _set_digit_limit(0)
     try:
         if format == "json":
-            return json.dumps(report.document(), sort_keys=True, indent=2) + "\n"
+            return json.dumps(report, sort_keys=True, indent=2) + "\n"
         from .jobs_text import render_text
 
-        return render_text(report.command, report.result)
+        return render_text(report["command"], report["result"])
     finally:
         _set_digit_limit(previous)

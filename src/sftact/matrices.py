@@ -4,9 +4,9 @@ Everything here runs on Python's unbounded integers; polynomial gcds use
 pseudo-remainders, so no rational or floating-point number is formed
 anywhere in the package.
 
-The matrix type, ``IntMatrix``, and its product live in ``intmatrix``,
-which a job that counts nothing compiles alone; both are imported back
-here, so ``matrices.IntMatrix`` and ``matrices.mat_mul`` still name them.
+The matrix type, ``IntMatrix``, and its product ``mat_mul`` live in
+``intmatrix``, which ``sftact`` exports them from and which a job that
+counts nothing compiles alone; ``matrices.mat_mul`` still names the product.
 This module holds integer polynomials with the constant term first
 (``IntPolynomial``, used for reciprocal characteristic polynomials and
 linear recurrences), the invariant factors of an integer matrix cokernel
@@ -36,7 +36,7 @@ from operator import mul, sub
 
 from .errors import InputError, InternalError
 from .records import record
-# IntMatrix and mat_mul are imported back so that this module still names them
+# mat_mul is imported back because perfbench/spans.py times it as matrices.mat_mul
 from .intmatrix import IntMatrix, _check_int, _check_rows, _components, _principal_rows, mat_mul
 
 

@@ -101,7 +101,7 @@ class QuotientClassification:
 
 
 def _find_cycle(p: SftPresentation):
-    """Some cycle of a nonempty essential presentation: follow least
+    """Some cycle of an essential presentation: follow least
     out-edges from state 0 until a state repeats."""
     seen_at = {0: 0}
     edges = []
@@ -118,7 +118,7 @@ def _find_cycle(p: SftPresentation):
 def _cycle_in_fixed_subgraph(a: PermutationAction, fixed: tuple):
     """A cycle of the presentation inside the ascending states ``fixed``, or None."""
     trimmed, kept = trim_essential(_submatrix_on(a.matrix, fixed))
-    if trimmed.is_empty:
+    if trimmed is None:
         return None
     return CycleWord(tuple((fixed[kept[i]], fixed[kept[j]], c) for (i, j, c) in _find_cycle(trimmed)))
 

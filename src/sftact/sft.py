@@ -4,9 +4,9 @@ A presentation is a finite directed graph given by its adjacency matrix.
 Edges are triples (i, j, c) with 0 <= c < A(i, j), so parallel edges are
 first class while zero-one matrices give the familiar states-as-symbols
 picture.  Presentations are kept in essential form: every state has at
-least one outgoing and one incoming edge.  The empty presentation is a
-legal value (matrix ``None``), needed for fixed-point subshifts that die
-under trimming.
+least one outgoing and one incoming edge.  A matrix with no essential
+part, such as a fixed-point subgraph that dies under trimming, has no
+presentation: ``trim_essential`` returns ``None`` for it.
 """
 
 from __future__ import annotations
@@ -24,15 +24,13 @@ Edge = tuple  # (initial state, terminal state, multiplicity index)
 class SftPresentation:
     """Essential presentation of a shift of finite type.
 
-    ``matrix`` is ``None`` for the empty shift.  Construction insists on
-    essential form; ``trim_essential`` finds the essential part of a matrix.
+    Construction insists on essential form; ``trim_essential`` finds the
+    essential part of a matrix.
     """
 
-    matrix: IntMatrix | None
+    matrix: IntMatrix
 
     def __post_init__(self):
-        if self.matrix is None:
-            return
         n = self.matrix.dim
         sparse = self.matrix.sparse
         entered = {j for row in sparse for j, _ in row}
@@ -46,17 +44,9 @@ class SftPresentation:
                     f"state {self.matrix.label(i)} has no incoming edge; trim_essential first"
                 )
 
-    @classmethod
-    def empty(cls) -> "SftPresentation":
-        return cls(None)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.matrix is None
-
     @property
     def num_states(self) -> int:
-        return 0 if self.matrix is None else self.matrix.dim
+        return self.matrix.dim
 
     def label(self, i: int) -> str:
         return self.matrix.label(i)
@@ -64,8 +54,6 @@ class SftPresentation:
     @cached_property
     def edges(self) -> tuple:
         """All edge triples in lexicographic order."""
-        if self.matrix is None:
-            return ()
         return tuple(
             (i, j, c)
             for i, row in enumerate(self.matrix.sparse)
@@ -89,13 +77,11 @@ class SftPresentation:
         return tuple(tuple(es) for es in table)
 
     def has_edge(self, e) -> bool:
-        if self.matrix is None:
-            return False
         i, j, c = e
         return 0 <= i < self.matrix.dim and 0 <= c < dict(self.matrix.sparse[i]).get(j, 0)
 
     def is_zero_one(self) -> bool:
-        return self.matrix is None or self.matrix.is_zero_one()
+        return self.matrix.is_zero_one()
 
 
 @record
@@ -135,7 +121,7 @@ def trim_essential(matrix: IntMatrix):
     left, keeping out- and in-degree counts and a queue of the states
     whose count reached zero.  Returns (presentation, kept) where ``kept``
     maps the surviving state indices back to the original ones, in
-    ascending order; the empty presentation is a legal result.
+    ascending order; (None, ()) when no state survives.
     """
     n = matrix.dim
     succ = [[j for j, _ in row] for row in matrix.sparse]
@@ -162,7 +148,7 @@ def trim_essential(matrix: IntMatrix):
                 queue.append(j)
     kept = [i for i in range(n) if alive[i]]
     if not kept:
-        return SftPresentation.empty(), ()
+        return None, ()
     if len(kept) == n:
         return SftPresentation(matrix), tuple(kept)
     return SftPresentation(matrix.principal(kept)), tuple(kept)
@@ -171,8 +157,6 @@ def trim_essential(matrix: IntMatrix):
 def is_irreducible(p: SftPresentation) -> bool:
     """True iff the underlying digraph is strongly connected: one
     strongly connected component covers every state."""
-    if p.is_empty:
-        raise PreconditionError("irreducibility is undefined for the empty presentation")
     return len(_components(p.matrix.sparse)) == 1
 
 
@@ -186,8 +170,6 @@ def higher_block(p: SftPresentation, n: int):
     """
     if n < 2:
         raise InputError("block length must be at least 2")
-    if p.is_empty:
-        return p, {}
     if not p.is_zero_one():
         raise PreconditionError("higher-block recoding needs a zero-one matrix")
     sparse = p.matrix.sparse
@@ -218,8 +200,6 @@ def enumerate_cycles(p: SftPresentation, length: int, cap: int):
     if cap < 1:
         raise InputError("cap must be at least 1")
     results = []
-    if p.is_empty:
-        return results
     n = p.num_states
     out_edges = p.out_edges
     for s0 in range(n):

@@ -169,7 +169,7 @@ def random_action(rng, max_states=5, max_order=4, density=None, require_irreduci
                     a, b = perm[a], perm[b]
         matrix = IntMatrix(tuple(tuple(row) for row in entries))
         trimmed, kept = trim_essential(matrix)
-        if trimmed.num_states < 2:
+        if len(kept) < 2:
             continue
         if any(perm[k] not in kept for k in kept):
             continue

@@ -355,7 +355,7 @@ def test_criterion_10_cross_module_consistency():
 
     for matrix in (SIX_STATE_A, REDUCIBLE_A, IntMatrix(((0, 1), (0, 1))), IntMatrix(((0,),))):
         trimmed, kept = trim_essential(matrix)
-        if trimmed.is_empty:
+        if trimmed is None:
             continue
         again, kept2 = trim_essential(trimmed.matrix)
         assert again.matrix.entries == trimmed.matrix.entries

@@ -298,7 +298,7 @@ class TestRunJob:
         for name in ("u_selector", "v_selector"):
             monkeypatch.setattr(sftact.reduce.ReducedShift, name, property(unread))
         report = run_job(parse_job(job_text({"command": command, "input": input_doc})))
-        assert report.result
+        assert report["result"]
 
     def test_reduce_full_seven_shift_under_s7(self):
         doc = {
@@ -309,16 +309,16 @@ class TestRunJob:
             },
         }
         report = run_job(parse_job(job_text(doc)))
-        assert report.result["right"]["entries"] == [[7]]
-        assert report.result["left"]["entries"] == [[7]]
-        assert report.result["orbits"] == [[1, 2, 3, 4, 5, 6, 7]]
+        assert report["result"]["right"]["entries"] == [[7]]
+        assert report["result"]["left"]["entries"] == [[7]]
+        assert report["result"]["orbits"] == [[1, 2, 3, 4, 5, 6, 7]]
         s7 = group_from_generators(7, [(1, 0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6, 0)])
         assert s7.order == 5040
 
     def test_reduce_six_state(self):
         report = run_job(parse_job(job_text(SIX_STATE_JOB)))
-        assert report.result["right"]["entries"] == [[1, 2], [2, 1]]
-        assert report.result["left"]["entries"] == [[1, 1], [4, 1]]
+        assert report["result"]["right"]["entries"] == [[1, 2], [2, 1]]
+        assert report["result"]["left"]["entries"] == [[1, 1], [4, 1]]
 
     def test_classify_swap(self):
         doc = {
@@ -326,7 +326,7 @@ class TestRunJob:
             "input": {"matrix": [[1, 1], [1, 1]], "group": {"generators": ["(1 2)"]}},
         }
         report = run_job(parse_job(job_text(doc)))
-        assert report.result["verdict"] == "constant-to-one"
+        assert report["result"]["verdict"] == "constant-to-one"
 
     def test_bundle_counts_trefoil(self):
         doc = {
@@ -335,7 +335,7 @@ class TestRunJob:
             "parameters": {"max_n": 6},
         }
         report = run_job(parse_job(job_text(doc)))
-        assert report.result["counts"] == [1, 1, 4, 1, 1, 4]
+        assert report["result"]["counts"] == [1, 1, 4, 1, 1, 4]
 
     def test_verify_sse_chain(self):
         doc = {
@@ -353,7 +353,7 @@ class TestRunJob:
             },
         }
         report = run_job(parse_job(job_text(doc)))
-        assert report.result == {"links": [True, True], "valid": True}
+        assert report["result"] == {"links": [True, True], "valid": True}
 
     def test_verify_sse_chain_endpoints_checked(self):
         link = {"a": [[2]], "b": [[1, 1], [1, 1]], "r": [[1, 1]], "s": [[1], [1]]}
@@ -372,8 +372,8 @@ class TestRunJob:
             },
         }
         report = run_job(parse_job(job_text(doc)))
-        assert report.result["matrix"]["entries"] == [[1, 1, 0], [0, 0, 1], [1, 1, 0]]
-        assert report.result["verified"] is True
+        assert report["result"]["matrix"]["entries"] == [[1, 1, 0], [0, 0, 1], [1, 1, 0]]
+        assert report["result"]["verified"] is True
 
     def test_transport_command(self):
         entries = [list(row) for row in SIX_STATE_A.entries]
@@ -387,8 +387,8 @@ class TestRunJob:
             },
         }
         report = run_job(parse_job(job_text(doc)))
-        assert report.result["a_reduced"]["entries"] == [[1, 2], [2, 1]]
-        assert report.result["verified"] is True
+        assert report["result"]["a_reduced"]["entries"] == [[1, 2], [2, 1]]
+        assert report["result"]["verified"] is True
 
     def test_tqft_command(self):
         doc = {
@@ -396,7 +396,7 @@ class TestRunJob:
             "input": {"hnn": {"preset": "trefoil"}, "group": "S3"},
         }
         report = run_job(parse_job(job_text(doc)))
-        assert len(report.result["basis"]) == 11
+        assert len(report["result"]["basis"]) == 11
 
 
 class TestEmit:
@@ -644,19 +644,22 @@ class TestMain:
         assert err == f"error: $.input.group: {message}\n"
 
     @pytest.mark.parametrize(
-        "names, message",
+        "names, path, message",
         [
-            (["a", "a"], "element names must be pairwise distinct"),
-            (["a"], "expected one name per table row"),
-            ([], "expected one name per table row"),
+            (["a", "a"], "names", "element names must be pairwise distinct"),
+            (["a"], "names", "expected one name per table row"),
+            ([], "names", "expected one name per table row"),
+            # state labels join element names with commas, so the group is at fault, not the HNN data
+            (["a", "a,a"], "names[1]", "element names must not contain ','"),
+            (["e", "x,y"], "names[1]", "element names must not contain ','"),
         ],
-        ids=["repeated", "too-few", "empty"],
+        ids=["repeated", "too-few", "empty", "comma-labels-collide", "comma-labels-unreadable"],
     )
-    def test_faulty_group_names_name_the_names(self, tmp_path, capsys, names, message):
+    def test_faulty_group_names_name_the_names(self, tmp_path, capsys, names, path, message):
         group = {"table": [[0, 1], [1, 0]], "names": names}
         doc = {"command": "repshift", "input": {"hnn": {"preset": "trefoil"}, "group": group}}
         code, out, err = self.run_main(tmp_path, capsys, doc, ["repshift"])
-        assert (code, out, err) == (1, "", f"error: $.input.group.names: {message}\n")
+        assert (code, out, err) == (1, "", f"error: $.input.group.{path}: {message}\n")
 
     def test_uncovered_split_partition_exit_one(self, tmp_path, capsys):
         doc = {"command": "split", "input": dict(SPLIT_INPUT, partition=[[[1]], [[1]]])}

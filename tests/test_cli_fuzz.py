@@ -245,7 +245,10 @@ def generated_documents(draw):
     elif command == "split":
         doc = {"matrix": matrix, "group": group, **draw(split_fields(matrix))}
     elif command in ("repshift", "tqft", "bundle-counts"):
-        doc = {"hnn": draw(hnn_documents()), "group": draw(st.sampled_from(("Z1", "Z2", "Z3", "S3", "D2", "Q8")))}
+        # a table whose element name holds a comma, which state labels cannot carry
+        comma_names = {"table": [[0, 1], [1, 0]], "names": ["e", "x,y"]}
+        groups = ("Z1", "Z2", "Z3", "S3", "D2", "Q8", comma_names)
+        doc = {"hnn": draw(hnn_documents()), "group": draw(st.sampled_from(groups))}
     elif command == "invariants" and draw(st.booleans()):
         doc = {"matrix": matrix}
     else:

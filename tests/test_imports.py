@@ -160,8 +160,31 @@ def test_job_layer_never_imports_the_entry_point():
     assert json.loads(proc.stdout) == {"same_report": True, "cli": False}
 
 
+# Run in the child: read the matrix type and its product from the package.
+MATRIX_CHILD = r"""
+import json, sys
+from types import ModuleType
+import sftact
+
+sftact.IntMatrix, sftact.mat_mul
+print(json.dumps(sorted(name for name, module in sys.modules.items()
+                        if name.startswith("sftact.") and type(module) is ModuleType)))
+"""
+
+
+def test_matrix_type_executes_without_the_counting_engine():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", MATRIX_CHILD],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == sorted(f"sftact.{name}" for name in MATRIX)
+
+
 # ---------------------------------------------------------------------------
-# the package surface: same names as before the package went lazy
+# the package surface: the names from before the package went lazy, and
+# the module intmatrix, which exports IntMatrix and mat_mul
 
 ALL = [
     "AbelianGroupInvariants", "ActionFactorSquare", "CapExceededError", "CycleWord",
@@ -175,7 +198,7 @@ ALL = [
     "dihedral_group", "enumerate_cycles", "enumerate_homs", "errors", "evaluate_word",
     "factor_square", "fibered_preset", "fixed_submatrix", "flat_bundle_counts",
     "group_from_generators", "higher_block", "higher_block_action", "in_split",
-    "induced_conjugacy", "is_irreducible", "left_reduce", "mat_mul", "matrices",
+    "induced_conjugacy", "intmatrix", "is_irreducible", "left_reduce", "mat_mul", "matrices",
     "nonexpansive_witness", "out_split", "poly_lcm", "quaternion_group", "quotient",
     "quotient_period_counts", "records", "reduce", "repshift", "right_reduce", "sft",
     "shortest_path", "smith_normal_form", "sse", "symmetric_group", "tqft_matrix",
