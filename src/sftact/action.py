@@ -5,7 +5,8 @@ An action is valid when every group element g satisfies the invariance law
 A(gi, gj) = A(i, j), so that g induces a one-block automorphism of the
 shift.  Its orbits, searched along the generators, and its submatrices on
 the states an element fixes, which ``PermGroup.fixed`` alone finds, drive
-the reduced-shift and orbit-counting machinery.
+the reduced-shift and orbit-counting machinery; an element that fixes no
+state has none.
 
 Groups are element lists without a multiplication table, closed once by
 the code that builds them: ``group_from_generators`` closes a generating
@@ -218,25 +219,15 @@ def _orbit_structure(a: PermutationAction) -> OrbitStructure:
     )
 
 
-def fixed_submatrix(a: PermutationAction, g: int) -> IntMatrix:
-    """Principal submatrix on the states fixed by element g.
-
-    When g fixes every state (the identity) this is the action's matrix
-    itself; when g fixes no state the 1x1 zero matrix stands in for the
-    empty subshift.
-    """
+def fixed_submatrix(a: PermutationAction, g: int) -> IntMatrix | None:
+    """Principal submatrix on the states fixed by element g: the action's
+    matrix itself for the identity, None when g fixes no state."""
     if not 0 <= g < a.group.order:
         raise InputError(f"element index {g} out of range")
-    return _submatrix_on(a.matrix, a.group.fixed(g))
-
-
-def _submatrix_on(matrix: IntMatrix, states: tuple) -> IntMatrix:
-    """``fixed_submatrix`` on a fixed-state set already at hand."""
-    if len(states) == matrix.dim:
-        return matrix
-    if not states:
-        return IntMatrix(((0,),))
-    return matrix.principal(states)
+    fixed = a.group.fixed(g)
+    if len(fixed) == a.matrix.dim:
+        return a.matrix
+    return a.matrix.principal(fixed) if fixed else None
 
 
 def word_stabilizer(a: PermutationAction, w: CycleWord):

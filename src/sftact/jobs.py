@@ -46,7 +46,7 @@ JOB_FORMAT = "sftact-job/1"
 REPORT_FORMAT = "sftact-report/1"
 FORMATS = ("json", "text")  # the renderings of a report
 _MAX_N = 6  # default of "max_n", the number of counts a report lists
-_MAX_LENGTH = 10000  # bound of "max_n" and "m"; a report grows linearly in both
+_MAX_LENGTH = 10000  # bound of "max_n" and "m"; counts gain digits with n, so not a size bound
 # Python 3.11 and later limit int-to-str conversion (0 lifts it); 3.10 has no limit
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
@@ -196,6 +196,9 @@ _NAMED_GROUP_RE = re.compile(r"([ZSD])([0-9]+)")
 
 
 def parse_abstract_group(doc, path) -> repshift.FiniteGroupTable:
+    if isinstance(doc, dict) and "name" in doc:
+        doc, path = _fields(doc, path, ("name",))["name"], f"{path}.name"
+        _expect(isinstance(doc, str), path, "expected a group name")
     if isinstance(doc, str):
         if doc == "Q8":
             return repshift.quaternion_group()
@@ -208,8 +211,6 @@ def parse_abstract_group(doc, path) -> repshift.FiniteGroupTable:
         build = {"Z": repshift.cyclic_group, "S": repshift.symmetric_group, "D": repshift.dihedral_group}[kind]
         with _at(path):
             return build(n)
-    if "name" in _get_dict(doc, path):
-        return parse_abstract_group(_fields(doc, path, ("name",))["name"], f"{path}.name")
     _fields(doc, path, ("table", "names"))
     _expect("table" in doc, path, "expected a group name or an explicit table")
     table = doc["table"]
@@ -354,7 +355,7 @@ def parse_job(text: str, command: str = None, overrides=()) -> JobSpec:
     validation, so that they obey the same rules."""
     try:
         doc = json.loads(text)
-    except ValueError as err:  # also an integer literal beyond Python's digit limit
+    except (ValueError, RecursionError) as err:  # also a literal past the digit limit, or nesting past the recursion limit
         raise InputError(f"malformed JSON document: {err}") from err
     doc = _get_dict(doc, "$")
     fmt = doc.get("format", JOB_FORMAT)

@@ -5,9 +5,10 @@ counts trace(A_g^n) over the group (Cauchy-Frobenius), and the counts
 satisfy the linear recurrence given by the least common multiple of the
 polynomials det(I - t A_g).  Elements with the same fixed states have the
 same A_g, so both come from one pass of the counting engine of
-``matrices`` per fixed-state set.  The quotient dynamical system has the
-zeta function of the left-reduced shift (Fiebig), so its period-n counts
-are trace(A_left^n); the tests check them against enumerated cycles.
+``matrices`` per fixed-state set; an empty set needs no matrix (zero
+traces, determinant 1).  The quotient dynamical system has the zeta
+function of the left-reduced shift (Fiebig), so its period-n counts are
+trace(A_left^n); the tests check them against enumerated cycles.
 
 For irreducible presentations the quotient is either again a shift of
 finite type (when the quotient map is constant-to-one) or fails to be
@@ -16,7 +17,8 @@ nonexpansive exactly when some element other than the identity fixes a
 cycle, since such a cycle and a cycle through all states present periodic
 points with different stabilizers, and a witness pair of points that
 shadow each other's central blocks at every shift can then be produced
-for any block radius.  Each distinct fixed-state set is tried once.
+for any block radius.  Each distinct nonempty fixed-state set is tried
+once; an empty one holds no cycle.
 The counting engine and the reductions are imported inside the two
 counting functions, so a classification compiles neither.
 """
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from .errors import InputError, InternalError, PreconditionError
 from .records import record
-from .action import PermutationAction, _submatrix_on
+from .action import PermutationAction, fixed_submatrix
 from .sft import CycleWord, SftPresentation, is_irreducible, shortest_path, trim_essential
 
 
@@ -44,9 +46,9 @@ def burnside_counts(a: PermutationAction, m: int) -> OrbitCountReport:
 
     Elements with the same fixed states have the same fixed submatrix, so
     its traces and reciprocal characteristic polynomial are computed once
-    per fixed-state set, by one pass over its components.  The recurrence
-    polynomial is the least common multiple of those polynomials; it
-    annihilates the sequence of Burnside sums.
+    per fixed-state set, by one pass over its components; an empty set has
+    zero traces and no polynomial.  The recurrence polynomial is the least
+    common multiple of those polynomials; it annihilates the Burnside sums.
     """
     from .matrices import _zeta, poly_lcm
 
@@ -54,13 +56,14 @@ def burnside_counts(a: PermutationAction, m: int) -> OrbitCountReport:
         raise InputError("need at least one count")
     group = a.group
     order = group.order
-    # fixed-state set -> (traces of its submatrix, det(I - t A_g))
+    # fixed-state set -> (traces of its submatrix, det(I - t A_g) or None when empty)
     by_fixed = {}
     traces = []
     for g in range(order):
         fixed = group.fixed(g)
         if fixed not in by_fixed:
-            by_fixed[fixed] = _zeta(_submatrix_on(a.matrix, fixed), m, True)
+            sub = fixed_submatrix(a, g)
+            by_fixed[fixed] = ([0] * m, None) if sub is None else _zeta(sub, m, True)
         traces.append(by_fixed[fixed][0])
     counts = []
     for n in range(m):
@@ -68,7 +71,7 @@ def burnside_counts(a: PermutationAction, m: int) -> OrbitCountReport:
         if total % order:
             raise InternalError(f"the period-{n + 1} Burnside sum is not divisible by |G| = {order}")
         counts.append(total // order)
-    recurrence = poly_lcm(dict.fromkeys(poly for _, poly in by_fixed.values()))
+    recurrence = poly_lcm(dict.fromkeys(poly for _, poly in by_fixed.values() if poly is not None))
     return OrbitCountReport(
         counts=tuple(counts), recurrence=recurrence, element_traces=tuple(map(tuple, traces))
     )
@@ -89,15 +92,18 @@ def quotient_period_counts(a: PermutationAction, m: int):
 
 @record
 class QuotientClassification:
-    """Verdict for the quotient of an irreducible action.
+    """Verdict for the quotient of an irreducible action, held as its witness.
 
-    ``witness`` is None for the constant-to-one verdict; otherwise it is a
-    pair (g, cycle) with g not the identity and the cycle inside the
-    fixed-state subgraph of g.
+    ``witness`` is None for the constant-to-one verdict.  Otherwise the
+    verdict is nonexpansive and the witness is a pair (g, cycle) with g not
+    the identity and the cycle inside the fixed-state subgraph of g.
     """
 
-    verdict: str
     witness: tuple | None
+
+    @property
+    def verdict(self) -> str:
+        return "constant-to-one" if self.witness is None else "nonexpansive"
 
 
 def _find_cycle(p: SftPresentation):
@@ -116,8 +122,8 @@ def _find_cycle(p: SftPresentation):
 
 
 def _cycle_in_fixed_subgraph(a: PermutationAction, fixed: tuple):
-    """A cycle of the presentation inside the ascending states ``fixed``, or None."""
-    trimmed, kept = trim_essential(_submatrix_on(a.matrix, fixed))
+    """A cycle of the presentation inside the nonempty ascending states ``fixed``, or None."""
+    trimmed, kept = trim_essential(a.matrix.principal(fixed))
     if trimmed is None:
         return None
     return CycleWord(tuple((fixed[kept[i]], fixed[kept[j]], c) for (i, j, c) in _find_cycle(trimmed)))
@@ -128,11 +134,12 @@ def classify_quotient(a: PermutationAction) -> QuotientClassification:
 
     Nonexpansive exactly when some element other than the identity keeps
     a cycle inside its fixed-state subgraph; the first such element and a
-    cycle are the witness.  Each distinct fixed-state set is trimmed once.
+    cycle are the witness.  Each distinct nonempty fixed-state set is
+    trimmed once.
     """
     if not is_irreducible(a.presentation):
         raise PreconditionError("classification needs an irreducible presentation")
-    tried = set()
+    tried = {()}  # an empty subgraph holds no cycle
     for g in range(1, a.group.order):
         fixed = a.group.fixed(g)
         if fixed in tried:
@@ -140,8 +147,8 @@ def classify_quotient(a: PermutationAction) -> QuotientClassification:
         tried.add(fixed)
         cycle = _cycle_in_fixed_subgraph(a, fixed)
         if cycle is not None:
-            return QuotientClassification(verdict="nonexpansive", witness=(g, cycle))
-    return QuotientClassification(verdict="constant-to-one", witness=None)
+            return QuotientClassification((g, cycle))
+    return QuotientClassification(None)
 
 
 @record
@@ -198,7 +205,7 @@ def nonexpansive_witness(
     central (2m+1)-block of y agrees with that of x or of g x: g fixes u,
     and a block that reaches past u^(2m+1) starts inside it.
     """
-    if c.verdict != "nonexpansive":
+    if c.witness is None:
         raise PreconditionError("witness construction needs a nonexpansive verdict")
     if not is_irreducible(a.presentation):
         raise PreconditionError("witness construction needs an irreducible presentation")

@@ -235,7 +235,7 @@ class TestFixedSubmatrix:
 
     def test_generator_fixes_nothing(self):
         act = six_state_action()
-        assert fixed_submatrix(act, 1).entries == ((0,),)
+        assert fixed_submatrix(act, 1) is None
 
     def test_square_of_generator(self):
         act = six_state_action()
@@ -251,7 +251,7 @@ class TestFixedSubmatrix:
                 fixed = [i for i in range(act.group.degree) if perm[i] == i]
                 sub = fixed_submatrix(act, g)
                 if not fixed:
-                    assert sub.entries == ((0,),)
+                    assert sub is None
                     continue
                 for a, i in enumerate(fixed):
                     for b, j in enumerate(fixed):

@@ -753,6 +753,34 @@ class TestMain:
         assert captured.err.startswith("error: malformed JSON document: ")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("reduce", '{"command": "reduce", "input": ' + "[" * 3000 + "]" * 3000 + "}"),
+            (
+                "tqft",
+                '{"command": "tqft", "input": {"hnn": {"preset": "trefoil"}, "group": '
+                + '{"name": ' * 990 + '"S3"' + "}" * 990 + "}}",
+            ),
+        ],
+        ids=["arrays-3000-deep", "group-names-990-deep"],
+    )
+    def test_nesting_past_the_recursion_limit_exit_one(self, tmp_path, capsys, command, text):
+        path = tmp_path / "job.json"
+        path.write_text(text)
+        code = main([command, "--input", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith("error: malformed JSON document: maximum recursion depth exceeded")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_group_name_must_be_a_string(self, tmp_path, capsys):
+        """``{"name": ...}`` holds a name, not another group document."""
+        for group in ({"name": {"name": "S3"}}, {"name": {"table": [[0]]}}, {"name": 3}):
+            doc = {"command": "tqft", "input": {"hnn": {"preset": "trefoil"}, "group": group}}
+            code, out, err = self.run_main(tmp_path, capsys, doc, ["tqft"])
+            assert (code, out, err) == (1, "", "error: $.input.group.name: expected a group name\n")
+
     @pytest.mark.parametrize("text", [",()", "(),", " , () ", "(1 2),"])
     def test_stray_comma_in_cycles_exit_one(self, tmp_path, capsys, text):
         doc = {"command": "reduce", "input": {"matrix": [[1, 1], [1, 1]], "group": {"generators": [text]}}}

@@ -34,6 +34,7 @@ from helpers import (
     constant_to_one_check,
     conjugation_action,
     dense_trace_of_power,
+    primitive_form,
     random_action,
     random_group_action,
     recurrence_holds,
@@ -83,16 +84,56 @@ class TestBurnsideCounts:
         assert report.counts == tuple(dense_trace_of_power(FULL_TWO_SHIFT, n) for n in range(1, 7))
 
     def test_matches_per_element_oracle(self):
+        """An element that fixes no state has no submatrix: a zero trace
+        row, and det(I - tA_g) = 1, which leaves the lcm as it is."""
         rng = random.Random(53)
         actions = standard_actions() + [random_action(rng, max_states=6, max_order=6) for _ in range(25)]
         for act in actions:
             order = act.group.order
             subs = [fixed_submatrix(act, g) for g in range(order)]
-            traces = tuple(tuple(dense_trace_of_power(sub, n) for n in range(1, 8)) for sub in subs)
+            traces = tuple(
+                (0,) * 7 if sub is None else tuple(dense_trace_of_power(sub, n) for n in range(1, 8))
+                for sub in subs
+            )
             report = burnside_counts(act, 7)
             assert report.element_traces == traces
             assert report.counts == tuple(sum(column) // order for column in zip(*traces))
-            assert report.recurrence == poly_lcm([char_poly_reciprocal(sub) for sub in subs])
+            assert report.recurrence == poly_lcm([char_poly_reciprocal(sub) for sub in subs if sub is not None])
+
+    def test_fixed_point_free_elements_against_plain_oracles(self):
+        """Random actions mixing elements that fix no state with non-identity
+        elements that fix some, checked with no library code: a zero trace
+        row for each fixed-point-free element, the counts by enumerating
+        closed walks and their orbits, and the recurrence as sympy's lcm
+        of the det(I - tA_g), where an empty A_g has determinant 1."""
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(97)
+        m, checked = 5, 0
+        while checked < 15:
+            act, _ = random_group_action(rng, max_states=5, max_gens=2)
+            elements, n = act.group.elements, act.group.degree
+            rows = act.matrix.entries
+            fixed = [[i for i in range(n) if perm[i] == i] for perm in elements]
+            if all(fixed[1:]) or not any(fixed[1:]) or len(elements) > 24:
+                continue
+            checked += 1
+            report = burnside_counts(act, m)
+            for f, traces in zip(fixed, report.element_traces):
+                if not f:
+                    assert traces == (0,) * m
+            walks = [(i,) for i in range(n)]
+            for length in range(1, m + 1):
+                closed = [w for w in walks if rows[w[-1]][w[0]]]
+                orbits = {min(tuple(perm[s] for s in w) for perm in elements) for w in closed}
+                assert report.counts[length - 1] == len(orbits)
+                walks = [w + (j,) for w in walks for j in range(n) if rows[w[-1]][j]]
+            lcm = sympy.Poly(1, t, domain="ZZ")
+            for f in fixed:
+                a_g = sympy.Matrix(len(f), len(f), lambda i, j: rows[f[i]][f[j]])
+                det = (sympy.eye(len(f)) - t * a_g).det()
+                lcm = lcm.lcm(sympy.Poly(det, t, domain="ZZ"))
+            assert report.recurrence.coefficients == primitive_form(int(c) for c in reversed(lcm.all_coeffs()))
 
     def test_six_state_first_count(self):
         report = burnside_counts(six_state_action(), 1)
@@ -204,8 +245,8 @@ class TestClassification:
             assert verdict.verdict == brute_stabilizer_verdict(act)
 
     def test_each_fixed_state_set_is_trimmed_once(self, monkeypatch):
-        """One trim per distinct non-identity fixed-state set, up to the
-        witness, and the witness a scan over every element finds."""
+        """One trim per distinct nonempty non-identity fixed-state set, up
+        to the witness, and the witness a scan over every element finds."""
         trimmed = []
 
         def counting_trim(matrix):
@@ -219,7 +260,7 @@ class TestClassification:
             SftPresentation(IntMatrix(((1,) * 12,) * 12)), group_from_generators(12, [rotation])
         )
         assert classify_quotient(full).verdict == "constant-to-one"
-        assert len(trimmed) == 1
+        assert len(trimmed) == 0
         rng = random.Random(59)
         tried = 0
         while tried < 30:
@@ -233,14 +274,15 @@ class TestClassification:
             calls = len(trimmed)
             identity = tuple(range(act.group.degree))
             fixed_sets = [tuple(i for i in identity if perm[i] == i) for perm in act.group.elements]
+            # an empty fixed-state set holds no cycle and is not trimmed
             scan = next(
                 ((g, cycle) for g in range(1, act.group.order)
-                 if (cycle := _cycle_in_fixed_subgraph(act, fixed_sets[g])) is not None),
+                 if fixed_sets[g] and (cycle := _cycle_in_fixed_subgraph(act, fixed_sets[g])) is not None),
                 None,
             )
             assert verdict.witness == scan
             last = scan[0] if scan else act.group.order - 1
-            assert calls == len(set(fixed_sets[1:last + 1]))
+            assert calls == len(set(fixed_sets[1:last + 1]) - {()})
 
 
 class TestWitness:
