@@ -47,6 +47,7 @@ REPORT_FORMAT = "sftact-report/1"
 FORMATS = ("json", "text")  # the renderings of a report
 _MAX_N = 6  # default of "max_n", the number of counts a report lists
 _MAX_LENGTH = 10000  # bound of "max_n" and "m"; counts gain digits with n, so not a size bound
+_MAX_DEPTH = 100  # most arrays and objects nested in a job document; valid ones nest at most 6
 # Python 3.11 and later limit int-to-str conversion (0 lifts it); 3.10 has no limit
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
@@ -355,8 +356,15 @@ def parse_job(text: str, command: str = None, overrides=()) -> JobSpec:
     validation, so that they obey the same rules."""
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as err:  # also a literal past the digit limit, or nesting past the recursion limit
+        level, depth = [[doc]], 0  # the arrays and objects ``depth`` deep
+        while level and depth <= _MAX_DEPTH:
+            level = [v for c in level for v in (c.values() if isinstance(c, dict) else c) if isinstance(v, (dict, list))]
+            depth += 1
+    except ValueError as err:  # also an integer literal beyond Python's digit limit
         raise InputError(f"malformed JSON document: {err}") from err
+    except RecursionError:  # past the decoder's own nesting limit, which varies with the Python version
+        level = True
+    _expect(not level, "malformed JSON document", f"nested more than {_MAX_DEPTH} deep")
     doc = _get_dict(doc, "$")
     fmt = doc.get("format", JOB_FORMAT)
     _expect(fmt == JOB_FORMAT, "$.format", f"unsupported format {fmt!r}")

@@ -17,8 +17,7 @@ nonexpansive exactly when some element other than the identity fixes a
 cycle, since such a cycle and a cycle through all states present periodic
 points with different stabilizers, and a witness pair of points that
 shadow each other's central blocks at every shift can then be produced
-for any block radius.  Each distinct nonempty fixed-state set is tried
-once; an empty one holds no cycle.
+for any block radius.  Each nonempty fixed-state set is tried once.
 The counting engine and the reductions are imported inside the two
 counting functions, so a classification compiles neither.
 """
@@ -45,25 +44,24 @@ def burnside_counts(a: PermutationAction, m: int) -> OrbitCountReport:
     """Orbit counts of period-n points for n = 1..m by fixed-point averaging.
 
     Elements with the same fixed states have the same fixed submatrix, so
-    its traces and reciprocal characteristic polynomial are computed once
-    per fixed-state set, by one pass over its components; an empty set has
-    zero traces and no polynomial.  The recurrence polynomial is the least
-    common multiple of those polynomials; it annihilates the Burnside sums.
+    its traces and det(I - t A_g) are computed once per fixed-state set, by
+    one pass over its components (zero traces and 1 for an empty set).  The
+    recurrence, the lcm of those polynomials, annihilates the Burnside sums.
     """
-    from .matrices import _zeta, poly_lcm
+    from .matrices import IntPolynomial, _zeta, poly_lcm
 
     if m < 1:
         raise InputError("need at least one count")
     group = a.group
     order = group.order
-    # fixed-state set -> (traces of its submatrix, det(I - t A_g) or None when empty)
+    # fixed-state set -> (traces of its submatrix, det(I - t A_g))
     by_fixed = {}
     traces = []
     for g in range(order):
         fixed = group.fixed(g)
         if fixed not in by_fixed:
             sub = fixed_submatrix(a, g)
-            by_fixed[fixed] = ([0] * m, None) if sub is None else _zeta(sub, m, True)
+            by_fixed[fixed] = ([0] * m, IntPolynomial((1,))) if sub is None else _zeta(sub, m, True)
         traces.append(by_fixed[fixed][0])
     counts = []
     for n in range(m):
@@ -71,7 +69,7 @@ def burnside_counts(a: PermutationAction, m: int) -> OrbitCountReport:
         if total % order:
             raise InternalError(f"the period-{n + 1} Burnside sum is not divisible by |G| = {order}")
         counts.append(total // order)
-    recurrence = poly_lcm(dict.fromkeys(poly for _, poly in by_fixed.values() if poly is not None))
+    recurrence = poly_lcm(dict.fromkeys(poly for _, poly in by_fixed.values()))
     return OrbitCountReport(
         counts=tuple(counts), recurrence=recurrence, element_traces=tuple(map(tuple, traces))
     )
@@ -134,8 +132,7 @@ def classify_quotient(a: PermutationAction) -> QuotientClassification:
 
     Nonexpansive exactly when some element other than the identity keeps
     a cycle inside its fixed-state subgraph; the first such element and a
-    cycle are the witness.  Each distinct nonempty fixed-state set is
-    trimmed once.
+    cycle are the witness.  Each nonempty fixed-state set is trimmed once.
     """
     if not is_irreducible(a.presentation):
         raise PreconditionError("classification needs an irreducible presentation")
