@@ -21,7 +21,7 @@ from functools import cached_property
 
 from .errors import InputError, LimitExceededError, PreconditionError
 from .records import record
-from .intmatrix import IntMatrix
+from .intmatrix import IntMatrix, _check_int
 from .sft import CycleWord, SftPresentation
 
 CLOSURE_LIMIT = 100000  # default budget of group closure, in elements
@@ -29,6 +29,9 @@ CLOSURE_LIMIT = 100000  # default budget of group closure, in elements
 
 def _check_perm(perm, degree: int):
     p = tuple(perm)
+    if set(map(type, p)) - {int}:
+        for x in p:
+            _check_int(x, "permutation entry")
     if len(p) != degree or sorted(p) != list(range(degree)):
         raise InputError(f"{perm!r} is not a permutation of 0..{degree - 1}")
     return p
@@ -115,6 +118,8 @@ def group_from_generators(degree: int, gens, limit: int = CLOSURE_LIMIT) -> Perm
     are the group's ``generators``: every later element is p s with p in
     the layer before and s in the first, both earlier in the order.
     """
+    _check_int(degree, "degree")
+    _check_int(limit, "closure limit")
     gens = [_check_perm(g, degree) for g in gens]
     identity = tuple(range(degree))
     ordered = [identity]
@@ -222,6 +227,7 @@ def _orbit_structure(a: PermutationAction) -> OrbitStructure:
 def fixed_submatrix(a: PermutationAction, g: int) -> IntMatrix | None:
     """Principal submatrix on the states fixed by element g: the action's
     matrix itself for the identity, None when g fixes no state."""
+    _check_int(g, "element index")
     if not 0 <= g < a.group.order:
         raise InputError(f"element index {g} out of range")
     fixed = a.group.fixed(g)

@@ -1,7 +1,8 @@
 """Exact integer polynomial algebra and the counting engine on matrices.
 
-Everything here runs on Python's unbounded integers; polynomial gcds use
-pseudo-remainders, so no rational or floating-point number is formed
+Everything here runs on Python's unbounded integers; polynomial gcds and
+exact quotients come from one pseudo-division, which scales by integers
+instead of dividing, so no rational or floating-point number is formed
 anywhere in the package.
 
 The matrix type, ``IntMatrix``, and its product ``mat_mul`` live in
@@ -265,71 +266,57 @@ def char_poly_reciprocal(a: IntMatrix) -> IntPolynomial:
 
 
 def _primitive(coeffs):
-    """Content-1 integer form with the lowest nonzero coefficient positive."""
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+    """Content-1 integer form of a trimmed coefficient tuple, with the
+    lowest nonzero coefficient positive."""
     if not coeffs:
         return ()
     content = 0
     for x in coeffs:
         content = gcd(content, x)
-    coeffs = [x // content for x in coeffs]
-    lowest = next(x for x in coeffs if x != 0)
-    if lowest < 0:
-        coeffs = [-x for x in coeffs]
-    return tuple(coeffs)
+    if next(x for x in coeffs if x) < 0:
+        content = -content
+    return tuple([x // content for x in coeffs])
 
 
-def _pseudo_remainder(num, den):
-    """An integer multiple of the remainder of num divided by den.
+def _pseudo_divide(num, den):
+    """(quot, rem) with s num = quot den + rem for an integer s > 0 and
+    rem shorter than den, for trimmed coefficient lists, constant first,
+    den nonzero.
 
-    Coefficient lists, constant first, den nonzero.  Each step scales the
-    dividend by lc(den) / g and subtracts (c / g) t^k den, where c is its
-    leading coefficient and g = gcd(c, lc(den)), so every coefficient stays
-    an integer; the result is a nonzero integer multiple of the remainder
-    over the rationals (Knuth, TAOCP vol. 2, section 4.6.1).
+    Each step subtracts (c / lc(den)) t^k den from the dividend, where c
+    is its leading coefficient; when lc(den) does not divide c, it first
+    scales the dividend, the quotient so far and c by |lc(den)| / g, with
+    g = gcd(c, lc(den)), so every coefficient stays an integer (Knuth,
+    TAOCP vol. 2, section 4.6.1).  When den is primitive and divides num
+    in Z[t], every quotient coefficient is an integer by Gauss's lemma, no
+    step scales, and quot is the exact quotient.
     """
     rem = list(num)
     size, lead = len(den), den[-1]
+    quot = [0] * max(len(rem) - size + 1, 0)
     while len(rem) >= size:
         c = rem[-1]
         if c % lead:
-            g = gcd(c, lead)
-            scale, q = lead // g, c // g
+            scale = abs(lead) // gcd(c, lead)
             rem = [x * scale for x in rem]
-        else:
-            q = c // lead
+            quot = [x * scale for x in quot]
+            c *= scale
+        q = c // lead
         shift = len(rem) - size
+        quot[shift] = q
         rem[shift:] = [x - q * y for x, y in zip(rem[shift:], den)]
         while rem and rem[-1] == 0:
             rem.pop()
-    return rem
+    return quot, rem
 
 
 def _poly_gcd_coeffs(p, q):
     """Primitive gcd of two primitive integer coefficient tuples, by the
-    primitive pseudo-remainder sequence (Cohen, section 3.3)."""
-    a, b = p, q
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        a, b = b, _primitive(_pseudo_remainder(a, b))
-    return a
-
-
-def _exact_quotient(num, den):
-    """num / den for integer coefficient tuples when den divides num in
-    Z[t]: every quotient coefficient is an exact integer division."""
-    rem = list(num)
-    size, lead = len(den), den[-1]
-    quot = [0] * (len(rem) - size + 1)
-    for k in range(len(quot) - 1, -1, -1):
-        q = rem[k + size - 1] // lead
-        if q:
-            quot[k] = q
-            rem[k:k + size] = [x - q * y for x, y in zip(rem[k:k + size], den)]
-    return tuple(quot)
+    primitive pseudo-remainder sequence (Cohen, section 3.3); when p is
+    the shorter, the first step swaps the two."""
+    while q:
+        p, q = q, _primitive(_pseudo_divide(p, q)[1])
+    return p
 
 
 def _poly_mul_coeffs(p, q):
@@ -348,9 +335,10 @@ def poly_lcm(ps) -> IntPolynomial:
 
     The result is primitive with its lowest nonzero coefficient positive,
     so polynomials arising as det(I - t A) keep constant term +1.  Each
-    step divides the product of two primitive polynomials by their
-    primitive gcd; by Gauss's lemma the quotient has integer coefficients
-    and is again primitive with its lowest coefficient positive.
+    step multiplies the lcm so far by what p adds to it, p divided by the
+    primitive gcd of the two; by Gauss's lemma that quotient has integer
+    coefficients, the product is again primitive, and its lowest
+    coefficient is the product of two positive ones.
     """
     ps = list(ps)
     if not ps:
@@ -362,7 +350,7 @@ def poly_lcm(ps) -> IntPolynomial:
         coeffs.append(_primitive(p.coefficients))
     acc = coeffs[0]
     for p in coeffs[1:]:
-        acc = _exact_quotient(_poly_mul_coeffs(acc, p), _poly_gcd_coeffs(acc, p))
+        acc = _poly_mul_coeffs(_pseudo_divide(p, _poly_gcd_coeffs(acc, p))[0], acc)
     return IntPolynomial(acc)
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from .errors import InputError, InternalError, PreconditionError
 from .records import record
+from .intmatrix import _check_int
 from .action import PermutationAction, fixed_submatrix
 from .sft import CycleWord, SftPresentation, is_irreducible, shortest_path, trim_essential
 
@@ -50,6 +51,7 @@ def burnside_counts(a: PermutationAction, m: int) -> OrbitCountReport:
     """
     from .matrices import IntPolynomial, _zeta, poly_lcm
 
+    _check_int(m, "number of counts")
     if m < 1:
         raise InputError("need at least one count")
     group = a.group
@@ -173,6 +175,7 @@ class NonexpansiveWitness:
         Returns (x_window, y_window, zero_offset); index ``zero_offset``
         of each window is coordinate 0 of the points.
         """
+        _check_int(m, "block radius m")
         if m < 1:
             raise InputError("block radius m must be at least 1")
         act = self.action

@@ -20,7 +20,7 @@ from itertools import permutations
 
 from .errors import InputError, LimitExceededError, PreconditionError
 from .records import record
-from .intmatrix import IntMatrix
+from .intmatrix import IntMatrix, _check_int
 from .action import PermutationAction, compose, greedy_generators, group_from_generators
 from .sft import SftPresentation, trim_essential
 
@@ -66,6 +66,9 @@ class FiniteGroupTable:
             raise InputError("a group needs at least the identity")
         if len(set(names)) != n:
             raise InputError("element names must be pairwise distinct")
+        if any("," in s for s in names):
+            # representation-shift state labels join element names with commas
+            raise InputError("element names must not contain ','")
         table = tuple(tuple(row) for row in self.table)
         if len(table) != n or any(len(row) != n for row in table):
             raise InputError("multiplication table must be square of the group order")
@@ -138,6 +141,7 @@ _MAX_NAMED_ORDER = 720
 
 
 def cyclic_group(n: int) -> FiniteGroupTable:
+    _check_int(n, "cyclic group order")
     if not 1 <= n <= _MAX_NAMED_ORDER:
         raise InputError(f"cyclic groups are supported for 1 <= n <= {_MAX_NAMED_ORDER}")
     return FiniteGroupTable._built(
@@ -150,6 +154,7 @@ def symmetric_group(n: int) -> FiniteGroupTable:
     """The permutations of 1..n in lexicographic order; p q applies q first.
     Row p lists p q over all q, so row(p s) is row(p) composed with row(s):
     each row is built from an earlier one along (1 2) or the n-cycle."""
+    _check_int(n, "symmetric group degree")
     if not 1 <= n <= 6:
         raise InputError("symmetric groups are supported for 1 <= n <= 6")
     perms = list(permutations(range(n)))
@@ -174,6 +179,7 @@ def dihedral_group(n: int) -> FiniteGroupTable:
     s_a = s_0 r^a, multiplied in closed form with exponents mod n:
     r^a r^b = r^(a+b), r^a s_b = s_(b-a), s_a r^b = s_(a+b), s_a s_b = r^(b-a).
     """
+    _check_int(n, "dihedral group size n")
     if not 1 <= n <= _MAX_NAMED_ORDER // 2:
         raise InputError(f"dihedral groups are supported for 1 <= n <= {_MAX_NAMED_ORDER // 2}")
     rotations = [
@@ -234,6 +240,8 @@ def enumerate_homs(gens: int, relators, g: FiniteGroupTable, limit: int = HOM_LI
     over (generator, element), with per-prefix pruning: a relator is tested
     as soon as all generators it mentions are assigned.
     """
+    _check_int(gens, "generator count")
+    _check_int(limit, "homomorphism limit")
     if gens < 0:
         raise InputError("generator count must be nonnegative")
     relators = [check_word(w, gens, "relator") for w in relators]
@@ -278,27 +286,19 @@ class HnnData:
     phi_images: tuple
 
     def __post_init__(self):
+        _check_int(self.b_gens, "generator count")
         if self.b_gens < 0:
             raise InputError("generator count must be nonnegative")
-        object.__setattr__(
-            self, "b_relators", tuple(check_word(w, self.b_gens, "base relator") for w in self.b_relators)
-        )
-        object.__setattr__(
-            self, "u_gens", tuple(check_word(w, self.b_gens, "U generator") for w in self.u_gens)
-        )
-        object.__setattr__(
-            self, "v_gens", tuple(check_word(w, self.b_gens, "V generator") for w in self.v_gens)
-        )
-        object.__setattr__(
-            self, "u_relators", tuple(check_word(w, len(self.u_gens), "U relator") for w in self.u_relators)
-        )
-        object.__setattr__(
-            self, "v_relators", tuple(check_word(w, len(self.v_gens), "V relator") for w in self.v_relators)
-        )
-        phi = tuple(check_word(w, self.b_gens, "amalgamating image") for w in self.phi_images)
-        if len(phi) != len(self.u_gens):
+        # each word list, the generator list its words are over (None: B's), its name in messages
+        for name, over, what in (
+            ("b_relators", None, "base relator"), ("u_gens", None, "U generator"),
+            ("v_gens", None, "V generator"), ("u_relators", "u_gens", "U relator"),
+            ("v_relators", "v_gens", "V relator"), ("phi_images", None, "amalgamating image"),
+        ):
+            gens = len(getattr(self, over)) if over else self.b_gens
+            object.__setattr__(self, name, tuple(check_word(w, gens, what) for w in getattr(self, name)))
+        if len(self.phi_images) != len(self.u_gens):
             raise InputError("need exactly one amalgamating image per U generator")
-        object.__setattr__(self, "phi_images", phi)
 
 
 @record
@@ -367,17 +367,15 @@ def build_repshift(h: HnnData, g: FiniteGroupTable, limit: int = HOM_LIMIT) -> R
     rows = [[] for _ in u_states]
     for (i, j), count in sorted(edges.items()):
         rows[i].append((j, count))
-    trimmed, kept = trim_essential(IntMatrix.from_sparse(rows, len(u_states)))
-    kept_states = tuple(u_states[k] for k in kept)
-    labels = tuple(",".join(g.names[x] for x in s) if s else "()" for s in kept_states)
-    matrix = IntMatrix.from_sparse(trimmed.matrix.sparse, len(kept), labels=labels)
-    if not matrix.is_zero_one():
+    labels = tuple(",".join(g.names[x] for x in s) if s else "()" for s in u_states)
+    presentation, kept = trim_essential(IntMatrix.from_sparse(rows, len(u_states), labels=labels))
+    if not presentation.is_zero_one():
         raise PreconditionError(
             "representation shift has parallel edges (distinct base homomorphisms "
             "share endpoints); the conjugation action is not a symbol permutation "
             "on this presentation"
         )
-    return RepShift(presentation=SftPresentation(matrix), states=kept_states, group=g)
+    return RepShift(presentation=presentation, states=tuple(u_states[k] for k in kept), group=g)
 
 
 # monodromies of the two fibered genus-one knots, as substitutions on the

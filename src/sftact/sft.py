@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .errors import CapExceededError, InputError, PreconditionError
 from .records import record
-from .intmatrix import IntMatrix, _components
+from .intmatrix import IntMatrix, _check_int, _components
 
 Edge = tuple  # (initial state, terminal state, multiplicity index)
 
@@ -168,6 +168,7 @@ def higher_block(p: SftPresentation, n: int):
     (presentation, blocks) where ``blocks`` maps each new state index to
     its underlying word of original states.
     """
+    _check_int(n, "block length")
     if n < 2:
         raise InputError("block length must be at least 2")
     if not p.is_zero_one():
@@ -195,6 +196,8 @@ def enumerate_cycles(p: SftPresentation, length: int, cap: int):
     order.  Raises CapExceededError as soon as the running count passes
     ``cap``; callers should shrink the instance.
     """
+    _check_int(length, "cycle length")
+    _check_int(cap, "cap")
     if length < 1:
         raise InputError("cycle length must be at least 1")
     if cap < 1:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from .errors import InputError, InternalError, PreconditionError
 from .records import record
-from .intmatrix import IntMatrix, mat_mul
+from .intmatrix import IntMatrix, _check_int, mat_mul
 from .action import PermGroup, PermutationAction
 from .sft import SftPresentation
 
@@ -343,6 +343,7 @@ def higher_block_action(a: PermutationAction, n: int):
     certificate chain from the original matrix to the n-block matrix, and
     every intermediate action including both endpoints.
     """
+    _check_int(n, "block length")
     if n < 2:
         raise InputError("block length must be at least 2")
     stages = [a]

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 
@@ -36,7 +37,7 @@ from helpers import (
     scalar_trace_sequence,
     six_state_action,
 )
-from sftact.matrices import _components, _pseudo_remainder
+from sftact.matrices import _components, _pseudo_divide
 from sftact.reduce import right_reduce
 
 
@@ -566,19 +567,37 @@ class TestPolyOracles:
 
     @staticmethod
     def _check_divides(p, q, sympy):
+        """Checks the pseudo-division of q by p against sympy over the
+        rationals, and returns its scale s, with s q = quot p + rem."""
         t = sympy.Symbol("t")
+
+        def as_poly(coeffs):
+            return sympy.Poly(list(reversed(coeffs)), t, domain="QQ")
+
         expected = fraction_divides(p, q)
-        assert (not _pseudo_remainder(q.coefficients, p.coefficients)) == expected
-        if not q.is_zero():
-            rem = sympy.rem(
-                sympy.Poly(list(reversed(q.coefficients)), t, domain="QQ"),
-                sympy.Poly(list(reversed(p.coefficients)), t, domain="QQ"),
-            )
-            assert rem.is_zero == expected
+        quot, rem = _pseudo_divide(q.coefficients, p.coefficients)
+        assert (not rem) == expected
+        assert len(rem) < len(p.coefficients)
+        num, den = as_poly(q.coefficients), as_poly(p.coefficients)
+        lhs = as_poly(quot) * den + as_poly(rem)
+        if q.is_zero():
+            assert lhs.is_zero
+            return 1
+        scale = lhs.LC() / num.LC()
+        assert scale.is_integer and scale > 0
+        assert lhs == num * scale
+        exact_quot, exact_rem = sympy.div(num, den)
+        assert exact_rem.is_zero == expected
+        if expected:
+            assert as_poly(quot) == exact_quot * scale
+            if gcd(*p.coefficients) == 1:  # Gauss's lemma: no step scales
+                assert scale == 1
+        return int(scale)
 
     def test_cycle_products_with_shared_cyclotomic_factors(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(101)
+        scales = set()
         for _ in range(40):
             ps = [
                 _cycle_product(
@@ -591,12 +610,13 @@ class TestPolyOracles:
             assert out.coefficients[0] == 1
             for p in ps:
                 for q in ps:
-                    self._check_divides(p, q, sympy)
+                    scales.add(self._check_divides(p, q, sympy))
+        assert scales - {1}, "some division takes the scaling branch"
 
     def test_faddeev_factors_of_random_matrices(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(202)
-        leads = set()
+        leads, scales = set(), set()
         for _ in range(30):
             shared = _dense_faddeev_factor(rng)
             ps = [
@@ -605,10 +625,11 @@ class TestPolyOracles:
             ]
             leads.update(abs(p.coefficients[-1]) for p in ps)
             self._check_lcm(ps, sympy)
-            self._check_divides(shared, ps[0], sympy)
-            self._check_divides(ps[0], shared, sympy)
-            self._check_divides(_dense_faddeev_factor(rng), ps[-1], sympy)
+            scales.add(self._check_divides(shared, ps[0], sympy))
+            scales.add(self._check_divides(ps[0], shared, sympy))
+            scales.add(self._check_divides(_dense_faddeev_factor(rng), ps[-1], sympy))
         assert leads - {1}, "some input has a leading coefficient other than +-1"
+        assert scales - {1}, "some division takes the scaling branch"
 
     def test_trefoil_s4_fixed_submatrix_polynomials(self):
         sympy = pytest.importorskip("sympy")

@@ -19,17 +19,25 @@ from sftact import (
     LimitExceededError,
     PreconditionError,
     RepShift,
+    SftPresentation,
     bowen_franks,
     build_repshift,
+    burnside_counts,
     char_poly_reciprocal,
+    classify_quotient,
     cyclic_group,
     dihedral_group,
+    enumerate_cycles,
     enumerate_homs,
     evaluate_word,
     fibered_preset,
+    fixed_submatrix,
     flat_bundle_counts,
+    group_from_generators,
+    higher_block,
     higher_block_action,
     left_reduce,
+    nonexpansive_witness,
     quaternion_group,
     right_reduce,
     symmetric_group,
@@ -38,11 +46,13 @@ from sftact import (
     trace_sequence,
     trivial_group,
 )
+from sftact.intmatrix import _components
 from sftact.jobs import parse_abstract_group
 from sftact.repshift import check_word
 
 from helpers import (
     PLAIN_MONODROMIES,
+    SIX_STATE_A,
     alexander_polynomial,
     brute_is_group,
     check_built_group,
@@ -54,6 +64,7 @@ from helpers import (
     plain_monodromy_fixed_counts,
     plain_orbits,
     recurrence_holds,
+    six_state_action,
     z48_with_swapped_products,
 )
 
@@ -212,6 +223,13 @@ class TestGroupTables:
     def test_non_integer_entries_rejected(self, entry):
         with pytest.raises(InputError, match="element indices"):
             FiniteGroupTable(names=("e", "g"), table=((0, entry), (1, 0)))
+
+    @pytest.mark.parametrize("names", [("e", "a", "a,a"), ("e", "x,y", "z")])
+    def test_comma_in_element_name_rejected(self, names):
+        # state labels join element names with commas, so such names make
+        # labels that collide or cannot be read back
+        with pytest.raises(InputError, match="must not contain ','"):
+            FiniteGroupTable(names=names, table=cyclic_group(3).table)
 
 
 class TestWordEvaluation:
@@ -503,15 +521,16 @@ print(json.dumps([proc.returncode, proc.stdout, proc.stderr, peak]))
 """
 
 
-def run_measured_cli(tmp_path, command, input_doc):
+def run_measured_cli(tmp_path, command, input_doc, *flags):
     """(exit code, stdout, stderr, peak RSS in KiB) of ``sftact command`` on
-    the job ``input_doc``, run in a small wrapper process."""
+    the job ``input_doc`` with the command-line ``flags``, run in a small
+    wrapper process."""
     path = tmp_path / "job.json"
     path.write_text(json.dumps({"command": command, "input": input_doc}))
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     wrapper = subprocess.run(
-        [sys.executable, "-c", _MEASURED_CHILD, sys.executable, "-m", "sftact.cli", command, "--input", str(path)],
+        [sys.executable, "-c", _MEASURED_CHILD, sys.executable, "-m", "sftact.cli", command, "--input", str(path), *flags],
         capture_output=True, text=True, env=env, timeout=90, check=True,
     )
     return json.loads(wrapper.stdout)
@@ -528,6 +547,30 @@ def test_trefoil_s5_tqft_end_to_end(tmp_path):
     result = json.loads(stdout)["result"]
     assert len(result["basis"]) == len(result["matrix"]["entries"]) == 161
     assert elapsed < 10
+    assert peak_kib < 200 * 1024
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("preset, counts", [
+    ("trefoil", (1, 2, 11, 3, 2, 45, 1, 3, 41, 3, 1, 73)),
+    ("figure8", (1, 2, 38, 6, 1, 41, 8, 10, 47, 7, 1, 57)),
+])
+def test_s5_bundle_counts_end_to_end(tmp_path, preset, counts):
+    start = time.perf_counter()
+    returncode, stdout, stderr, peak_kib = run_measured_cli(
+        tmp_path, "bundle-counts", {"hnn": {"preset": preset}, "group": "S5"}, "--max-n", "12"
+    )
+    elapsed = time.perf_counter() - start
+    assert returncode == 0, stderr
+    result = json.loads(stdout)["result"]
+    assert tuple(result["counts"]) == counts
+    # every component of the shift is a single cycle, so each fixed
+    # submatrix is a union of its cycles, each det(I - t A_g) divides the
+    # identity's, and the recurrence is det(I - t A) of the shift itself
+    matrix = build_repshift(fibered_preset(preset), symmetric_group(5)).presentation.matrix
+    assert all(is_cycle for _, is_cycle in _components(matrix.sparse))
+    assert tuple(result["recurrence"]) == char_poly_reciprocal(matrix).coefficients
+    assert elapsed < 30
     assert peak_kib < 200 * 1024
 
 
@@ -569,3 +612,37 @@ class TestFlatBundleCounts:
             order = shift.action.group.order
             for n in range(8):
                 assert sum(row[n] for row in report.element_traces) % order == 0
+
+
+# One call per library entry point that takes a count, a bound or an index;
+# each gets the bad value in that argument.
+_INTEGER_ARGUMENTS = {
+    "burnside_counts m": lambda x: burnside_counts(six_state_action(), x),
+    "nonexpansive_witness m": lambda x: nonexpansive_witness(
+        six_state_action(), classify_quotient(six_state_action()), x
+    ),
+    "higher_block n": lambda x: higher_block(SftPresentation(SIX_STATE_A), x),
+    "higher_block_action n": lambda x: higher_block_action(six_state_action(), x),
+    "enumerate_homs gens": lambda x: enumerate_homs(x, [], cyclic_group(2)),
+    "enumerate_homs limit": lambda x: enumerate_homs(1, [], cyclic_group(2), limit=x),
+    "build_repshift limit": lambda x: build_repshift(fibered_preset("trefoil"), cyclic_group(2), x),
+    "cyclic_group n": lambda x: cyclic_group(x),
+    "symmetric_group n": lambda x: symmetric_group(x),
+    "dihedral_group n": lambda x: dihedral_group(x),
+    "group_from_generators degree": lambda x: group_from_generators(x, []),
+    "group_from_generators limit": lambda x: group_from_generators(2, [(1, 0)], x),
+    "group_from_generators entry": lambda x: group_from_generators(3, [(1, 0, x)]),
+    "enumerate_cycles length": lambda x: enumerate_cycles(SftPresentation(SIX_STATE_A), x, 5),
+    "enumerate_cycles cap": lambda x: enumerate_cycles(SftPresentation(SIX_STATE_A), 2, x),
+    "fixed_submatrix g": lambda x: fixed_submatrix(six_state_action(), x),
+    "HnnData b_gens": lambda x: HnnData(
+        b_gens=x, b_relators=(), u_gens=(), u_relators=(), v_gens=(), v_relators=(), phi_images=()
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [2.0, True])
+@pytest.mark.parametrize("call", list(_INTEGER_ARGUMENTS), ids=str)
+def test_integer_arguments_reject_floats_and_bools(call, bad):
+    with pytest.raises(InputError, match="must be an exact integer"):
+        _INTEGER_ARGUMENTS[call](bad)
