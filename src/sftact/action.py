@@ -3,8 +3,9 @@ permutations.
 
 An action is valid when every group element g satisfies the invariance law
 A(gi, gj) = A(i, j), so that g induces a one-block automorphism of the
-shift.  Its orbits, searched along the generators, and its submatrices on
-the states an element fixes, which ``PermGroup.fixed`` alone finds, drive
+shift.  Its orbits, searched along the generator permutations alone (so
+a representation shift needs no group), and its submatrices on the
+states an element fixes, which ``PermGroup.fixed`` alone finds, drive
 the reduced-shift and orbit-counting machinery; an element that fixes no
 state has none.
 
@@ -120,6 +121,8 @@ def group_from_generators(degree: int, gens, limit: int = CLOSURE_LIMIT) -> Perm
     """
     _check_int(degree, "degree")
     _check_int(limit, "closure limit")
+    if degree < 0:
+        raise InputError("degree must be nonnegative")
     gens = [_check_perm(g, degree) for g in gens]
     identity = tuple(range(degree))
     ordered = [identity]
@@ -179,7 +182,7 @@ class PermutationAction:
 
     @cached_property
     def orbits(self) -> "OrbitStructure":
-        return _orbit_structure(self)
+        return _orbit_structure(self.group.degree, [self.group.elements[k] for k in self.group.generators])
 
 
 @record
@@ -199,14 +202,13 @@ class OrbitStructure:
         return len(self.orbits)
 
 
-def _orbit_structure(a: PermutationAction) -> OrbitStructure:
-    """Orbits by breadth-first search along the generators: in a finite
-    group every inverse is a power, so forward images reach the orbit."""
-    g = a.group
-    gens = [g.elements[k] for k in g.generators]
-    orbit_of = [-1] * g.degree
+def _orbit_structure(degree: int, gens) -> OrbitStructure:
+    """Orbits on 0..degree-1 of the group the permutations ``gens``
+    generate, by breadth-first search along them: in a finite group every
+    inverse is a power, so forward images reach the orbit."""
+    orbit_of = [-1] * degree
     orbits = []
-    for i in range(g.degree):
+    for i in range(degree):
         if orbit_of[i] >= 0:
             continue
         orbit_of[i] = len(orbits)

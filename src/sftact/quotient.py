@@ -6,9 +6,11 @@ satisfy the linear recurrence given by the least common multiple of the
 polynomials det(I - t A_g).  Elements with the same fixed states have the
 same A_g, so both come from one pass of the counting engine of
 ``matrices`` per fixed-state set; an empty set needs no matrix (zero
-traces, determinant 1).  The quotient dynamical system has the zeta
-function of the left-reduced shift (Fiebig), so its period-n counts are
-trace(A_left^n); the tests check them against enumerated cycles.
+traces, determinant 1).  ``burnside_counts`` and ``flat_bundle_counts``
+share that core, ``_burnside``, fed one fixed-state set per element.  The
+quotient dynamical system has the zeta function of the left-reduced shift
+(Fiebig), so its period-n counts are trace(A_left^n); the tests check
+them against enumerated cycles.
 
 For irreducible presentations the quotient is either again a shift of
 finite type (when the quotient map is constant-to-one) or fails to be
@@ -26,8 +28,8 @@ from __future__ import annotations
 
 from .errors import InputError, InternalError, PreconditionError
 from .records import record
-from .intmatrix import _check_int
-from .action import PermutationAction, fixed_submatrix
+from .intmatrix import IntMatrix, _check_int
+from .action import PermutationAction
 from .sft import CycleWord, SftPresentation, is_irreducible, shortest_path, trim_essential
 
 
@@ -42,7 +44,13 @@ class OrbitCountReport:
 
 
 def burnside_counts(a: PermutationAction, m: int) -> OrbitCountReport:
-    """Orbit counts of period-n points for n = 1..m by fixed-point averaging.
+    """Orbit counts of period-n points for n = 1..m by fixed-point averaging."""
+    return _burnside(a.matrix, [a.group.fixed(g) for g in range(a.group.order)], m)
+
+
+def _burnside(matrix: IntMatrix, fixed_sets, m: int) -> OrbitCountReport:
+    """Burnside counts and recurrence of a group acting on ``matrix``'s
+    states, given the ascending fixed-state set of each of its elements.
 
     Elements with the same fixed states have the same fixed submatrix, so
     its traces and det(I - t A_g) are computed once per fixed-state set, by
@@ -54,16 +62,13 @@ def burnside_counts(a: PermutationAction, m: int) -> OrbitCountReport:
     _check_int(m, "number of counts")
     if m < 1:
         raise InputError("need at least one count")
-    group = a.group
-    order = group.order
+    order = len(fixed_sets)
     # fixed-state set -> (traces of its submatrix, det(I - t A_g))
     by_fixed = {}
     traces = []
-    for g in range(order):
-        fixed = group.fixed(g)
+    for fixed in fixed_sets:
         if fixed not in by_fixed:
-            sub = fixed_submatrix(a, g)
-            by_fixed[fixed] = ([0] * m, IntPolynomial((1,))) if sub is None else _zeta(sub, m, True)
+            by_fixed[fixed] = _zeta(matrix.principal(fixed), m, True) if fixed else ([0] * m, IntPolynomial((1,)))
         traces.append(by_fixed[fixed][0])
     counts = []
     for n in range(m):
@@ -210,6 +215,9 @@ def nonexpansive_witness(
     if not is_irreducible(a.presentation):
         raise PreconditionError("witness construction needs an irreducible presentation")
     g, u_cycle = c.witness
+    _check_int(g, "witness element")
+    if not 0 < g < a.group.order:
+        raise InputError(f"witness element {g} is not a non-identity element of the group")
     u = u_cycle.edges
     # v visits every state, so g, which is not the identity, moves one of them
     v = _cycle_through_all_states(a.presentation)

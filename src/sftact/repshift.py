@@ -9,8 +9,11 @@ pullback along the amalgamating map.  The finite group acts on this shift
 by conjugating values; the right-reduced shift of that action is the
 transfer matrix on the orbit basis Hom(U, G)/G, and Burnside orbit counts
 of period-n points count flat G-bundles over the n-fold cyclic branched
-cover when the data comes from a knot.  The reduction and the Burnside
-counts are imported inside ``tqft_matrix`` and ``flat_bundle_counts``.
+cover when the data comes from a knot.  G acts through its table, never
+as a permutation group on the states: orbits follow the state maps of
+G's generators, and c fixes a state when all its values commute with c.
+The reduction and the Burnside core are imported inside ``tqft_matrix``
+and ``flat_bundle_counts``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from itertools import permutations
 from .errors import InputError, LimitExceededError, PreconditionError
 from .records import record
 from .intmatrix import IntMatrix, _check_int
-from .action import PermutationAction, compose, greedy_generators, group_from_generators
+from .action import _orbit_structure, compose, greedy_generators
 from .sft import SftPresentation, trim_essential
 
 HOM_LIMIT = 1000000  # default budget of homomorphism enumeration
@@ -303,9 +306,10 @@ class HnnData:
 
 @record
 class RepShift:
-    """Shift of finite type on Hom(U, G) with its conjugation action.
+    """Shift of finite type on Hom(U, G) with G's conjugation action.
 
-    ``states`` lists the surviving homomorphisms as image tuples.
+    ``states`` lists the surviving homomorphisms as image tuples.  G acts
+    through its table; no permutation group on the states is closed.
     """
 
     presentation: SftPresentation
@@ -313,17 +317,25 @@ class RepShift:
     group: FiniteGroupTable
 
     @cached_property
-    def action(self) -> PermutationAction:
-        """The conjugation action: the state maps rho -> c^-1 rho c for the
-        generators c of the group, closed under composition (deduplicated
-        to the inner automorphism image) when first read."""
+    def conjugations(self) -> tuple:
+        """The state maps rho -> c^-1 rho c of the generators c of the group."""
         g, states = self.group, self.states
         index = {s: k for k, s in enumerate(states)}
         gens = []
         for c in g.generators:
             conj = [g.conjugate(x, c) for x in range(g.order)]
             gens.append(tuple(index[tuple(map(conj.__getitem__, s))] for s in states))
-        return PermutationAction(self.presentation, group_from_generators(len(states), gens))
+        return tuple(gens)
+
+    def fixed(self, c: int) -> tuple:
+        """The states element c fixes, in ascending order: those whose
+        values all lie in the centralizer of c."""
+        _check_int(c, "element index")
+        if not 0 <= c < self.group.order:
+            raise InputError(f"element index {c} out of range")
+        table = self.group.table
+        centralizer = {x for x, row in enumerate(table) if row[c] == table[c][x]}
+        return tuple(k for k, s in enumerate(self.states) if centralizer.issuperset(s))
 
 
 def _failing_relator(images, relators, g: FiniteGroupTable):
@@ -339,10 +351,10 @@ def build_repshift(h: HnnData, g: FiniteGroupTable, limit: int = HOM_LIMIT) -> R
     States are Hom(U, G); each element of Hom(B, G) contributes an edge
     from its restriction to U to its composition with the amalgamating
     map.  The state matrix is built from its sparse rows.  Inessential
-    states are trimmed; the conjugation action is closed when
-    ``RepShift.action`` is first read, so a caller can refuse an oversized
-    shift before it.  The trivial homomorphism is a state with a loop, so
-    the trimmed shift is never empty.
+    states are trimmed; the conjugation maps are formed when
+    ``RepShift.conjugations`` is first read, so a caller can refuse an
+    oversized shift before them.  The trivial homomorphism is a state with
+    a loop, so the trimmed shift is never empty.
     """
     u_states = enumerate_homs(len(h.u_gens), h.u_relators, g, limit)
     state_index = {s: k for k, s in enumerate(u_states)}
@@ -412,19 +424,18 @@ class TqftMatrix:
 
 def tqft_matrix(r: RepShift) -> TqftMatrix:
     """Right-reduced shift of the conjugation action, with orbit labels."""
-    from .reduce import right_reduce
+    from .reduce import ReducedShift, _labels, _reduce
 
-    reduced = right_reduce(r.action)
-    orbit_labels = tuple(
-        r.presentation.label(rep) for rep in r.action.orbits.representatives
-    )
-    return TqftMatrix(reduced=reduced, basis=orbit_labels)
+    orbits = _orbit_structure(len(r.states), r.conjugations)
+    reduced = ReducedShift(_reduce(r.presentation.matrix, orbits, orbits, _labels(orbits)), orbits)
+    return TqftMatrix(reduced=reduced, basis=tuple(map(r.presentation.label, orbits.representatives)))
 
 
 def flat_bundle_counts(r: RepShift, m: int) -> OrbitCountReport:
     """Flat-bundle counts over the cyclic branched covers: Burnside orbit
-    counts of period-n points of the conjugation action, with the
-    annihilating recurrence of the count sequence."""
-    from .quotient import burnside_counts
+    counts of period-n points of the conjugation action, averaged over G
+    (each image element has equally many preimages), with the annihilating
+    recurrence of the count sequence."""
+    from .quotient import _burnside
 
-    return burnside_counts(r.action, m)
+    return _burnside(r.presentation.matrix, [r.fixed(c) for c in range(r.group.order)], m)

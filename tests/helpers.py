@@ -102,7 +102,7 @@ def triangle_action() -> PermutationAction:
     )
 
 
-def conjugation_action() -> PermutationAction:
+def s3_conjugation_action() -> PermutationAction:
     """Full shift on the six elements of the order-six symmetric group,
     acted on by conjugation."""
     elems = list(permutations(range(3)))
@@ -125,6 +125,24 @@ def conjugation_action() -> PermutationAction:
     return PermutationAction(SftPresentation(full), group)
 
 
+def conjugation_action(shift) -> PermutationAction:
+    """The conjugation action of a representation shift, closed as a
+    permutation group on its states: the oracle for the library, which
+    acts through the group's table instead."""
+    return PermutationAction(shift.presentation, group_from_generators(len(shift.states), shift.conjugations))
+
+
+def brute_conjugation(shift, c: int) -> tuple:
+    """The permutation rho -> c^-1 rho c of a representation shift's
+    states, with the identity, c^-1 and every product read off the table."""
+    table = shift.group.table
+    n = len(table)
+    identity = next(e for e in range(n) if all(table[e][x] == x for x in range(n)))
+    inverse = next(y for y in range(n) if table[c][y] == identity)
+    index = {s: k for k, s in enumerate(shift.states)}
+    return tuple(index[tuple(table[table[inverse][x]][c] for x in s)] for s in shift.states)
+
+
 def standard_actions():
     return [
         six_state_action(),
@@ -133,7 +151,7 @@ def standard_actions():
         three_state_action(),
         swapped_two_shift(),
         triangle_action(),
-        conjugation_action(),
+        s3_conjugation_action(),
     ]
 
 

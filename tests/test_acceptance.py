@@ -51,7 +51,6 @@ from helpers import (
     brute_exponent,
     brute_orbit_counts,
     brute_quotient_counts,
-    conjugation_action,
     dense_trace_of_power,
     emit_job,
     five_state_action,
@@ -61,6 +60,7 @@ from helpers import (
     random_compatible_split,
     recurrence_holds,
     reducible_action,
+    s3_conjugation_action,
     six_state_action,
     square_commute_failures,
     standard_actions,
@@ -77,7 +77,7 @@ def report(n, message):
 
 
 def test_criterion_01_conjugation_full_shift_reduction():
-    reduced = right_reduce(conjugation_action())
+    reduced = right_reduce(s3_conjugation_action())
     assert reduced.matrix.entries == ((1, 3, 2), (1, 3, 2), (1, 3, 2))
     report(1, "conjugation action on the order-six full shift reduces to [[1,3,2]] rows")
 
@@ -226,7 +226,7 @@ def test_criterion_07_expansivity_classification():
     assert left_reduce(swap).matrix.entries == ((2,),)
 
     rng = random.Random(20240604)
-    cases = [six_state_action(), swap, conjugation_action(), triangle_action()]
+    cases = [six_state_action(), swap, s3_conjugation_action(), triangle_action()]
     cases += [random_action(rng, max_states=5, max_order=4, require_irreducible=True) for _ in range(25)]
     nonexpansive_seen = 0
     for act in cases:

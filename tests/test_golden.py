@@ -154,7 +154,7 @@ def test_traced_job_records_construction_spans():
     one, and leaving the block restores the original."""
     from sftact.action import PermGroup, PermutationAction
 
-    path = EXPECTED / "cli-small" / "trefoil-s3-tqft.json"
+    path = EXPECTED / "cli-small" / "six-reduce.json"
     golden = path.read_bytes()
     text = json.dumps(json.loads(golden)["input"])
     originals = {cls: vars(cls)["__post_init__"] for cls in (PermGroup, PermutationAction)}

@@ -32,13 +32,13 @@ from helpers import (
     brute_orbit_counts,
     brute_quotient_counts,
     constant_to_one_check,
-    conjugation_action,
     dense_trace_of_power,
     primitive_form,
     random_action,
     random_group_action,
     recurrence_holds,
     reducible_action,
+    s3_conjugation_action,
     six_state_action,
     standard_actions,
     swapped_two_shift,
@@ -141,7 +141,7 @@ class TestBurnsideCounts:
         assert report.counts == (2,)
 
     def test_conjugation_first_count(self):
-        report = burnside_counts(conjugation_action(), 1)
+        report = burnside_counts(s3_conjugation_action(), 1)
         assert report.counts == (3,)
         assert sum(row[0] for row in report.element_traces) == 18
 
@@ -325,7 +325,7 @@ class TestWitness:
                 checked += 1
 
     def test_conjugation_action_witness(self):
-        act = conjugation_action()
+        act = s3_conjugation_action()
         verdict = classify_quotient(act)
         assert verdict.verdict == "nonexpansive"
         nonexpansive_witness(act, verdict, 1)

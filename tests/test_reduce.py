@@ -17,13 +17,13 @@ from sftact import (
 
 from helpers import (
     FULL_TWO_SHIFT,
-    conjugation_action,
     direct_left_reduce,
     is_right_resolving,
     plain_orbits,
     random_action,
     random_group_action,
     reducible_action,
+    s3_conjugation_action,
     six_state_action,
     swapped_two_shift,
     three_state_action,
@@ -35,7 +35,7 @@ class TestRightReduce:
         assert tuple(ReducedShift.__annotations__) == ("matrix", "orbits")
 
     def test_conjugation_full_shift(self):
-        reduced = right_reduce(conjugation_action())
+        reduced = right_reduce(s3_conjugation_action())
         assert reduced.matrix.entries == ((1, 3, 2), (1, 3, 2), (1, 3, 2))
         assert reduced.matrix.labels == ("G1", "G2", "G4")
 
@@ -122,7 +122,7 @@ def assert_left_matches_oracle(act):
 
 class TestLeftReduceOracle:
     def test_fixtures(self):
-        for act in (six_state_action(), conjugation_action(), swapped_two_shift()):
+        for act in (six_state_action(), s3_conjugation_action(), swapped_two_shift()):
             assert_left_matches_oracle(act)
 
     def test_randomized(self):

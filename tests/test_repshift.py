@@ -18,6 +18,7 @@ from sftact import (
     InputError,
     LimitExceededError,
     PreconditionError,
+    QuotientClassification,
     RepShift,
     SftPresentation,
     bowen_franks,
@@ -47,17 +48,19 @@ from sftact import (
     trivial_group,
 )
 from sftact.intmatrix import _components
-from sftact.jobs import parse_abstract_group
+from sftact.jobs import parse_abstract_group, parse_job, run_job
 from sftact.repshift import check_word
 
 from helpers import (
     PLAIN_MONODROMIES,
     SIX_STATE_A,
     alexander_polynomial,
+    brute_conjugation,
     brute_is_group,
     check_built_group,
     check_group_table,
     composition_symmetric_table,
+    conjugation_action,
     dense_product,
     dense_selectors,
     permutation_dihedral_table,
@@ -65,8 +68,13 @@ from helpers import (
     plain_orbits,
     recurrence_holds,
     six_state_action,
+    three_state_action,
     z48_with_swapped_products,
 )
+
+
+# Z3 as an explicit table whose identity is element 2: element k is k + 1 mod 3
+Z3_IDENTITY_LAST = {"names": ["a", "b", "e"], "table": [[(i + j + 1) % 3 for j in range(3)] for i in range(3)]}
 
 
 def substitute(word, images):
@@ -386,13 +394,21 @@ class TestBuildRepshift:
         # a dense 576 x 576 state matrix alone would take 2.6 MB
         assert peak < 1.5e6
 
-    def test_conjugation_action_installed(self):
-        shift = build_repshift(fibered_preset("trefoil"), symmetric_group(3))
-        assert shift.presentation.num_states == 36
-        # closed on first read, so an oversized shift can be refused first
-        assert "action" not in vars(shift)
-        assert shift.action.group.order == 6
-        assert shift.action is shift.action
+    @pytest.mark.parametrize(
+        "group, states, image_order",
+        [(symmetric_group(3), 36, 6), (dihedral_group(4), 64, 4), (parse_abstract_group(Z3_IDENTITY_LAST, "$"), 9, 1)],
+        ids=["S3", "D4", "Z3e2"],
+    )
+    def test_conjugations_are_brute_force_conjugation(self, group, states, image_order):
+        shift = build_repshift(fibered_preset("trefoil"), group)
+        assert shift.presentation.num_states == states
+        # formed on first read, so an oversized shift can be refused first
+        assert "conjugations" not in vars(shift)
+        assert len(shift.conjugations) == len(group.generators)
+        for c, perm in zip(group.generators, shift.conjugations):
+            assert perm == brute_conjugation(shift, c)
+        assert shift.conjugations is shift.conjugations
+        assert conjugation_action(shift).group.order == image_order
 
     @pytest.mark.parametrize(
         "group",
@@ -402,11 +418,12 @@ class TestBuildRepshift:
     def test_conjugation_group_passes_closure_oracle(self, group):
         combinatorics = pytest.importorskip("sympy.combinatorics")
         shift = build_repshift(fibered_preset("trefoil"), group)
-        check_built_group(shift.action.group, combinatorics)
+        check_built_group(conjugation_action(shift).group, combinatorics)
 
     def test_abelian_group_conjugation_trivial(self):
         shift = build_repshift(fibered_preset("trefoil"), cyclic_group(5))
-        assert shift.action.group.order == 1
+        assert conjugation_action(shift).group.order == 1
+        assert all(shift.fixed(c) == tuple(range(len(shift.states))) for c in range(5))
 
     def test_inconsistent_hnn_reported(self):
         # U has a relator the amalgamating image violates
@@ -449,6 +466,49 @@ class TestBuildRepshift:
             build_repshift(wide, cyclic_group(2))
 
 
+_ORACLE_GROUPS = {"S3": "S3", "S4": "S4", "D4": "D4", "Q8": "Q8", "Z5": "Z5", "Z3e2": Z3_IDENTITY_LAST}
+
+
+@pytest.mark.parametrize("preset", ["trefoil", "figure8"])
+@pytest.mark.parametrize("group_doc", list(_ORACLE_GROUPS.values()), ids=list(_ORACLE_GROUPS))
+def test_table_route_matches_closed_conjugation_group(preset, group_doc):
+    """Counts and recurrence, the TQFT matrix and basis, the repshift
+    report's conjugation order and every element's fixed states agree with
+    the conjugation group closed on the states."""
+    group = parse_abstract_group(group_doc, "$.group")
+    shift = build_repshift(fibered_preset(preset), group)
+    oracle = conjugation_action(shift)
+    report, expected = flat_bundle_counts(shift, 8), burnside_counts(oracle, 8)
+    assert (report.counts, report.recurrence) == (expected.counts, expected.recurrence)
+    tqft, reduced = tqft_matrix(shift), right_reduce(oracle)
+    assert (tqft.reduced.matrix, tqft.reduced.orbits) == (reduced.matrix, reduced.orbits)
+    assert tqft.basis == tuple(shift.presentation.label(i) for i in oracle.orbits.representatives)
+    job = json.dumps({"command": "repshift", "input": {"hnn": {"preset": preset}, "group": group_doc}})
+    assert run_job(parse_job(job))["result"]["conjugation_order"] == oracle.group.order
+    for c in range(group.order):
+        perm = brute_conjugation(shift, c)
+        assert shift.fixed(c) == tuple(i for i, image in enumerate(perm) if image == i)
+
+
+def test_table_route_closes_no_permutation_group(monkeypatch):
+    """The TQFT matrix and the bundle counts come from the group's table
+    and the generators' state maps: no group is closed on the states."""
+    import sftact.action
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a permutation group was closed")
+
+    original = sftact.action.group_from_generators
+    for name, module in list(sys.modules.items()):
+        if name == "sftact" or name.startswith("sftact."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, refuse)
+    shift = build_repshift(fibered_preset("trefoil"), symmetric_group(3))
+    assert len(tqft_matrix(shift).basis) == 11
+    assert flat_bundle_counts(shift, 6).counts == (1, 2, 4, 2, 1, 8)
+
+
 class TestTqftMatrix:
     def test_trivial_group(self):
         shift = build_repshift(fibered_preset("trefoil"), trivial_group())
@@ -464,7 +524,7 @@ class TestTqftMatrix:
         shift = build_repshift(fibered_preset("trefoil"), symmetric_group(3))
         reduced = tqft_matrix(shift).reduced
         assert "u_selector" not in vars(reduced) and "v_selector" not in vars(reduced)
-        act = shift.action
+        act = conjugation_action(shift)
         a, n = act.matrix.entries, act.matrix.dim
         u, v = dense_selectors(n, plain_orbits(n, act.group.elements))
         assert (reduced.u_selector.entries, reduced.v_selector.entries) == (u, v)
@@ -501,7 +561,7 @@ class TestTqftMatrix:
 
     def test_higher_block_preserves_invariants(self):
         shift = build_repshift(fibered_preset("trefoil"), symmetric_group(3))
-        block_act, _, _ = higher_block_action(shift.action, 2)
+        block_act, _, _ = higher_block_action(conjugation_action(shift), 2)
         original = tqft_matrix(shift).reduced.matrix
         recoded = right_reduce(block_act).matrix
         assert char_poly_reciprocal(original) == char_poly_reciprocal(recoded)
@@ -547,7 +607,9 @@ def test_trefoil_s5_tqft_end_to_end(tmp_path):
     result = json.loads(stdout)["result"]
     assert len(result["basis"]) == len(result["matrix"]["entries"]) == 161
     assert elapsed < 10
-    assert peak_kib < 200 * 1024
+    # no permutation group is closed on the 14400 states: about 29 MB, where
+    # closing the order-120 conjugation group on them would take about 47 MB
+    assert peak_kib < 40 * 1024
 
 
 @pytest.mark.slow
@@ -582,8 +644,8 @@ def test_trefoil_s5_repshift_refused_before_dense_matrix(tmp_path):
     assert (returncode, stdout) == (3, "")
     assert stderr.startswith("budget exhausted: the representation shift has 14400 states,")
     assert stderr.count("\n") == 1 and "tqft and bundle-counts" in stderr
-    # refused once the states are counted, before the conjugation group of
-    # order 120 on 14400 states is closed and validated (about 70 MB)
+    # refused once the states are counted, before the dense state matrix of
+    # about 207 million entries is formed
     assert peak_kib < 45 * 1024
 
 
@@ -609,9 +671,10 @@ class TestFlatBundleCounts:
         for group in (cyclic_group(2), symmetric_group(3)):
             shift = build_repshift(fibered_preset("figure8"), group)
             report = flat_bundle_counts(shift, 8)
-            order = shift.action.group.order
+            # one trace row per element of G, averaged over all of G
+            assert len(report.element_traces) == group.order
             for n in range(8):
-                assert sum(row[n] for row in report.element_traces) % order == 0
+                assert sum(row[n] for row in report.element_traces) == group.order * report.counts[n]
 
 
 # One call per library entry point that takes a count, a bound or an index;
@@ -635,6 +698,7 @@ _INTEGER_ARGUMENTS = {
     "enumerate_cycles length": lambda x: enumerate_cycles(SftPresentation(SIX_STATE_A), x, 5),
     "enumerate_cycles cap": lambda x: enumerate_cycles(SftPresentation(SIX_STATE_A), 2, x),
     "fixed_submatrix g": lambda x: fixed_submatrix(six_state_action(), x),
+    "RepShift.fixed c": lambda x: build_repshift(fibered_preset("trefoil"), cyclic_group(2)).fixed(x),
     "HnnData b_gens": lambda x: HnnData(
         b_gens=x, b_relators=(), u_gens=(), u_relators=(), v_gens=(), v_relators=(), phi_images=()
     ),
@@ -646,3 +710,28 @@ _INTEGER_ARGUMENTS = {
 def test_integer_arguments_reject_floats_and_bools(call, bad):
     with pytest.raises(InputError, match="must be an exact integer"):
         _INTEGER_ARGUMENTS[call](bad)
+
+
+def _witness_at(g):
+    """The witness construction for the order-two swap with element g in
+    place of the classified one."""
+    act = three_state_action()
+    _, cycle = classify_quotient(act).witness
+    return nonexpansive_witness(act, QuotientClassification((g, cycle)), 1)
+
+
+# Integers outside the range an entry point accepts; each is an input
+# error, not an exception from inside the library.
+_OUT_OF_RANGE = {
+    "group_from_generators degree -1": lambda: group_from_generators(-1, []),
+    "nonexpansive_witness element 5 of 2": lambda: _witness_at(5),
+    "nonexpansive_witness identity element": lambda: _witness_at(0),
+    "RepShift.fixed -1": lambda: build_repshift(fibered_preset("trefoil"), cyclic_group(2)).fixed(-1),
+    "RepShift.fixed 2 of 2": lambda: build_repshift(fibered_preset("trefoil"), cyclic_group(2)).fixed(2),
+}
+
+
+@pytest.mark.parametrize("call", list(_OUT_OF_RANGE), ids=str)
+def test_out_of_range_arguments_raise_input_errors(call):
+    with pytest.raises(InputError):
+        _OUT_OF_RANGE[call]()
