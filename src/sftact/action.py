@@ -65,6 +65,20 @@ def greedy_generators(items, start, product) -> tuple:
     return tuple(indices)
 
 
+def _moved_row(rows, p, q):
+    """The first row i not moved exactly onto row p[i] at columns q[j], or
+    None, which means M(p i, q j) = M(i, j) for all i, j; ``rows`` map each
+    row's columns to its nonzero entries."""
+    for i, row in enumerate(rows):
+        target = rows[p[i]]
+        if len(target) != len(row):
+            return i
+        for j, x in row.items():
+            if target.get(q[j]) != x:
+                return i
+    return None
+
+
 @record
 class PermGroup:
     """A finite group of permutations of 0..degree-1, as its builder closed it.
@@ -155,18 +169,16 @@ class PermutationAction:
             raise InputError(
                 f"group degree {g.degree} does not match state count {p.num_states}"
             )
-        sparse = p.matrix.sparse
+        rows = [dict(row) for row in p.matrix.sparse]
         for k in g.generators:
             perm = g.elements[k]
-            for i, row in enumerate(sparse):
-                # row i is kept when its nonzero entries move onto those of row perm[i]
-                if sorted((perm[j], x) for j, x in row) == list(sparse[perm[i]]):
-                    continue
-                rows = p.matrix.entries
-                j = next(j for j, x in enumerate(rows[i]) if rows[perm[i]][perm[j]] != x)
+            i = _moved_row(rows, perm, perm)
+            if i is not None:
+                dense = p.matrix.entries
+                j = next(j for j, x in enumerate(dense[i]) if dense[perm[i]][perm[j]] != x)
                 raise PreconditionError(
                     f"invariance violated: element {k} sends entry ({i + 1},{j + 1})="
-                    f"{rows[i][j]} to ({perm[i] + 1},{perm[j] + 1})={rows[perm[i]][perm[j]]}"
+                    f"{dense[i][j]} to ({perm[i] + 1},{perm[j] + 1})={dense[perm[i]][perm[j]]}"
                 )
 
     @property

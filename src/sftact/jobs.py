@@ -38,7 +38,7 @@ import sys
 from contextlib import contextmanager
 
 from . import __version__, action, matrices, quotient, reduce, repshift, sft, sse
-from .errors import InputError, LimitExceededError
+from .errors import InputError, LimitExceededError, PreconditionError
 from .intmatrix import IntMatrix
 from .records import record
 
@@ -184,13 +184,43 @@ def cycles_of(perm) -> str:
     return "".join(parts) or "()"
 
 
-def parse_perm_group(doc, degree, path) -> action.PermGroup:
+def parse_generators(doc, degree, path):
+    """(listed generators, closure limit) of a permutation group document."""
     doc = _fields(doc, path, ("generators", "limit"))
     gens_doc = doc.get("generators")
     _expect(isinstance(gens_doc, list), f"{path}.generators", "expected an array of cycle strings")
     limit = _get_int(doc.get("limit", action.CLOSURE_LIMIT), f"{path}.limit", minimum=1)
-    gens = [parse_cycles(g, degree, f"{path}.generators[{k}]") for k, g in enumerate(gens_doc)]
-    return action.group_from_generators(degree, gens, limit)
+    return [parse_cycles(g, degree, f"{path}.generators[{k}]") for k, g in enumerate(gens_doc)], limit
+
+
+def _paired_group(phi: action.PermGroup, phi_gens, gens, degree, limit, path) -> action.PermGroup:
+    """The group ``gens`` generate, listed so that its element k is the
+    image of phi's element k under the map sending phi's k-th listed
+    generator to the k-th of ``gens``: the pairs are closed together, and
+    the map they define must be one-to-one."""
+    if len(gens) != len(phi_gens):
+        raise PreconditionError(
+            f"{path}: {len(gens)} listed, but phi lists {len(phi_gens)}; generators pair in order"
+        )
+
+    def pair_product(x, y):
+        return action.compose(x[0], y[0]), action.compose(x[1], y[1])
+
+    identity = (phi.elements[0], tuple(range(degree)))
+    image = dict([identity])
+    for layer in action._layers({identity}, [identity], list(zip(phi_gens, gens)), pair_product):
+        for g, h in layer:
+            if image.setdefault(g, h) != h:
+                raise PreconditionError(
+                    f"{path}: the pairing sends phi element {cycles_of(g)} to both "
+                    f"{cycles_of(image[g])} and {cycles_of(h)}"
+                )
+        if len(image) > limit:
+            raise LimitExceededError(f"group closure exceeds limit {limit}")
+    elements = tuple(image[g] for g in phi.elements)
+    if len(set(elements)) != len(elements):
+        raise PreconditionError(f"{path}: the pairing sends two phi elements to one psi element")
+    return action.PermGroup(degree, elements, phi.generators)
 
 
 _NAMED_GROUP_RE = re.compile(r"([ZSD])([0-9]+)")
@@ -282,7 +312,8 @@ def _act(matrix, group_doc, path) -> action.PermutationAction:
     """The action on ``matrix`` of the permutation group at ``path``; the
     presentation is checked before the group is closed."""
     presentation = sft.SftPresentation(matrix)
-    return action.PermutationAction(presentation, parse_perm_group(group_doc, matrix.dim, path))
+    group = action.group_from_generators(matrix.dim, *parse_generators(group_doc, matrix.dim, path))
+    return action.PermutationAction(presentation, group)
 
 
 def _parse_action(doc, path, known=("matrix", "group")) -> action.PermutationAction:
@@ -310,10 +341,18 @@ def _parse_links(doc, path):
 
 
 def _parse_transport(doc, path):
-    """(certificate, action on its a, action on its b)."""
+    """(certificate, action phi on its a, action psi on its b).  psi's
+    k-th listed generator pairs with phi's k-th, and psi's group is closed
+    along phi's, so its element k pairs with phi's element k."""
     doc = _fields(doc, path, ("certificate", "phi", "psi"), required=("certificate", "phi", "psi"))
     cert = parse_certificate(doc["certificate"], f"{path}.certificate")
-    return cert, _act(cert.a, doc["phi"], f"{path}.phi"), _act(cert.b, doc["psi"], f"{path}.psi")
+    a = sft.SftPresentation(cert.a)
+    phi_gens, limit = parse_generators(doc["phi"], cert.a.dim, f"{path}.phi")
+    phi = action.PermutationAction(a, action.group_from_generators(cert.a.dim, phi_gens, limit))
+    b = sft.SftPresentation(cert.b)
+    gens, limit = parse_generators(doc["psi"], cert.b.dim, f"{path}.psi")
+    group = _paired_group(phi.group, phi_gens, gens, cert.b.dim, limit, f"{path}.psi.generators")
+    return cert, phi, action.PermutationAction(b, group)
 
 
 def _parse_split(doc, path):

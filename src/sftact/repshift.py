@@ -327,15 +327,23 @@ class RepShift:
             gens.append(tuple(index[tuple(map(conj.__getitem__, s))] for s in states))
         return tuple(gens)
 
+    @cached_property
+    def _fixed_by_centralizer(self) -> dict:
+        return {}
+
     def fixed(self, c: int) -> tuple:
         """The states element c fixes, in ascending order: those whose
-        values all lie in the centralizer of c."""
+        values all lie in the centralizer of c.  Elements sharing a
+        centralizer (c and c^-1, say) share one scan of the states."""
         _check_int(c, "element index")
         if not 0 <= c < self.group.order:
             raise InputError(f"element index {c} out of range")
         table = self.group.table
-        centralizer = {x for x, row in enumerate(table) if row[c] == table[c][x]}
-        return tuple(k for k, s in enumerate(self.states) if centralizer.issuperset(s))
+        centralizer = frozenset(x for x, row in enumerate(table) if row[c] == table[c][x])
+        known = self._fixed_by_centralizer
+        if centralizer not in known:
+            known[centralizer] = tuple(k for k, s in enumerate(self.states) if centralizer.issuperset(s))
+        return known[centralizer]
 
 
 def _failing_relator(images, relators, g: FiniteGroupTable):

@@ -11,10 +11,10 @@ State splittings supply the certificates this package generates itself:
 out-splittings partition the outgoing edges of each state, in-splittings
 the incoming ones, and a partition compatible with the group action
 transports the action to the split presentation.  An in-splitting is not
-computed on its own: it is the out-splitting of the transposed matrix
-along the reversed edge blocks, transposed back, and its certificate is
-the transposed pair (S^t, R^t).  Repeated complete out-splittings
-realize higher-block recodings.  Finally, a right-resolving one-block
+computed or validated on its own: it is the out-splitting of the
+transposed matrix along the reversed edge blocks, transposed back, and
+its certificate is the transposed pair (S^t, R^t).  Repeated complete
+out-splittings realize higher-block recodings.  Finally, a right-resolving one-block
 factor map of actions induces a commuting square of right-resolving maps
 between the original and reduced shifts.  The reductions are imported
 inside the two operations that use them, so verifying or splitting
@@ -27,7 +27,7 @@ from __future__ import annotations
 from .errors import InputError, InternalError, PreconditionError
 from .records import record
 from .intmatrix import IntMatrix, _check_int, mat_mul
-from .action import PermGroup, PermutationAction
+from .action import PermGroup, PermutationAction, _moved_row
 from .sft import SftPresentation
 
 
@@ -168,19 +168,15 @@ def induced_conjugacy(e: ElementarySse) -> TwoBlockConjugacy:
 
 
 def _check_intertwining(e: ElementarySse, phi: PermutationAction, psi: PermutationAction):
-    # R P(g) = P(g) R and S P(g) = P(g) S with P(i, gi) = 1, that is
-    # R(gi, gj) = R(i, j), for every element: the index pairing of the groups
-    # need not be a homomorphism.  (i, j) -> (gi, gj) is a bijection, so it
-    # suffices that each nonzero entry lands on an equal entry.
+    # R(gi, hj) = R(i, j) and S(hi, gj) = S(i, j) for each index-paired g of phi
+    # and h of psi; the pairing need not be a homomorphism, so every pair is checked
     if phi.group.order != psi.group.order:
         raise PreconditionError("the two actions must be actions of the same group")
-    r, s = e.r.sparse, e.s.sparse
-    r_rows, s_rows = [dict(row) for row in r], [dict(row) for row in s]
+    r, s = ([dict(row) for row in m.sparse] for m in (e.r, e.s))
     for g, (pa, pb) in enumerate(zip(phi.group.elements, psi.group.elements)):
-        if any(r_rows[pa[i]].get(pb[j]) != x for i, row in enumerate(r) for j, x in row):
-            raise PreconditionError(f"R does not intertwine the actions at element {g}")
-        if any(s_rows[pb[k]].get(pa[l]) != x for k, row in enumerate(s) for l, x in row):
-            raise PreconditionError(f"S does not intertwine the actions at element {g}")
+        for name, rows, p, q in (("R", r, pa, pb), ("S", s, pb, pa)):
+            if _moved_row(rows, p, q) is not None:
+                raise PreconditionError(f"{name} does not intertwine the actions at element {g}")
 
 
 def transport_certificate(
@@ -188,8 +184,8 @@ def transport_certificate(
 ) -> ElementarySse:
     """Transport a certificate between actions to the reduced matrices.
 
-    Requires R P(g) = P(g) R and S P(g) = P(g) S for every group element
-    (with the permutation matrices of the respective actions); the
+    Requires R(gi, hj) = R(i, j) and S(hi, gj) = S(i, j) for the elements
+    g of phi and h of psi at each index of their groups' element lists; the
     transported pair is (U R V', U' S V): R reduced over phi's orbits on
     its rows and psi's on its columns, S the other way round.  It is
     verified before being returned.
@@ -237,24 +233,10 @@ class SplitData:
         return cls(direction, tuple(tuple((e,) for e in es) for es in table))
 
 
-def _validate_split(a: PermutationAction, d: SplitData):
-    p = a.presentation
-    table = p.out_edges if d.direction == "out" else p.in_edges
-    if len(d.partitions) != p.num_states:
-        raise InputError("split data must give a partition for every state")
-    for i, blocks in enumerate(d.partitions):
-        edges = [e for block in blocks for e in block]
-        if any(not block for block in blocks):
-            raise InputError(f"state {i + 1} has an empty partition block")
-        if sorted(edges) != sorted(table[i]) or len(edges) != len(set(edges)):
-            raise InputError(
-                f"blocks at state {i + 1} do not partition its {d.direction}-edges"
-            )
-
-
-def _out_split_core(matrix: IntMatrix, group: PermGroup, partitions):
+def _out_split_core(matrix: IntMatrix, group: PermGroup, partitions, direction: str):
     """Out-split ``matrix`` along per-state blocks of its out-edges that
-    ``group`` carries onto each other.
+    ``group`` carries onto each other (an in-split hands over the transpose
+    and its reversed in-edges; ``direction`` only words the messages).
 
     Blocks of each state are sorted by least edge, which fixes the state
     order (i, p) of the split matrix.  Returns the verified certificate
@@ -269,6 +251,14 @@ def _out_split_core(matrix: IntMatrix, group: PermGroup, partitions):
     transported group is an isomorphic image listed in the same order, so
     it keeps the source's generator indices.
     """
+    if len(partitions) != matrix.dim:
+        raise InputError("split data must give a partition for every state")
+    for i, (bs, row) in enumerate(zip(partitions, matrix.sparse)):
+        if not all(bs):
+            raise InputError(f"state {i + 1} has an empty partition block")
+        # the out-edges are distinct, so equal sorted lists rule out repeats
+        if sorted(e for block in bs for e in block) != [(i, j, 0) for j, _ in row]:
+            raise InputError(f"blocks at state {i + 1} do not partition its {direction}-edges")
     blocks = tuple(tuple(sorted(bs, key=min)) for bs in partitions)
     new_states = [(i, p) for i, bs in enumerate(blocks) for p in range(len(bs))]
     index = {sp: k for k, sp in enumerate(new_states)}
@@ -312,8 +302,7 @@ def out_split(a: PermutationAction, d: SplitData):
     """
     if d.direction != "out":
         raise InputError("out_split needs an out-partition")
-    _validate_split(a, d)
-    cert, group = _out_split_core(a.matrix, a.group, d.partitions)
+    cert, group = _out_split_core(a.matrix, a.group, d.partitions, "out")
     return PermutationAction(SftPresentation(cert.b), group), cert
 
 
@@ -322,12 +311,11 @@ def in_split(a: PermutationAction, d: SplitData):
     transposed back, with certificate (S^t, R^t)."""
     if d.direction != "in":
         raise InputError("in_split needs an in-partition")
-    _validate_split(a, d)
+    # slicing swaps the ends, so a malformed edge reaches the partition check
     reversed_blocks = tuple(
-        tuple(tuple((j, i, c) for (i, j, c) in block) for block in blocks)
-        for blocks in d.partitions
+        tuple(tuple(e[1::-1] + e[2:] for e in block) for block in blocks) for blocks in d.partitions
     )
-    mirror, group = _out_split_core(a.matrix.transpose(), a.group, reversed_blocks)
+    mirror, group = _out_split_core(a.matrix.transpose(), a.group, reversed_blocks, "in")
     split_matrix = mirror.b.transpose()
     cert = ElementarySse(
         a=a.matrix, b=split_matrix, r=mirror.s.transpose(), s=mirror.r.transpose()
@@ -412,12 +400,10 @@ def factor_square(
                 )
     if src.group.order != dst.group.order:
         raise PreconditionError("the two actions must be actions of the same group")
-    for g in range(src.group.order):
-        for i in range(ns):
-            if eta_states[src.group.apply(g, i)] != dst.group.apply(g, eta_states[i]):
-                raise PreconditionError(
-                    f"state map does not intertwine the actions at element {g}"
-                )
+    graph = [{v: 1} for v in eta_states]  # the state map as a zero-one matrix
+    for g, (pa, pb) in enumerate(zip(src.group.elements, dst.group.elements)):
+        if _moved_row(graph, pa, pb) is not None:
+            raise PreconditionError(f"state map does not intertwine the actions at element {g}")
     if set(eta_states) != set(range(nd)):
         raise PreconditionError("state map is not onto the target states")
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,7 +16,15 @@ from sftact import InputError, cli, errors, group_from_generators, jobs
 from sftact.cli import emit_report, main, parse_job, run_job
 from sftact.jobs import COMMANDS, cycles_of, parse_cycles
 
-from helpers import SIX_STATE_A, emit_job, z48_with_swapped_products
+from helpers import (
+    SIX_STATE_A,
+    dense_product,
+    dense_selectors,
+    emit_job,
+    plain_orbits,
+    random_group_action,
+    z48_with_swapped_products,
+)
 
 SIX_STATE_JOB = {
     "command": "reduce",
@@ -397,6 +406,89 @@ class TestRunJob:
         }
         report = run_job(parse_job(job_text(doc)))
         assert len(report["result"]["basis"]) == 11
+
+
+# phi's generators and their conjugates by (2 3), listed in the same order:
+# closed on their own, the two groups list their elements in different orders
+PAIRED_TRANSPORT = {
+    "command": "transport",
+    "input": {
+        "certificate": {
+            "a": [[1, 1, 1]] * 3, "b": [[1, 1, 1]] * 3, "r": [[1, 0, 0], [0, 0, 1], [0, 1, 0]], "s": [[1, 1, 1]] * 3,
+        },
+        "phi": {"generators": ["(1 2)", "(1 2 3)"]},
+        "psi": {"generators": ["(1 3)", "(1 3 2)"]},
+    },
+}
+
+
+class TestTransportPairing:
+    """psi's k-th listed generator pairs with phi's k-th."""
+
+    def test_conjugate_generators_transport(self, tmp_path):
+        proc = run_cli(tmp_path, PAIRED_TRANSPORT)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["result"] == {
+            "a_reduced": {"entries": [[3]], "labels": ["G1"]},
+            "b_reduced": {"entries": [[3]], "labels": ["G1"]},
+            "r": [[1]],
+            "s": [[3]],
+            "verified": True,
+        }
+
+    @pytest.mark.parametrize(
+        "gens, message",
+        [
+            (["(1 3 2)", "(1 3)"], "the pairing sends phi element () to both () and (1 2 3)"),
+            (["(1 3)"], "1 listed, but phi lists 2; generators pair in order"),
+            (["()", "()"], "the pairing sends two phi elements to one psi element"),
+        ],
+        ids=["swapped", "fewer", "not-one-to-one"],
+    )
+    def test_unpaired_generators_exit_two(self, tmp_path, gens, message):
+        doc = json.loads(json.dumps(PAIRED_TRANSPORT))
+        doc["input"]["psi"]["generators"] = gens
+        proc = run_cli(tmp_path, doc)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"precondition failed: $.input.psi.generators: {message}\n"
+
+    def test_relabelled_action_transports_like_plain_orbit_sums(self):
+        """psi is phi relabelled by a random q, listed as the q-conjugates of
+        phi's generators, with the certificate (Q, Q^-1 A); the transported
+        pair is (U R V', U' S V) with selectors of plainly searched orbits."""
+        rng = random.Random(137)
+        reordered = 0
+        for _ in range(40):
+            phi, gens = random_group_action(rng, max_states=5)
+            n = phi.matrix.dim
+            q = rng.sample(range(n), n)
+            q_inv = sorted(range(n), key=q.__getitem__)
+            conj = [tuple(q[g[q_inv[k]]] for k in range(n)) for g in gens]
+            a = phi.matrix.entries
+            b = [[a[q_inv[k]][q_inv[l]] for l in range(n)] for k in range(n)]
+            r = [[int(q[i] == k) for k in range(n)] for i in range(n)]
+            s = [list(a[q_inv[k]]) for k in range(n)]
+            doc = {
+                "command": "transport",
+                "input": {
+                    "certificate": {"a": [list(row) for row in a], "b": b, "r": r, "s": s},
+                    "phi": {"generators": [cycles_of(g) for g in gens]},
+                    "psi": {"generators": [cycles_of(h) for h in conj]},
+                },
+            }
+            result = run_job(parse_job(job_text(doc)))["result"]
+            u, v = dense_selectors(n, plain_orbits(n, gens))
+            u2, v2 = dense_selectors(n, plain_orbits(n, conj))
+            assert result["a_reduced"]["entries"] == [list(row) for row in dense_product(u, a, v)]
+            assert result["b_reduced"]["entries"] == [list(row) for row in dense_product(u2, b, v2)]
+            assert result["r"] == [list(row) for row in dense_product(u, r, v2)]
+            assert result["s"] == [list(row) for row in dense_product(u2, s, v)]
+            assert result["verified"] is True
+            closed = group_from_generators(n, gens).elements
+            images = [tuple(q[g[q_inv[k]]] for k in range(n)) for g in closed]
+            reordered += images != list(group_from_generators(n, conj).elements)
+        # pairing the two closures by index would refuse these
+        assert reordered > 0
 
 
 class TestEmit:

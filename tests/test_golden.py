@@ -81,8 +81,8 @@ def test_goldens_under_optimized_interpreter():
 PARSERS = [
     "_act", "_field", "_fields", "_get_dict", "_get_int", "_parse_action",
     "_parse_invariants", "_parse_links", "_parse_repshift", "_parse_split", "_parse_transport",
-    "parse_abstract_group", "parse_certificate", "parse_cycles", "parse_hnn",
-    "parse_job", "parse_matrix", "parse_perm_group", "parse_states", "parse_word",
+    "parse_abstract_group", "parse_certificate", "parse_cycles", "parse_generators", "parse_hnn",
+    "parse_job", "parse_matrix", "parse_states", "parse_word",
 ]
 
 

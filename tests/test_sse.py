@@ -429,6 +429,13 @@ class TestInSplit:
         with pytest.raises(InputError, match="state 1 do not partition its in-edges"):
             in_split(act, d)
 
+    def test_two_entry_edge_rejected(self):
+        act = golden_mean_action()
+        # the in-edge from state 2 to state 1 lacks its multiplicity index
+        d = SplitData("in", ((((0, 0, 0), (1, 0)),), (((0, 1, 0),),)))
+        with pytest.raises(InputError, match="^blocks at state 1 do not partition its in-edges$"):
+            in_split(act, d)
+
 
 class TestHigherBlockAction:
     def test_matches_higher_block_matrix(self):
