@@ -14,6 +14,10 @@ the code that builds them: ``group_from_generators`` closes a generating
 set breadth first and hands ``PermGroup`` the indices of the generators
 it started from.  Laws kept under products, like invariance, are checked
 on those generators.
+
+``paired_group`` lists a second group along a first by their listed
+generators, and ``_check_paired`` checks laws between elements paired by
+index, such as a certificate's intertwining, at generator indices alone.
 """
 
 from __future__ import annotations
@@ -41,6 +45,19 @@ def _check_perm(perm, degree: int):
 def compose(p, q):
     """Permutation product: apply q first, then p."""
     return tuple(map(p.__getitem__, q))
+
+
+def cycles_of(perm) -> str:
+    """1-based cycle notation, each cycle from its least point."""
+    seen, parts = set(), []
+    for i in range(len(perm)):
+        if i not in seen and perm[i] != i:
+            cycle = [i]
+            while perm[cycle[-1]] != i:
+                cycle.append(perm[cycle[-1]])
+            seen.update(cycle)
+            parts.append("(" + " ".join(str(k + 1) for k in cycle) + ")")
+    return "".join(parts) or "()"
 
 
 def _layers(seen: set, frontier, gens, product):
@@ -77,6 +94,30 @@ def _moved_row(rows, p, q):
             if target.get(q[j]) != x:
                 return i
     return None
+
+
+def _check_paired(phi: PermGroup, psi: PermGroup, laws):
+    """Check the (name, rows, mirrored) ``laws`` M(g i, h j) = M(i, j),
+    or M(h i, g j) = M(i, j) when mirrored, for the elements g of phi and
+    h of psi at each generator index of either group, raising
+    PreconditionError at the first that fails; ``rows`` are as for
+    ``_moved_row``.
+
+    These pairs suffice: they generate a group K of pairs (g, h), on all
+    of which a law holds, being kept under products (M(g g' i, h h' j) =
+    M(g' i, h' j) = M(i, j)).  K projects onto both groups, as its
+    generating pairs hold both groups' generators.  So every g has a
+    partner h, and every h a partner g, which is all that sums over the
+    orbits of the two actions need: the index pairing itself need not be
+    a homomorphism.
+    """
+    if phi.order != psi.order:
+        raise PreconditionError("the two actions must be actions of the same group")
+    for k in sorted(set(phi.generators) | set(psi.generators)):
+        g, h = phi.elements[k], psi.elements[k]
+        for name, rows, mirrored in laws:
+            if _moved_row(rows, *((h, g) if mirrored else (g, h))) is not None:
+                raise PreconditionError(f"{name} does not intertwine the actions at element {k}")
 
 
 @record
@@ -146,6 +187,49 @@ def group_from_generators(degree: int, gens, limit: int = CLOSURE_LIMIT) -> Perm
             raise LimitExceededError(f"group closure exceeds limit {limit}")
     first = len(set(gens) - {identity})
     return PermGroup(degree, tuple(ordered), tuple(range(1, 1 + first)))
+
+
+def paired_group(phi: PermGroup, phi_gens, gens, degree: int, limit: int = CLOSURE_LIMIT) -> PermGroup:
+    """The group ``gens`` generate on 0..degree-1, listed so that its
+    element k is the image of phi's element k under the map that sends
+    the k-th of ``phi_gens``, which generate phi, to the k-th of ``gens``.
+
+    The pairs are closed together breadth first, and each layer is
+    searched for a phi element with two images before the next is built.
+    PreconditionError, in cycle notation, when the lists differ in length,
+    a phi element has two images or two share one; LimitExceededError past
+    ``limit`` pairs.  The map is an isomorphism, so phi's generator
+    indices are the group's.
+    """
+    _check_int(degree, "degree")
+    _check_int(limit, "closure limit")
+    phi_gens = [_check_perm(g, phi.degree) for g in phi_gens]
+    gens = [_check_perm(h, degree) for h in gens]
+    if len(gens) != len(phi_gens):
+        raise PreconditionError(
+            f"{len(gens)} listed, but phi lists {len(phi_gens)}; generators pair in order"
+        )
+
+    def pair_product(x, y):
+        return compose(x[0], y[0]), compose(x[1], y[1])
+
+    identity = (phi.elements[0], tuple(range(degree)))
+    image = dict([identity])
+    for layer in _layers({identity}, [identity], list(zip(phi_gens, gens)), pair_product):
+        for g, h in layer:
+            if image.setdefault(g, h) != h:
+                raise PreconditionError(
+                    f"the pairing sends phi element {cycles_of(g)} to both "
+                    f"{cycles_of(image[g])} and {cycles_of(h)}"
+                )
+        if len(image) > limit:
+            raise LimitExceededError(f"group closure exceeds limit {limit}")
+    if image.keys() != set(phi.elements):
+        raise InputError("the listed phi generators do not generate phi's group")
+    elements = tuple(image[g] for g in phi.elements)
+    if len(set(elements)) != len(elements):
+        raise PreconditionError("the pairing sends two phi elements to one psi element")
+    return PermGroup(degree, elements, phi.generators)
 
 
 @record

@@ -129,10 +129,13 @@ def parse_matrix(doc, path) -> IntMatrix:
     any shape (certificate factors)."""
     _expect(isinstance(doc, list) and doc, path, "expected a nonempty array of rows")
     for i, row in enumerate(doc):
-        _expect(isinstance(row, list), f"{path}[{i}]", "expected an array")
+        if not isinstance(row, list):
+            raise InputError(f"{path}[{i}]: expected an array")
         for j, x in enumerate(row):
-            _get_int(x, f"{path}[{i}][{j}]")
-            _expect(x >= 0, f"{path}[{i}][{j}]", f"matrix entries must be nonnegative, got {x}")
+            if type(x) is not int or x < 0:  # the path is formatted only for a failing entry
+                at = f"{path}[{i}][{j}]"
+                _get_int(x, at)
+                _expect(x >= 0, at, f"matrix entries must be nonnegative, got {x}")
     with _at(path):
         return IntMatrix(tuple(tuple(row) for row in doc))
 
@@ -171,19 +174,6 @@ def parse_cycles(text, degree, path):
     return tuple(perm)
 
 
-def cycles_of(perm) -> str:
-    """1-based cycle notation, each cycle from its least point."""
-    seen, parts = set(), []
-    for i in range(len(perm)):
-        if i not in seen and perm[i] != i:
-            cycle = [i]
-            while perm[cycle[-1]] != i:
-                cycle.append(perm[cycle[-1]])
-            seen.update(cycle)
-            parts.append("(" + " ".join(str(k + 1) for k in cycle) + ")")
-    return "".join(parts) or "()"
-
-
 def parse_generators(doc, degree, path):
     """(listed generators, closure limit) of a permutation group document."""
     doc = _fields(doc, path, ("generators", "limit"))
@@ -191,36 +181,6 @@ def parse_generators(doc, degree, path):
     _expect(isinstance(gens_doc, list), f"{path}.generators", "expected an array of cycle strings")
     limit = _get_int(doc.get("limit", action.CLOSURE_LIMIT), f"{path}.limit", minimum=1)
     return [parse_cycles(g, degree, f"{path}.generators[{k}]") for k, g in enumerate(gens_doc)], limit
-
-
-def _paired_group(phi: action.PermGroup, phi_gens, gens, degree, limit, path) -> action.PermGroup:
-    """The group ``gens`` generate, listed so that its element k is the
-    image of phi's element k under the map sending phi's k-th listed
-    generator to the k-th of ``gens``: the pairs are closed together, and
-    the map they define must be one-to-one."""
-    if len(gens) != len(phi_gens):
-        raise PreconditionError(
-            f"{path}: {len(gens)} listed, but phi lists {len(phi_gens)}; generators pair in order"
-        )
-
-    def pair_product(x, y):
-        return action.compose(x[0], y[0]), action.compose(x[1], y[1])
-
-    identity = (phi.elements[0], tuple(range(degree)))
-    image = dict([identity])
-    for layer in action._layers({identity}, [identity], list(zip(phi_gens, gens)), pair_product):
-        for g, h in layer:
-            if image.setdefault(g, h) != h:
-                raise PreconditionError(
-                    f"{path}: the pairing sends phi element {cycles_of(g)} to both "
-                    f"{cycles_of(image[g])} and {cycles_of(h)}"
-                )
-        if len(image) > limit:
-            raise LimitExceededError(f"group closure exceeds limit {limit}")
-    elements = tuple(image[g] for g in phi.elements)
-    if len(set(elements)) != len(elements):
-        raise PreconditionError(f"{path}: the pairing sends two phi elements to one psi element")
-    return action.PermGroup(degree, elements, phi.generators)
 
 
 _NAMED_GROUP_RE = re.compile(r"([ZSD])([0-9]+)")
@@ -351,7 +311,10 @@ def _parse_transport(doc, path):
     phi = action.PermutationAction(a, action.group_from_generators(cert.a.dim, phi_gens, limit))
     b = sft.SftPresentation(cert.b)
     gens, limit = parse_generators(doc["psi"], cert.b.dim, f"{path}.psi")
-    group = _paired_group(phi.group, phi_gens, gens, cert.b.dim, limit, f"{path}.psi.generators")
+    try:
+        group = action.paired_group(phi.group, phi_gens, gens, cert.b.dim, limit)
+    except PreconditionError as err:
+        raise PreconditionError(f"{path}.psi.generators: {err}") from err
     return cert, phi, action.PermutationAction(b, group)
 
 
@@ -479,7 +442,7 @@ def _run_classify(act):
     if verdict.witness is not None:
         g, cycle = verdict.witness
         result["witness"] = {
-            "element": cycles_of(act.group.elements[g]),
+            "element": action.cycles_of(act.group.elements[g]),
             "cycle_states": [s + 1 for s in cycle.states],
         }
     return result
@@ -494,7 +457,7 @@ def _run_witness(act, m=1):
     witness, x_window, y_window, zero = quotient.nonexpansive_witness(act, verdict, m)
     return {
         "m": m,
-        "element": cycles_of(act.group.elements[witness.g]),
+        "element": action.cycles_of(act.group.elements[witness.g]),
         "u": _edge_doc(witness.u),
         "v": _edge_doc(witness.v),
         "w": _edge_doc(witness.w),
@@ -543,7 +506,7 @@ def _run_split(parsed):
         cert,
         direction=data.direction,
         matrix=_matrix_doc(new_action.matrix),
-        group_generators=[cycles_of(p) for p in new_action.group.elements[1:]],
+        group_generators=[action.cycles_of(p) for p in new_action.group.elements[1:]],
     )
 
 

@@ -54,9 +54,7 @@ class FiniteGroupTable:
     is checked exactly by Light's test: the elements a with (x a) y =
     x (a y) for all x, y are closed under products, so it suffices to
     test the ``generators``, the greedy generating set of the element order.
-    The named groups below are built correct, so ``_built`` skips the
-    entry scan and Light's test for them; a table from anywhere else gets
-    every check.
+    Every table gets every check, the named groups below included.
     """
 
     names: tuple
@@ -79,31 +77,6 @@ class FiniteGroupTable:
             raise InputError("multiplication table entries must be element indices")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "table", table)
-        self._derive()
-        for a in self.generators:
-            ta = table[a]
-            for x in range(n):
-                tx, txa = table[x], table[table[x][a]]
-                if txa != tuple(map(tx.__getitem__, ta)):
-                    y = next(y for y in range(n) if txa[y] != tx[ta[y]])
-                    raise InputError(
-                        f"multiplication table is not associative at ({names[x]},{names[a]},{names[y]})"
-                    )
-
-    @classmethod
-    def _built(cls, names, table) -> "FiniteGroupTable":
-        """The group of a named builder's table: nothing is checked but
-        that an identity and inverses exist, which are located anyway."""
-        group = cls.__new__(cls)
-        object.__setattr__(group, "names", names)
-        object.__setattr__(group, "table", table)
-        group._derive()
-        return group
-
-    def _derive(self):
-        """Locate the identity, the inverses and the greedy generators."""
-        names, table = self.names, self.table
-        n = len(names)
         identity = None
         for e in range(n):
             if all(table[e][x] == x and table[x][e] == x for x in range(n)):
@@ -122,6 +95,15 @@ class FiniteGroupTable:
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", tuple(inverse))
         object.__setattr__(self, "generators", generators)
+        for a in generators:
+            ta = table[a]
+            for x in range(n):
+                tx, txa = table[x], table[table[x][a]]
+                if txa != tuple(map(tx.__getitem__, ta)):
+                    y = next(y for y in range(n) if txa[y] != tx[ta[y]])
+                    raise InputError(
+                        f"multiplication table is not associative at ({names[x]},{names[a]},{names[y]})"
+                    )
 
     @property
     def order(self) -> int:
@@ -136,7 +118,7 @@ class FiniteGroupTable:
 
 
 def trivial_group() -> FiniteGroupTable:
-    return FiniteGroupTable._built(("e",), ((0,),))
+    return FiniteGroupTable(("e",), ((0,),))
 
 
 # named groups are bounded by the order of S6, the largest symmetric group
@@ -147,7 +129,7 @@ def cyclic_group(n: int) -> FiniteGroupTable:
     _check_int(n, "cyclic group order")
     if not 1 <= n <= _MAX_NAMED_ORDER:
         raise InputError(f"cyclic groups are supported for 1 <= n <= {_MAX_NAMED_ORDER}")
-    return FiniteGroupTable._built(
+    return FiniteGroupTable(
         tuple(str(k) for k in range(n)),
         tuple(tuple((i + j) % n for j in range(n)) for i in range(n)),
     )
@@ -172,7 +154,7 @@ def symmetric_group(n: int) -> FiniteGroupTable:
             if rows[ps] is None:
                 rows[ps] = compose(rows[p], row_s)
                 order.append(ps)
-    return FiniteGroupTable._built(tuple("".join(str(i + 1) for i in p) for p in perms), tuple(rows))
+    return FiniteGroupTable(tuple("".join(str(i + 1) for i in p) for p in perms), tuple(rows))
 
 
 def dihedral_group(n: int) -> FiniteGroupTable:
@@ -194,7 +176,7 @@ def dihedral_group(n: int) -> FiniteGroupTable:
         for a in range(n)
     ]
     names = tuple(f"r{a}" for a in range(n)) + tuple(f"s{a}" for a in range(n))
-    return FiniteGroupTable._built(names, tuple(rotations + reflections))
+    return FiniteGroupTable(names, tuple(rotations + reflections))
 
 
 def quaternion_group() -> FiniteGroupTable:
@@ -222,7 +204,7 @@ def quaternion_group() -> FiniteGroupTable:
     table = tuple(
         tuple(order[values[qmul(units[a], units[b])]] for b in names) for a in names
     )
-    return FiniteGroupTable._built(names, table)
+    return FiniteGroupTable(names, table)
 
 
 def evaluate_word(w, images, g: FiniteGroupTable) -> int:

@@ -3,9 +3,12 @@
 An elementary certificate is a pair (R, S) of nonnegative integer matrices
 with R S = A and S R = B; chains of these witness topological conjugacy.
 For zero-one data the certificate induces a canonical two-block conjugacy.
-When both matrices carry permutation actions intertwined by R and S, the
+When both matrices carry actions of one group intertwined by R and S, the
 certificate transports to one between the right-reduced matrices: the
 pair (U R V', U' S V), R and S reduced over the orbits of both actions.
+The laws are checked between elements paired by index, at generator
+indices alone (``action._check_paired``), so the pairing need not be a
+homomorphism.
 
 State splittings supply the certificates this package generates itself:
 out-splittings partition the outgoing edges of each state, in-splittings
@@ -27,7 +30,7 @@ from __future__ import annotations
 from .errors import InputError, InternalError, PreconditionError
 from .records import record
 from .intmatrix import IntMatrix, _check_int, mat_mul
-from .action import PermGroup, PermutationAction, _moved_row
+from .action import PermGroup, PermutationAction, _check_paired
 from .sft import SftPresentation
 
 
@@ -168,15 +171,10 @@ def induced_conjugacy(e: ElementarySse) -> TwoBlockConjugacy:
 
 
 def _check_intertwining(e: ElementarySse, phi: PermutationAction, psi: PermutationAction):
-    # R(gi, hj) = R(i, j) and S(hi, gj) = S(i, j) for each index-paired g of phi
-    # and h of psi; the pairing need not be a homomorphism, so every pair is checked
-    if phi.group.order != psi.group.order:
-        raise PreconditionError("the two actions must be actions of the same group")
+    # R(gi, hj) = R(i, j) and S(hi, gj) = S(i, j) for g of phi and h of psi
+    # at each generator index of either group
     r, s = ([dict(row) for row in m.sparse] for m in (e.r, e.s))
-    for g, (pa, pb) in enumerate(zip(phi.group.elements, psi.group.elements)):
-        for name, rows, p, q in (("R", r, pa, pb), ("S", s, pb, pa)):
-            if _moved_row(rows, p, q) is not None:
-                raise PreconditionError(f"{name} does not intertwine the actions at element {g}")
+    _check_paired(phi.group, psi.group, (("R", r, False), ("S", s, True)))
 
 
 def transport_certificate(
@@ -184,11 +182,13 @@ def transport_certificate(
 ) -> ElementarySse:
     """Transport a certificate between actions to the reduced matrices.
 
-    Requires R(gi, hj) = R(i, j) and S(hi, gj) = S(i, j) for the elements
-    g of phi and h of psi at each index of their groups' element lists; the
-    transported pair is (U R V', U' S V): R reduced over phi's orbits on
-    its rows and psi's on its columns, S the other way round.  It is
-    verified before being returned.
+    Requires groups of one order, and R(gi, hj) = R(i, j) and
+    S(hi, gj) = S(i, j) for the elements g of phi and h of psi at each
+    generator index of either group; other indices are not checked, and
+    the index pairing need not be a homomorphism.  The transported pair
+    is (U R V', U' S V): R reduced over phi's orbits on its rows and psi's
+    on its columns, S the other way round.  It is verified before being
+    returned.
     """
     from .reduce import _reduce, right_reduce
 
@@ -369,11 +369,12 @@ def factor_square(
     ``state_map`` gives the image state of each source state.  The map
     must be a graph homomorphism, right-resolving (edges with a common
     initial state keep distinct images; violations are reported with the
-    colliding two-blocks), equivariant for index-paired group elements,
-    and onto in the strong sense that edges from i into an orbit Gj
-    biject with edges from the image of i into the image orbit.  eta_bar
-    and theta2 use the canonical ordering of build_eta; theta1 is then the
-    unique map closing the square.
+    colliding two-blocks), equivariant for the index-paired group
+    elements at each generator index of either group (the index pairing
+    need not be a homomorphism), and onto in the strong sense that edges
+    from i into an orbit Gj biject with edges from the image of i into the
+    image orbit.  eta_bar and theta2 use the canonical ordering of
+    build_eta; theta1 is then the unique map closing the square.
     """
     from .reduce import OneBlockCode, _orbit_sums, build_eta, right_reduce
 
@@ -398,12 +399,8 @@ def factor_square(
                     f"not right-resolving: 2-blocks ({i + 1},{prior + 1}) and "
                     f"({i + 1},{j + 1}) collide"
                 )
-    if src.group.order != dst.group.order:
-        raise PreconditionError("the two actions must be actions of the same group")
-    graph = [{v: 1} for v in eta_states]  # the state map as a zero-one matrix
-    for g, (pa, pb) in enumerate(zip(src.group.elements, dst.group.elements)):
-        if _moved_row(graph, pa, pb) is not None:
-            raise PreconditionError(f"state map does not intertwine the actions at element {g}")
+    # the state map as a zero-one matrix: eta(g i) = h eta(i) for paired g, h
+    _check_paired(src.group, dst.group, (("state map", [{v: 1} for v in eta_states], False),))
     if set(eta_states) != set(range(nd)):
         raise PreconditionError("state map is not onto the target states")
 

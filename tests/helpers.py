@@ -585,19 +585,28 @@ def _dense_permutation_matrix(perm):
     return [[1 if j == perm[i] else 0 for j in range(len(perm))] for i in range(len(perm))]
 
 
-def dense_intertwining_error(e, phi: PermutationAction, psi: PermutationAction):
+def dense_intertwining_error(e, phi: PermutationAction, psi: PermutationAction, indices):
     """Reference for the intertwining check of transport_certificate: the
-    matrix laws R P(g) = P(g) R and S P(g) = P(g) S on dense permutation
-    matrices, element by element, worded as the library words them, or
-    None when every element intertwines."""
+    matrix laws R P(h) = P(g) R and S P(g) = P(h) S on dense permutation
+    matrices, for the elements g of phi and h of psi at each of
+    ``indices`` in turn, worded as the library words them, or None when
+    every pair there intertwines.  The library checks the generator
+    indices of either group (``generator_indices``)."""
     r, s = e.r.entries, e.s.entries
-    for g, (pa, pb) in enumerate(zip(phi.group.elements, psi.group.elements)):
+    for g in indices:
+        pa, pb = phi.group.elements[g], psi.group.elements[g]
         p_phi, p_psi = _dense_permutation_matrix(pa), _dense_permutation_matrix(pb)
         if _dense_product(r, p_psi) != _dense_product(p_phi, r):
             return f"R does not intertwine the actions at element {g}"
         if _dense_product(s, p_phi) != _dense_product(p_psi, s):
             return f"S does not intertwine the actions at element {g}"
     return None
+
+
+def generator_indices(phi: PermutationAction, psi: PermutationAction) -> list:
+    """The indices at which the library checks paired laws: every
+    generator index of either group, in increasing order."""
+    return sorted({*phi.group.generators, *psi.group.generators})
 
 
 def random_group_action(rng, max_states=5, max_gens=2):

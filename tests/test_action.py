@@ -64,6 +64,64 @@ class TestGroupFromGenerators:
         assert g1.elements == g2.elements
 
 
+S3_GENS = [(1, 0, 2), (1, 2, 0)]
+
+
+def conjugate(q, perm):
+    """q perm q^-1: perm with its points relabelled by q."""
+    q_inv = sorted(range(len(q)), key=q.__getitem__)
+    return tuple(q[perm[q_inv[k]]] for k in range(len(q)))
+
+
+class TestPairedGroup:
+    """``paired_group`` lists psi's group along phi's: element k is the
+    image of phi's element k under the map of the k-th listed generators."""
+
+    def test_conjugate_generator_lists(self):
+        rng = random.Random(71)
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3))]
+            phi = group_from_generators(n, gens)
+            q = rng.sample(range(n), n)
+            psi = action_module.paired_group(phi, gens, [conjugate(q, g) for g in gens], n)
+            assert psi.elements == tuple(conjugate(q, g) for g in phi.elements)
+            assert psi.generators == phi.generators
+
+    def test_pairs_by_listed_order_not_by_closure_index(self):
+        # the conjugates of S3_GENS by (2 3), closed on their own, list
+        # their elements in another order than the pairing does
+        phi = group_from_generators(3, S3_GENS)
+        conj = [conjugate((0, 2, 1), g) for g in S3_GENS]
+        psi = action_module.paired_group(phi, S3_GENS, conj, 3)
+        assert psi.elements == tuple(conjugate((0, 2, 1), g) for g in phi.elements)
+        assert psi.elements != group_from_generators(3, conj).elements
+
+    @pytest.mark.parametrize(
+        "gens, message",
+        [
+            ([(2, 0, 1), (2, 1, 0)], "the pairing sends phi element () to both () and (1 2 3)"),
+            ([(2, 1, 0)], "1 listed, but phi lists 2; generators pair in order"),
+            ([(0, 1, 2), (0, 1, 2)], "the pairing sends two phi elements to one psi element"),
+        ],
+        ids=["swapped", "fewer", "not-one-to-one"],
+    )
+    def test_unpaired_generators(self, gens, message):
+        phi = group_from_generators(3, S3_GENS)
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            action_module.paired_group(phi, S3_GENS, gens, 3)
+
+    def test_limit(self):
+        phi = group_from_generators(3, S3_GENS)
+        with pytest.raises(LimitExceededError, match="^group closure exceeds limit 4$"):
+            action_module.paired_group(phi, S3_GENS, [(2, 1, 0), (2, 0, 1)], 3, limit=4)
+
+    def test_listed_generators_must_generate_phi(self):
+        phi = group_from_generators(3, S3_GENS)
+        with pytest.raises(InputError, match="do not generate phi's group"):
+            action_module.paired_group(phi, S3_GENS[:1], [(0, 2, 1)], 3)
+
+
 class TestPermGroup:
     def test_rejects_empty_list_and_identity_not_first(self):
         with pytest.raises(InputError, match="at least the identity"):

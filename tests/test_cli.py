@@ -13,8 +13,9 @@ import pytest
 
 import sftact
 from sftact import InputError, cli, errors, group_from_generators, jobs
+from sftact.action import cycles_of
 from sftact.cli import emit_report, main, parse_job, run_job
-from sftact.jobs import COMMANDS, cycles_of, parse_cycles
+from sftact.jobs import COMMANDS, parse_cycles
 
 from helpers import (
     SIX_STATE_A,

@@ -1,9 +1,13 @@
 """Equivalence certificates, induced conjugacies, splittings, transport."""
 
+import json
 import random
 import re
+from pathlib import Path
 
 import pytest
+
+import sftact.action as action_module
 
 from sftact import (
     bowen_franks,
@@ -27,6 +31,7 @@ from sftact import (
     transport_certificate,
     verify_elementary_sse,
 )
+from sftact.cli import emit_report, parse_job, run_job
 from sftact.sse import _check_intertwining
 
 from helpers import (
@@ -42,6 +47,7 @@ from helpers import (
     direct_in_split,
     five_state_action,
     frozenset_split_elements,
+    generator_indices,
     identity_certificate,
     is_right_resolving,
     orbit_preserving_in_split,
@@ -57,6 +63,8 @@ from helpers import (
     triangle_action,
     trivial_split,
 )
+
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected"
 
 
 def golden_mean_action():
@@ -224,7 +232,7 @@ class TestTransportCertificate:
             rng.shuffle(rest)
             reordered = reordered_group(split_act.group.degree, elements[:1] + tuple(rest))
             psi = PermutationAction(split_act.presentation, reordered)
-            expected = dense_intertwining_error(cert, act, psi)
+            expected = dense_intertwining_error(cert, act, psi, generator_indices(act, psi))
             try:
                 transport_certificate(cert, act, psi)
                 got = None
@@ -245,7 +253,7 @@ class TestTransportCertificate:
             row = rng.choice(target)
             row[rng.randrange(len(row))] = rng.choice((0, 1, 2))
             perturbed = ElementarySse(cert.a, cert.b, IntMatrix(r), IntMatrix(s))
-            expected = dense_intertwining_error(perturbed, act, psi)
+            expected = dense_intertwining_error(perturbed, act, psi, generator_indices(act, psi))
             try:
                 _check_intertwining(perturbed, act, psi)
                 got = None
@@ -284,9 +292,88 @@ class TestTransportCertificate:
         psi = PermutationAction(full, group_from_generators(3, [(0, 2, 1)]))
         cert = identity_certificate(full.matrix)
         message = "S does not intertwine the actions at element 1"
-        assert dense_intertwining_error(cert, phi, psi) == message
+        assert dense_intertwining_error(cert, phi, psi, generator_indices(phi, psi)) == message
         with pytest.raises(PreconditionError, match=f"^{message}$"):
             transport_certificate(cert, phi, psi)
+
+    def test_non_homomorphic_pairing_transports(self):
+        """S3 on the all-ones matrix with R = I and S all ones.  psi lists
+        phi's elements with elements 4 and 5 swapped, so pairing by index is
+        no homomorphism, and R = I breaks the law at element 4; but both
+        groups have the generators 1 and 2, where the law holds, so the
+        certificate transports."""
+        ones = IntMatrix(((1, 1, 1),) * 3)
+        full = SftPresentation(ones)
+        phi_group = group_from_generators(3, [(1, 0, 2), (1, 2, 0)])
+        e = phi_group.elements
+        psi_group = reordered_group(3, e[:4] + (e[5], e[4]))
+        assert phi_group.generators == psi_group.generators == (1, 2)
+        phi, psi = PermutationAction(full, phi_group), PermutationAction(full, psi_group)
+        cert = ElementarySse(ones, ones, IntMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1))), ones)
+        every_pair = dense_intertwining_error(cert, phi, psi, range(6))
+        assert every_pair == "R does not intertwine the actions at element 4"
+        out = transport_certificate(cert, phi, psi)
+        assert verify_elementary_sse(out)
+        u, v = dense_selectors(3, plain_orbits(3, [e[1], e[2]]))
+        assert out.r.entries == dense_product(u, cert.r.entries, v) == ((1,),)
+        assert out.s.entries == dense_product(u, cert.s.entries, v) == ((3,),)
+        assert out.a.entries == out.b.entries == dense_product(u, ones.entries, v)
+
+    def test_accepted_non_homomorphic_pairings_verify(self):
+        """psi's elements are swapped past its last generator index, which
+        keeps its generators, or shuffled at random; whatever transports
+        verifies and equals the dense selector products of plainly
+        searched orbits, homomorphic pairing or not."""
+        rng = random.Random(151)
+        accepted, refused = 0, 0
+        for _ in range(80):
+            phi, gens = random_group_action(rng, max_states=4)
+            split = rng.choice((out_split, in_split))
+            psi, cert = split(phi, random_compatible_split(rng, phi, split.__name__[:-6]))
+            elements = list(psi.group.elements)
+            last = max(psi.group.generators, default=0)
+            if rng.random() < 0.5 and len(elements) - last > 2:
+                a, b = rng.sample(range(last + 1, len(elements)), 2)
+                elements[a], elements[b] = elements[b], elements[a]
+            else:
+                rest = elements[1:]
+                rng.shuffle(rest)
+                elements[1:] = rest
+            psi = PermutationAction(psi.presentation, reordered_group(psi.group.degree, elements))
+            try:
+                out = transport_certificate(cert, phi, psi)
+            except PreconditionError:
+                refused += 1
+                continue
+            assert verify_elementary_sse(out)
+            n, n2 = phi.matrix.dim, psi.matrix.dim
+            u, v = dense_selectors(n, plain_orbits(n, gens))
+            u2, v2 = dense_selectors(n2, plain_orbits(n2, psi.group.elements))
+            assert out.r.entries == dense_product(u, cert.r.entries, v2)
+            assert out.s.entries == dense_product(u2, cert.s.entries, v)
+            accepted += dense_intertwining_error(cert, phi, psi, range(phi.group.order)) is not None
+        assert accepted > 0 and refused > 0
+
+    def test_s6_transport_checks_generator_pairs_only(self, monkeypatch):
+        """The S6 corpus transport checks the two laws once at each
+        generator index of either group, not at its 720 element pairs, and
+        still prints its expected report."""
+        golden = (EXPECTED / "symmetry" / "s6-transport.json").read_text()
+        job = parse_job(json.dumps(json.loads(golden)["input"]))
+        _, phi, psi = job.parsed
+        calls = []
+        moved_row = action_module._moved_row
+
+        def counting_moved_row(rows, p, q):
+            calls.append(1)
+            return moved_row(rows, p, q)
+
+        monkeypatch.setattr(action_module, "_moved_row", counting_moved_row)
+        report = emit_report(run_job(job))
+        indices = generator_indices(phi, psi)
+        assert phi.group.order == 720 and 2 <= len(indices) < 10
+        assert len(calls) == 2 * len(indices)
+        assert report == golden
 
 
 class TestOutSplit:
@@ -510,3 +597,17 @@ class TestFactorSquare:
         ident = PermutationAction(act.presentation, group_from_generators(2, []))
         with pytest.raises(PreconditionError):
             factor_square(act, ident, (0, 1))
+
+    def test_equivariance_checked_at_generator_indices(self):
+        """The six-state group is cyclic of order four, generated by element
+        1.  Listing g^3 before g^2 pairs the elements by no homomorphism,
+        but the identity map is still equivariant at element 1, so the
+        square is the same; listing g^3 first breaks it there."""
+        act = six_state_action()
+        e, g, g2, g3 = act.group.elements
+        swapped = PermutationAction(act.presentation, reordered_group(6, (e, g, g3, g2)))
+        assert swapped.group.generators == act.group.generators == (1,)
+        assert factor_square(act, swapped, tuple(range(6))) == factor_square(act, act, tuple(range(6)))
+        inverse = PermutationAction(act.presentation, reordered_group(6, (e, g3, g2, g)))
+        with pytest.raises(PreconditionError, match="^state map does not intertwine the actions at element 1$"):
+            factor_square(act, inverse, tuple(range(6)))
