@@ -22,7 +22,7 @@ index, such as a certificate's intertwining, at generator indices alone.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import InputError, LimitExceededError, PreconditionError
 from .records import record
@@ -47,16 +47,23 @@ def compose(p, q):
     return tuple(map(p.__getitem__, q))
 
 
+@lru_cache(maxsize=16)
+def _point_labels(degree: int) -> tuple:
+    return tuple(str(k + 1) for k in range(degree))
+
+
 def cycles_of(perm) -> str:
-    """1-based cycle notation, each cycle from its least point."""
-    seen, parts = set(), []
-    for i in range(len(perm)):
-        if i not in seen and perm[i] != i:
-            cycle = [i]
-            while perm[cycle[-1]] != i:
-                cycle.append(perm[cycle[-1]])
-            seen.update(cycle)
-            parts.append("(" + " ".join(str(k + 1) for k in cycle) + ")")
+    """1-based cycle notation, each cycle from its least point: one walk
+    along each cycle, with the point labels built once per degree."""
+    labels, seen, parts = _point_labels(len(perm)), bytearray(len(perm)), []
+    for i, j in enumerate(perm):
+        if j != i and not seen[i]:
+            cycle = [labels[i]]
+            while j != i:
+                seen[j] = 1
+                cycle.append(labels[j])
+                j = perm[j]
+            parts.append("(" + " ".join(cycle) + ")")
     return "".join(parts) or "()"
 
 
@@ -247,7 +254,7 @@ class PermutationAction:
         p, g = self.presentation, self.group
         if not p.is_zero_one():
             raise PreconditionError(
-                "permutation actions need a zero-one matrix; recode with higher_block first"
+                "permutation actions need a zero-one matrix, whose states are its symbols"
             )
         if g.degree != p.num_states:
             raise InputError(
@@ -279,6 +286,11 @@ class PermutationAction:
     @cached_property
     def orbits(self) -> "OrbitStructure":
         return _orbit_structure(self.group.degree, [self.group.elements[k] for k in self.group.generators])
+
+    @cached_property
+    def fixed_sets(self) -> tuple:
+        """The states each element fixes, in ascending order, by element index."""
+        return tuple(map(self.group.fixed, range(self.group.order)))
 
 
 @record

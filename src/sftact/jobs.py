@@ -529,7 +529,7 @@ def _run_repshift(parsed, max_n=_MAX_N, **budget):
         "states": list(shift.presentation.matrix.labels),
         "matrix": _matrix_doc(shift.presentation.matrix),
         "period_counts": matrices.trace_sequence(shift.presentation.matrix, max_n),
-        "conjugation_order": shift.group.order // sum(len(shift.fixed(c)) == states for c in range(shift.group.order)),
+        "conjugation_order": shift.group.order // sum(len(fixed) == states for fixed in shift.fixed_sets),
     }
 
 

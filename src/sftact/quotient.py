@@ -6,8 +6,9 @@ satisfy the linear recurrence given by the least common multiple of the
 polynomials det(I - t A_g).  Elements with the same fixed states have the
 same A_g, so both come from one pass of the counting engine of
 ``matrices`` per fixed-state set; an empty set needs no matrix (zero
-traces, determinant 1).  ``burnside_counts`` and ``flat_bundle_counts``
-share that core, ``_burnside``, fed one fixed-state set per element.  The
+traces, determinant 1).  ``burnside_counts`` reads only the action's
+matrix and ``fixed_sets``, so it counts the orbits of a permutation action
+and the flat bundles of a representation shift alike.  The
 quotient dynamical system has the zeta function of the left-reduced shift
 (Fiebig), so its period-n counts are trace(A_left^n); the tests check
 them against enumerated cycles.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from .errors import InputError, InternalError, PreconditionError
 from .records import record
-from .intmatrix import IntMatrix, _check_int
+from .intmatrix import _check_int
 from .action import PermutationAction
 from .sft import CycleWord, SftPresentation, is_irreducible, shortest_path, trim_essential
 
@@ -43,14 +44,11 @@ class OrbitCountReport:
     element_traces: tuple
 
 
-def burnside_counts(a: PermutationAction, m: int) -> OrbitCountReport:
-    """Orbit counts of period-n points for n = 1..m by fixed-point averaging."""
-    return _burnside(a.matrix, [a.group.fixed(g) for g in range(a.group.order)], m)
-
-
-def _burnside(matrix: IntMatrix, fixed_sets, m: int) -> OrbitCountReport:
-    """Burnside counts and recurrence of a group acting on ``matrix``'s
-    states, given the ascending fixed-state set of each of its elements.
+def burnside_counts(a, m: int) -> OrbitCountReport:
+    """Orbit counts of period-n points for n = 1..m by fixed-point
+    averaging, with their recurrence, for a ``PermutationAction`` or a
+    ``RepShift``: any action with a ``matrix`` and ``fixed_sets``, the
+    ascending fixed states of each group element.
 
     Elements with the same fixed states have the same fixed submatrix, so
     its traces and det(I - t A_g) are computed once per fixed-state set, by
@@ -62,13 +60,14 @@ def _burnside(matrix: IntMatrix, fixed_sets, m: int) -> OrbitCountReport:
     _check_int(m, "number of counts")
     if m < 1:
         raise InputError("need at least one count")
+    fixed_sets = a.fixed_sets
     order = len(fixed_sets)
     # fixed-state set -> (traces of its submatrix, det(I - t A_g))
     by_fixed = {}
     traces = []
     for fixed in fixed_sets:
         if fixed not in by_fixed:
-            by_fixed[fixed] = _zeta(matrix.principal(fixed), m, True) if fixed else ([0] * m, IntPolynomial((1,)))
+            by_fixed[fixed] = _zeta(a.matrix.principal(fixed), m, True) if fixed else ([0] * m, IntPolynomial((1,)))
         traces.append(by_fixed[fixed][0])
     counts = []
     for n in range(m):

@@ -7,8 +7,9 @@ instead.  The left form is not computed on its own: it is the transpose
 of the right reduction of the transposed matrix over the same orbits.
 Both are conjugacy invariants of the action.  One routine, ``_reduce``,
 forms the orbit sums for both and for certificate transport; the
-selectors of A_red = U A V are derived only when read.  The right
-reduction carries a canonical right-resolving one-block factor map from
+selectors of A_red = U A V are derived only when read.  Both read only
+an action's ``matrix`` and ``orbits``, so a representation shift reduces
+as a permutation action does.  The right reduction carries a canonical right-resolving one-block factor map from
 the edge alphabet of the action onto the reduced edge alphabet.
 """
 

@@ -10,10 +10,12 @@ by conjugating values; the right-reduced shift of that action is the
 transfer matrix on the orbit basis Hom(U, G)/G, and Burnside orbit counts
 of period-n points count flat G-bundles over the n-fold cyclic branched
 cover when the data comes from a knot.  G acts through its table, never
-as a permutation group on the states: orbits follow the state maps of
-G's generators, and c fixes a state when all its values commute with c.
-The reduction and the Burnside core are imported inside ``tqft_matrix``
-and ``flat_bundle_counts``.
+as a permutation group on the states: ``RepShift.orbits`` follow the
+state maps of G's generators, and ``RepShift.fixed_sets`` lists, for each
+element c, the states whose values all commute with c.  Those two and the
+matrix are all that ``right_reduce`` and ``burnside_counts`` read of an
+action, so ``tqft_matrix`` and ``flat_bundle_counts`` are those two
+operations, imported inside them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import permutations
 from .errors import InputError, LimitExceededError, PreconditionError
 from .records import record
 from .intmatrix import IntMatrix, _check_int
-from .action import _orbit_structure, compose, greedy_generators
+from .action import OrbitStructure, _orbit_structure, compose, greedy_generators
 from .sft import SftPresentation, trim_essential
 
 HOM_LIMIT = 1000000  # default budget of homomorphism enumeration
@@ -180,29 +182,14 @@ def dihedral_group(n: int) -> FiniteGroupTable:
 
 
 def quaternion_group() -> FiniteGroupTable:
-    """The eight unit quaternions."""
-    units = {
-        "1": (1, 0, 0, 0), "-1": (-1, 0, 0, 0),
-        "i": (0, 1, 0, 0), "-i": (0, -1, 0, 0),
-        "j": (0, 0, 1, 0), "-j": (0, 0, -1, 0),
-        "k": (0, 0, 0, 1), "-k": (0, 0, 0, -1),
-    }
-    names = tuple(units)
-    values = {v: name for name, v in units.items()}
-
-    def qmul(a, b):
-        w1, x1, y1, z1 = a
-        w2, x2, y2, z2 = b
-        return (
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
-
-    order = {name: k for k, name in enumerate(names)}
+    """The eight unit quaternions: element 2a + s is (-1)^s times unit a of
+    1, i, j, k.  Units a and b multiply to unit a XOR b, negated where
+    neg[a][b] is 1: i j = k but j i = -k, and i i = -1."""
+    neg = ((0, 0, 0, 0), (0, 1, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1))
+    names = tuple(sign + unit for unit in "1ijk" for sign in ("", "-"))
     table = tuple(
-        tuple(order[values[qmul(units[a], units[b])]] for b in names) for a in names
+        tuple(2 * (a ^ b) + (s ^ t ^ neg[a][b]) for b in range(4) for t in range(2))
+        for a in range(4) for s in range(2)
     )
     return FiniteGroupTable(names, table)
 
@@ -309,23 +296,24 @@ class RepShift:
             gens.append(tuple(index[tuple(map(conj.__getitem__, s))] for s in states))
         return tuple(gens)
 
-    @cached_property
-    def _fixed_by_centralizer(self) -> dict:
-        return {}
+    @property
+    def matrix(self) -> IntMatrix:
+        return self.presentation.matrix
 
-    def fixed(self, c: int) -> tuple:
-        """The states element c fixes, in ascending order: those whose
-        values all lie in the centralizer of c.  Elements sharing a
-        centralizer (c and c^-1, say) share one scan of the states."""
-        _check_int(c, "element index")
-        if not 0 <= c < self.group.order:
-            raise InputError(f"element index {c} out of range")
+    @cached_property
+    def orbits(self) -> OrbitStructure:
+        """The orbits of the conjugation action, searched along ``conjugations``."""
+        return _orbit_structure(len(self.states), self.conjugations)
+
+    @cached_property
+    def fixed_sets(self) -> tuple:
+        """The states each element c fixes, in ascending order, by element
+        index: those whose values all lie in the centralizer of c.  Elements
+        sharing a centralizer (c and c^-1, say) share one scan of the states."""
         table = self.group.table
-        centralizer = frozenset(x for x, row in enumerate(table) if row[c] == table[c][x])
-        known = self._fixed_by_centralizer
-        if centralizer not in known:
-            known[centralizer] = tuple(k for k, s in enumerate(self.states) if centralizer.issuperset(s))
-        return known[centralizer]
+        centralizers = [frozenset(x for x, row in enumerate(table) if row[c] == tc[x]) for c, tc in enumerate(table)]
+        scans = {z: tuple(k for k, s in enumerate(self.states) if z.issuperset(s)) for z in dict.fromkeys(centralizers)}
+        return tuple(map(scans.__getitem__, centralizers))
 
 
 def _failing_relator(images, relators, g: FiniteGroupTable):
@@ -414,11 +402,10 @@ class TqftMatrix:
 
 def tqft_matrix(r: RepShift) -> TqftMatrix:
     """Right-reduced shift of the conjugation action, with orbit labels."""
-    from .reduce import ReducedShift, _labels, _reduce
+    from .reduce import right_reduce
 
-    orbits = _orbit_structure(len(r.states), r.conjugations)
-    reduced = ReducedShift(_reduce(r.presentation.matrix, orbits, orbits, _labels(orbits)), orbits)
-    return TqftMatrix(reduced=reduced, basis=tuple(map(r.presentation.label, orbits.representatives)))
+    reduced = right_reduce(r)
+    return TqftMatrix(reduced=reduced, basis=tuple(map(r.presentation.label, reduced.orbits.representatives)))
 
 
 def flat_bundle_counts(r: RepShift, m: int) -> OrbitCountReport:
@@ -426,6 +413,6 @@ def flat_bundle_counts(r: RepShift, m: int) -> OrbitCountReport:
     counts of period-n points of the conjugation action, averaged over G
     (each image element has equally many preimages), with the annihilating
     recurrence of the count sequence."""
-    from .quotient import _burnside
+    from .quotient import burnside_counts
 
-    return _burnside(r.presentation.matrix, [r.fixed(c) for c in range(r.group.order)], m)
+    return burnside_counts(r, m)

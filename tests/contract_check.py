@@ -8,9 +8,13 @@ text report under ``tests/text_goldens/`` in-process, and runs
 ``sftact.cli.main`` on contract cases that need no oracle: the nesting
 bound at 100, 101 and 100000 levels, integers past Python's 4300-digit
 conversion limit (3.11 and later), unknown keys and the transport pairing
-lines.  Prints one line per failure, then ``checked N, failed M``; exits
-1 when anything failed.  It imports nothing outside the standard library
-but ``sftact``'s entry points, so it runs where pytest is not installed.
+lines, and the exact error lines of unknown flags and parameters,
+non-square state matrices, oversized named groups and the zero-one
+precondition.  Prints one line per failure, then ``checked N, failed M``;
+exits 1 when anything failed.  It imports nothing outside the standard
+library but ``sftact``'s entry points, so it runs where pytest is not
+installed.  ``tests/test_cli.py`` runs some cases by name, so each pinned
+line is written here alone.
 """
 
 import io
@@ -32,6 +36,22 @@ PAIRED = {
     "phi": {"generators": ["(1 2)", "(1 2 3)"]},
     "psi": {"generators": ["(1 3)", "(1 3 2)"]},
 }
+
+
+UNKNOWN_FLAGS = ["--cap", "--bogus"]
+UNKNOWN_PARAMETERS = ["maxn", "cap"]
+# (command, input, the non-square field)
+RECTANGULAR = [
+    ("invariants", {"matrix": [[1, 0, 1], [0, 1, 1]]}, "matrix"),
+    ("reduce", {"matrix": [[1, 0, 1], [0, 1, 1]], "group": {"generators": []}}, "matrix"),
+    ("verify-sse", {"a": [[1, 0, 1], [0, 1, 1]], "b": [[2]], "r": [[1], [1]], "s": [[1, 1]]}, "a"),
+]
+# (named group, why it is refused)
+NAMED_TOO_LARGE = [
+    ("Z99999999999999", "cyclic groups are supported for 1 <= n <= 720"),
+    ("D361", "dihedral groups are supported for 1 <= n <= 360"),
+    ("S7", "symmetric groups are supported for 1 <= n <= 6"),
+]
 
 
 def run_main(text, argv):
@@ -76,6 +96,22 @@ def contract_cases():
     yield "unknown-field", json.dumps(unknown_input), ["reduce"], 1, "error: $.input.extra: unknown field\n", None
     unknown_parameter = dict(reduce_ones, parameters={"max_n": 3})
     yield "unknown-parameter", json.dumps(unknown_parameter), ["reduce"], 1, "error: $.parameters.max_n: unknown parameter\n", None
+    for key in UNKNOWN_PARAMETERS:
+        doc = dict(reduce_ones, command="burnside", parameters={key: 3})
+        yield f"unknown-parameter {key}", json.dumps(doc), ["burnside"], 1, f"error: $.parameters.{key}: unknown parameter\n", None
+    for flag in UNKNOWN_FLAGS:
+        yield f"unknown-flag {flag}", json.dumps(reduce_ones), ["reduce", flag, "5"], 1, f"error: unrecognized arguments: {flag} 5\n", None
+    for command, input_doc, field in RECTANGULAR:
+        doc = json.dumps({"command": command, "input": input_doc})
+        yield f"rectangular {command}", doc, [command], 1, f"error: $.input.{field}: matrix must be square, got 2x3\n", None
+    for group, message in NAMED_TOO_LARGE:
+        doc = json.dumps({"command": "tqft", "input": {"hnn": {"preset": "trefoil"}, "group": group}})
+        yield f"named-group {group}", doc, ["tqft"], 1, f"error: $.input.group: {message}\n", None
+    # higher-block recoding refuses such a matrix too, so the line names no recoding
+    parallel = json.dumps({"command": "reduce", "input": {"matrix": [[2]], "group": {"generators": []}}})
+    yield "zero-one matrix", parallel, ["reduce"], 2, (
+        "precondition failed: permutation actions need a zero-one matrix, whose states are its symbols\n"
+    ), None
     limited = dict(reduce_ones, input=dict(reduce_ones["input"], group={"generators": ["(1 2)"], "limit": 1}))
     yield "closure-limit", json.dumps(limited), ["reduce"], 3, "budget exhausted: group closure exceeds limit 1\n", None
     pairing = "precondition failed: $.input.psi.generators: "
@@ -86,6 +122,22 @@ def contract_cases():
     ):
         yield f"pairing-{name}", transport(gens), ["transport"], 2, f"{pairing}{line}\n", None
     yield "pairing-conjugate", transport(PAIRED["psi"]["generators"]), ["transport"], 0, "", '"verified": true'
+
+
+def case_problems(text, argv, code, err, out_has):
+    """What differs from a contract case's expectation, as a list of lines."""
+    got_code, out, got_err = run_main(text, argv)
+    problems = []
+    if got_code != code:
+        problems.append(f"exit {got_code}, expected {code}")
+    if err is None:
+        if len(got_err.splitlines()) != 1 or out:
+            problems.append(f"expected one stderr line and no stdout, got {got_err[:200]!r}")
+    elif got_err != err:
+        problems.append(f"stderr {got_err[:200]!r}, expected {err!r}")
+    if out_has is not None and out_has not in out:
+        problems.append("the report lacks the expected text")
+    return problems
 
 
 def main_check():
@@ -106,19 +158,9 @@ def main_check():
             continue
         if not same:
             failures.append(f"{path.relative_to(ROOT)}: report differs")
-    for name, text, argv, code, err, out_has in contract_cases():
+    for name, *case in contract_cases():
         checked += 1
-        got_code, out, got_err = run_main(text, argv)
-        problems = []
-        if got_code != code:
-            problems.append(f"exit {got_code}, expected {code}")
-        if err is None:
-            if len(got_err.splitlines()) != 1 or out:
-                problems.append(f"expected one stderr line and no stdout, got {got_err[:200]!r}")
-        elif got_err != err:
-            problems.append(f"stderr {got_err[:200]!r}, expected {err!r}")
-        if out_has is not None and out_has not in out:
-            problems.append("the report lacks the expected text")
+        problems = case_problems(*case)
         if problems:
             failures.append(f"{name}: " + "; ".join(problems))
     for line in failures:

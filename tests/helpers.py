@@ -892,6 +892,31 @@ def composition_symmetric_table(n: int):
     return names, tuple(tuple(index[tuple(p[i] for i in q)] for q in perms) for p in perms)
 
 
+
+def quaternion_arithmetic_table():
+    """(names, table) of the eight unit quaternions, each product formed
+    by quaternion arithmetic on (w, x, y, z) coordinates."""
+    units = {
+        "1": (1, 0, 0, 0), "-1": (-1, 0, 0, 0),
+        "i": (0, 1, 0, 0), "-i": (0, -1, 0, 0),
+        "j": (0, 0, 1, 0), "-j": (0, 0, -1, 0),
+        "k": (0, 0, 0, 1), "-k": (0, 0, 0, -1),
+    }
+    names = tuple(units)
+    index = {v: k for k, v in enumerate(units.values())}
+
+    def qmul(a, b):
+        w1, x1, y1, z1 = a
+        w2, x2, y2, z2 = b
+        return (
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        )
+
+    return names, tuple(tuple(index[qmul(units[a], units[b])] for b in names) for a in names)
+
 # monodromies of the preset knots as substitutions on the free group of rank
 # two, a word being (generator, sign) letters: trefoil a -> b, b -> a^-1 b;
 # figure eight a -> a b a, b -> b a

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import contract_check
 import sftact
 from sftact import InputError, cli, errors, group_from_generators, jobs
 from sftact.action import cycles_of
@@ -55,6 +56,15 @@ def run_cli(tmp_path, doc, *args, optimize=False, code=None):
         [sys.executable, *(["-O"] if optimize else []), *entry, doc["command"], "--input", str(path), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+CONTRACT_CASES = {name: case for name, *case in contract_check.contract_cases()}
+
+
+def contract_case_problems(name):
+    """What differs from the expectation of the case ``name`` of
+    ``contract_check.py``'s table, run through ``main`` in process."""
+    return contract_check.case_problems(*CONTRACT_CASES[name])
 
 
 TWO_SHIFT_LINK = {"a": [[2]], "b": [[1, 1], [1, 1]], "r": [[1, 1]], "s": [[1], [1]]}
@@ -649,12 +659,9 @@ class TestMain:
         monkeypatch.setattr(jobs, "_REPSHIFT_STATE_BOUND", 9)
         assert self.run_main(tmp_path, capsys, doc, ["repshift"])[0] == 0
 
-    @pytest.mark.parametrize("key", ["maxn", "cap"])
-    def test_unknown_parameter_exit_one(self, tmp_path, capsys, key):
-        doc = dict(SIX_STATE_JOB, command="burnside", parameters={key: 3})
-        code, out, err = self.run_main(tmp_path, capsys, doc, ["burnside"])
-        assert (code, out) == (1, "")
-        assert err == f"error: $.parameters.{key}: unknown parameter\n"
+    @pytest.mark.parametrize("key", contract_check.UNKNOWN_PARAMETERS)
+    def test_unknown_parameter_exit_one(self, key):
+        assert contract_case_problems(f"unknown-parameter {key}") == []
 
     @pytest.mark.parametrize(
         "command, parameters, args, key",
@@ -697,44 +704,29 @@ class TestMain:
         code, out, err = self.run_main(tmp_path, capsys, doc, ["reduce"])
         assert (code, out, err) == (1, "", 'error: $.parameters["max\\rn"]: unknown parameter\n')
 
-    @pytest.mark.parametrize("flag", ["--cap", "--bogus"])
-    def test_unknown_flag_exit_one(self, tmp_path, capsys, flag):
-        code, out, err = self.run_main(tmp_path, capsys, SIX_STATE_JOB, ["reduce", flag, "5"])
-        assert (code, out) == (1, "")
-        assert err == f"error: unrecognized arguments: {flag} 5\n"
+    @pytest.mark.parametrize("flag", contract_check.UNKNOWN_FLAGS)
+    def test_unknown_flag_exit_one(self, flag):
+        assert contract_case_problems(f"unknown-flag {flag}") == []
 
     def test_usage_error_exit_one(self, tmp_path, capsys):
         code, out, err = self.run_main(tmp_path, capsys, SIX_STATE_JOB, ["reduce", "--max-n", "x"])
         assert (code, out) == (1, "")
         assert len(err.splitlines()) == 1 and "--max-n" in err
 
-    @pytest.mark.parametrize(
-        "command, input_doc, field",
-        [
-            ("invariants", {"matrix": [[1, 0, 1], [0, 1, 1]]}, "matrix"),
-            ("reduce", {"matrix": [[1, 0, 1], [0, 1, 1]], "group": {"generators": []}}, "matrix"),
-            ("verify-sse", {"a": [[1, 0, 1], [0, 1, 1]], "b": [[2]], "r": [[1], [1]], "s": [[1, 1]]}, "a"),
-        ],
-    )
-    def test_rectangular_state_matrix_exit_one(self, tmp_path, capsys, command, input_doc, field):
-        doc = {"command": command, "input": input_doc}
-        code, out, err = self.run_main(tmp_path, capsys, doc, [command])
-        assert (code, out) == (1, "")
-        assert err == f"error: $.input.{field}: matrix must be square, got 2x3\n"
+    @pytest.mark.parametrize("command, input_doc, field", contract_check.RECTANGULAR)
+    def test_rectangular_state_matrix_exit_one(self, command, input_doc, field):
+        assert contract_case_problems(f"rectangular {command}") == []
 
-    @pytest.mark.parametrize(
-        "group, message",
-        [
-            ("Z99999999999999", "cyclic groups are supported for 1 <= n <= 720"),
-            ("D361", "dihedral groups are supported for 1 <= n <= 360"),
-            ("S7", "symmetric groups are supported for 1 <= n <= 6"),
-        ],
-    )
-    def test_named_group_too_large_exit_one(self, tmp_path, capsys, group, message):
-        doc = {"command": "tqft", "input": {"hnn": {"preset": "trefoil"}, "group": group}}
-        code, out, err = self.run_main(tmp_path, capsys, doc, ["tqft"])
-        assert (code, out) == (1, "")
-        assert err == f"error: $.input.group: {message}\n"
+    @pytest.mark.parametrize("group, message", contract_check.NAMED_TOO_LARGE)
+    def test_named_group_too_large_exit_one(self, group, message):
+        assert contract_case_problems(f"named-group {group}") == []
+
+    def test_zero_one_precondition_names_no_refusing_recoding(self):
+        """A matrix with an entry above 1 is refused with a line that names
+        no recoding: higher-block recoding refuses the same matrix."""
+        assert contract_case_problems("zero-one matrix") == []
+        with pytest.raises(errors.PreconditionError, match="higher-block recoding needs a zero-one matrix"):
+            sftact.higher_block(sftact.SftPresentation(sftact.IntMatrix(((2,),))), 2)
 
     @pytest.mark.parametrize(
         "names, path, message",

@@ -52,31 +52,6 @@ def test_report_matches_golden(path):
     assert emit_report(run_job(job)).encode() == golden
 
 
-# Rebuilds every golden in a ``python -O`` child, where ``assert`` is gone.
-OPTIMIZED_CHILD = r"""
-import json, sys
-from sftact.cli import emit_report, parse_job, run_job
-
-differ = []
-for path in sys.argv[1:]:
-    golden = open(path, encoding="utf-8").read()
-    if emit_report(run_job(parse_job(json.dumps(json.loads(golden)["input"])))) != golden:
-        differ.append(path)
-print(json.dumps({"optimize": sys.flags.optimize, "checked": len(sys.argv) - 1, "differ": differ}))
-"""
-
-
-def test_goldens_under_optimized_interpreter():
-    """No result rests on an assert: without them every report is the same."""
-    env = dict(os.environ, PYTHONPATH=str(EXPECTED.parent.parent / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", OPTIMIZED_CHILD, *map(str, GOLDENS)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"optimize": 1, "checked": len(GOLDENS), "differ": []}
-
-
 # the job layer's parsers: no runner may call one
 PARSERS = [
     "_act", "_field", "_fields", "_get_dict", "_get_int", "_parse_action",
@@ -166,6 +141,20 @@ def test_traced_job_records_construction_spans():
     assert {"action.PermGroup", "action.PermutationAction", "cli.run_job"} <= names
     for cls, original in originals.items():
         assert vars(cls)["__post_init__"] is original
+
+
+@pytest.mark.parametrize("stem, span", [("trefoil-s3-tqft", "reduce.right_reduce"),
+                                        ("trefoil-z2-bundle", "quotient.burnside_counts")])
+def test_traced_representation_shift_jobs_record_the_action_operations(stem, span):
+    """tqft and bundle-counts jobs run through the right reduction and the
+    Burnside counts of the conjugation action, so a traced run sees them."""
+    golden = (EXPECTED / "cli-small" / f"{stem}.json").read_bytes()
+    text = json.dumps(json.loads(golden)["input"])
+    recorder = SPANS.Recorder()
+    with recorder.tracing():
+        report = cli.emit_report(cli.run_job(cli.parse_job(text)))
+    assert report.encode() == golden
+    assert span in {name for _, _, _, name, _, _ in recorder.spans}
 
 
 # Run in a fresh child: an invariants job executes only ``matrices``, so

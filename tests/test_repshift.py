@@ -64,6 +64,7 @@ from helpers import (
     dense_product,
     dense_selectors,
     permutation_dihedral_table,
+    quaternion_arithmetic_table,
     plain_monodromy_fixed_counts,
     plain_orbits,
     recurrence_holds,
@@ -161,6 +162,10 @@ class TestGroupTables:
         assert q8.mul(i, j) == k
         assert q8.mul(j, i) == q8.names.index("-k")
         assert q8.mul(i, i) == q8.names.index("-1")
+
+    def test_quaternion_matches_arithmetic_oracle(self):
+        q8 = quaternion_group()
+        assert (q8.names, q8.table) == quaternion_arithmetic_table()
 
     def test_bad_table_rejected(self):
         with pytest.raises(InputError):
@@ -423,7 +428,7 @@ class TestBuildRepshift:
     def test_abelian_group_conjugation_trivial(self):
         shift = build_repshift(fibered_preset("trefoil"), cyclic_group(5))
         assert conjugation_action(shift).group.order == 1
-        assert all(shift.fixed(c) == tuple(range(len(shift.states))) for c in range(5))
+        assert shift.fixed_sets == (tuple(range(len(shift.states))),) * 5
 
     def test_inconsistent_hnn_reported(self):
         # U has a relator the amalgamating image violates
@@ -472,12 +477,14 @@ _ORACLE_GROUPS = {"S3": "S3", "S4": "S4", "D4": "D4", "Q8": "Q8", "Z5": "Z5", "Z
 @pytest.mark.parametrize("preset", ["trefoil", "figure8"])
 @pytest.mark.parametrize("group_doc", list(_ORACLE_GROUPS.values()), ids=list(_ORACLE_GROUPS))
 def test_table_route_matches_closed_conjugation_group(preset, group_doc):
-    """Counts and recurrence, the TQFT matrix and basis, the repshift
-    report's conjugation order and every element's fixed states agree with
-    the conjugation group closed on the states."""
+    """Counts and recurrence, the orbits, both reductions, the TQFT basis,
+    the repshift report's conjugation order and every element's fixed
+    states agree with the conjugation group closed on the states."""
     group = parse_abstract_group(group_doc, "$.group")
     shift = build_repshift(fibered_preset(preset), group)
     oracle = conjugation_action(shift)
+    assert shift.orbits == oracle.orbits
+    assert left_reduce(shift).matrix == left_reduce(oracle).matrix
     report, expected = flat_bundle_counts(shift, 8), burnside_counts(oracle, 8)
     assert (report.counts, report.recurrence) == (expected.counts, expected.recurrence)
     tqft, reduced = tqft_matrix(shift), right_reduce(oracle)
@@ -485,9 +492,9 @@ def test_table_route_matches_closed_conjugation_group(preset, group_doc):
     assert tqft.basis == tuple(shift.presentation.label(i) for i in oracle.orbits.representatives)
     job = json.dumps({"command": "repshift", "input": {"hnn": {"preset": preset}, "group": group_doc}})
     assert run_job(parse_job(job))["result"]["conjugation_order"] == oracle.group.order
-    for c in range(group.order):
-        perm = brute_conjugation(shift, c)
-        assert shift.fixed(c) == tuple(i for i, image in enumerate(perm) if image == i)
+    assert shift.fixed_sets == tuple(
+        tuple(i for i, image in enumerate(brute_conjugation(shift, c)) if image == i) for c in range(group.order)
+    )
 
 
 def test_table_route_closes_no_permutation_group(monkeypatch):
@@ -698,7 +705,6 @@ _INTEGER_ARGUMENTS = {
     "enumerate_cycles length": lambda x: enumerate_cycles(SftPresentation(SIX_STATE_A), x, 5),
     "enumerate_cycles cap": lambda x: enumerate_cycles(SftPresentation(SIX_STATE_A), 2, x),
     "fixed_submatrix g": lambda x: fixed_submatrix(six_state_action(), x),
-    "RepShift.fixed c": lambda x: build_repshift(fibered_preset("trefoil"), cyclic_group(2)).fixed(x),
     "HnnData b_gens": lambda x: HnnData(
         b_gens=x, b_relators=(), u_gens=(), u_relators=(), v_gens=(), v_relators=(), phi_images=()
     ),
@@ -726,8 +732,6 @@ _OUT_OF_RANGE = {
     "group_from_generators degree -1": lambda: group_from_generators(-1, []),
     "nonexpansive_witness element 5 of 2": lambda: _witness_at(5),
     "nonexpansive_witness identity element": lambda: _witness_at(0),
-    "RepShift.fixed -1": lambda: build_repshift(fibered_preset("trefoil"), cyclic_group(2)).fixed(-1),
-    "RepShift.fixed 2 of 2": lambda: build_repshift(fibered_preset("trefoil"), cyclic_group(2)).fixed(2),
 }
 
 
