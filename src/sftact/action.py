@@ -22,7 +22,7 @@ index, such as a certificate's intertwining, at generator indices alone.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import InputError, LimitExceededError, PreconditionError
 from .records import record
@@ -47,21 +47,15 @@ def compose(p, q):
     return tuple(map(p.__getitem__, q))
 
 
-@lru_cache(maxsize=16)
-def _point_labels(degree: int) -> tuple:
-    return tuple(str(k + 1) for k in range(degree))
-
-
 def cycles_of(perm) -> str:
-    """1-based cycle notation, each cycle from its least point: one walk
-    along each cycle, with the point labels built once per degree."""
-    labels, seen, parts = _point_labels(len(perm)), bytearray(len(perm)), []
+    """1-based cycle notation, each cycle from its least point, walked once."""
+    seen, parts = set(), []
     for i, j in enumerate(perm):
-        if j != i and not seen[i]:
-            cycle = [labels[i]]
+        if j != i and i not in seen:
+            cycle = [str(i + 1)]
             while j != i:
-                seen[j] = 1
-                cycle.append(labels[j])
+                seen.add(j)
+                cycle.append(str(j + 1))
                 j = perm[j]
             parts.append("(" + " ".join(cycle) + ")")
     return "".join(parts) or "()"
@@ -287,7 +281,7 @@ class PermutationAction:
     def orbits(self) -> "OrbitStructure":
         return _orbit_structure(self.group.degree, [self.group.elements[k] for k in self.group.generators])
 
-    @cached_property
+    @property
     def fixed_sets(self) -> tuple:
         """The states each element fixes, in ascending order, by element index."""
         return tuple(map(self.group.fixed, range(self.group.order)))

@@ -8,9 +8,10 @@ of the right reduction of the transposed matrix over the same orbits.
 Both are conjugacy invariants of the action.  One routine, ``_reduce``,
 forms the orbit sums for both and for certificate transport; the
 selectors of A_red = U A V are derived only when read.  Both read only
-an action's ``matrix`` and ``orbits``, so a representation shift reduces
-as a permutation action does.  The right reduction carries a canonical right-resolving one-block factor map from
-the edge alphabet of the action onto the reduced edge alphabet.
+an action's ``matrix`` and ``orbits``, so a ``RepShift`` reduces as a
+``PermutationAction`` does.  The right reduction carries a canonical
+right-resolving one-block factor map from the edge alphabet of the
+action onto the reduced edge alphabet.
 """
 
 from __future__ import annotations
@@ -77,14 +78,14 @@ def _labels(os_: OrbitStructure) -> tuple:
     return tuple(f"G{i + 1}" for i in os_.representatives)
 
 
-def right_reduce(a: PermutationAction) -> ReducedShift:
+def right_reduce(a) -> ReducedShift:
     """Right-reduced shift: entry (Gi, Gj) counts edges from a
     representative of Gi into the orbit Gj."""
     os_ = a.orbits
     return ReducedShift(_reduce(a.matrix, os_, os_, _labels(os_)), os_)
 
 
-def left_reduce(a: PermutationAction) -> ReducedShift:
+def left_reduce(a) -> ReducedShift:
     """Left-reduced shift: entry (Gi, Gj) counts edges from the orbit Gi
     into a representative of Gj.
 

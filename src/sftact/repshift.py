@@ -12,10 +12,9 @@ of period-n points count flat G-bundles over the n-fold cyclic branched
 cover when the data comes from a knot.  G acts through its table, never
 as a permutation group on the states: ``RepShift.orbits`` follow the
 state maps of G's generators, and ``RepShift.fixed_sets`` lists, for each
-element c, the states whose values all commute with c.  Those two and the
-matrix are all that ``right_reduce`` and ``burnside_counts`` read of an
-action, so ``tqft_matrix`` and ``flat_bundle_counts`` are those two
-operations, imported inside them.
+element c, the states whose values all commute with c.  So
+``tqft_matrix`` is ``right_reduce`` of the representation shift and
+``flat_bundle_counts`` its ``burnside_counts``, imported inside them.
 """
 
 from __future__ import annotations

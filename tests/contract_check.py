@@ -130,9 +130,11 @@ def case_problems(text, argv, code, err, out_has):
     problems = []
     if got_code != code:
         problems.append(f"exit {got_code}, expected {code}")
+    if got_code != 0 and out:
+        problems.append(f"exit {got_code} after writing {out[:200]!r} to stdout")
     if err is None:
-        if len(got_err.splitlines()) != 1 or out:
-            problems.append(f"expected one stderr line and no stdout, got {got_err[:200]!r}")
+        if len(got_err.splitlines()) != 1:
+            problems.append(f"expected one stderr line, got {got_err[:200]!r}")
     elif got_err != err:
         problems.append(f"stderr {got_err[:200]!r}, expected {err!r}")
     if out_has is not None and out_has not in out:
