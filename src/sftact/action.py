@@ -15,9 +15,10 @@ set breadth first and hands ``PermGroup`` the indices of the generators
 it started from.  Laws kept under products, like invariance, are checked
 on those generators.
 
-``paired_group`` lists a second group along a first by their listed
-generators, and ``_check_paired`` checks laws between elements paired by
-index, such as a certificate's intertwining, at generator indices alone.
+``paired_groups`` closes two generator lists, paired in order, at once
+and lists both groups so that their elements pair by index;
+``_check_paired`` checks laws between such elements, like a
+certificate's intertwining, at generator indices alone.
 """
 
 from __future__ import annotations
@@ -190,21 +191,28 @@ def group_from_generators(degree: int, gens, limit: int = CLOSURE_LIMIT) -> Perm
     return PermGroup(degree, tuple(ordered), tuple(range(1, 1 + first)))
 
 
-def paired_group(phi: PermGroup, phi_gens, gens, degree: int, limit: int = CLOSURE_LIMIT) -> PermGroup:
-    """The group ``gens`` generate on 0..degree-1, listed so that its
-    element k is the image of phi's element k under the map that sends
-    the k-th of ``phi_gens``, which generate phi, to the k-th of ``gens``.
+def paired_groups(
+    phi_gens, gens, phi_degree: int, degree: int, phi_limit: int = CLOSURE_LIMIT, limit: int = CLOSURE_LIMIT
+) -> tuple:
+    """(phi, psi): the groups that ``phi_gens`` generate on
+    0..phi_degree-1 and ``gens`` on 0..degree-1, closed together, so that
+    psi's element k is the image of phi's element k under the map that
+    sends the k-th of ``phi_gens`` to the k-th of ``gens``.
 
-    The pairs are closed together breadth first, and each layer is
-    searched for a phi element with two images before the next is built.
-    PreconditionError, in cycle notation, when the lists differ in length,
-    a phi element has two images or two share one; LimitExceededError past
-    ``limit`` pairs.  The map is an isomorphism, so phi's generator
-    indices are the group's.
+    The pairs are closed breadth first, and each layer is searched for a
+    phi element with two images before the next is built.  A layer without
+    one has distinct phi elements, so sorting its pairs sorts phi's layer:
+    phi comes out as ``group_from_generators`` closes ``phi_gens``, with
+    the same generator indices, and the map, an isomorphism, makes them
+    psi's too.  PreconditionError, in cycle notation, when the lists differ
+    in length, a phi element has two images or two share one;
+    LimitExceededError past ``phi_limit`` pairs, then past ``limit``.
     """
-    _check_int(degree, "degree")
-    _check_int(limit, "closure limit")
-    phi_gens = [_check_perm(g, phi.degree) for g in phi_gens]
+    for x, what in zip((phi_degree, degree, phi_limit, limit), ["degree"] * 2 + ["closure limit"] * 2):
+        _check_int(x, what)
+    if min(phi_degree, degree) < 0:
+        raise InputError("degree must be nonnegative")
+    phi_gens = [_check_perm(g, phi_degree) for g in phi_gens]
     gens = [_check_perm(h, degree) for h in gens]
     if len(gens) != len(phi_gens):
         raise PreconditionError(
@@ -214,8 +222,8 @@ def paired_group(phi: PermGroup, phi_gens, gens, degree: int, limit: int = CLOSU
     def pair_product(x, y):
         return compose(x[0], y[0]), compose(x[1], y[1])
 
-    identity = (phi.elements[0], tuple(range(degree)))
-    image = dict([identity])
+    identity = (tuple(range(phi_degree)), tuple(range(degree)))
+    image = dict([identity])  # phi element -> psi element, in closure order
     for layer in _layers({identity}, [identity], list(zip(phi_gens, gens)), pair_product):
         for g, h in layer:
             if image.setdefault(g, h) != h:
@@ -223,14 +231,14 @@ def paired_group(phi: PermGroup, phi_gens, gens, degree: int, limit: int = CLOSU
                     f"the pairing sends phi element {cycles_of(g)} to both "
                     f"{cycles_of(image[g])} and {cycles_of(h)}"
                 )
-        if len(image) > limit:
-            raise LimitExceededError(f"group closure exceeds limit {limit}")
-    if image.keys() != set(phi.elements):
-        raise InputError("the listed phi generators do not generate phi's group")
-    elements = tuple(image[g] for g in phi.elements)
-    if len(set(elements)) != len(elements):
+        for bound in (phi_limit, limit):
+            if len(image) > bound:
+                raise LimitExceededError(f"group closure exceeds limit {bound}")
+    phi, psi = tuple(image), tuple(image.values())
+    if len(set(psi)) != len(psi):
         raise PreconditionError("the pairing sends two phi elements to one psi element")
-    return PermGroup(degree, elements, phi.generators)
+    generators = tuple(range(1, 1 + len(set(phi_gens) - {phi[0]})))
+    return PermGroup(phi_degree, phi, generators), PermGroup(degree, psi, generators)
 
 
 @record

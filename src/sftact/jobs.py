@@ -222,7 +222,8 @@ def parse_abstract_group(doc, path) -> repshift.FiniteGroupTable:
         return repshift.FiniteGroupTable(names=tuple(names), table=tuple(tuple(row) for row in table))
 
 
-def parse_word(doc, path):
+def parse_word(doc, path, gens):
+    """A group word over ``gens`` generators, numbered from 1 in the document."""
     _expect(isinstance(doc, list), path, "expected an array of [generator, sign] pairs")
     word = []
     for k, pair in enumerate(doc):
@@ -232,6 +233,7 @@ def parse_word(doc, path):
             "expected a [generator, sign] pair",
         )
         gen = _get_int(pair[0], f"{path}[{k}][0]", minimum=1)
+        _expect(gen <= gens, f"{path}[{k}][0]", f"uses generator {gen}, but only {gens} exist")
         sign = _get_int(pair[1], f"{path}[{k}][1]")
         _expect(sign in (1, -1), f"{path}[{k}][1]", "sign must be 1 or -1")
         word.append((gen - 1, sign))
@@ -247,12 +249,13 @@ def parse_hnn(doc, path) -> repshift.HnnData:
         _expect(isinstance(name, str), f"{path}.preset", "expected a preset name")
         return repshift.fibered_preset(name)
     _fields(doc, path, ("b_gens",) + _HNN_WORDS, required=("b_gens", "u_gens", "v_gens", "phi_images"))
+    b_gens = _get_int(doc["b_gens"], f"{path}.b_gens", minimum=0)
     words = {}
-    for key in _HNN_WORDS:
+    for key in _HNN_WORDS:  # U and V relators are words over U's and V's generators, the rest over B's
         value = doc.get(key, [])
         _expect(isinstance(value, list), f"{path}.{key}", "expected an array of words")
-        words[key] = tuple(parse_word(w, f"{path}.{key}[{k}]") for k, w in enumerate(value))
-    b_gens = _get_int(doc["b_gens"], f"{path}.b_gens", minimum=0)
+        gens = len(words[key[0] + "_gens"]) if key in ("u_relators", "v_relators") else b_gens
+        words[key] = tuple(parse_word(w, f"{path}.{key}[{k}]", gens) for k, w in enumerate(value))
     with _at(path):
         return repshift.HnnData(b_gens=b_gens, **words)
 
@@ -302,20 +305,19 @@ def _parse_links(doc, path):
 
 def _parse_transport(doc, path):
     """(certificate, action phi on its a, action psi on its b).  psi's
-    k-th listed generator pairs with phi's k-th, and psi's group is closed
-    along phi's, so its element k pairs with phi's element k."""
+    k-th listed generator pairs with phi's k-th, and one closure of the
+    pairs lists both groups, so psi's element k pairs with phi's element k."""
     doc = _fields(doc, path, ("certificate", "phi", "psi"), required=("certificate", "phi", "psi"))
     cert = parse_certificate(doc["certificate"], f"{path}.certificate")
     a = sft.SftPresentation(cert.a)
-    phi_gens, limit = parse_generators(doc["phi"], cert.a.dim, f"{path}.phi")
-    phi = action.PermutationAction(a, action.group_from_generators(cert.a.dim, phi_gens, limit))
+    phi_gens, phi_limit = parse_generators(doc["phi"], cert.a.dim, f"{path}.phi")
     b = sft.SftPresentation(cert.b)
     gens, limit = parse_generators(doc["psi"], cert.b.dim, f"{path}.psi")
     try:
-        group = action.paired_group(phi.group, phi_gens, gens, cert.b.dim, limit)
+        phi, psi = action.paired_groups(phi_gens, gens, cert.a.dim, cert.b.dim, phi_limit, limit)
     except PreconditionError as err:
         raise PreconditionError(f"{path}.psi.generators: {err}") from err
-    return cert, phi, action.PermutationAction(b, group)
+    return cert, action.PermutationAction(a, phi), action.PermutationAction(b, psi)
 
 
 def _parse_split(doc, path):

@@ -229,7 +229,7 @@ def nonexpansive_witness(
 
 def _cycle_through_all_states(p: SftPresentation):
     """Closed edge path visiting every state of an irreducible
-    presentation, built from shortest hops."""
+    presentation of two or more states, built from shortest hops."""
     n = p.num_states
     edges = []
     visited = {0}
@@ -241,7 +241,4 @@ def _cycle_through_all_states(p: SftPresentation):
         visited.update(e[1] for e in hop)
         cur = target
     edges.extend(shortest_path(p, cur, 0))
-    if not edges:
-        # single state: use its self-loop
-        edges = [p.out_edges[0][0]]
     return tuple(edges)

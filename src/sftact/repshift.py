@@ -225,8 +225,6 @@ def enumerate_homs(gens: int, relators, g: FiniteGroupTable, limit: int = HOM_LI
     for w in relators:
         depth = max((i for i, _ in w), default=-1) + 1
         by_depth[depth].append(w)
-    if not all(evaluate_word(w, (), g) == g.identity for w in by_depth[0]):
-        return []
     out = [()]
     for depth in range(gens):
         out = [
@@ -315,13 +313,6 @@ class RepShift:
         return tuple(map(scans.__getitem__, centralizers))
 
 
-def _failing_relator(images, relators, g: FiniteGroupTable):
-    for k, w in enumerate(relators):
-        if evaluate_word(w, images, g) != g.identity:
-            return k, w
-    return None
-
-
 def build_repshift(h: HnnData, g: FiniteGroupTable, limit: int = HOM_LIMIT) -> RepShift:
     """Enumerate the representation shift of HNN data over a finite group.
 
@@ -343,12 +334,11 @@ def build_repshift(h: HnnData, g: FiniteGroupTable, limit: int = HOM_LIMIT) -> R
         term = tuple(evaluate_word(w, rho, g) for w in h.phi_images)
         for name, tup in (("initial", init), ("terminal", term)):
             if tup not in state_index:
-                # Hom(U, G) holds every tuple that satisfies the relators
-                bad = _failing_relator(tup, h.u_relators, g)
+                # Hom(U, G) holds every tuple that satisfies the relators, so one fails
+                k = next(k for k, w in enumerate(h.u_relators) if evaluate_word(w, tup, g) != g.identity)
                 raise InputError(
-                    f"inconsistent HNN data: the {name} state of an edge violates "
-                    f"U relator {bad[0]} {bad[1]}; the amalgamating images do not "
-                    "define a homomorphism on U"
+                    f"inconsistent HNN data: the {name} state of an edge violates u_relators[{k}]; "
+                    "the amalgamating images do not define a homomorphism on U"
                 )
         key = (state_index[init], state_index[term])
         edges[key] = edges.get(key, 0) + 1

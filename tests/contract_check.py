@@ -7,10 +7,11 @@ Rebuilds every expected report under ``perfbench/expected/`` and every
 text report under ``tests/text_goldens/`` in-process, and runs
 ``sftact.cli.main`` on contract cases that need no oracle: the nesting
 bound at 100, 101 and 100000 levels, integers past Python's 4300-digit
-conversion limit (3.11 and later), unknown keys and the transport pairing
-lines, and the exact error lines of unknown flags and parameters,
-non-square state matrices, oversized named groups and the zero-one
-precondition.  Prints one line per failure, then ``checked N, failed M``;
+conversion limit (3.11 and later), unknown keys, the transport pairing
+lines and closure limits of phi and psi, and the exact error lines of
+unknown flags and parameters, non-square state matrices, oversized named
+groups, the zero-one precondition and HNN words, and the text of free
+Bowen-Franks ranks.  Prints one line per failure, then ``checked N, failed M``;
 exits 1 when anything failed.  It imports nothing outside the standard
 library but ``sftact``'s entry points, so it runs where pytest is not
 installed.  ``tests/test_cli.py`` runs some cases by name, so each pinned
@@ -71,8 +72,13 @@ def nested(depth):
     return '{"command": "reduce", "input": ' + "[" * (depth - 1) + "]" * (depth - 1) + "}"
 
 
-def transport(psi_generators):
-    return json.dumps({"command": "transport", "input": dict(PAIRED, psi={"generators": psi_generators})})
+def transport(**groups):
+    """A transport job on PAIRED with its phi or psi group replaced."""
+    return json.dumps({"command": "transport", "input": dict(PAIRED, **groups)})
+
+
+def repshift(group, **hnn):
+    return json.dumps({"command": "repshift", "input": {"hnn": hnn, "group": group}})
 
 
 def contract_cases():
@@ -120,8 +126,31 @@ def contract_cases():
         ("fewer", ["(1 3)"], "1 listed, but phi lists 2; generators pair in order"),
         ("not-one-to-one", ["()", "()"], "the pairing sends two phi elements to one psi element"),
     ):
-        yield f"pairing-{name}", transport(gens), ["transport"], 2, f"{pairing}{line}\n", None
-    yield "pairing-conjugate", transport(PAIRED["psi"]["generators"]), ["transport"], 0, "", '"verified": true'
+        yield f"pairing-{name}", transport(psi={"generators": gens}), ["transport"], 2, f"{pairing}{line}\n", None
+    yield "pairing-conjugate", transport(), ["transport"], 0, "", '"verified": true'
+    # S3 closes in layers of 1, 2 and 3 pairs; phi's limit is checked first in each
+    for name, limits, bound in (("phi", {"phi": 5}, 5), ("psi", {"psi": 4}, 4), ("both", {"phi": 5, "psi": 4}, 5)):
+        doc = transport(**{key: dict(PAIRED[key], limit=n) for key, n in limits.items()})
+        line = f"budget exhausted: group closure exceeds limit {bound}\n"
+        yield f"transport-limit-{name}", doc, ["transport"], 3, line, None
+    # documents number HNN generators from 1, and name relators by their paths
+    hnn = "error: $.input.hnn"
+    out_of_range = repshift(
+        "Z2", b_gens=1, b_relators=[[[2, 1]]], u_gens=[[[1, 1]]], v_gens=[[[1, 1]]], phi_images=[[[1, 1]]]
+    )
+    yield "hnn-generator-number", out_of_range, ["repshift"], 1, (
+        f"{hnn}.b_relators[0][0][0]: uses generator 2, but only 1 exist\n"
+    ), None
+    inconsistent = repshift(
+        "Z3", b_gens=2, u_gens=[[[1, 1]]], u_relators=[[[1, 1], [1, 1]]], v_gens=[[[1, 1]]], phi_images=[[[2, 1]]]
+    )
+    yield "hnn-relator-path", inconsistent, ["repshift"], 1, (
+        f"{hnn}: inconsistent HNN data: the terminal state of an edge violates u_relators[0]; "
+        "the amalgamating images do not define a homomorphism on U\n"
+    ), None
+    for matrix, group in (([[1]], "Z"), ([[1, 0], [0, 1]], "Z^2")):
+        doc = json.dumps({"command": "invariants", "input": {"matrix": matrix}})
+        yield f"free-rank {group}", doc, ["invariants", "--format", "text"], 0, "", f"BF group: {group}\n"
 
 
 def case_problems(text, argv, code, err, out_has):

@@ -74,26 +74,50 @@ def conjugate(q, perm):
 
 
 class TestPairedGroup:
-    """``paired_group`` lists psi's group along phi's: element k is the
-    image of phi's element k under the map of the k-th listed generators."""
+    """``paired_groups`` closes phi's and psi's listed generators in pairs:
+    psi's element k is the image of phi's element k under the map of the
+    k-th listed generators, and phi is the closure of its own list."""
 
     def test_conjugate_generator_lists(self):
         rng = random.Random(71)
         for _ in range(40):
             n = rng.randint(1, 6)
             gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3))]
-            phi = group_from_generators(n, gens)
             q = rng.sample(range(n), n)
-            psi = action_module.paired_group(phi, gens, [conjugate(q, g) for g in gens], n)
+            phi, psi = action_module.paired_groups(gens, [conjugate(q, g) for g in gens], n, n)
+            assert phi == group_from_generators(n, gens)
             assert psi.elements == tuple(conjugate(q, g) for g in phi.elements)
             assert psi.generators == phi.generators
+
+    def test_phi_is_the_closure_of_its_list(self):
+        # duplicate and identity generators, paired with random lists of
+        # another degree: every accepted pairing lists phi as its own closure
+        rng = random.Random(89)
+        accepted = refused = 0
+        for _ in range(300):
+            n, m = rng.randint(1, 5), rng.randint(1, 5)
+            gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 3))]
+            gens += rng.sample(gens, min(len(gens), rng.randint(0, 2))) + [tuple(range(n))] * rng.randint(0, 2)
+            rng.shuffle(gens)
+            # a duplicate or identity is paired with the image of its equal
+            images = {g: tuple(rng.sample(range(m), m)) for g in gens}
+            images[tuple(range(n))] = tuple(range(m))
+            try:
+                phi, psi = action_module.paired_groups(gens, [images[g] for g in gens], n, m)
+            except PreconditionError:
+                refused += 1
+                continue
+            accepted += 1
+            assert phi == group_from_generators(n, gens)
+            assert set(psi.elements) == set(group_from_generators(m, images.values()).elements)
+            assert psi.generators == phi.generators
+        assert accepted > 0 and refused > 0
 
     def test_pairs_by_listed_order_not_by_closure_index(self):
         # the conjugates of S3_GENS by (2 3), closed on their own, list
         # their elements in another order than the pairing does
-        phi = group_from_generators(3, S3_GENS)
         conj = [conjugate((0, 2, 1), g) for g in S3_GENS]
-        psi = action_module.paired_group(phi, S3_GENS, conj, 3)
+        phi, psi = action_module.paired_groups(S3_GENS, conj, 3, 3)
         assert psi.elements == tuple(conjugate((0, 2, 1), g) for g in phi.elements)
         assert psi.elements != group_from_generators(3, conj).elements
 
@@ -107,19 +131,16 @@ class TestPairedGroup:
         ids=["swapped", "fewer", "not-one-to-one"],
     )
     def test_unpaired_generators(self, gens, message):
-        phi = group_from_generators(3, S3_GENS)
         with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
-            action_module.paired_group(phi, S3_GENS, gens, 3)
+            action_module.paired_groups(S3_GENS, gens, 3, 3)
 
     def test_limit(self):
-        phi = group_from_generators(3, S3_GENS)
-        with pytest.raises(LimitExceededError, match="^group closure exceeds limit 4$"):
-            action_module.paired_group(phi, S3_GENS, [(2, 1, 0), (2, 0, 1)], 3, limit=4)
-
-    def test_listed_generators_must_generate_phi(self):
-        phi = group_from_generators(3, S3_GENS)
-        with pytest.raises(InputError, match="do not generate phi's group"):
-            action_module.paired_group(phi, S3_GENS[:1], [(0, 2, 1)], 3)
+        # S3 closes in layers of 1, 2 and 3 pairs, so limits 4 and 5 both
+        # fall in the last layer, where phi's limit is checked first
+        conj = [conjugate((0, 2, 1), g) for g in S3_GENS]
+        for phi_limit, limit, exceeded in ((6, 4, 4), (4, 6, 4), (5, 4, 5), (4, 5, 4)):
+            with pytest.raises(LimitExceededError, match=f"^group closure exceeds limit {exceeded}$"):
+                action_module.paired_groups(S3_GENS, conj, 3, 3, phi_limit, limit)
 
 
 class TestPermGroup:

@@ -375,6 +375,23 @@ class TestTransportCertificate:
         assert len(calls) == 2 * len(indices)
         assert report == golden
 
+    def test_s6_transport_closes_its_generator_pairs_once(self, monkeypatch):
+        """Parsing the S6 corpus transport closes phi's and psi's two
+        generators in pairs alone: two products per pair and generator,
+        with no closure of phi on its own before it."""
+        golden = (EXPECTED / "symmetry" / "s6-transport.json").read_text()
+        calls = []
+        compose = action_module.compose
+
+        def counting_compose(p, q):
+            calls.append(1)
+            return compose(p, q)
+
+        monkeypatch.setattr(action_module, "compose", counting_compose)
+        _, phi, psi = parse_job(json.dumps(json.loads(golden)["input"])).parsed
+        assert phi.group.order == psi.group.order == 720
+        assert len(calls) == 2 * 720 * 2
+
 
 class TestOutSplit:
     def test_trivial_partition_is_identity_shaped(self):
