@@ -53,9 +53,9 @@ _EXPORTS = {
     ),
     "reduce": ("OneBlockCode", "ReducedShift", "build_eta", "left_reduce", "right_reduce"),
     "sse": (
-        "ActionFactorSquare", "ElementarySse", "SplitData", "SseChain", "TwoBlockConjugacy",
-        "factor_square", "higher_block_action", "in_split", "induced_conjugacy",
-        "out_split", "transport_certificate", "verify_elementary_sse",
+        "ActionFactorSquare", "ElementarySse", "SseChain", "TwoBlockConjugacy", "factor_square",
+        "higher_block_action", "in_split", "induced_conjugacy", "out_split",
+        "transport_certificate", "verify_elementary_sse",
     ),
     "quotient": (
         "NonexpansiveWitness", "OrbitCountReport", "QuotientClassification", "burnside_counts",

@@ -128,8 +128,8 @@ class PermGroup:
 
     Element 0 is the identity; the element order is part of the value (it
     pins down selector matrices and transported actions), so construction
-    preserves the order it is given.  Construction checks only that much:
-    build a group with ``group_from_generators``, which closes it.
+    preserves the order it is given.  Construction checks only that, and
+    that no element repeats: ``group_from_generators`` closes a group.
 
     ``generators`` are indices into ``elements`` in increasing order, and
     they contain every element that the elements before it do not
@@ -147,6 +147,8 @@ class PermGroup:
             raise InputError("a permutation group needs at least the identity")
         if self.elements[0] != tuple(range(self.degree)):
             raise InputError("element 0 must be the identity permutation")
+        if len(set(self.elements)) != len(self.elements):
+            raise InputError("the group elements must be distinct")
 
     @property
     def order(self) -> int:

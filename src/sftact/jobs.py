@@ -321,28 +321,25 @@ def _parse_transport(doc, path):
 
 
 def _parse_split(doc, path):
-    """(action, SplitData); partitions list 1-based target (out) or source
-    (in) states per block."""
+    """(action, direction, partitions); the document lists each state's
+    blocks as 1-based target (out) or source (in) states, and the
+    partitions hold them 0-based."""
     act = _parse_action(doc, path, ("matrix", "group", "direction", "partition"))
     direction = doc.get("direction", "out")
     _expect(direction in ("out", "in"), f"{path}.direction", "expected 'out' or 'in'")
     partition_doc = doc.get("partition")
     _expect(isinstance(partition_doc, list), f"{path}.partition", "expected an array (one entry per state)")
-    blocks = []
+    partitions = []
     for i, state_blocks in enumerate(partition_doc):
         state_path = f"{path}.partition[{i}]"
         _expect(isinstance(state_blocks, list) and state_blocks, state_path, "expected a nonempty array of blocks")
-        state_out = []
+        blocks = []
         for k, block in enumerate(state_blocks):
             block_path = f"{state_path}[{k}]"
             _expect(isinstance(block, list) and block, block_path, "expected a nonempty array of states")
-            edges = []
-            for t, other in enumerate(block):
-                o = _get_int(other, f"{block_path}[{t}]", minimum=1) - 1
-                edges.append((i, o, 0) if direction == "out" else (o, i, 0))
-            state_out.append(tuple(edges))
-        blocks.append(tuple(state_out))
-    return act, sse.SplitData(direction, tuple(blocks))
+            blocks.append(tuple(_get_int(other, f"{block_path}[{t}]", minimum=1) - 1 for t, other in enumerate(block)))
+        partitions.append(tuple(blocks))
+    return act, direction, tuple(partitions)
 
 
 def _parse_repshift(doc, path):
@@ -500,13 +497,13 @@ def _run_transport(parsed):
 
 
 def _run_split(parsed):
-    act, data = parsed
-    split_fn = sse.out_split if data.direction == "out" else sse.in_split
+    act, direction, partitions = parsed
+    split_fn = sse.out_split if direction == "out" else sse.in_split
     with _at("$.input.partition"):
-        new_action, cert = split_fn(act, data)
+        new_action, cert = split_fn(act, partitions)
     return _certificate_doc(
         cert,
-        direction=data.direction,
+        direction=direction,
         matrix=_matrix_doc(new_action.matrix),
         group_generators=[action.cycles_of(p) for p in new_action.group.elements[1:]],
     )

@@ -69,13 +69,6 @@ class SftPresentation:
             table[e[0]].append(e)
         return tuple(tuple(es) for es in table)
 
-    @cached_property
-    def in_edges(self) -> tuple:
-        table = [[] for _ in range(self.num_states)]
-        for e in self.edges:
-            table[e[1]].append(e)
-        return tuple(tuple(es) for es in table)
-
     def has_edge(self, e) -> bool:
         i, j, c = e
         return 0 <= i < self.matrix.dim and 0 <= c < dict(self.matrix.sparse[i]).get(j, 0)

@@ -11,17 +11,17 @@ indices alone (``action._check_paired``), so the pairing need not be a
 homomorphism.
 
 State splittings supply the certificates this package generates itself:
-out-splittings partition the outgoing edges of each state, in-splittings
-the incoming ones, and a partition compatible with the group action
-transports the action to the split presentation.  An in-splitting is not
-computed or validated on its own: it is the out-splitting of the
-transposed matrix along the reversed edge blocks, transposed back, and
-its certificate is the transposed pair (S^t, R^t).  Repeated complete
-out-splittings realize higher-block recodings.  Finally, a right-resolving one-block
-factor map of actions induces a commuting square of right-resolving maps
-between the original and reduced shifts.  The reductions are imported
-inside the two operations that use them, so verifying or splitting
-compiles none.
+out-splittings partition the successors of each state into blocks,
+in-splittings its predecessors, and a partition compatible with the group
+action transports the action to the split presentation.  An in-splitting
+is not computed or validated on its own: a state's predecessors in A are
+its successors in A^t, so it is the out-splitting of A^t along the same
+partition, transposed back, and its certificate is the transposed pair
+(S^t, R^t).  Repeated complete out-splittings realize higher-block
+recodings.  Finally, a right-resolving one-block factor map of actions
+induces a commuting square of right-resolving maps between the original
+and reduced shifts.  The reductions are imported inside the two
+operations that use them, so verifying or splitting compiles none.
 """
 
 from __future__ import annotations
@@ -205,40 +205,13 @@ def transport_certificate(
     return out
 
 
-@record
-class SplitData:
-    """Ordered edge partitions, one per state, for a state splitting.
-
-    ``direction`` is "out" (partition outgoing edges) or "in" (incoming).
-    Blocks are tuples of edge triples; they must cover the relevant edges
-    of each state, be nonempty and pairwise disjoint.
-    """
-
-    direction: str
-    partitions: tuple
-
-    def __post_init__(self):
-        if self.direction not in ("out", "in"):
-            raise InputError(f"unknown split direction {self.direction!r}")
-        parts = tuple(
-            tuple(tuple(tuple(edge) for edge in block) for block in state_blocks)
-            for state_blocks in self.partitions
-        )
-        object.__setattr__(self, "partitions", parts)
-
-    @classmethod
-    def complete(cls, p: SftPresentation, direction: str) -> "SplitData":
-        """One singleton block per edge (the full splitting)."""
-        table = p.out_edges if direction == "out" else p.in_edges
-        return cls(direction, tuple(tuple((e,) for e in es) for es in table))
-
-
 def _out_split_core(matrix: IntMatrix, group: PermGroup, partitions, direction: str):
-    """Out-split ``matrix`` along per-state blocks of its out-edges that
-    ``group`` carries onto each other (an in-split hands over the transpose
-    and its reversed in-edges; ``direction`` only words the messages).
+    """Out-split ``matrix`` along per-state blocks of its successor states
+    that ``group`` carries onto each other (an in-split hands over the
+    transpose, whose successors are the predecessors it was given;
+    ``direction`` only words the messages).
 
-    Blocks of each state are sorted by least edge, which fixes the state
+    Blocks of each state are sorted by least state, which fixes the state
     order (i, p) of the split matrix.  Returns the verified certificate
     (division matrix, edge-count matrix) and the group transported to the
     split states by g.(i, p) = (gi, position of the image block).
@@ -256,16 +229,15 @@ def _out_split_core(matrix: IntMatrix, group: PermGroup, partitions, direction: 
     for i, (bs, row) in enumerate(zip(partitions, matrix.sparse)):
         if not all(bs):
             raise InputError(f"state {i + 1} has an empty partition block")
-        # the out-edges are distinct, so equal sorted lists rule out repeats
-        if sorted(e for block in bs for e in block) != [(i, j, 0) for j, _ in row]:
+        # the successors are distinct, so equal sorted lists rule out repeats
+        if sorted(j for block in bs for j in block) != [j for j, _ in row]:
             raise InputError(f"blocks at state {i + 1} do not partition its {direction}-edges")
     blocks = tuple(tuple(sorted(bs, key=min)) for bs in partitions)
     new_states = [(i, p) for i, bs in enumerate(blocks) for p in range(len(bs))]
     index = {sp: k for k, sp in enumerate(new_states)}
     m = len(new_states)
     split_of = [[index[(i, p)] for p in range(len(bs))] for i, bs in enumerate(blocks)]
-    # the matrix is zero-one, so a block is the set of its edges' targets
-    targets = [sorted({e[1] for e in blocks[i][p]}) for i, p in new_states]
+    targets = [sorted(blocks[i][p]) for i, p in new_states]
     labels = tuple(f"{matrix.label(i)}.{p + 1}" for i, p in new_states)
     split_matrix = IntMatrix.from_sparse(
         [[(k, 1) for j in ts for k in split_of[j]] for ts in targets], m, labels=labels
@@ -275,47 +247,43 @@ def _out_split_core(matrix: IntMatrix, group: PermGroup, partitions, direction: 
     cert = ElementarySse(a=matrix, b=split_matrix, r=r, s=s)
     if not verify_elementary_sse(cert):
         raise InternalError("the split certificate does not verify")
-    home = {e: k for k, (i, p) in enumerate(new_states) for e in blocks[i][p]}
+    # the matrix is zero-one, so an edge is the pair of its end states
+    home = {(i, j): k for k, (i, p) in enumerate(new_states) for j in blocks[i][p]}
     size = [len(blocks[i][p]) for i, p in new_states]
     for g in group.generators:
         perm = group.elements[g]
         for k, (i, p) in enumerate(new_states):
             # the image edges are distinct, so one block of the same size is the image
-            image = {home[perm[x], perm[y], c] for x, y, c in blocks[i][p]}
+            image = {home[perm[i], perm[j]] for j in blocks[i][p]}
             if len(image) > 1 or size[min(image)] != size[k]:
                 raise PreconditionError(
                     f"partition is not action-compatible: element {g} does not carry "
                     f"a block at state {i + 1} onto a block at state {perm[i] + 1}"
                 )
-    first = [blocks[i][p][0] for i, p in new_states]
-    elements = [tuple(home[perm[x], perm[y], c] for x, y, c in first) for perm in group.elements]
+    first = [(i, blocks[i][p][0]) for i, p in new_states]
+    elements = [tuple(home[perm[i], perm[j]] for i, j in first) for perm in group.elements]
     return cert, PermGroup(m, tuple(elements), group.generators)
 
 
-def out_split(a: PermutationAction, d: SplitData):
-    """Out-splitting of an action along a G-compatible edge partition.
+def out_split(a: PermutationAction, partitions):
+    """Out-splitting of an action along a G-compatible partition.
 
-    Returns the transported action on the split presentation and the
-    elementary certificate (division matrix, edge-count matrix) linking
-    the two matrices; the transport laws used by transport_certificate hold
-    by construction.
+    ``partitions[i]`` holds the blocks of state i: tuples of successor
+    states that together list each successor once.  Returns the
+    transported action on the split presentation and the elementary
+    certificate (division matrix, edge-count matrix) linking the two
+    matrices; the transport laws used by transport_certificate hold by
+    construction.
     """
-    if d.direction != "out":
-        raise InputError("out_split needs an out-partition")
-    cert, group = _out_split_core(a.matrix, a.group, d.partitions, "out")
+    cert, group = _out_split_core(a.matrix, a.group, partitions, "out")
     return PermutationAction(SftPresentation(cert.b), group), cert
 
 
-def in_split(a: PermutationAction, d: SplitData):
-    """In-splitting: the out-splitting of A^t along the reversed blocks,
-    transposed back, with certificate (S^t, R^t)."""
-    if d.direction != "in":
-        raise InputError("in_split needs an in-partition")
-    # slicing swaps the ends, so a malformed edge reaches the partition check
-    reversed_blocks = tuple(
-        tuple(tuple(e[1::-1] + e[2:] for e in block) for block in blocks) for blocks in d.partitions
-    )
-    mirror, group = _out_split_core(a.matrix.transpose(), a.group, reversed_blocks, "in")
+def in_split(a: PermutationAction, partitions):
+    """In-splitting along blocks of predecessor states: the out-splitting
+    of A^t along the same partition, transposed back, with certificate
+    (S^t, R^t)."""
+    mirror, group = _out_split_core(a.matrix.transpose(), a.group, partitions, "in")
     split_matrix = mirror.b.transpose()
     cert = ElementarySse(
         a=a.matrix, b=split_matrix, r=mirror.s.transpose(), s=mirror.r.transpose()
@@ -338,8 +306,8 @@ def higher_block_action(a: PermutationAction, n: int):
     links = []
     current = a
     for _ in range(n - 1):
-        split = SplitData.complete(current.presentation, "out")
-        current, cert = out_split(current, split)
+        complete = tuple(tuple((j,) for j, _ in row) for row in current.matrix.sparse)
+        current, cert = out_split(current, complete)
         stages.append(current)
         links.append(cert)
     return current, SseChain(tuple(links)), tuple(stages)

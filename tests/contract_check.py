@@ -10,8 +10,10 @@ bound at 100, 101 and 100000 levels, integers past Python's 4300-digit
 conversion limit (3.11 and later), unknown keys, the transport pairing
 lines and closure limits of phi and psi, and the exact error lines of
 unknown flags and parameters, non-square state matrices, oversized named
-groups, the zero-one precondition and HNN words, and the text of free
-Bowen-Franks ranks.  Prints one line per failure, then ``checked N, failed M``;
+groups, the zero-one precondition, a transport certificate that does not
+verify, split partitions that are too short, do not partition a state's
+in-edges or are not action-compatible, and HNN words, and the text of
+free Bowen-Franks ranks.  Prints one line per failure, then ``checked N, failed M``;
 exits 1 when anything failed.  It imports nothing outside the standard
 library but ``sftact``'s entry points, so it runs where pytest is not
 installed.  ``tests/test_cli.py`` runs some cases by name, so each pinned
@@ -77,6 +79,13 @@ def transport(**groups):
     return json.dumps({"command": "transport", "input": dict(PAIRED, **groups)})
 
 
+def split(matrix, generators, direction, partition):
+    """A split job on ``matrix`` with the group of ``generators``."""
+    group = {"generators": generators}
+    doc = {"matrix": matrix, "group": group, "direction": direction, "partition": partition}
+    return json.dumps({"command": "split", "input": doc})
+
+
 def repshift(group, **hnn):
     return json.dumps({"command": "repshift", "input": {"hnn": hnn, "group": group}})
 
@@ -133,6 +142,27 @@ def contract_cases():
         doc = transport(**{key: dict(PAIRED[key], limit=n) for key, n in limits.items()})
         line = f"budget exhausted: group closure exceeds limit {bound}\n"
         yield f"transport-limit-{name}", doc, ["transport"], 3, line, None
+    ones, identity = [[1, 1], [1, 1]], [[1, 0], [0, 1]]
+    unverified = {
+        "certificate": {"a": ones, "b": ones, "r": identity, "s": identity},
+        "phi": {"generators": ["(1 2)"]},
+        "psi": {"generators": ["(1 2)"]},
+    }
+    yield "transport-unverified", json.dumps({"command": "transport", "input": unverified}), ["transport"], 2, (
+        "precondition failed: certificate does not verify; cannot transport\n"
+    ), None
+    # the partition checks the library makes on a split, in and out alike
+    partition = "error: $.input.partition: "
+    yield "split-partition-short", split(ones, [], "out", [[[1, 2]]]), ["split"], 1, (
+        f"{partition}split data must give a partition for every state\n"
+    ), None
+    yield "split-partition-in-edges", split([[1, 1], [1, 0]], [], "in", [[[1]], [[1]]]), ["split"], 1, (
+        f"{partition}blocks at state 1 do not partition its in-edges\n"
+    ), None
+    yield "split-in-incompatible", split(ones, ["(1 2)"], "in", [[[1], [2]], [[1, 2]]]), ["split"], 2, (
+        "precondition failed: partition is not action-compatible: "
+        "element 1 does not carry a block at state 1 onto a block at state 2\n"
+    ), None
     # documents number HNN generators from 1, and name relators by their paths
     hnn = "error: $.input.hnn"
     out_of_range = repshift(

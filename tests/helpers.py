@@ -12,7 +12,6 @@ from sftact import (
     PermutationAction,
     PreconditionError,
     SftPresentation,
-    SplitData,
     bowen_franks,
     char_poly_reciprocal,
     classify_quotient,
@@ -202,13 +201,22 @@ def random_action(rng, max_states=5, max_order=4, density=None, require_irreduci
         return PermutationAction(presentation, group)
 
 
-def random_compatible_split(rng, act: PermutationAction, direction: str) -> SplitData:
-    """Random action-compatible split data: blocks at each orbit
-    representative are unions of stabilizer orbits of its edges, pushed to
-    the other orbit members by the action."""
+def neighbour_states(p: SftPresentation, direction: str) -> list:
+    """The successors (out) or predecessors (in) of each state, ascending;
+    predecessors are the successors in the transpose."""
+    m = p.matrix if direction == "out" else p.matrix.transpose()
+    return [[j for j, _ in row] for row in m.sparse]
+
+
+def random_compatible_split(rng, act: PermutationAction, direction: str) -> tuple:
+    """Random action-compatible split partitions: blocks at each orbit
+    representative are unions of stabilizer orbits of its successor (out)
+    or predecessor (in) states, pushed to the other orbit members by the
+    action."""
     p = act.presentation
-    table = p.out_edges if direction == "out" else p.in_edges
+    table = neighbour_states(p, direction)
     os_ = act.orbits
+    elements = act.group.elements
     partitions = [None] * p.num_states
     for orbit in os_.orbits:
         rep = orbit[0]
@@ -216,8 +224,8 @@ def random_compatible_split(rng, act: PermutationAction, direction: str) -> Spli
         remaining = set(table[rep])
         classes = []
         while remaining:
-            e = min(remaining)
-            cls = tuple(sorted({act.apply_edge(g, e) for g in stab}))
+            j = min(remaining)
+            cls = tuple(sorted({elements[g][j] for g in stab}))
             classes.append(cls)
             remaining -= set(cls)
         rng.shuffle(classes)
@@ -229,37 +237,35 @@ def random_compatible_split(rng, act: PermutationAction, direction: str) -> Spli
             else:
                 blocks.append(cls)
         for s in orbit:
-            g = next(gg for gg in range(act.group.order) if act.group.apply(gg, rep) == s)
-            partitions[s] = tuple(
-                tuple(sorted(act.apply_edge(g, e) for e in block)) for block in blocks
-            )
-    return SplitData(direction, tuple(partitions))
+            perm = next(perm for perm in elements if perm[rep] == s)
+            partitions[s] = tuple(tuple(sorted(perm[j] for j in block)) for block in blocks)
+    return tuple(partitions)
 
 
 def orbit_preserving_in_split(act: PermutationAction):
-    """In-split data whose transported action keeps the orbit count: when a
-    representative's stabilizer is transitive on its in-edges, split them
-    into singletons; otherwise keep one block.  Returns (split, nontrivial)."""
+    """In-split partitions whose transported action keeps the orbit count:
+    when a representative's stabilizer is transitive on its predecessors,
+    split them into singletons; otherwise keep one block.  Returns
+    (partitions, nontrivial)."""
     p = act.presentation
-    os_ = act.orbits
+    predecessors = neighbour_states(p, "in")
+    elements = act.group.elements
     partitions = [None] * p.num_states
     nontrivial = False
-    for orbit in os_.orbits:
+    for orbit in act.orbits.orbits:
         rep = orbit[0]
         stab = act.group.stabilizer((rep,))
-        in_edges = p.in_edges[rep]
-        stab_orbit = {act.apply_edge(g, in_edges[0]) for g in stab}
-        if len(in_edges) > 1 and stab_orbit == set(in_edges):
-            blocks = tuple((e,) for e in in_edges)
+        preds = predecessors[rep]
+        stab_orbit = {elements[g][preds[0]] for g in stab}
+        if len(preds) > 1 and stab_orbit == set(preds):
+            blocks = tuple((j,) for j in preds)
             nontrivial = True
         else:
-            blocks = (tuple(in_edges),)
+            blocks = (tuple(preds),)
         for s in orbit:
-            g = next(gg for gg in range(act.group.order) if act.group.apply(gg, rep) == s)
-            partitions[s] = tuple(
-                tuple(sorted(act.apply_edge(g, e) for e in block)) for block in blocks
-            )
-    return SplitData("in", tuple(partitions)), nontrivial
+            perm = next(perm for perm in elements if perm[rep] == s)
+            partitions[s] = tuple(tuple(sorted(perm[j] for j in block)) for block in blocks)
+    return tuple(partitions), nontrivial
 
 
 def amalgamation_state_map(split_action: PermutationAction):
@@ -286,10 +292,14 @@ def identity_certificate(a: IntMatrix) -> ElementarySse:
     return ElementarySse(a=a, b=a, r=IntMatrix.from_sparse(a.sparse, a.cols), s=identity)
 
 
-def trivial_split(p: SftPresentation, direction: str) -> SplitData:
+def trivial_split(p: SftPresentation, direction: str) -> tuple:
     """One block per state: the splitting that splits nothing."""
-    table = p.out_edges if direction == "out" else p.in_edges
-    return SplitData(direction, tuple((tuple(es),) for es in table))
+    return tuple((tuple(ns),) for ns in neighbour_states(p, direction))
+
+
+def complete_split(p: SftPresentation, direction: str) -> tuple:
+    """One singleton block per neighbour state: the full splitting."""
+    return tuple(tuple((j,) for j in ns) for ns in neighbour_states(p, direction))
 
 
 def square_commute_failures(square):
@@ -422,31 +432,32 @@ def direct_left_reduce(act: PermutationAction):
     return [[sum(rows[k][oj[0]] for k in oi) for oj in orbits] for oi in orbits]
 
 
-def direct_in_split(act: PermutationAction, d: SplitData):
-    """Oracle for in_split, built on the in-edge blocks themselves.
+def direct_in_split(act: PermutationAction, partitions):
+    """Oracle for in_split, built on the blocks of predecessor states
+    themselves.
 
     Split state (i, p) is the p-th block at state i, blocks sorted by least
-    edge.  Returns (matrix, labels, R, S, elements) as plain lists: the
-    split matrix has an edge (i, p) -> (j, q) when (i, j) lies in block
-    (j, q); R (states x split states) marks each in-edge's block; S sends
+    state.  Returns (matrix, labels, R, S, elements) as plain lists: the
+    split matrix has an edge (i, p) -> (j, q) when i lies in block (j, q);
+    R (states x split states) marks the blocks each state lies in; S sends
     (i, p) to i; elements are the group permutations transported blockwise.
     """
     n = act.presentation.num_states
-    blocks = [sorted(bs, key=min) for bs in d.partitions]
+    blocks = [sorted(bs, key=min) for bs in partitions]
     new_states = [(i, p) for i, bs in enumerate(blocks) for p in range(len(bs))]
     index = {sp: k for k, sp in enumerate(new_states)}
     labels = [f"{act.presentation.label(i)}.{p + 1}" for i, p in new_states]
     matrix = [
-        [1 if (i, j, 0) in blocks[j][q] else 0 for (j, q) in new_states]
+        [1 if i in blocks[j][q] else 0 for (j, q) in new_states]
         for (i, p) in new_states
     ]
-    r = [[1 if (l, i, 0) in blocks[i][p] else 0 for (i, p) in new_states] for l in range(n)]
+    r = [[1 if l in blocks[i][p] else 0 for (i, p) in new_states] for l in range(n)]
     s = [[1 if i == l else 0 for l in range(n)] for (i, p) in new_states]
     elements = []
     for perm in act.group.elements:
         moved = []
         for i, p in new_states:
-            image = {(perm[e[0]], perm[e[1]], e[2]) for e in blocks[i][p]}
+            image = {perm[j] for j in blocks[i][p]}
             q = next(q for q, blk in enumerate(blocks[perm[i]]) if set(blk) == image)
             moved.append(index[(perm[i], q)])
         elements.append(tuple(moved))
@@ -548,16 +559,17 @@ def all_element_invariance_error(p: SftPresentation, elements):
     return None
 
 
-def all_element_split_error(act: PermutationAction, d: SplitData):
+def all_element_split_error(act: PermutationAction, partitions):
     """Reference for the action-compatibility check of a split: the first
     element, in list order, that does not carry a block at some state onto
-    a block at its image state, worded as the library words it, or None."""
+    a block at its image state, worded as the library words it, or None.
+    Blocks of successors and of predecessors move alike."""
     for g, perm in enumerate(act.group.elements):
-        for i, blocks in enumerate(d.partitions):
+        for i, blocks in enumerate(partitions):
             gi = perm[i]
-            targets = {frozenset(b) for b in d.partitions[gi]}
+            targets = {frozenset(b) for b in partitions[gi]}
             for block in blocks:
-                image = frozenset((perm[a], perm[b], c) for a, b, c in block)
+                image = frozenset(perm[j] for j in block)
                 if image not in targets:
                     return (
                         f"partition is not action-compatible: element {g} does not carry "
@@ -566,16 +578,17 @@ def all_element_split_error(act: PermutationAction, d: SplitData):
     return None
 
 
-def frozenset_split_elements(act: PermutationAction, d: SplitData):
+def frozenset_split_elements(act: PermutationAction, partitions):
     """Reference for the group a split transports: split state (i, p) is
-    the p-th block at state i, blocks ordered by least edge, and every
-    element, in list order, sends it to the state whose block is the image
-    of its edges, looked up as a frozenset for each element and block."""
-    blocks = [sorted(bs, key=min) for bs in d.partitions]
+    the p-th block at state i, blocks ordered by least state, and every
+    element, in list order, sends it to the state at perm[i] whose block is
+    the image of its states, looked up as a frozenset for each element and
+    block."""
+    blocks = [sorted(bs, key=min) for bs in partitions]
     states = [(i, p) for i, bs in enumerate(blocks) for p in range(len(bs))]
-    state_of = {frozenset(blocks[i][p]): k for k, (i, p) in enumerate(states)}
+    state_of = {(i, frozenset(blocks[i][p])): k for k, (i, p) in enumerate(states)}
     return [
-        tuple(state_of[frozenset((perm[a], perm[b], c) for a, b, c in blocks[i][p])] for i, p in states)
+        tuple(state_of[perm[i], frozenset(perm[j] for j in blocks[i][p])] for i, p in states)
         for perm in act.group.elements
     ]
 
@@ -636,18 +649,17 @@ def random_group_action(rng, max_states=5, max_gens=2):
     return PermutationAction(SftPresentation(matrix), group), gens
 
 
-def random_split(rng, p: SftPresentation, direction: str) -> SplitData:
-    """Split data with the edges of each state shuffled into random blocks,
-    compatible with an action or not."""
-    table = p.out_edges if direction == "out" else p.in_edges
+def random_split(rng, p: SftPresentation, direction: str) -> tuple:
+    """Split partitions with the successors (out) or predecessors (in) of
+    each state shuffled into random blocks, compatible with an action or
+    not."""
     partitions = []
-    for edges in table:
-        edges = list(edges)
-        rng.shuffle(edges)
-        cuts = sorted(rng.sample(range(1, len(edges)), rng.randint(0, len(edges) - 1)))
-        bounds = [0] + cuts + [len(edges)]
-        partitions.append(tuple(tuple(edges[a:b]) for a, b in zip(bounds, bounds[1:])))
-    return SplitData(direction, tuple(partitions))
+    for states in neighbour_states(p, direction):
+        rng.shuffle(states)
+        cuts = sorted(rng.sample(range(1, len(states)), rng.randint(0, len(states) - 1)))
+        bounds = [0] + cuts + [len(states)]
+        partitions.append(tuple(tuple(states[a:b]) for a, b in zip(bounds, bounds[1:])))
+    return tuple(partitions)
 
 
 def brute_is_group(table) -> bool:

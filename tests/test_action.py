@@ -150,6 +150,12 @@ class TestPermGroup:
         with pytest.raises(InputError, match="element 0 must be the identity"):
             PermGroup(2, ((1, 0), (0, 1)), (0,))
 
+    def test_rejects_repeated_element(self):
+        # the quotient code would take the copy of the identity for an
+        # element that moves something and look for a witness of it
+        with pytest.raises(InputError, match="^the group elements must be distinct$"):
+            PermGroup(1, ((0,), (0,)), (1,))
+
     def test_closes_once(self, monkeypatch):
         calls = []
 

@@ -183,8 +183,9 @@ def test_matrix_type_executes_without_the_counting_engine():
 
 
 # ---------------------------------------------------------------------------
-# the package surface: the names from before the package went lazy, and
-# the module intmatrix, which exports IntMatrix and mat_mul
+# the package surface: the names from before the package went lazy but
+# SplitData (a split takes its partition as plain tuples), and the module
+# intmatrix, which exports IntMatrix and mat_mul
 
 ALL = [
     "AbelianGroupInvariants", "ActionFactorSquare", "CapExceededError", "CycleWord",
@@ -192,7 +193,7 @@ ALL = [
     "IntPolynomial", "InternalError", "LimitExceededError", "NonexpansiveWitness",
     "OneBlockCode", "OrbitCountReport", "OrbitStructure", "PermGroup", "PermutationAction",
     "PreconditionError", "QuotientClassification", "ReducedShift", "RepShift",
-    "SftPresentation", "SftactError", "SplitData", "SseChain", "TqftMatrix",
+    "SftPresentation", "SftactError", "SseChain", "TqftMatrix",
     "TwoBlockConjugacy", "action", "bowen_franks", "build_eta", "build_repshift",
     "burnside_counts", "char_poly_reciprocal", "classify_quotient", "cyclic_group",
     "dihedral_group", "enumerate_cycles", "enumerate_homs", "errors", "evaluate_word",

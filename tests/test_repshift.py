@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -39,12 +40,14 @@ from sftact import (
     higher_block_action,
     left_reduce,
     nonexpansive_witness,
+    out_split,
     quaternion_group,
     right_reduce,
     symmetric_group,
     tqft_matrix,
     trace_of_power,
     trace_sequence,
+    transport_certificate,
     trivial_group,
 )
 from sftact.intmatrix import _components
@@ -63,6 +66,7 @@ from helpers import (
     conjugation_action,
     dense_product,
     dense_selectors,
+    identity_certificate,
     permutation_dihedral_table,
     quaternion_arithmetic_table,
     plain_monodromy_fixed_counts,
@@ -726,16 +730,32 @@ def _witness_at(g):
     return nonexpansive_witness(act, QuotientClassification((g, cycle)), 1)
 
 
-# Integers outside the range an entry point accepts; each is an input
+# Arguments outside what an entry point accepts, with the line each is
+# refused with: integers out of range, a certificate between other
+# matrices than the actions', an empty split block.  Each is an input
 # error, not an exception from inside the library.
 _OUT_OF_RANGE = {
-    "group_from_generators degree -1": lambda: group_from_generators(-1, []),
-    "nonexpansive_witness element 5 of 2": lambda: _witness_at(5),
-    "nonexpansive_witness identity element": lambda: _witness_at(0),
+    "group_from_generators degree -1": ("degree must be nonnegative", lambda: group_from_generators(-1, [])),
+    "nonexpansive_witness element 5 of 2": (
+        "witness element 5 is not a non-identity element of the group", lambda: _witness_at(5)
+    ),
+    "nonexpansive_witness identity element": (
+        "witness element 0 is not a non-identity element of the group", lambda: _witness_at(0)
+    ),
+    "transport_certificate other endpoints": (
+        "certificate endpoints do not match the action matrices",
+        lambda: transport_certificate(
+            identity_certificate(SIX_STATE_A), three_state_action(), three_state_action()
+        ),
+    ),
+    "out_split empty block": (
+        "state 1 has an empty partition block", lambda: out_split(three_state_action(), (((),),) * 3)
+    ),
 }
 
 
 @pytest.mark.parametrize("call", list(_OUT_OF_RANGE), ids=str)
 def test_out_of_range_arguments_raise_input_errors(call):
-    with pytest.raises(InputError):
-        _OUT_OF_RANGE[call]()
+    line, make = _OUT_OF_RANGE[call]
+    with pytest.raises(InputError, match=f"^{re.escape(line)}$"):
+        make()

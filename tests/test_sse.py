@@ -26,7 +26,6 @@ from sftact import (
     PreconditionError,
     right_reduce,
     SftPresentation,
-    SplitData,
     SseChain,
     transport_certificate,
     verify_elementary_sse,
@@ -41,6 +40,7 @@ from helpers import (
     all_paths,
     amalgamation_state_map,
     check_built_group,
+    complete_split,
     dense_intertwining_error,
     dense_product,
     dense_selectors,
@@ -72,8 +72,7 @@ def golden_mean_action():
 
 
 def golden_mean_split_cert():
-    d = SplitData("out", ((((0, 0, 0),), ((0, 1, 0),)), (((1, 0, 0),),)))
-    return out_split(golden_mean_action(), d)
+    return out_split(golden_mean_action(), (((0,), (1,)), ((0,),)))
 
 
 class TestVerify:
@@ -199,7 +198,7 @@ class TestTransportCertificate:
 
     def test_swap_two_shift_out_split(self):
         act = swapped_two_shift()
-        split_act, cert = out_split(act, SplitData.complete(act.presentation, "out"))
+        split_act, cert = out_split(act, complete_split(act.presentation, "out"))
         out = transport_certificate(cert, act, split_act)
         assert verify_elementary_sse(out)
         assert out.a.entries == ((2,),)
@@ -407,7 +406,7 @@ class TestOutSplit:
 
     def test_symmetric_split_transports_swap(self):
         act = swapped_two_shift()
-        split_act, cert = out_split(act, SplitData.complete(act.presentation, "out"))
+        split_act, cert = out_split(act, complete_split(act.presentation, "out"))
         assert split_act.group.order == 2
         assert split_act.presentation.num_states == 4
         assert verify_elementary_sse(cert)
@@ -415,15 +414,8 @@ class TestOutSplit:
     def test_incompatible_partition_rejected(self):
         act = swapped_two_shift()
         # split state 1's out-edges but not state 2's
-        d = SplitData(
-            "out",
-            (
-                (((0, 0, 0),), ((0, 1, 0),)),
-                (((1, 0, 0), (1, 1, 0)),),
-            ),
-        )
         with pytest.raises(PreconditionError, match="compatible"):
-            out_split(act, d)
+            out_split(act, (((0,), (1,)), ((0, 1),)))
 
     def test_compatibility_matches_all_element_oracle(self):
         rng = random.Random(83)
@@ -499,15 +491,14 @@ class TestInSplit:
 
     def test_golden_mean_in_split(self):
         act = golden_mean_action()
-        d = SplitData("in", ((((0, 0, 0),), ((1, 0, 0),)), (((0, 1, 0),),)))
-        split_act, cert = in_split(act, d)
+        split_act, cert = in_split(act, (((0,), (1,)), ((0,),)))
         assert verify_elementary_sse(cert)
         # transpose-mirror of the out-split matrix
         assert split_act.matrix.entries == ((1, 0, 1), (1, 0, 1), (0, 1, 0))
 
     def test_complete_in_split_of_swap(self):
         act = swapped_two_shift()
-        split_act, cert = in_split(act, SplitData.complete(act.presentation, "in"))
+        split_act, cert = in_split(act, complete_split(act.presentation, "in"))
         assert verify_elementary_sse(cert)
         assert split_act.presentation.num_states == 4
 
@@ -529,16 +520,8 @@ class TestInSplit:
     def test_non_partition_rejected(self):
         act = golden_mean_action()
         # state 1 keeps its self-loop but drops the in-edge from state 2
-        d = SplitData("in", ((((0, 0, 0),),), (((0, 1, 0),),)))
-        with pytest.raises(InputError, match="state 1 do not partition its in-edges"):
-            in_split(act, d)
-
-    def test_two_entry_edge_rejected(self):
-        act = golden_mean_action()
-        # the in-edge from state 2 to state 1 lacks its multiplicity index
-        d = SplitData("in", ((((0, 0, 0), (1, 0)),), (((0, 1, 0),),)))
         with pytest.raises(InputError, match="^blocks at state 1 do not partition its in-edges$"):
-            in_split(act, d)
+            in_split(act, (((0,),), ((0,),)))
 
 
 class TestHigherBlockAction:
