@@ -5,16 +5,16 @@ selectors and equivalence certificates.  A matrix is stored as its sparse
 rows and validated once, when it is built, in whole-matrix passes;
 products, transposes and submatrices work on sparse rows, and the dense
 rows are derived only on demand, for reports and for the Smith form
-behind Bowen-Franks groups.  The strongly connected components of a
-matrix's digraph are here too, for trimming presentations and for the
-counting engine of ``matrices``, which imports this module: a job that
-counts nothing compiles the matrix type without the engine.
+behind Bowen-Franks groups.  The digraph routines are here too, for
+trimming presentations, enumerating cycles and the counting engine of
+``matrices``, which imports this module: a job that counts nothing
+compiles the matrix type without the engine.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from operator import ge
 
 from .errors import InputError
@@ -156,58 +156,66 @@ class IntMatrix:
         return all(x == 1 for row in self.sparse for _, x in row)
 
 
+def _predecessors(sparse):
+    """pred[j]: the rows of the square ``sparse`` with a nonzero entry in
+    column j, ascending; the out-neighbours of j in the transpose."""
+    pred = [[] for _ in sparse]
+    for i, row in enumerate(sparse):
+        for j, _ in row:
+            pred[j].append(i)
+    return pred
+
+
 def _components(sparse):
     """Strongly connected components of the digraph with sparse rows
-    ``sparse``, by Tarjan's algorithm with an explicit stack.
+    ``sparse``, by Kosaraju and Sharir's two searches (CLRS section 22.5).
+
+    A depth-first search of A lists the states in finish order.  In
+    reverse finish order, each state not yet placed collects its component
+    by a search of the transpose along ``_predecessors``.
 
     Returns a list of (states, is_cycle) pairs covering every state once,
     with states ascending.  ``is_cycle`` marks a component that is a
-    single simple cycle: each of its states has exactly one out-edge
-    inside the component, of weight 1.
+    single simple cycle: its inner edges, counted with weight, are as many
+    as its states, so each state has one inner out-edge, of weight 1.
     """
     n = len(sparse)
-    index = [-1] * n
-    low = [0] * n
-    component_of = [-1] * n
-    stack = []
-    components = []
-    counter = 0
+    seen = [False] * n
+    finished = []
     for root in range(n):
-        if index[root] >= 0:
+        if seen[root]:
             continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        # the depth-first path, each state with its unexplored out-edges
-        path = [(root, iter(sparse[root]))]
-        while path:
-            v, edges = path[-1]
-            for j, _ in edges:
-                if index[j] < 0:
-                    index[j] = low[j] = counter
-                    counter += 1
-                    stack.append(j)
-                    path.append((j, iter(sparse[j])))
+        seen[root] = True
+        # the depth-first path, and the unexplored out-edges of each of its states
+        path, edges = [root], [iter(sparse[root])]
+        while edges:
+            for j, _ in edges[-1]:
+                if not seen[j]:
+                    seen[j] = True
+                    path.append(j)
+                    edges.append(iter(sparse[j]))
                     break
-                if component_of[j] < 0 and index[j] < low[v]:
-                    low[v] = index[j]
             else:
-                path.pop()
-                if path and low[v] < low[path[-1][0]]:
-                    low[path[-1][0]] = low[v]
-                if low[v] < index[v]:
-                    continue
-                label = len(components)
-                states = []
-                while not states or states[-1] != v:
-                    states.append(stack.pop())
-                    component_of[states[-1]] = label
-                states.sort()
-                is_cycle = all(
-                    [x for j, x in sparse[s] if component_of[j] == label] == [1]
-                    for s in states
-                )
-                components.append((states, is_cycle))
+                edges.pop()
+                finished.append(path.pop())
+    pred = _predecessors(sparse)
+    component_of = [-1] * n
+    components = []
+    for root in reversed(finished):
+        if component_of[root] >= 0:
+            continue
+        label = len(components)
+        component_of[root] = label
+        states = [root]
+        for v in states:  # grows as the search of the transpose places states
+            for u in pred[v]:
+                if component_of[u] < 0:
+                    component_of[u] = label
+                    states.append(u)
+        states.sort()
+        # weights are positive, so len(states) + 1 inner edges already rule a cycle out
+        weights = (x for s in states for j, x in sparse[s] if component_of[j] == label)
+        components.append((states, sum(islice(weights, len(states) + 1)) == len(states)))
     return components
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .errors import CapExceededError, InputError, PreconditionError
 from .records import record
-from .intmatrix import IntMatrix, _check_int, _components
+from .intmatrix import IntMatrix, _check_int, _components, _predecessors
 
 Edge = tuple  # (initial state, terminal state, multiplicity index)
 
@@ -112,16 +112,14 @@ def trim_essential(matrix: IntMatrix):
 
     Deletes states with no outgoing or no incoming edge until none is
     left, keeping out- and in-degree counts and a queue of the states
-    whose count reached zero.  Returns (presentation, kept) where ``kept``
-    maps the surviving state indices back to the original ones, in
-    ascending order; (None, ()) when no state survives.
+    whose count reached zero; a deleted state's ``_predecessors`` lose an
+    out-edge and its successors an in-edge.  Returns (presentation, kept)
+    where ``kept`` maps the surviving state indices back to the original
+    ones, in ascending order; (None, ()) when no state survives.
     """
     n = matrix.dim
     succ = [[j for j, _ in row] for row in matrix.sparse]
-    pred = [[] for _ in range(n)]
-    for i, targets in enumerate(succ):
-        for j in targets:
-            pred[j].append(i)
+    pred = _predecessors(matrix.sparse)
     out_degree = [len(targets) for targets in succ]
     in_degree = [len(sources) for sources in pred]
     alive = [True] * n
@@ -129,22 +127,16 @@ def trim_essential(matrix: IntMatrix):
     for i in queue:
         alive[i] = False
     for i in queue:
-        for j in pred[i]:
-            out_degree[j] -= 1
-            if alive[j] and not out_degree[j]:
-                alive[j] = False
-                queue.append(j)
-        for j in succ[i]:
-            in_degree[j] -= 1
-            if alive[j] and not in_degree[j]:
-                alive[j] = False
-                queue.append(j)
+        for neighbours, degree in ((pred[i], out_degree), (succ[i], in_degree)):
+            for j in neighbours:
+                degree[j] -= 1
+                if alive[j] and not degree[j]:
+                    alive[j] = False
+                    queue.append(j)
     kept = [i for i in range(n) if alive[i]]
     if not kept:
         return None, ()
-    if len(kept) == n:
-        return SftPresentation(matrix), tuple(kept)
-    return SftPresentation(matrix.principal(kept)), tuple(kept)
+    return SftPresentation(matrix if len(kept) == n else matrix.principal(kept)), tuple(kept)
 
 
 def is_irreducible(p: SftPresentation) -> bool:
@@ -188,6 +180,10 @@ def enumerate_cycles(p: SftPresentation, length: int, cap: int):
     so the count equals trace(A^length).  Results come out in lexicographic
     order.  Raises CapExceededError as soon as the running count passes
     ``cap``; callers should shrink the instance.
+
+    For each start s0, back[k] holds the states with a k-edge path to s0:
+    {s0}, then the predecessors of back[k - 1].  The walk from s0 takes an
+    edge only into the layer that its remaining length needs.
     """
     _check_int(length, "cycle length")
     _check_int(cap, "cap")
@@ -196,18 +192,13 @@ def enumerate_cycles(p: SftPresentation, length: int, cap: int):
     if cap < 1:
         raise InputError("cap must be at least 1")
     results = []
-    n = p.num_states
     out_edges = p.out_edges
-    for s0 in range(n):
-        # back[k][j]: some path of length k runs from j to s0
-        back = [[False] * n for _ in range(length + 1)]
-        back[0][s0] = True
-        for k in range(1, length + 1):
-            prev = back[k - 1]
-            cur = back[k]
-            for j in range(n):
-                cur[j] = any(prev[e[1]] for e in out_edges[j])
-        if not back[length][s0]:
+    pred = _predecessors(p.matrix.sparse)
+    for s0 in range(p.num_states):
+        back = [{s0}]
+        for _ in range(length):
+            back.append({u for v in back[-1] for u in pred[v]})
+        if s0 not in back[length]:
             continue
         # depth-first walk with an explicit stack: pending[k] iterates the
         # out-edges of the state reached by the first k edges of the path
@@ -215,7 +206,7 @@ def enumerate_cycles(p: SftPresentation, length: int, cap: int):
         pending = [iter(out_edges[s0])]
         while pending:
             remaining = length - len(path) - 1
-            e = next((e for e in pending[-1] if back[remaining][e[1]]), None)
+            e = next((e for e in pending[-1] if e[1] in back[remaining]), None)
             if e is None:
                 pending.pop()
                 if path:

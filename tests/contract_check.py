@@ -9,11 +9,12 @@ text report under ``tests/text_goldens/`` in-process, and runs
 bound at 100, 101 and 100000 levels, integers past Python's 4300-digit
 conversion limit (3.11 and later), unknown keys, the transport pairing
 lines and closure limits of phi and psi, and the exact error lines of
-unknown flags and parameters, non-square state matrices, oversized named
-groups, the zero-one precondition, a transport certificate that does not
-verify, split partitions that are too short, do not partition a state's
-in-edges or are not action-compatible, and HNN words, and the text of
-free Bowen-Franks ranks.  Prints one line per failure, then ``checked N, failed M``;
+unknown flags and parameters, non-square state matrices, a matrix row
+that is not an array, oversized named groups, the zero-one precondition,
+a transport certificate that does not verify, split partitions that are
+too short, do not partition a state's in-edges or are not
+action-compatible, and HNN words, and the text of free Bowen-Franks
+ranks.  Prints one line per failure, then ``checked N, failed M``;
 exits 1 when anything failed.  It imports nothing outside the standard
 library but ``sftact``'s entry points, so it runs where pytest is not
 installed.  ``tests/test_cli.py`` runs some cases by name, so each pinned
@@ -119,6 +120,8 @@ def contract_cases():
     for command, input_doc, field in RECTANGULAR:
         doc = json.dumps({"command": command, "input": input_doc})
         yield f"rectangular {command}", doc, [command], 1, f"error: $.input.{field}: matrix must be square, got 2x3\n", None
+    row = json.dumps({"command": "invariants", "input": {"matrix": [1, [1]]}})
+    yield "matrix-row-not-array", row, ["invariants"], 1, "error: $.input.matrix[0]: expected an array\n", None
     for group, message in NAMED_TOO_LARGE:
         doc = json.dumps({"command": "tqft", "input": {"hnn": {"preset": "trefoil"}, "group": group}})
         yield f"named-group {group}", doc, ["tqft"], 1, f"error: $.input.group: {message}\n", None

@@ -6,7 +6,9 @@ that pyenv has installed (under ``$PYENV_ROOT/versions``, by default
 ``python -O``.  The script rebuilds every golden and text report, so no
 result may rest on an ``assert``.  Those interpreters need no pytest,
 sympy or hypothesis: the script uses the standard library alone.  A
-version that is not installed is skipped.
+version that is not installed is skipped.  The running interpreter also
+runs it under a fixed non-default ``PYTHONHASHSEED``, so no report may
+depend on the iteration order of a set of strings.
 """
 
 import os
@@ -29,8 +31,8 @@ def interpreter(minor):
     return found[-1] if found else None
 
 
-def check_contract(python):
-    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"))
+def check_contract(python, **variables):
+    env = dict(os.environ, PYTHONPATH=str(HERE.parent / "src"), **variables)
     for flags in ([], ["-O"]):
         proc = subprocess.run([str(python), *flags, str(SCRIPT)], capture_output=True, text=True, env=env, timeout=300)
         lines = proc.stdout.splitlines()
@@ -40,6 +42,10 @@ def check_contract(python):
 
 def test_contract_holds_on_running_interpreter():
     check_contract(sys.executable)
+
+
+def test_contract_holds_under_fixed_hash_seed():
+    check_contract(sys.executable, PYTHONHASHSEED="12345")
 
 
 @pytest.mark.parametrize("minor", MINORS, ids=lambda m: f"3.{m}")

@@ -14,14 +14,23 @@ from pathlib import Path
 import pytest
 
 from sftact import (
+    AbelianGroupInvariants,
+    CycleWord,
+    ElementarySse,
     FiniteGroupTable,
     HnnData,
     InputError,
+    IntMatrix,
     LimitExceededError,
+    OneBlockCode,
+    PermutationAction,
     PreconditionError,
     QuotientClassification,
     RepShift,
     SftPresentation,
+    SftactError,
+    SseChain,
+    TwoBlockConjugacy,
     bowen_franks,
     build_repshift,
     burnside_counts,
@@ -32,6 +41,7 @@ from sftact import (
     enumerate_cycles,
     enumerate_homs,
     evaluate_word,
+    factor_square,
     fibered_preset,
     fixed_submatrix,
     flat_bundle_counts,
@@ -41,6 +51,7 @@ from sftact import (
     left_reduce,
     nonexpansive_witness,
     out_split,
+    poly_lcm,
     quaternion_group,
     right_reduce,
     symmetric_group,
@@ -50,11 +61,13 @@ from sftact import (
     transport_certificate,
     trivial_group,
 )
+from sftact.action import paired_groups
 from sftact.intmatrix import _components
-from sftact.jobs import parse_abstract_group, parse_job, run_job
+from sftact.jobs import emit_report, parse_abstract_group, parse_job, run_job
 from sftact.repshift import check_word
 
 from helpers import (
+    FULL_TWO_SHIFT,
     PLAIN_MONODROMIES,
     SIX_STATE_A,
     alexander_polynomial,
@@ -72,7 +85,9 @@ from helpers import (
     plain_monodromy_fixed_counts,
     plain_orbits,
     recurrence_holds,
+    reducible_action,
     six_state_action,
+    swapped_two_shift,
     three_state_action,
     z48_with_swapped_products,
 )
@@ -730,32 +745,151 @@ def _witness_at(g):
     return nonexpansive_witness(act, QuotientClassification((g, cycle)), 1)
 
 
-# Arguments outside what an entry point accepts, with the line each is
-# refused with: integers out of range, a certificate between other
-# matrices than the actions', an empty split block.  Each is an input
-# error, not an exception from inside the library.
+def _trivial_action(rows):
+    """The trivial group acting on the presentation of ``rows``."""
+    matrix = IntMatrix(rows)
+    return PermutationAction(SftPresentation(matrix), group_from_generators(matrix.dim, []))
+
+
+_LOOP = SftPresentation(IntMatrix(((1,),)))
+_FULL = SftPresentation(FULL_TWO_SHIFT)
+_ONE_JOB = '{"command": "invariants", "input": {"matrix": [[1]]}}'
+
+# What an entry point refuses, with the error family and the exact line it
+# is refused with: integers out of range, empty or misshapen data, maps that
+# are not what a construction needs, a certificate between other matrices
+# than the actions'.  Each is the library's own refusal, never an exception
+# from inside it; the family sets the CLI's exit code.
 _OUT_OF_RANGE = {
-    "group_from_generators degree -1": ("degree must be nonnegative", lambda: group_from_generators(-1, [])),
+    "group_from_generators degree -1": (
+        InputError, "degree must be nonnegative", lambda: group_from_generators(-1, [])
+    ),
     "nonexpansive_witness element 5 of 2": (
-        "witness element 5 is not a non-identity element of the group", lambda: _witness_at(5)
+        InputError, "witness element 5 is not a non-identity element of the group", lambda: _witness_at(5)
     ),
     "nonexpansive_witness identity element": (
-        "witness element 0 is not a non-identity element of the group", lambda: _witness_at(0)
+        InputError, "witness element 0 is not a non-identity element of the group", lambda: _witness_at(0)
     ),
     "transport_certificate other endpoints": (
+        InputError,
         "certificate endpoints do not match the action matrices",
         lambda: transport_certificate(
             identity_certificate(SIX_STATE_A), three_state_action(), three_state_action()
         ),
     ),
     "out_split empty block": (
-        "state 1 has an empty partition block", lambda: out_split(three_state_action(), (((),),) * 3)
+        InputError, "state 1 has an empty partition block", lambda: out_split(three_state_action(), (((),),) * 3)
+    ),
+    "OneBlockCode partial edge map": (
+        PreconditionError, "edge map must be total on the source edge alphabet", lambda: OneBlockCode(_LOOP, _LOOP, {})
+    ),
+    "OneBlockCode image not an edge": (
+        PreconditionError,
+        "image (0, 0, 1) of edge (0, 0, 0) is not a target edge",
+        lambda: OneBlockCode(_LOOP, _LOOP, {(0, 0, 0): (0, 0, 1)}),
+    ),
+    "OneBlockCode no state map": (
+        PreconditionError,
+        "edge map does not induce a state map (state 0 goes to both 0 and 1)",
+        lambda: OneBlockCode(_FULL, _FULL, {e: (0, 0, 0) if e[:2] == (0, 0) else (1, 1, 0) for e in _FULL.edges}),
+    ),
+    "factor_square state map too short": (
+        InputError,
+        "state map must send every source state to a target state",
+        lambda: factor_square(three_state_action(), three_state_action(), (0,)),
+    ),
+    "factor_square not a graph homomorphism": (
+        PreconditionError,
+        "state map is not a graph homomorphism: edge (1,1) has no image",
+        lambda: factor_square(_trivial_action(((1, 1), (1, 1))), _trivial_action(((1, 1), (1, 0))), (1, 1)),
+    ),
+    "factor_square not onto": (
+        PreconditionError,
+        "state map is not onto the target states",
+        lambda: factor_square(_trivial_action(((1,),)), _trivial_action(((1, 1), (1, 1))), (0,)),
+    ),
+    "factor_square orbit edges not bijective": (
+        PreconditionError,
+        "edges from state 1 into orbit 1 do not biject with their images",
+        lambda: factor_square(_trivial_action(((0, 1), (1, 0))), _trivial_action(((1,),)), (0, 0)),
+    ),
+    "ElementarySse S of the wrong shape": (
+        InputError,
+        "S must be 6x6, got 2x2",
+        lambda: ElementarySse(a=SIX_STATE_A, b=SIX_STATE_A, r=SIX_STATE_A, s=FULL_TWO_SHIFT),
+    ),
+    "SseChain no links": (InputError, "a chain needs at least one link", lambda: SseChain(())),
+    "TwoBlockConjugacy one edge": (
+        InputError,
+        "need at least two edges to apply a two-block map",
+        lambda: TwoBlockConjugacy(_LOOP, _LOOP, {}, {}).apply_forward(((0, 0, 0),)),
+    ),
+    "higher_block n 1": (InputError, "block length must be at least 2", lambda: higher_block(_FULL, 1)),
+    "higher_block_action n 1": (
+        InputError, "block length must be at least 2", lambda: higher_block_action(swapped_two_shift(), 1)
+    ),
+    "enumerate_cycles length 0": (InputError, "cycle length must be at least 1", lambda: enumerate_cycles(_FULL, 0, 5)),
+    "enumerate_cycles cap 0": (InputError, "cap must be at least 1", lambda: enumerate_cycles(_FULL, 2, 0)),
+    "CycleWord no edges": (InputError, "a cycle needs at least one edge", lambda: CycleWord(())),
+    "FiniteGroupTable no names": (InputError, "a group needs at least the identity", lambda: FiniteGroupTable((), ())),
+    "FiniteGroupTable repeated names": (
+        InputError, "element names must be pairwise distinct", lambda: FiniteGroupTable(("e", "e"), ((0, 1), (1, 0)))
+    ),
+    "FiniteGroupTable non-square table": (
+        InputError,
+        "multiplication table must be square of the group order",
+        lambda: FiniteGroupTable(("e", "a"), ((0, 1),)),
+    ),
+    "FiniteGroupTable no identity": (
+        InputError, "multiplication table has no identity element", lambda: FiniteGroupTable(("a", "b"), ((1, 1),) * 2)
+    ),
+    "enumerate_homs gens -1": (
+        InputError, "generator count must be nonnegative", lambda: enumerate_homs(-1, [], cyclic_group(2))
+    ),
+    "HnnData b_gens -1": (
+        InputError,
+        "generator count must be nonnegative",
+        lambda: HnnData(b_gens=-1, b_relators=(), u_gens=(), u_relators=(), v_gens=(), v_relators=(), phi_images=()),
+    ),
+    "HnnData missing amalgamating image": (
+        InputError,
+        "need exactly one amalgamating image per U generator",
+        lambda: HnnData(
+            b_gens=1, b_relators=(), u_gens=(((0, 1),),), u_relators=(), v_gens=(((0, 1),),), v_relators=(),
+            phi_images=(),
+        ),
+    ),
+    "paired_groups degree -1": (InputError, "degree must be nonnegative", lambda: paired_groups([], [], -1, 0)),
+    "PermutationAction degree mismatch": (
+        InputError,
+        "group degree 3 does not match state count 6",
+        lambda: PermutationAction(SftPresentation(SIX_STATE_A), group_from_generators(3, [])),
+    ),
+    "IntMatrix label count": (
+        InputError, "label count does not match matrix dimension", lambda: IntMatrix(((1,),), labels=("a", "b"))
+    ),
+    "AbelianGroupInvariants free rank -1": (
+        InputError, "free rank must be nonnegative", lambda: AbelianGroupInvariants((), -1)
+    ),
+    "poly_lcm no polynomials": (InputError, "poly_lcm needs at least one polynomial", lambda: poly_lcm([])),
+    "burnside_counts m 0": (InputError, "need at least one count", lambda: burnside_counts(three_state_action(), 0)),
+    "point_windows m 0": (
+        InputError, "block radius m must be at least 1", lambda: _witness_at(1)[0].point_windows(0)
+    ),
+    "nonexpansive_witness reducible presentation": (
+        PreconditionError,
+        "witness construction needs an irreducible presentation",
+        lambda: nonexpansive_witness(reducible_action(), QuotientClassification((1, CycleWord(((0, 0, 0),)))), 1),
+    ),
+    "emit_report format yaml": (
+        InputError, "unknown output format 'yaml'", lambda: emit_report(run_job(parse_job(_ONE_JOB)), "yaml")
     ),
 }
 
 
 @pytest.mark.parametrize("call", list(_OUT_OF_RANGE), ids=str)
 def test_out_of_range_arguments_raise_input_errors(call):
-    line, make = _OUT_OF_RANGE[call]
-    with pytest.raises(InputError, match=f"^{re.escape(line)}$"):
+    family, line, make = _OUT_OF_RANGE[call]
+    with pytest.raises(SftactError, match=f"^{re.escape(line)}$") as raised:
         make()
+    assert type(raised.value) is family
